@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import get_tol
 from .errors import EvenQ, IoError, SizeExceeded, VerificationFailed
-from .ff import MultChar, make_ext, make_field
+from .ff import MultChar, make_ext, make_field, prime_power
 from .gl2 import GroupCtx
 from .parabolic import (BorelChar, decompose_gl2, induced_character,
                         split_rho_pm)
@@ -55,22 +55,6 @@ class CharacterTable:
     @property
     def matrix(self):
         return np.array([r.values for r in self.rows])
-
-
-def _prime_power(q):
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            k = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                k += 1
-            if qq != 1:
-                raise SizeExceeded(f"{q} is not a prime power")
-            return p, k
-        p += 1
-    return q, 1
 
 
 def _identity_first_check(gctx):
@@ -152,12 +136,10 @@ def expected_degrees(kind, q):
     return sorted(out)
 
 
-def _root_of_unity_decomposable(z, d, order, roots_cache={}):
+def _root_of_unity_decomposable(z, d, order):
     """Whether z is a sum of exactly d roots of unity of the given
     order, within 1e-6; exhaustive multiset search."""
-    if order not in roots_cache:
-        roots_cache[order] = np.exp(2j * np.pi * np.arange(order) / order)
-    roots = roots_cache[order]
+    roots = np.exp(2j * np.pi * np.arange(order) / order)
     for combo in itertools.combinations_with_replacement(range(order), d):
         if abs(roots[list(combo)].sum() - z) < 1e-6:
             return True
@@ -229,7 +211,7 @@ def build_table(kind, q):
         raise EvenQ("q must be odd")
     if q not in SUPPORTED[kind]:
         raise SizeExceeded(f"{kind} tables support q in {SUPPORTED[kind]}")
-    p, kdeg = _prime_power(q)
+    p, kdeg = prime_power(q)
     F = make_field(p, kdeg)
     gctx = GroupCtx(kind, F)
     ectx = make_ext(F)

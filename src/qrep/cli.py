@@ -15,7 +15,7 @@ import numpy as np
 
 from . import chartab, ff, gl2, parabolic, poly, repcore, simclass, weil
 from .config import get_tol
-from .errors import QrepError
+from .errors import NonPrime, QrepError, SizeExceeded
 
 ODD_SUITES = {"classes", "parabolic", "weil", "svn", "cuspidal", "chartable"}
 SUITE_NAMES = ("fields", "classes", "bruhat", "parabolic", "weil", "svn",
@@ -31,21 +31,10 @@ class InputError(Exception):
 
 
 def _parse_q(q):
-    if q < 2:
-        raise InputError(f"q = {q} is not a prime power")
-    p = 2
-    while q % p:
-        p += 1
-        if p * p > q:
-            p = q
-            break
-    k, rest = 0, q
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    if rest != 1:
-        raise InputError(f"q = {q} is not a prime power")
-    return p, k
+    try:
+        return ff.prime_power(q)
+    except NonPrime as e:
+        raise InputError(str(e))
 
 
 def _field_for(q):
@@ -558,13 +547,17 @@ def _parse_matrix(text, q, n):
 
 
 def _cmd_simclass(args):
-    F = _field_for(args.q)
     if args.count:
+        # the count is a formula in q alone: validate q, build no field
+        _parse_q(args.q)
+        if args.q > ff.MAX_Q:
+            raise SizeExceeded(f"q = {args.q} exceeds {ff.MAX_Q}")
         json.dump({"q": args.q, "n": args.n,
                    "count": simclass.count_similarity_classes(args.q, args.n)},
                   sys.stdout, indent=2)
         sys.stdout.write("\n")
         return 0
+    F = _field_for(args.q)
     if not args.matrix:
         raise InputError("either --matrix or --count is required")
     A = _parse_matrix(args.matrix, args.q, args.n)
@@ -585,6 +578,7 @@ def _cmd_simclass(args):
 
 
 def _cmd_cuspidal_count(args):
+    _parse_q(args.q)
     orb, mon, eq = simclass.cuspidal_count_identity(args.q, args.n)
     json.dump({"q": args.q, "n": args.n, "orbit_count": orb,
                "monic_count": mon, "equal": eq}, sys.stdout, indent=2)

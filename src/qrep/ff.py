@@ -12,6 +12,8 @@ first), and the stored generator is the smallest-index element of
 multiplicative order q-1, so every table is deterministic.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from . import poly
@@ -20,29 +22,29 @@ from .errors import NonPrime, SizeExceeded, Singular, SizeMismatch
 MAX_Q = 1 << 20
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_factors(n):
+def _factorize(n):
+    """[(p, k), ...] with n = prod p^k, primes ascending; [] for n < 2."""
     out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            k = 0
             while n % d == 0:
                 n //= d
+                k += 1
+            out.append((d, k))
         d += 1
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
     return out
+
+
+def prime_power(q):
+    """(p, k) with q = p^k for a prime p; NonPrime for any other q."""
+    factors = _factorize(q)
+    if len(factors) != 1:
+        raise NonPrime(f"q = {q} is not a prime power")
+    return factors[0]
 
 
 class FieldCtx:
@@ -54,7 +56,7 @@ class FieldCtx:
     base, low degree first, monic; None for a prime field), gen, exp
     (length q-1), log (length q, log[0] = -1), digits (q x deg),
     inv_table (length q, junk at 0), trace_to_prime (length q, values
-    < p).
+    < p), eps (computed on first use).
     """
 
     def __init__(self, p=None, base=None, deg=None):
@@ -68,7 +70,7 @@ class FieldCtx:
         self._build_trace()
 
     def _init_prime(self, p):
-        if not _is_prime(p):
+        if _factorize(p) != [(p, 1)]:
             raise NonPrime(f"{p} is not prime")
         if p > MAX_Q:
             raise SizeExceeded(f"p = {p} exceeds {MAX_Q}")
@@ -82,7 +84,7 @@ class FieldCtx:
         self._places = np.array([1], dtype=np.int64)
         gen = 1
         if p > 2:
-            facs = _prime_factors(p - 1)
+            facs = [ell for ell, _ in _factorize(p - 1)]
             for g in range(2, p):
                 if all(pow(g, (p - 1) // ell, p) != 1 for ell in facs):
                     gen = g
@@ -111,7 +113,7 @@ class FieldCtx:
         self.digits = (idx[:, None] // places[None, :]) % base.q
 
         # generator: smallest index of multiplicative order q-1
-        facs = _prime_factors(q - 1)
+        facs = [ell for ell, _ in _factorize(q - 1)]
         gen = None
         for cand in range(1, q):
             tup = self._tup(cand)
@@ -206,6 +208,13 @@ class FieldCtx:
             return True
         return int(self.log[x]) % 2 == 0
 
+    @cached_property
+    def eps(self):
+        """The smallest-index non-square unit; None for even q."""
+        if self.q % 2 == 0:
+            return None
+        return next(a for a in range(2, self.q) if not self.is_square_unit(a))
+
     def __repr__(self):
         return f"FieldCtx(q={self.q}, p={self.p}, k={self.k})"
 
@@ -224,7 +233,8 @@ class ExtCtx:
 
     norm and trace land in the base subfield, so their tables store base
     indices (< q).  eps is the smallest-index non-square unit of the
-    base field (only defined for odd q).
+    base field (only defined for odd q).  The trace pairing and psi, the
+    field data behind the Weil operators, are computed on first use.
     """
 
     def __init__(self, base):
@@ -248,16 +258,22 @@ class ExtCtx:
         self.norm = norm
         self.trace = trace
 
-        self.eps = None
-        if base.q % 2 == 1:
-            for a in range(2, base.q):
-                if not base.is_square_unit(a):
-                    self.eps = a
-                    break
+        self.eps = base.eps
 
         # norm-one subgroup, cyclic of order q+1: powers of gen^(q-1)
         t = np.arange(base.q + 1, dtype=np.int64)
         self.norm_one = ext.exp[((base.q - 1) * t) % (Q - 1)]
+
+    @cached_property
+    def trace_pairing(self):
+        """TP[x, y] = tr(conj(y) x), a base-field index."""
+        idx = np.arange(self.ext.q)
+        return self.trace[self.ext.mul(idx[:, None], self.frob[idx][None, :])]
+
+    @cached_property
+    def psi(self):
+        """The canonical additive character of the base field."""
+        return AddChar(self.base)
 
     def __repr__(self):
         return f"ExtCtx(q={self.q})"

@@ -15,11 +15,12 @@ the canonical labels are cross-checked against ground truth.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EvenQ, NotInGroup, Singular, VerificationFailed
-from .repcore import FiniteGroupView, subgroup_view
+from .repcore import FiniteGroupView, flood_classes, subgroup_view
 
 TAG_RANK = {"central": 0, "nonsemisimple": 1, "split_regular": 2, "anisotropic": 3}
 
@@ -40,7 +41,12 @@ def _pack(q, m):
 
 
 class GroupCtx:
-    """kind is "gl2" or "sl2"; field is the FieldCtx of entries."""
+    """kind is "gl2" or "sl2"; field is the FieldCtx of entries.
+
+    Structures derived from the group are owned here and computed once,
+    on first use: the Borel subgroup view (borel), the right cosets
+    B\\G (borel_cosets) and the GL2 context over the same field
+    (gl2_ctx)."""
 
     def __init__(self, kind, field):
         if kind not in ("gl2", "sl2"):
@@ -49,6 +55,7 @@ class GroupCtx:
         self.field = field
         q = field.q
         self.q = q
+        self.eps = field.eps
 
         grid = np.indices((q, q, q, q)).reshape(4, -1).T.astype(np.int64)
         det = self.mat_det(grid)
@@ -65,12 +72,10 @@ class GroupCtx:
                                     identity=self.identity,
                                     classes=self._canonical_classes(inv))
         self.conj_classes = self._attach_class_data()
-        self.eps = None
-        if q % 2 == 1:
-            for a in range(2, q):
-                if not field.is_square_unit(a):
-                    self.eps = a
-                    break
+        # rho~(sigma) images keyed by the matrix tuple sigma, filled by
+        # the GL2 cuspidal operators of weil.pi_omega_character and shared
+        # by every cuspidal datum on this group, for as long as it lives
+        self.weil_sigma_cache = {}
 
     # --- matrix arithmetic on (..., 4) index arrays ---
 
@@ -162,6 +167,30 @@ class GroupCtx:
     def subview(self, members):
         return subgroup_view(self.view, members)
 
+    @cached_property
+    def borel(self):
+        """(view, embedding) of the upper triangular Borel subgroup."""
+        return self.subview(self.borel_ids())
+
+    @cached_property
+    def borel_cosets(self):
+        """Right cosets B\\G: canonical (minimal id) representatives and
+        the coset index of every element."""
+        bids = self.borel_ids()
+        coset_of = np.full(self.n, -1, dtype=np.int64)
+        reps = []
+        for g in range(self.n):
+            if coset_of[g] >= 0:
+                continue
+            coset_of[self.view.mul(bids, g)] = len(reps)
+            reps.append(g)
+        return np.array(reps, dtype=np.int64), coset_of
+
+    @cached_property
+    def gl2_ctx(self):
+        """The GL2 context over the same field (self for a gl2 context)."""
+        return self if self.kind == "gl2" else GroupCtx("gl2", self.field)
+
     # --- conjugacy structure ---
 
     def _char_roots(self, m):
@@ -204,26 +233,13 @@ class GroupCtx:
         return "nonsemisimple", (lam, variant), (lam, variant, 0, lam)
 
     def eps_of_field(self):
-        if self.q % 2 == 0:
+        if self.eps is None:
             raise EvenQ("no non-square unit in even characteristic")
-        for a in range(2, self.q):
-            if not self.field.is_square_unit(a):
-                return a
-        raise VerificationFailed("no non-square found")
+        return self.eps
 
     def _canonical_classes(self, inv):
-        allg = np.arange(self.n)
-        mul = self._make_mul()
-        seen = np.zeros(self.n, dtype=bool)
-        flooded = []
-        for x in range(self.n):
-            if seen[x]:
-                continue
-            orbit = np.unique(mul(mul(allg, x), inv[allg]))
-            seen[orbit] = True
-            flooded.append(orbit)
         labeled = []
-        for orbit in flooded:
+        for _, orbit in flood_classes(self.n, self._mul, inv):
             tag, params, rep = self.classify(self.elems[orbit[0]])
             rep_id = self.id_of(rep)
             if rep_id not in orbit:
@@ -288,10 +304,7 @@ def sl2_split_test(slctx, g, glctx=None):
     if slctx.q % 2 == 0:
         raise EvenQ("split test needs odd q")
     if glctx is None:
-        glctx = slctx._gl_cache if hasattr(slctx, "_gl_cache") else None
-        if glctx is None:
-            glctx = GroupCtx("gl2", slctx.field)
-            slctx._gl_cache = glctx
+        glctx = slctx.gl2_ctx
     if isinstance(g, (int, np.integer)):
         g = slctx.mat_of(g)
     m = np.asarray(g, dtype=np.int64)

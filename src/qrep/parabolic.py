@@ -54,28 +54,15 @@ class BorelChar:
         return tuple(c.j for c in self.chars)
 
 
-def _cache(ctx):
-    if not hasattr(ctx, "_parabolic_cache"):
-        ctx._parabolic_cache = {}
-    return ctx._parabolic_cache
-
-
-def borel_subview(ctx):
-    cache = _cache(ctx)
-    if "borel" not in cache:
-        cache["borel"] = ctx.subview(ctx.borel_ids())
-    return cache["borel"]
-
-
 def borel_class_function(ctx, bchar):
-    bview, bemb = borel_subview(ctx)
+    bview, bemb = ctx.borel
     reps = bemb.injection[bview.reps]
     return ClassFunction(bview, bchar.value_on_mats(ctx.elems[reps]))
 
 
 def induced_character(ctx, bchar):
     """Character of Ind_B^G of the given Borel character."""
-    bview, bemb = borel_subview(ctx)
+    bview, bemb = ctx.borel
     return induce(borel_class_function(ctx, bchar), bemb)
 
 
@@ -121,25 +108,6 @@ def decompose_gl2(ctx, bchar):
 
 # --- matrix model of the induced representation (SL2) ---
 
-def _coset_structure(ctx):
-    """Right cosets B\\G: canonical (minimal id) representatives and the
-    coset index of every element."""
-    cache = _cache(ctx)
-    if "cosets" in cache:
-        return cache["cosets"]
-    bids = ctx.borel_ids()
-    coset_of = np.full(ctx.n, -1, dtype=np.int64)
-    reps = []
-    for g in range(ctx.n):
-        if coset_of[g] >= 0:
-            continue
-        members = ctx.view.mul(bids, g)
-        coset_of[members] = len(reps)
-        reps.append(g)
-    cache["cosets"] = (np.array(reps, dtype=np.int64), coset_of)
-    return cache["cosets"]
-
-
 def build_induced_rep(ctx, bchar, check_pairs=4096, seed=20070714):
     """Matrix model of Ind_B^G chi for SL2 with basis indexed by B\\G:
     M(g)[j, i] = chi~(b) where r_j g = b r_i.  Verified multiplicative
@@ -148,7 +116,7 @@ def build_induced_rep(ctx, bchar, check_pairs=4096, seed=20070714):
         raise GroupMismatch("matrix model is built for sl2")
     if ctx.q % 2 == 0:
         raise EvenQ("odd q required")
-    reps, coset_of = _coset_structure(ctx)
+    reps, coset_of = ctx.borel_cosets
     k = len(reps)
     if k != ctx.q + 1:
         raise VerificationFailed(f"expected {ctx.q + 1} cosets, got {k}")

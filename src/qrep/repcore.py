@@ -38,7 +38,7 @@ class FiniteGroupView:
                 inv[a] = hits[0]
         self.inv = np.asarray(inv, dtype=np.int64)
         if classes is None:
-            classes = self._find_classes()
+            classes = flood_classes(self.n, mul, self.inv)
         self.classes = [(int(r), np.asarray(m, dtype=np.int64)) for r, m in classes]
         self.class_of = np.full(self.n, -1, dtype=np.int64)
         for ci, (_, members) in enumerate(self.classes):
@@ -50,45 +50,53 @@ class FiniteGroupView:
             raise VerificationFailed("class sizes do not sum to |G|")
         self.reps = np.array([r for r, _ in self.classes], dtype=np.int64)
 
-    def _find_classes(self):
-        allg = np.arange(self.n)
-        seen = np.zeros(self.n, dtype=bool)
-        out = []
-        for x in range(self.n):
-            if seen[x]:
-                continue
-            orbit = np.unique(self.mul(self.mul(allg, x), self.inv[allg]))
-            seen[orbit] = True
-            out.append((x, orbit))
-        return out
-
     def conjugate(self, g, x):
         """g x g^-1."""
         return self.mul(self.mul(g, x), self.inv[g])
 
 
+def flood_classes(n, mul, inv):
+    """Conjugacy classes of a group given by its vectorized mul and its
+    inverse array, as (smallest member, members) pairs in increasing
+    order of the smallest member."""
+    allg = np.arange(n)
+    seen = np.zeros(n, dtype=bool)
+    out = []
+    for x in range(n):
+        if seen[x]:
+            continue
+        orbit = np.unique(mul(mul(allg, x), inv[allg]))
+        seen[orbit] = True
+        out.append((x, orbit))
+    return out
+
+
+class MixedRadix:
+    """Indices 0..n-1 of Z/n_1 x ... x Z/n_r, little-endian (the first
+    factor varies fastest), and their digit vectors."""
+
+    def __init__(self, orders):
+        self.orders = np.array(orders, dtype=np.int64)
+        self.places = np.cumprod(self.orders) // self.orders
+        self.n = int(np.prod(self.orders))
+
+    def digits(self, x):
+        return (np.asarray(x)[..., None] // self.places) % self.orders
+
+    def index(self, digs):
+        """Index of a digit vector, each digit taken mod its order."""
+        return (digs % self.orders) @ self.places
+
+
 def abelian_view(orders):
     """Direct product of cyclic groups Z/n_1 x ... indexed little-endian."""
-    orders = [int(o) for o in orders]
-    n = 1
-    for o in orders:
-        n *= o
-    places = []
-    acc = 1
-    for o in orders:
-        places.append(acc)
-        acc *= o
-    places = np.array(places, dtype=np.int64)
-    omod = np.array(orders, dtype=np.int64)
-
-    def digits(x):
-        return (np.asarray(x)[..., None] // places) % omod
+    r = MixedRadix([int(o) for o in orders])
 
     def mul(a, b):
-        return ((digits(a) + digits(b)) % omod) @ places
+        return r.index(r.digits(a) + r.digits(b))
 
-    inv = ((-digits(np.arange(n))) % omod) @ places
-    return FiniteGroupView(n, mul, inv=inv, identity=0)
+    inv = r.index(-r.digits(np.arange(r.n)))
+    return FiniteGroupView(r.n, mul, inv=inv, identity=0)
 
 
 class ClassFunction:
@@ -253,6 +261,10 @@ def mackey_check(f, emb):
     return float(np.max(np.abs(lhs.values - total)))
 
 
+# bytes of one stacked operand in check_homomorphism, whatever d is
+_CHUNK_BYTES = 1 << 20
+
+
 class MatrixRep:
     """A matrix representation with eagerly stored images, one d x d
     complex matrix per group element."""
@@ -272,8 +284,11 @@ class MatrixRep:
         if pairs is None:
             a, b = np.meshgrid(np.arange(v.n), np.arange(v.n), indexing="ij")
             pairs = np.stack([a.ravel(), b.ravel()], axis=1)
+        pairs = np.asarray(pairs)
+        step = max(1, _CHUNK_BYTES // self.images[0].nbytes)
         worst = 0.0
-        for chunk in np.array_split(pairs, max(1, len(pairs) // 4096)):
+        for lo in range(0, len(pairs), step):
+            chunk = pairs[lo:lo + step]
             pa = self.images[chunk[:, 0]]
             pb = self.images[chunk[:, 1]]
             pab = self.images[v.mul(chunk[:, 0], chunk[:, 1])]

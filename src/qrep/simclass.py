@@ -424,11 +424,23 @@ def _partition_counts(n):
     return p
 
 
+def _series_mul(a, b, n):
+    """Product of two power series truncated after x^n."""
+    out = [0] * (n + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(n + 1 - i):
+                out[i + j] += x * b[j]
+    return out
+
+
 def count_similarity_classes(q, n):
     """Number of GL_n(F_q)-conjugacy classes in M_n(F_q).
 
     Coefficient of x^n in prod_d P(x^d)^{I_d} where P is the partition
     generating function and I_d counts irreducible monics of degree d.
+    Each power is taken by repeated squaring, so the cost grows with
+    log I_d rather than I_d (about q^d / d).
     """
     if n < 1:
         raise SizeMismatch("n must be positive")
@@ -438,15 +450,12 @@ def count_similarity_classes(q, n):
         block = [0] * (n + 1)
         for m in range(0, n // d + 1):
             block[m * d] = p[m]
-        for _ in range(count_irreducible_monics(q, d)):
-            new = [0] * (n + 1)
-            for a in range(n + 1):
-                if series[a] == 0:
-                    continue
-                for b in range(0, n + 1 - a, 1):
-                    if block[b]:
-                        new[a + b] += series[a] * block[b]
-            series = new
+        e = count_irreducible_monics(q, d)
+        while e:
+            if e & 1:
+                series = _series_mul(series, block, n)
+            block = _series_mul(block, block, n)
+            e >>= 1
     return series[n]
 
 

@@ -23,29 +23,22 @@ or of the full F_{q^2}^* (GL2, after extending by an operator for
 diag(1, a)).
 """
 
+import math
+from functools import cached_property
+
 import numpy as np
 
 from .config import get_tol
 from .errors import (EvenExponent, EvenQ, GroupMismatch, NotPrimitive,
                      NotSL2, SizeExceeded, VerificationFailed)
-from .ff import AddChar, MultChar, NormOneChar, is_primitive
+from .ff import MultChar, NormOneChar, is_primitive
 from .gl2 import GroupCtx
 from .parabolic import sl2_generators, two_dim_commutant_projectors
-from .repcore import (ClassFunction, FiniteGroupView, MatrixRep,
+from .repcore import (ClassFunction, FiniteGroupView, MatrixRep, MixedRadix,
                       character_table_bruteforce, inner_product,
                       rep_character)
 
 MAX_H = 1 << 18
-
-
-def _lcm(vals):
-    out = 1
-    for v in vals:
-        g, a = out, v
-        while a:
-            g, a = a, g % a
-        out = out * v // g
-    return out
 
 
 class HeisenbergCtx:
@@ -63,47 +56,34 @@ class HeisenbergCtx:
             self.orders = [ectx.p] * ectx.ext.k
         else:
             self.orders = [int(o) for o in orders]
-            self.nG = 1
-            for o in self.orders:
-                self.nG *= o
-            self.m = _lcm(self.orders)
+            self._radix = MixedRadix(self.orders)
+            self.nG = self._radix.n
+            self.m = math.lcm(*self.orders)
+            self._weights = self.m // self._radix.orders
         self.nH = self.nG * self.nG * self.m
         if self.nH > MAX_H:
             raise SizeExceeded(f"|H| = {self.nH} exceeds {MAX_H}")
-        if ectx is None:
-            places = []
-            acc = 1
-            for o in self.orders:
-                places.append(acc)
-                acc *= o
-            self._places = np.array(places, dtype=np.int64)
-            self._omod = np.array(self.orders, dtype=np.int64)
-            self._weights = np.array([self.m // o for o in self.orders],
-                                     dtype=np.int64)
 
     # --- the abelian group G and its self-pairing ---
 
     def g_add(self, x, y):
         if self.ectx is not None:
             return self.ectx.ext.add(x, y)
-        dx = (np.asarray(x)[..., None] // self._places) % self._omod
-        dy = (np.asarray(y)[..., None] // self._places) % self._omod
-        return ((dx + dy) % self._omod) @ self._places
+        r = self._radix
+        return r.index(r.digits(x) + r.digits(y))
 
     def g_neg(self, x):
         if self.ectx is not None:
             return self.ectx.ext.neg(x)
-        dx = (np.asarray(x)[..., None] // self._places) % self._omod
-        return ((-dx) % self._omod) @ self._places
+        return self._radix.index(-self._radix.digits(x))
 
     def pair_exp(self, c, x):
         """Exponent e with chi_c(x) = zeta_m^e."""
         if self.ectx is not None:
             ext = self.ectx.ext
             return ext.trace_to_prime[ext.mul(self.ectx.frob[c], x)]
-        dc = (np.asarray(c)[..., None] // self._places) % self._omod
-        dx = (np.asarray(x)[..., None] // self._places) % self._omod
-        return (dc * dx * self._weights).sum(axis=-1) % self.m
+        r = self._radix
+        return (r.digits(c) * r.digits(x) * self._weights).sum(axis=-1) % self.m
 
     # --- H itself ---
 
@@ -128,10 +108,12 @@ class HeisenbergCtx:
         return self.encode(self.g_neg(x), self.g_neg(c),
                            (-z + self.pair_exp(c, x)) % self.m)
 
+    @cached_property
+    def _view(self):
+        return FiniteGroupView(self.nH, self.h_mul, inv=self.h_inv_array(),
+                               identity=0)
+
     def view(self):
-        if not hasattr(self, "_view"):
-            self._view = FiniteGroupView(self.nH, self.h_mul,
-                                         inv=self.h_inv_array(), identity=0)
         return self._view
 
     # --- symplectic presentation, for 2 invertible mod m ---
@@ -286,22 +268,6 @@ def fourier_intertwines(hctx):
 
 # --- the normalized SL2 operators on L^2(F_{q^2}) ---
 
-def _weil_cache(ectx):
-    if not hasattr(ectx, "_weil_cache"):
-        base, ext = ectx.base, ectx.ext
-        Q = ext.q
-        idx = np.arange(Q)
-        # TP[x, y] = tr(conj(y) x), a base-field index
-        TP = ectx.trace[ext.mul(idx[:, None], ectx.frob[idx][None, :])]
-        psi = AddChar(base)
-        ectx._weil_cache = {
-            "TP": TP,
-            "psi": psi,
-            "inv2": int(base.inv(2 % base.q)) if base.q % 2 else None,
-        }
-    return ectx._weil_cache
-
-
 def weil_matrix(ectx, sigma):
     """The operator rho~(sigma) on L^2(F_{q^2}) as a q^2 x q^2 matrix,
     rows indexed by the argument x.  sigma = (a, b, c, d) base-field
@@ -314,8 +280,7 @@ def weil_matrix(ectx, sigma):
     det = int(base.sub(base.mul(a, d), base.mul(b, c)))
     if det != 1:
         raise NotSL2(f"det {det} != 1")
-    cache = _weil_cache(ectx)
-    psi = cache["psi"].values
+    psi = ectx.psi.values
     Nx = ectx.norm
     idx = np.arange(Q)
     if b == 0:
@@ -326,7 +291,7 @@ def weil_matrix(ectx, sigma):
     binv = int(base.inv(b))
     arg = base.mul(binv, base.sub(
         base.add(base.mul(d, Nx)[:, None], base.mul(a, Nx)[None, :]),
-        cache["TP"]))
+        ectx.trace_pairing))
     return (-1.0 / q) * psi[arg]
 
 
@@ -341,7 +306,7 @@ class WeilCtx:
         self.slctx = slctx if slctx is not None else GroupCtx("sl2", ectx.base)
         if self.slctx.field is not ectx.base:
             raise GroupMismatch("sl2 context must live over the base field")
-        self.psi = _weil_cache(ectx)["psi"]
+        self.psi = ectx.psi
         self._images = {}
 
     def image(self, gid):
@@ -351,10 +316,14 @@ class WeilCtx:
         return self._images[gid]
 
     def all_images(self):
+        """Every image stacked in element order.  Images not cached yet
+        are built straight into the stack and not cached, so the stack
+        is the only copy of them."""
         n = self.slctx.n
         out = np.empty((n, self.ectx.ext.q, self.ectx.ext.q), dtype=complex)
         for g in range(n):
-            out[g] = self.image(g)
+            out[g] = self._images[g] if g in self._images else \
+                weil_matrix(self.ectx, self.slctx.mat_of(g))
         return out
 
 
@@ -405,20 +374,16 @@ def verify_ordinary(ectx, mode="all", seed=20070714, sample=1000):
     else:
         raise GroupMismatch(f"unknown mode {mode!r}")
 
-    worst = 0.0
-    for g1, g2 in pairs:
-        m1 = W.image(g1)
-        m2 = W.image(g2)
-        m12 = W.image(ctx.view.mul(int(g1), int(g2)))
-        worst = max(worst, float(np.max(np.abs(m1 @ m2 - m12))))
+    images = W.all_images()
+    worst = MatrixRep(ctx.view, images).check_homomorphism(pairs)
 
     word_worst = 0.0
     for g in range(n):
         word = _word_for(ctx, ctx.mat_of(g))
-        acc = W.image(word[0])
+        acc = images[word[0]]
         for piece in word[1:]:
-            acc = acc @ W.image(piece)
-        word_worst = max(word_worst, float(np.max(np.abs(acc - W.image(g)))))
+            acc = acc @ images[piece]
+        word_worst = max(word_worst, float(np.max(np.abs(acc - images[g]))))
 
     # normalization: rho~(sigma) delta_0 at 0 is -1/q whenever b != 0
     norm_worst = 0.0
@@ -430,7 +395,7 @@ def verify_ordinary(ectx, mode="all", seed=20070714, sample=1000):
         a, b, c, d = ctx.mat_of(g)
         if b == 0:
             continue
-        out = W.image(g) @ delta0
+        out = images[g] @ delta0
         norm_worst = max(norm_worst, abs(out[0] - (-1.0 / q)))
         pred = (-1.0 / q) * psi[base.mul(base.mul(d, base.inv(b)), ectx.norm)]
         norm_worst = max(norm_worst, float(np.max(np.abs(out - pred))))
@@ -446,7 +411,7 @@ def _half_psi_exponent(ectx, z):
     """Exponent e (mod p) with psi((1/2) tr z) = zeta_p^e for ext
     indices z."""
     base = ectx.base
-    inv2 = _weil_cache(ectx)["inv2"]
+    inv2 = (ectx.p + 1) // 2  # 1/2 lies in the prime subfield, indices < p
     return base.trace_to_prime[base.mul(inv2, ectx.trace[z])]
 
 
@@ -583,8 +548,9 @@ def cuspidal_module(ectx, omega):
     return CuspidalModule(ectx, omega)
 
 
-def _gl2_full_operator(module, glctx, mat, sigma_cache):
-    """pi_omega(g) = E_{det g} rho~(sigma) for g = diag(1, det g) sigma."""
+def _gl2_full_operator(module, glctx, mat):
+    """pi_omega(g) = E_{det g} rho~(sigma) for g = diag(1, det g) sigma;
+    rho~(sigma) is kept in glctx.weil_sigma_cache."""
     ectx = module.ectx
     ext = ectx.ext
     F = glctx.field
@@ -592,6 +558,7 @@ def _gl2_full_operator(module, glctx, mat, sigma_cache):
     dinv = int(F.inv(det))
     sig = tuple(int(t) for t in
                 glctx.mat_mul(np.array([1, 0, 0, dinv]), np.asarray(mat)))
+    sigma_cache = glctx.weil_sigma_cache
     if sig not in sigma_cache:
         sigma_cache[sig] = weil_matrix(ectx, sig)
     Ms = sigma_cache[sig]
@@ -612,10 +579,6 @@ def pi_omega_character(module, gctx):
         raise GroupMismatch("group field != module base field")
     ectx = module.ectx
     q = ectx.q
-    sigma_cache = getattr(gctx, "_weil_sigma_cache", None)
-    if sigma_cache is None:
-        sigma_cache = {}
-        gctx._weil_sigma_cache = sigma_cache
 
     vals = []
     for rid in gctx.view.reps:
@@ -623,7 +586,7 @@ def pi_omega_character(module, gctx):
         if module.kind == "sl2":
             full = weil_matrix(ectx, mat)
         else:
-            full = _gl2_full_operator(module, gctx, mat, sigma_cache)
+            full = _gl2_full_operator(module, gctx, mat)
         R = module.restrict(full)
         vals.append(np.trace(R))
     f = ClassFunction(gctx.view, np.array(vals, dtype=complex))

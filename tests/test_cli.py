@@ -105,6 +105,17 @@ def test_simclass_count(capsys):
     assert _json_out(capsys)["count"] == 6
 
 
+def test_simclass_count_builds_no_field(capsys, monkeypatch):
+    def no_field(*args):
+        raise AssertionError("simclass --count built a field")
+    monkeypatch.setattr(cli.ff, "make_field", no_field)
+    q = 1000003
+    assert cli.run(["simclass", "--q", str(q), "--n", "2", "--count"]) == 0
+    assert _json_out(capsys)["count"] == q * q + q
+    assert cli.run(["simclass", "--q", "6", "--n", "2", "--count"]) == 2
+    assert "prime power" in capsys.readouterr().err
+
+
 def test_simclass_bad_matrix(capsys):
     assert cli.run(["simclass", "--q", "3", "--n", "2",
                     "--matrix", "1,1;0"]) == 2
@@ -119,6 +130,13 @@ def test_cuspidal_count_command(capsys):
     obj = _json_out(capsys)
     assert obj == {"q": 3, "n": 2, "orbit_count": 3, "monic_count": 3,
                    "equal": True}
+
+
+def test_cuspidal_count_rejects_non_prime_power(capsys):
+    assert cli.run(["cuspidal-count", "--q", "6", "--n", "2"]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert "prime power" in got.err
 
 
 def test_verify_counting_json(capsys):

@@ -20,7 +20,9 @@ from qrep import (
     is_primitive,
     make_ext,
     make_field,
+    make_group,
 )
+from qrep.ff import prime_power
 
 RNG = np.random.default_rng(20070714)
 
@@ -156,6 +158,23 @@ def test_eps_is_a_nonsquare_unit():
     assert make_ext(make_field(3)).eps == 2
     assert make_ext(make_field(5)).eps == 2
     assert make_ext(make_field(7)).eps == 3  # squares mod 7: {1,2,4}
+
+
+def test_prime_power_parser():
+    assert prime_power(4) == (2, 2)
+    assert prime_power(9) == (3, 2)
+    assert prime_power(49) == (7, 2)
+    for q in (1, 6, 12):
+        with pytest.raises(NonPrime):
+            prime_power(q)
+
+
+def test_one_nonsquare_serves_field_extension_and_groups():
+    for q in (3, 5, 7, 9):
+        F = make_field(*prime_power(q))
+        assert F.eps == make_ext(F).eps == make_group("sl2", F).eps_of_field()
+        assert not F.is_square_unit(F.eps)
+        assert all(F.is_square_unit(a) for a in range(1, F.eps))
 
 
 def test_extension_of_extension_f81():

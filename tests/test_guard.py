@@ -1,0 +1,63 @@
+"""Source guards: every derived structure has one owner.
+
+Lazily derived data lives on the class that owns it, set in its
+constructor or as a cached property.  No module stores attributes on
+objects it did not create as `self`, and no function keeps state in a
+mutable default argument.
+"""
+
+import ast
+from pathlib import Path
+
+SOURCES = sorted(
+    (Path(__file__).resolve().parent.parent / "src" / "qrep").glob("*.py"))
+
+_MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set,
+                     ast.DictComp, ast.ListComp, ast.SetComp)
+_MUTABLE_CALLS = ("dict", "list", "set", "bytearray")
+
+
+def _is_mutable(node):
+    if isinstance(node, _MUTABLE_LITERALS):
+        return True
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _MUTABLE_CALLS)
+
+
+def _offences(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Store) and \
+                isinstance(node.value, ast.Name) and node.value.id != "self":
+            yield node.lineno, f"attribute store on {node.value.id}.{node.attr}"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            defaults = node.args.defaults + \
+                [d for d in node.args.kw_defaults if d is not None]
+            for d in defaults:
+                if _is_mutable(d):
+                    yield d.lineno, "mutable default argument"
+
+
+def _probes(tree):
+    """Name of the top-level definition around each hasattr/getattr call."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Name) and \
+                    node.func.id in ("hasattr", "getattr"):
+                yield getattr(top, "name", "<module>")
+
+
+def test_no_foreign_attribute_stores_or_mutable_defaults():
+    found = [f"{path.name}:{line}: {what}"
+             for path in SOURCES
+             for line, what in _offences(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_attribute_probes_only_where_emit_duck_types_its_sink():
+    found = [(path.name, name)
+             for path in SOURCES
+             for name in _probes(ast.parse(path.read_text()))]
+    assert set(found) <= {("chartab.py", "emit")}

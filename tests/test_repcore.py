@@ -6,6 +6,7 @@ import pytest
 
 from qrep import (
     ClassFunction,
+    MatrixRep,
     NotNormal,
     abelian_view,
     character_table_bruteforce,
@@ -129,6 +130,23 @@ def test_mackey_decomposition_defect_vanishes():
         f = ClassFunction(emb.sub, RNG.standard_normal(len(emb.sub.reps))
                           + 1j * RNG.standard_normal(len(emb.sub.reps)))
         assert mackey_check(f, emb) < 1e-9
+
+
+def test_homomorphism_check_reaches_every_chunk():
+    # d = 64 images take 64 KiB each, so the pairs span several chunks;
+    # the faulty element enters only through the very last pair
+    n, d = 12, 64
+    v = abelian_view((n,))
+    phases = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(d)) / n)
+    images = np.stack([np.diag(row) for row in phases])
+    assert MatrixRep(v, images).check_homomorphism() < 1e-12
+    images[n - 1, 0, 0] *= -1
+    clean = [(a, b) for a in range(n) for b in range(n)
+             if n - 1 not in (a, b, (a + b) % n)]
+    pairs = np.array(clean + [(n - 1, 1)])
+    rep = MatrixRep(v, images)
+    assert rep.check_homomorphism(pairs[:-1]) < 1e-12
+    assert rep.check_homomorphism(pairs) > 1.0
 
 
 def test_heisenberg_rep_is_a_homomorphism_with_known_character():

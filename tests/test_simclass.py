@@ -2,6 +2,7 @@
 counting identities, Hensel lifting, and the polynomial layer under it."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -239,6 +240,36 @@ def test_similarity_class_counts():
     assert count_similarity_classes(3, 2) == 12  # q^2 + q
     assert count_similarity_classes(5, 2) == 30
     assert count_similarity_classes(2, 3) == 14
+
+
+def _class_count_one_irreducible_at_a_time(q, n):
+    """The generating function multiplied out one irreducible at a
+    time, as the count was first written."""
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            p[m] += p[m - part]
+    series = [1] + [0] * n
+    for d in range(1, n + 1):
+        block = [p[m // d] if m % d == 0 else 0 for m in range(n + 1)]
+        for _ in range(count_irreducible_monics(q, d)):
+            series = [sum(series[a] * block[m - a] for a in range(m + 1))
+                      for m in range(n + 1)]
+    return series[n]
+
+
+def test_similarity_class_counts_match_the_per_irreducible_product():
+    for q in (2, 3, 4, 5, 7, 9):
+        for n in (1, 2, 3, 4):
+            assert count_similarity_classes(q, n) == \
+                _class_count_one_irreducible_at_a_time(q, n)
+
+
+def test_similarity_class_count_at_a_large_prime_is_fast():
+    q = 1000003
+    t0 = time.perf_counter()
+    assert count_similarity_classes(q, 2) == q * q + q
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_m3_f2_class_count_against_brute_types():
