@@ -125,8 +125,9 @@ def _suite_fields(rec, q, seed, tol):
 def _suite_classes(rec, q, seed, tol):
     F = _field_for(q)
     rng = np.random.default_rng(seed)
-    for kind in ("gl2", "sl2"):
-        G = gl2.make_group(kind, F)
+    GL, S = gl2.make_group("gl2", F), gl2.make_group("sl2", F)
+    for G in (GL, S):
+        kind = G.kind
         order = (q * q - 1) * (q * q - q) if kind == "gl2" else q ** 3 - q
         rec.check(f"{kind}: group order", G.n == order, datum=str(G.n))
         want = q * q - 1 if kind == "gl2" else q + 4
@@ -148,9 +149,8 @@ def _suite_classes(rec, q, seed, tol):
                 ok = False
         rec.check(f"{kind}: classification agrees with orbit flooding "
                   "on 200 random elements", ok)
-    S = gl2.make_group("sl2", F)
     split = sum(1 for c in S.conj_classes if c.tag == "nonsemisimple"
-                and gl2.sl2_split_test(S, c.rep_id)[0])
+                and gl2.sl2_split_test(S, c.rep_id, glctx=GL)[0])
     rec.check("sl2: every non-semisimple class splits from its gl2 class",
               split == 4, datum=f"{split} of 4")
 
@@ -360,31 +360,11 @@ def _suite_simclass(rec, q, seed, tol):
             bad += 1
     rec.check("jordan form round trip (50 random 4x4)", bad == 0)
     if q <= 3:
-        types = {}
-        n = 2
-        for flat in range(q ** 4):
-            digs = [(flat // q ** i) % q for i in range(4)]
-            A = np.array(digs, dtype=np.int64).reshape(2, 2)
-            types.setdefault(simclass.similarity_type(F, A).entries,
-                             []).append(flat)
-        glist = [np.array([(flat // q ** i) % q for i in range(4)],
-                          dtype=np.int64).reshape(2, 2)
-                 for flat in range(q ** 4)]
-        glist = [X for X in glist if simclass.mat_det(F, X) != 0]
-        orbits = 0
-        seen = set()
-        for flat in range(q ** 4):
-            if flat in seen:
-                continue
-            digs = [(flat // q ** i) % q for i in range(4)]
-            A = np.array(digs, dtype=np.int64).reshape(2, 2)
-            orbit = set()
-            for X in glist:
-                B = simclass.mat_mul(F, simclass.mat_mul(F, X, A),
-                                     simclass.mat_inv(F, X))
-                orbit.add(int(sum(int(B.ravel()[i]) * q ** i for i in range(4))))
-            seen |= orbit
-            orbits += 1
+        orbit_of = simclass.conjugation_orbits(F, 2)
+        types = {simclass.similarity_type(
+                     F, np.array(A, dtype=np.int64).reshape(2, 2)).entries
+                 for A in orbit_of}
+        orbits = len(set(orbit_of.values()))
         rec.check("similarity types = brute conjugation orbits on all of "
                   f"M2(F_{q})", orbits == len(types),
                   datum=f"{orbits} orbits, {len(types)} types")

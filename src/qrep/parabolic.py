@@ -162,18 +162,17 @@ def sl2_generators(ctx):
     return gens
 
 
-def two_dim_commutant_projectors(gen_mats, tol=None, seed=20070714):
+def two_dim_commutant_projectors(gen_mats, seed=20070714):
     """Spectral projectors of the two-dimensional commutant of a set of
     unitary matrices.  Raises NotSplitting unless the solution space of
     [X, g] = 0 for all g has dimension exactly 2."""
-    tol = get_tol() if tol is None else tol
     d = gen_mats[0].shape[0]
     eye = np.eye(d)
     rows = []
     for g in gen_mats:
         rows.append(np.kron(eye, g) - np.kron(g.T, eye))  # vec(gX - Xg)
     A = np.vstack(rows)
-    _, s, vh = np.linalg.svd(A)
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
     null_dim = int(np.sum(s < 1e-9)) + (d * d - len(s) if A.shape[0] < d * d else 0)
     if null_dim != 2:
         raise NotSplitting(f"commutant dimension {null_dim}, expected 2")

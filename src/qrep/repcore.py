@@ -5,7 +5,8 @@ and exposes a vectorized multiplication callback; no n x n table is
 ever materialized, so the same machinery serves cyclic toy groups and
 GL2 over F_11 alike.  Conjugacy classes are computed by conjugating a
 representative by every group element in one vectorized sweep, which is
-exact and cheap (order n work per class).
+exact and cheap (order n work per class).  Induction and restriction
+read only an embedding's class fusion map, never group elements.
 """
 
 import numpy as np
@@ -49,10 +50,6 @@ class FiniteGroupView:
         if int(self.sizes.sum()) != self.n:
             raise VerificationFailed("class sizes do not sum to |G|")
         self.reps = np.array([r for r, _ in self.classes], dtype=np.int64)
-
-    def conjugate(self, g, x):
-        """g x g^-1."""
-        return self.mul(self.mul(g, x), self.inv[g])
 
 
 def flood_classes(n, mul, inv):
@@ -141,7 +138,7 @@ def inner_product(f, g):
     return complex(np.sum(v.sizes * f.values * np.conj(g.values)) / v.n)
 
 
-def hom_dim(f, g, tol=None):
+def hom_dim(f, g):
     """<f, g> rounded to a nonnegative integer; NonIntegral if it is not
     one beyond 1e-4, which would mean f or g is not a genuine character."""
     val = inner_product(f, g)
@@ -153,7 +150,7 @@ def hom_dim(f, g, tol=None):
 
 class SubgroupEmbedding:
     """An injection H -> G verified to be a group homomorphism on every
-    pair of H elements."""
+    pair of H elements.  fusion[c] is the G-class of the H-class c."""
 
     def __init__(self, sub, big, injection):
         injection = np.asarray(injection, dtype=np.int64)
@@ -171,6 +168,7 @@ class SubgroupEmbedding:
             raise NotInGroup("injection is not a homomorphism")
         self.g_to_h = np.full(big.n, -1, dtype=np.int64)
         self.g_to_h[injection] = h
+        self.fusion = big.class_of[injection[sub.reps]]
 
 
 def subgroup_view(big, members):
@@ -199,27 +197,22 @@ def subgroup_view(big, members):
 
 def induce(f, emb):
     """Induced class function: ind f(g) = (1/|H|) sum over x in G with
-    x g x^-1 in H of f(x g x^-1)."""
+    x g x^-1 in H of f(x g x^-1).  Grouping the x by the H-class of
+    x g x^-1 gives ind f(C) = |G| / (|H| |C|) sum over the H-classes c
+    fused into C of |c| f(c), so only the class fusion map is read."""
     if f.view is not emb.sub:
         raise GroupMismatch("function does not live on the subgroup")
     G, H = emb.big, emb.sub
-    allg = np.arange(G.n)
     vals = np.zeros(len(G.classes), dtype=complex)
-    for ci, (rep, _) in enumerate(G.classes):
-        conj = G.mul(G.mul(allg, rep), G.inv[allg])
-        h = emb.g_to_h[conj]
-        inside = h >= 0
-        if inside.any():
-            vals[ci] = f.values[H.class_of[h[inside]]].sum() / H.n
-    return ClassFunction(G, vals)
+    np.add.at(vals, emb.fusion, H.sizes * f.values)
+    return ClassFunction(G, vals * G.n / (H.n * G.sizes))
 
 
 def restrict(f, emb):
     """Restriction of a class function on G to H."""
     if f.view is not emb.big:
         raise GroupMismatch("function does not live on the big group")
-    vals = [f.at_element(int(emb.injection[rep])) for rep, _ in emb.sub.classes]
-    return ClassFunction(emb.sub, np.array(vals, dtype=complex))
+    return ClassFunction(emb.sub, f.values[emb.fusion])
 
 
 def double_cosets(emb):
@@ -253,11 +246,8 @@ def mackey_check(f, emb):
         kmembers = np.flatnonzero(conj_in >= 0)
         K, kemb = subgroup_view(H, kmembers)
         # twisted function f_x(k) = f(x^-1 k x) on K_x
-        tw = []
-        for rep, _ in K.classes:
-            hrep = int(kemb.injection[rep])
-            tw.append(f.values[H.class_of[conj_in[hrep]]])
-        total += induce(ClassFunction(K, np.array(tw, dtype=complex)), kemb).values
+        tw = f.values[H.class_of[conj_in[kemb.injection[K.reps]]]]
+        total += induce(ClassFunction(K, tw), kemb).values
     return float(np.max(np.abs(lhs.values - total)))
 
 
@@ -277,9 +267,8 @@ class MatrixRep:
         self.images = images
         self.dim = images.shape[1]
 
-    def check_homomorphism(self, pairs=None, tol=None):
+    def check_homomorphism(self, pairs=None):
         """Max |pi(a)pi(b) - pi(ab)| over the given (or all) pairs."""
-        tol = get_tol() if tol is None else tol
         v = self.view
         if pairs is None:
             a, b = np.meshgrid(np.arange(v.n), np.arange(v.n), indexing="ij")
@@ -301,18 +290,17 @@ def rep_character(rep):
     return ClassFunction(rep.view, np.array(tr, dtype=complex))
 
 
-def compress_rep(rep, basis, tol=None):
+def compress_rep(rep, basis):
     """Restrict a representation to an invariant subspace.
 
     basis is d x m with orthonormal columns; invariance of its span is
     verified to tolerance before the compressed images are returned."""
-    tol = get_tol() if tol is None else tol
     Q = np.asarray(basis, dtype=complex)
     if np.max(np.abs(Q.conj().T @ Q - np.eye(Q.shape[1]))) > 1e-10:
         raise VerificationFailed("basis is not orthonormal")
     small = np.einsum("ij,njk,kl->nil", Q.conj().T, rep.images, Q)
     defect = float(np.max(np.abs(rep.images @ Q - np.einsum("ij,njk->nik", Q, small))))
-    if defect > tol:
+    if defect > get_tol():
         raise VerificationFailed(f"subspace is not invariant, defect {defect}")
     return MatrixRep(rep.view, small)
 
@@ -376,7 +364,7 @@ def character_table_bruteforce(view, seed=20070714, max_tries=8):
     raise VerificationFailed("class-algebra method failed to converge")
 
 
-def clifford_orbit_check(rep, normal_members, tol=None, seed=20070714):
+def clifford_orbit_check(rep, normal_members, seed=20070714):
     """Decompose the restriction of rep to an abelian normal subgroup
     into joint eigenspaces and verify Clifford's theorem: the characters
     appearing form a single orbit under conjugation, all eigenspaces
@@ -384,14 +372,12 @@ def clifford_orbit_check(rep, normal_members, tol=None, seed=20070714):
 
     normal_members: element indices of an abelian subgroup, verified
     normal in rep.view.  Returns (orbit size, common dimension)."""
-    tol = get_tol() if tol is None else tol
     v = rep.view
     members = np.unique(np.asarray(normal_members, dtype=np.int64))
-    allg = np.arange(v.n)
-    for m in members:
-        conj = v.mul(v.mul(allg, m), v.inv[allg])
-        if not np.all(np.isin(conj, members)):
-            raise NotNormal("subgroup is not normal")
+    # normal iff a union of classes: each class lies wholly in or out
+    hit = np.bincount(v.class_of[members], minlength=len(v.classes))
+    if np.any((hit != 0) & (hit != v.sizes)):
+        raise NotNormal("subgroup is not normal")
 
     mats = rep.images[members]
     rng = np.random.default_rng(seed)

@@ -292,6 +292,25 @@ def similar(ctx, A, B):
     return ans
 
 
+def conjugation_orbits(ctx, n):
+    """Brute-force GL_n orbits on M_n(F_q) under conjugation: a dict from
+    every matrix, as the tuple of its entries in row-major order, to the
+    index of its orbit.  Meant as a reference for tiny q and n."""
+    mats = [np.array(flat, dtype=np.int64).reshape(n, n)
+            for flat in itertools.product(range(ctx.q), repeat=n * n)]
+    units = [(X, mat_inv(ctx, X)) for X in mats if mat_det(ctx, X) != 0]
+    orbit_of = {}
+    orbits = 0
+    for A in mats:
+        if tuple(int(t) for t in A.ravel()) in orbit_of:
+            continue
+        for X, Xinv in units:
+            B = mat_mul(ctx, mat_mul(ctx, X, A), Xinv)
+            orbit_of[tuple(int(t) for t in B.ravel())] = orbits
+        orbits += 1
+    return orbit_of
+
+
 # ---------------------------------------------------------------------------
 # generalized Jordan form
 
@@ -469,6 +488,8 @@ def cuspidal_count_identity(q, n):
     differ at n = 1, where the primitivity condition is empty.
     """
     order = q ** n - 1
+    if order > MAX_ENUM:
+        raise SizeExceeded(f"{order} exponents exceed enumeration bound")
     proper = [d for d in range(1, n) if n % d == 0]
     primitive = 0
     seen = set()

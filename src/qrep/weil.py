@@ -532,14 +532,13 @@ class CuspidalModule:
         self.u_tilde = u_tilde
         self.dim = q - 1
 
-    def restrict(self, M, tol=None):
+    def restrict(self, M):
         """Compress a full-space operator that preserves W_omega to the
         1_u basis; the invariance is verified to tolerance."""
-        tol = get_tol() if tol is None else tol
         C = M @ self.basis
         R = C[self.u_tilde, :]
         defect = float(np.max(np.abs(C - self.basis @ R)))
-        if defect > tol:
+        if defect > get_tol():
             raise VerificationFailed(f"W_omega is not preserved, defect {defect}")
         return R
 

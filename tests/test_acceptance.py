@@ -45,7 +45,7 @@ from qrep import (
     verify_table,
 )
 from qrep import poly
-from qrep.simclass import mat_det, mat_inv, mat_mul, random_matrix
+from qrep.simclass import conjugation_orbits, random_matrix
 
 TAU = 1e-8
 
@@ -238,19 +238,8 @@ def test_criterion_08_similarity_types_and_canonical_forms():
         F = make_field(q)
         n = 2
         # brute GL-conjugation orbits of all q^4 matrices
-        units = [np.array(x, dtype=np.int64).reshape(n, n)
-                 for x in itertools.product(range(q), repeat=n * n)
-                 if mat_det(F, np.array(x, dtype=np.int64).reshape(n, n)) != 0]
-        orbit_of = {}
-        n_orbits = 0
-        for flat in itertools.product(range(q), repeat=n * n):
-            if flat in orbit_of:
-                continue
-            A = np.array(flat, dtype=np.int64).reshape(n, n)
-            for X in units:
-                B = mat_mul(F, mat_mul(F, X, A), mat_inv(F, X))
-                orbit_of[tuple(int(t) for t in B.ravel())] = n_orbits
-            n_orbits += 1
+        orbit_of = conjugation_orbits(F, n)
+        n_orbits = len(set(orbit_of.values()))
         # similarity_type must induce exactly the same partition
         type_of = {}
         for flat in orbit_of:

@@ -4,10 +4,11 @@ import csv
 import io
 import json
 import os
+import time
 
 import pytest
 
-from qrep import cli
+from qrep import cli, simclass
 
 
 def _json_out(capsys):
@@ -137,6 +138,18 @@ def test_cuspidal_count_rejects_non_prime_power(capsys):
     got = capsys.readouterr()
     assert got.out == ""
     assert "prime power" in got.err
+
+
+def test_cuspidal_count_refuses_beyond_the_enumeration_bound(capsys):
+    t0 = time.perf_counter()
+    assert cli.run(["cuspidal-count", "--q", "10007", "--n", "2"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert "SizeExceeded" in got.err and "Traceback" not in got.err
+    # q^2 - 1 = 1018080 stays under the bound and is still enumerated
+    assert simclass.cuspidal_count_identity(1009, 2) == \
+        (1009 * 1008 // 2, 1009 * 1008 // 2, True)
 
 
 def test_verify_counting_json(capsys):

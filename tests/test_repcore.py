@@ -107,6 +107,59 @@ def test_induction_degree_and_frobenius_reciprocity():
         assert abs(lhs - rhs) < 1e-9
 
 
+def _induce_by_definition(f, emb):
+    """ind f(g) = (1/|H|) sum over x in G with x g x^-1 in H of
+    f(x g x^-1), summed over the elements x one by one."""
+    G, H = emb.big, emb.sub
+    allg = np.arange(G.n)
+    vals = np.zeros(len(G.classes), dtype=complex)
+    for ci, rep in enumerate(G.reps):
+        h = emb.g_to_h[G.mul(G.mul(allg, rep), G.inv[allg])]
+        vals[ci] = f.values[H.class_of[h[h >= 0]]].sum() / H.n
+    return vals
+
+
+def _induction_embeddings():
+    sl3, sl5 = make_group("sl2", make_field(3)), make_group("sl2", make_field(5))
+    gl3, gl5 = make_group("gl2", make_field(3)), make_group("gl2", make_field(5))
+    ab = abelian_view((4, 6))
+    # 2Z/4 x 3Z/6, indexed little-endian as a + 4 b
+    _, ab_emb = subgroup_view(ab, [a + 4 * b for a in (0, 2) for b in (0, 3)])
+    return [_borel_embedding(sl3), _borel_embedding(sl5), _borel_embedding(gl3),
+            subgroup_view(gl5.view, gl5.torus_ids())[1], ab_emb]
+
+
+def test_induction_matches_the_defining_sum():
+    for emb in _induction_embeddings():
+        H = emb.sub
+        for _ in range(3):
+            f = ClassFunction(H, RNG.standard_normal(len(H.reps))
+                              + 1j * RNG.standard_normal(len(H.reps)))
+            want = _induce_by_definition(f, emb)
+            assert np.max(np.abs(induce(f, emb).values - want)) < 1e-12
+
+
+def test_induction_restriction_and_normality_multiply_nothing(monkeypatch):
+    def no_mul(a, b):
+        raise AssertionError("group multiplication called")
+
+    emb = _borel_embedding(make_group("sl2", make_field(5)))
+    H, G = emb.sub, emb.big
+    fH = ClassFunction(H, RNG.standard_normal(len(H.reps)))
+    fG = ClassFunction(G, RNG.standard_normal(len(G.reps)))
+    want = _induce_by_definition(fH, emb)
+    monkeypatch.setattr(G, "mul", no_mul)
+    monkeypatch.setattr(H, "mul", no_mul)
+    assert np.max(np.abs(induce(fH, emb).values - want)) < 1e-12
+    assert np.array_equal(restrict(fG, emb).values,
+                          [fG.at_element(emb.injection[r]) for r in H.reps])
+    h = heisenberg_group((2,))
+    rep = heisenberg_rep(h)
+    monkeypatch.setattr(rep.view, "mul", no_mul)
+    with pytest.raises(NotNormal):
+        clifford_orbit_check(rep, [0, int(h.encode(0, 1, 0))])
+
+
 def test_double_cosets_of_borel_realize_bruhat_partition():
     ctx = make_group("sl2", make_field(5))
     emb = _borel_embedding(ctx)
