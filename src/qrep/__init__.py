@@ -30,8 +30,9 @@ from .parabolic import (BorelChar, build_induced_rep, decompose_gl2,
 from .weil import (CuspidalModule, HeisenbergCtx, WeilCtx, averaging_check,
                    cuspidal_module, fourier_intertwines, gl2_cuspidal_family,
                    heisenberg_from_ext, heisenberg_group, heisenberg_rep,
-                   pi_omega_character, sl2_cuspidal_family, svn_check,
-                   symplectic_defect, verify_ordinary, weil_matrix)
+                   pi_omega_character, pi_omega_characters,
+                   sl2_cuspidal_family, svn_check, symplectic_defect,
+                   verify_ordinary, weil_matrix)
 from .chartab import CharacterTable, SUPPORTED, build_table, emit, verify_table
 from .simclass import (SimilarityType, centralizer, companion,
                        count_irreducible_monics, count_similarity_classes,

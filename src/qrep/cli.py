@@ -425,6 +425,14 @@ SUITES = {
 # subcommands
 
 def _cmd_field(args):
+    try:
+        prime = ff.prime_power(args.p)[1] == 1
+    except NonPrime:
+        prime = False
+    if not prime:
+        raise InputError(f"p = {args.p} is not prime")
+    if args.k < 1:
+        raise InputError("k must be positive")
     F = ff.make_field(args.p, args.k)
     obj = {
         "p": F.p, "k": F.k, "q": F.q,
@@ -526,7 +534,13 @@ def _parse_matrix(text, q, n):
     return np.array(out, dtype=np.int64)
 
 
+def _positive_n(n):
+    if n < 1:
+        raise InputError("n must be positive")
+
+
 def _cmd_simclass(args):
+    _positive_n(args.n)
     if args.count:
         # the count is a formula in q alone: validate q, build no field
         _parse_q(args.q)
@@ -559,6 +573,7 @@ def _cmd_simclass(args):
 
 def _cmd_cuspidal_count(args):
     _parse_q(args.q)
+    _positive_n(args.n)
     orb, mon, eq = simclass.cuspidal_count_identity(args.q, args.n)
     json.dump({"q": args.q, "n": args.n, "orbit_count": orb,
                "monic_count": mon, "equal": eq}, sys.stdout, indent=2)

@@ -72,10 +72,6 @@ class GroupCtx:
                                     identity=self.identity,
                                     classes=self._canonical_classes(inv))
         self.conj_classes = self._attach_class_data()
-        # rho~(sigma) images keyed by the matrix tuple sigma, filled by
-        # the GL2 cuspidal operators of weil.pi_omega_character and shared
-        # by every cuspidal datum on this group, for as long as it lives
-        self.weil_sigma_cache = {}
 
     # --- matrix arithmetic on (..., 4) index arrays ---
 

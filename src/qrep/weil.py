@@ -204,20 +204,21 @@ def svn_check(hctx):
     the offending datum otherwise."""
     if hctx.nG > 16:
         raise SizeExceeded("svn check is restricted to |G| <= 16")
+    tol = get_tol()
     view = hctx.view()
     rep = heisenberg_rep(hctx)
     worst = rep.check_homomorphism()
-    if worst > get_tol():
+    if worst > tol:
         raise VerificationFailed(f"canonical model not multiplicative: {worst}")
     chi = rep_character(rep)
     ip = inner_product(chi, chi)
-    if abs(ip - 1) > get_tol():
+    if abs(ip - 1) > tol:
         raise VerificationFailed(f"canonical model reducible: <chi,chi> = {ip}")
 
     # central elements act by the tautological scalar
     z0 = int(hctx.encode(0, 0, 1))
     zeta = np.exp(2j * np.pi / hctx.m)
-    if np.max(np.abs(rep.images[z0] - zeta * np.eye(hctx.nG))) > get_tol():
+    if np.max(np.abs(rep.images[z0] - zeta * np.eye(hctx.nG))) > tol:
         raise VerificationFailed("center does not act tautologically")
 
     table = character_table_bruteforce(view)
@@ -225,14 +226,14 @@ def svn_check(hctx):
     zc = int(view.class_of[z0])
     hits = []
     for r in range(table.shape[0]):
-        if abs(table[r, zc] / table[r, idc] - zeta) < 1e-8:
+        if abs(table[r, zc] / table[r, idc] - zeta) < tol:
             hits.append(r)
     if len(hits) != 1:
         raise VerificationFailed(
             f"{len(hits)} irreducibles with tautological central character")
     got = table[hits[0]]
     want = chi.values
-    if np.max(np.abs(got - want)) > 1e-8:
+    if np.max(np.abs(got - want)) > tol:
         raise VerificationFailed("tautological irreducible != canonical model")
     return True
 
@@ -547,58 +548,91 @@ def cuspidal_module(ectx, omega):
     return CuspidalModule(ectx, omega)
 
 
-def _gl2_full_operator(module, glctx, mat):
-    """pi_omega(g) = E_{det g} rho~(sigma) for g = diag(1, det g) sigma;
-    rho~(sigma) is kept in glctx.weil_sigma_cache."""
-    ectx = module.ectx
+def _class_operators(ectx, gctx):
+    """Yield (operator, a~) for each class representative g of gctx, in
+    class order.  For SL2 the operator is rho~(g) and a~ is None.  For
+    GL2, g = diag(1, det g) sigma and the operator is rho~(sigma) with
+    its rows permuted by x -> a~ x, a~ the smallest point over det g;
+    a module scales it by omega(a~) to get
+    pi_omega(g) = E_{det g} rho~(sigma)."""
     ext = ectx.ext
-    F = glctx.field
-    det = int(glctx.mat_det(np.asarray(mat)))
-    dinv = int(F.inv(det))
-    sig = tuple(int(t) for t in
-                glctx.mat_mul(np.array([1, 0, 0, dinv]), np.asarray(mat)))
-    sigma_cache = glctx.weil_sigma_cache
-    if sig not in sigma_cache:
-        sigma_cache[sig] = weil_matrix(ectx, sig)
-    Ms = sigma_cache[sig]
-    atil = int(np.flatnonzero(ectx.norm == det).min())
-    perm = np.asarray(ext.mul(atil, np.arange(ext.q)))
-    return complex(module.omega.values[atil]) * Ms[perm, :]
+    F = gctx.field
+    for rid in gctx.view.reps:
+        mat = gctx.mat_of(int(rid))
+        if gctx.kind == "sl2":
+            yield weil_matrix(ectx, mat), None
+            continue
+        det = int(gctx.mat_det(np.asarray(mat)))
+        dinv = int(F.inv(det))
+        sig = tuple(int(t) for t in
+                    gctx.mat_mul(np.array([1, 0, 0, dinv]), np.asarray(mat)))
+        atil = int(np.flatnonzero(ectx.norm == det).min())
+        perm = np.asarray(ext.mul(atil, np.arange(ext.q)))
+        yield weil_matrix(ectx, sig)[perm, :], atil
+
+
+def _restricted_class_images(modules, gctx):
+    """The (modules, k, q-1, q-1) array of every module's restricted
+    images of the k class representatives of gctx, in class order.
+
+    Each class operator and each upper unipotent rho~((1 x; 0 1)) is
+    built once and restricted to every module, so W_omega invariance is
+    checked for every (module, class) and (module, unipotent) pair.  Per
+    module this also checks that the degree is q - 1 and that the
+    averaged upper-unipotent action on W_omega vanishes (cuspidality at
+    the level of N-fixed vectors)."""
+    if not modules:
+        return []
+    ectx = modules[0].ectx
+    for module in modules:
+        if gctx.kind != module.kind:
+            raise GroupMismatch(f"module is {module.kind}, group is {gctx.kind}")
+        if gctx.field is not module.ectx.base:
+            raise GroupMismatch("group field != module base field")
+        if module.ectx is not ectx:
+            raise GroupMismatch("modules live on different extensions")
+    q = ectx.q
+    k = len(gctx.view.reps)
+    stacks = np.empty((len(modules), k, q - 1, q - 1), dtype=complex)
+    for ci, (rows, atil) in enumerate(_class_operators(ectx, gctx)):
+        for module, stack in zip(modules, stacks):
+            full = rows if atil is None else \
+                complex(module.omega.values[atil]) * rows
+            stack[ci] = module.restrict(full)
+
+    tol = get_tol()
+    ident = gctx.class_index_of((1, 0, 0, 1))
+    for stack in stacks:
+        if abs(np.trace(stack[ident]) - (q - 1)) > tol:
+            raise VerificationFailed("cuspidal degree != q - 1")
+    accs = np.zeros((len(modules), q - 1, q - 1), dtype=complex)
+    for x in range(q):
+        U = weil_matrix(ectx, (1, x, 0, 1))
+        for module, acc in zip(modules, accs):
+            acc += module.restrict(U)
+    for acc in accs:
+        if float(np.max(np.abs(acc / q))) > tol:
+            raise VerificationFailed("nonzero N-fixed vectors in W_omega")
+    return stacks
+
+
+def _trace_character(gctx, stack):
+    return ClassFunction(gctx.view,
+                         np.array([np.trace(R) for R in stack], dtype=complex))
+
+
+def pi_omega_characters(modules, gctx):
+    """Characters of the cuspidal representations on the given modules,
+    with the construction-time checks of _restricted_class_images.  The
+    Weil operators do not depend on omega, so each is built once for all
+    modules."""
+    return [_trace_character(gctx, stack)
+            for stack in _restricted_class_images(modules, gctx)]
 
 
 def pi_omega_character(module, gctx):
-    """Character of the cuspidal representation on the given group
-    context, together with construction-time checks: the restricted
-    images exist (W_omega invariance), the degree is q - 1, and the
-    averaged upper-unipotent action on W_omega vanishes (cuspidality at
-    the level of N-fixed vectors)."""
-    if gctx.kind != module.kind:
-        raise GroupMismatch(f"module is {module.kind}, group is {gctx.kind}")
-    if gctx.field is not module.ectx.base:
-        raise GroupMismatch("group field != module base field")
-    ectx = module.ectx
-    q = ectx.q
-
-    vals = []
-    for rid in gctx.view.reps:
-        mat = gctx.mat_of(int(rid))
-        if module.kind == "sl2":
-            full = weil_matrix(ectx, mat)
-        else:
-            full = _gl2_full_operator(module, gctx, mat)
-        R = module.restrict(full)
-        vals.append(np.trace(R))
-    f = ClassFunction(gctx.view, np.array(vals, dtype=complex))
-
-    tol = get_tol()
-    if abs(f.values[gctx.class_index_of((1, 0, 0, 1))] - (q - 1)) > tol:
-        raise VerificationFailed("cuspidal degree != q - 1")
-    acc = np.zeros((q - 1, q - 1), dtype=complex)
-    for x in range(q):
-        acc += module.restrict(weil_matrix(ectx, (1, x, 0, 1)))
-    if float(np.max(np.abs(acc / q))) > tol:
-        raise VerificationFailed("nonzero N-fixed vectors in W_omega")
-    return f
+    """pi_omega_characters for a single module."""
+    return pi_omega_characters([module], gctx)[0]
 
 
 def gl2_cuspidal_family(ectx, glctx):
@@ -614,28 +648,35 @@ def gl2_cuspidal_family(ectx, glctx):
     q = ectx.q
     Q1 = ext.q - 1
     tol = get_tol()
+    orbits = []
     seen = set()
-    out = []
     for j in range(1, Q1):
         if j % (q + 1) == 0 or j in seen:
             continue
         partner = (j * q) % Q1
         seen.update({j, partner})
+        orbits.append((j, partner))
+    chars = pi_omega_characters(
+        [cuspidal_module(ectx, MultChar(ext, i))
+         for orbit in orbits for i in orbit], glctx)
+    # one root z of each anisotropic class's characteristic polynomial
+    lam = np.arange(ext.q)
+    aniso = {}
+    for ci, cls in enumerate(glctx.conj_classes):
+        if cls.tag != "anisotropic":
+            continue
+        det_i, tr_i = cls.params
+        vals = ext.add(ext.sub(ext.mul(lam, lam), ext.mul(tr_i, lam)), det_i)
+        roots = lam[np.asarray(vals) == 0]
+        if len(roots) != 2:
+            raise VerificationFailed("anisotropic class has no ext roots")
+        aniso[ci] = int(roots[0])
+    out = []
+    for (j, partner), f, f2 in zip(orbits, chars[::2], chars[1::2]):
         om = MultChar(ext, j)
-        f = pi_omega_character(cuspidal_module(ectx, om), glctx)
-        f2 = pi_omega_character(cuspidal_module(ectx, MultChar(ext, partner)), glctx)
         if float(np.max(np.abs(f.values - f2.values))) > tol:
             raise VerificationFailed("omega and omega^q give different characters")
-        for ci, cls in enumerate(glctx.conj_classes):
-            if cls.tag != "anisotropic":
-                continue
-            det_i, tr_i = cls.params
-            lam = np.arange(ext.q)
-            vals = ext.add(ext.sub(ext.mul(lam, lam), ext.mul(tr_i, lam)), det_i)
-            roots = lam[np.asarray(vals) == 0]
-            if len(roots) != 2:
-                raise VerificationFailed("anisotropic class has no ext roots")
-            z = int(roots[0])
+        for ci, z in aniso.items():
             want = -(om.values[z] + om.values[int(ectx.frob[z])])
             if abs(f.values[ci] - want) > tol:
                 raise VerificationFailed("anisotropic cuspidal value mismatch")
@@ -658,12 +699,16 @@ def sl2_cuspidal_family(ectx, slctx):
         raise GroupMismatch("need an sl2 context")
     q = ectx.q
     tol = get_tol()
+    js = range(1, (q + 1) // 2)
+    oms = [NormOneChar(ectx, j) for j in js]
+    module = CuspidalModule(ectx, NormOneChar(ectx, (q + 1) // 2))
+    stacks = _restricted_class_images(
+        [cuspidal_module(ectx, w) for om in oms for w in (om, om.conj())]
+        + [module], slctx)
+    *chars, chi0 = (_trace_character(slctx, stack) for stack in stacks)
+    rep_mats = stacks[-1]
     out = []
-    for j in range(1, (q + 1) // 2):
-        om = NormOneChar(ectx, j)
-        f = pi_omega_character(cuspidal_module(ectx, om), slctx)
-        finv = pi_omega_character(
-            cuspidal_module(ectx, om.conj()), slctx)
+    for j, f, finv in zip(js, chars[::2], chars[1::2]):
         if float(np.max(np.abs(f.values - finv.values))) > tol:
             raise VerificationFailed("omega and omega^{-1} differ")
         ip = inner_product(f, f)
@@ -673,17 +718,12 @@ def sl2_cuspidal_family(ectx, slctx):
     if len(out) != (q - 1) // 2:
         raise VerificationFailed("wrong number of sl2 cuspidal pairs")
 
-    om0 = NormOneChar(ectx, (q + 1) // 2)
-    module = CuspidalModule(ectx, om0)
-    chi0 = pi_omega_character(module, slctx)
     ip = inner_product(chi0, chi0)
     if abs(ip - 2) > tol:
         raise VerificationFailed(f"<chi,chi> = {ip} for omega_0, expected 2")
     gens = sl2_generators(slctx)
     gen_mats = [module.restrict(weil_matrix(ectx, slctx.mat_of(g))) for g in gens]
     P1, P2 = two_dim_commutant_projectors(gen_mats)
-    rep_mats = np.stack([module.restrict(weil_matrix(ectx, slctx.mat_of(int(r))))
-                         for r in slctx.view.reps])
     f1 = ClassFunction(slctx.view, np.einsum("ij,nji->n", P1, rep_mats))
     f2 = ClassFunction(slctx.view, np.einsum("ij,nji->n", P2, rep_mats))
     want = (q - 1) // 2

@@ -2,6 +2,7 @@
 class-algebra brute-force table."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -12,9 +13,11 @@ from qrep import (
     EvenQ,
     SUPPORTED,
     SizeExceeded,
+    VerificationFailed,
     build_table,
     character_table_bruteforce,
     emit,
+    get_tol,
     make_field,
     verify_table,
 )
@@ -163,3 +166,35 @@ def test_serialized_values_have_no_float_dust():
     jbuf = io.StringIO()
     emit(t, "json", jbuf)
     assert "e-1" not in jbuf.getvalue()
+
+
+def test_verify_table_gates_fire_on_broken_tables():
+    t = build_table("gl2", 5)
+    verify_table(t)
+    rows = t.rows
+
+    def broken(new_rows):
+        return dataclasses.replace(t, rows=new_rows)
+
+    # one entry off by 10 tol: its column is no longer orthogonal to the
+    # degree column
+    bumped = rows[-1].values.copy()
+    bumped[1] += 10 * get_tol()
+    off = rows[:-1] + [dataclasses.replace(rows[-1], values=bumped)]
+    with pytest.raises(VerificationFailed, match="column orthogonality"):
+        verify_table(broken(off))
+
+    # two non-identity columns of different class sizes swapped: the
+    # class-size weights no longer match, so the rows lose orthonormality
+    sizes = t.gctx.view.sizes
+    c1 = 1
+    c2 = next(c for c in range(2, len(sizes)) if sizes[c] != sizes[c1])
+    swap = np.arange(len(sizes))
+    swap[[c1, c2]] = [c2, c1]
+    swapped = [dataclasses.replace(r, values=r.values[swap]) for r in rows]
+    with pytest.raises(VerificationFailed, match="row orthonormality"):
+        verify_table(broken(swapped))
+
+    # one row dropped
+    with pytest.raises(VerificationFailed, match="rows for"):
+        verify_table(broken(rows[:-1]))

@@ -26,8 +26,25 @@ def test_field_dump(capsys):
 
 
 def test_field_rejects_composite_characteristic(capsys):
-    assert cli.run(["field", "--p", "6"]) == 1  # QrepError: NonPrime
-    assert "NonPrime" in capsys.readouterr().err
+    assert cli.run(["field", "--p", "6"]) == 2  # invalid input
+    assert "not prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--p", "4"],
+    ["field", "--p", "6"],
+    ["field", "--p", "1"],
+    ["field", "--p", "-3"],
+    ["field", "--p", "2", "--k", "0"],
+    ["simclass", "--q", "3", "--n", "0", "--count"],
+    ["simclass", "--q", "3", "--n", "-1", "--matrix", "1"],
+    ["cuspidal-count", "--q", "3", "--n", "0"],
+    ["cuspidal-count", "--q", "3", "--n", "-2"],
+])
+def test_invalid_input_is_refused_with_exit_two(argv, capsys):
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_classes_json(capsys):

@@ -12,6 +12,7 @@ from qrep import (
     NormOneChar,
     NotPrimitive,
     SizeExceeded,
+    VerificationFailed,
     averaging_check,
     cuspidal_module,
     fourier_intertwines,
@@ -24,12 +25,15 @@ from qrep import (
     make_field,
     make_group,
     pi_omega_character,
+    pi_omega_characters,
     sl2_cuspidal_family,
     svn_check,
     symplectic_defect,
     verify_ordinary,
     weil_matrix,
 )
+from qrep import weil
+from qrep.parabolic import sl2_generators
 
 RNG = np.random.default_rng(20070714)
 
@@ -314,3 +318,68 @@ def test_pi_omega_group_kind_must_match_module_kind():
     sl = make_group("sl2", E.base)
     with pytest.raises(GroupMismatch):
         pi_omega_character(cuspidal_module(E, MultChar(E.ext, 1)), sl)
+
+
+def _field(q):
+    return {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2)}[q]
+
+
+def _all_modules(kind, q):
+    """Every cuspidal module of the family: the primitive characters of
+    F_{q^2}^* for GL2, the nontrivial norm-one characters for SL2."""
+    E = make_ext(make_field(*_field(q)))
+    g = make_group(kind, E.base)
+    if kind == "gl2":
+        oms = [MultChar(E.ext, j) for j in range(1, E.ext.q - 1)
+               if j % (q + 1) != 0]
+    else:
+        oms = [NormOneChar(E, j) for j in range(1, q + 1)]
+    return E, g, [cuspidal_module(E, om) for om in oms]
+
+
+@pytest.mark.parametrize("kind,q", [("gl2", 3), ("gl2", 5),
+                                    ("sl2", 5), ("sl2", 7)])
+def test_batched_characters_equal_the_one_module_characters(kind, q):
+    _, g, mods = _all_modules(kind, q)
+    batched = pi_omega_characters(mods, g)
+    single = [pi_omega_character(m, g) for m in mods]
+    assert len(batched) == len(mods)
+    for f, f1 in zip(batched, single):
+        assert np.array_equal(f.values, f1.values)
+
+
+def test_sl2_family_builds_each_weil_operator_once(monkeypatch):
+    # one operator per class, per upper unipotent and per generator,
+    # however many cuspidal modules share them
+    E = make_ext(make_field(7))
+    sl = make_group("sl2", E.base)
+    built = []
+    real = weil.weil_matrix
+
+    def counting(ectx, sigma):
+        built.append(tuple(int(t) for t in sigma))
+        return real(ectx, sigma)
+
+    monkeypatch.setattr(weil, "weil_matrix", counting)
+    sl2_cuspidal_family(E, sl)
+    k = len(sl.view.reps)
+    assert len(built) <= k + E.q + len(sl2_generators(sl))
+
+
+def test_restrict_rejects_a_non_invariant_operator():
+    E = make_ext(make_field(5))
+    mod = cuspidal_module(E, NormOneChar(E, 1))
+    Q = E.ext.q
+    perm = np.random.default_rng(7).permutation(Q)
+    with pytest.raises(VerificationFailed, match="W_omega"):
+        mod.restrict(np.eye(Q, dtype=complex)[perm])
+
+
+def test_batched_characters_check_the_last_module():
+    E, g, mods = _all_modules("gl2", 3)
+    pi_omega_characters(mods, g)  # the clean modules pass
+    bad = mods[-1]
+    fiber = np.flatnonzero(bad.basis[:, 0])
+    bad.basis[fiber, 0] *= np.exp(2j * np.pi * RNG.random(len(fiber)))
+    with pytest.raises(VerificationFailed, match="W_omega"):
+        pi_omega_characters(mods, g)
