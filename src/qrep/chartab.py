@@ -22,8 +22,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .config import get_tol
-from .errors import EvenQ, IoError, SizeExceeded, VerificationFailed
+from .config import SNAP, get_tol
+from .errors import EvenQ, IoError, NotInGroup, SizeExceeded, VerificationFailed
 from .ff import MultChar, make_ext, make_field, prime_power
 from .gl2 import GroupCtx
 from .parabolic import (BorelChar, decompose_gl2, induced_character,
@@ -138,10 +138,11 @@ def expected_degrees(kind, q):
 
 def _root_of_unity_decomposable(z, d, order):
     """Whether z is a sum of exactly d roots of unity of the given
-    order, within 1e-6; exhaustive multiset search."""
+    order, within tolerance; exhaustive multiset search."""
+    tol = get_tol()
     roots = np.exp(2j * np.pi * np.arange(order) / order)
     for combo in itertools.combinations_with_replacement(range(order), d):
-        if abs(roots[list(combo)].sum() - z) < 1e-6:
+        if abs(roots[list(combo)].sum() - z) < tol:
             return True
     return False
 
@@ -206,7 +207,7 @@ def verify_table(table):
 
 def build_table(kind, q):
     if kind not in SUPPORTED:
-        raise VerificationFailed(f"unknown group kind {kind!r}")
+        raise NotInGroup(f"unknown kind {kind!r}")
     if q % 2 == 0:
         raise EvenQ("q must be odd")
     if q not in SUPPORTED[kind]:
@@ -225,9 +226,9 @@ def build_table(kind, q):
 
 def _snap(x):
     # serialization only: suppress float dust on values that verification
-    # has already pinned to within 1e-8 of exact integers
+    # has already pinned to within tolerance of exact integers
     r = round(x)
-    return float(r) if abs(x - r) < 1e-9 else x
+    return float(r) if abs(x - r) < SNAP else x
 
 
 def _sig12(x):

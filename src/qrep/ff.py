@@ -163,7 +163,6 @@ class FieldCtx:
         if not (acc < p).all():
             raise AssertionError("trace left the prime subfield")
         self.trace_to_prime = acc
-        self.frob_p = fp
 
     # --- arithmetic on indices (ints or int arrays) ---
 

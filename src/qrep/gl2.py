@@ -129,9 +129,6 @@ class GroupCtx:
     def w_id(self):
         return self.id_of((0, 1, int(self.field.neg(1)), 0))
 
-    def diag_id(self, y1, y2):
-        return self.id_of((y1, 0, 0, y2))
-
     def t_id(self, a):
         """diag(a, a^-1), the standard torus of SL2."""
         return self.id_of((a, 0, 0, int(self.field.inv(a))))
@@ -151,14 +148,6 @@ class GroupCtx:
     def torus_ids(self):
         m = self.elems
         return np.flatnonzero((m[:, 1] == 0) & (m[:, 2] == 0))
-
-    def upper_unipotent_ids(self):
-        m = self.elems
-        return np.flatnonzero((m[:, 0] == 1) & (m[:, 2] == 0) & (m[:, 3] == 1))
-
-    def lower_unipotent_ids(self):
-        m = self.elems
-        return np.flatnonzero((m[:, 0] == 1) & (m[:, 1] == 0) & (m[:, 3] == 1))
 
     def subview(self, members):
         return subgroup_view(self.view, members)

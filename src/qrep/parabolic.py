@@ -16,12 +16,14 @@ these identities are re-verified numerically on every construction.
 
 import numpy as np
 
-from .config import get_tol
+from .config import NON_SCALAR, SEED, SVD_NULL, get_tol
 from .errors import (CharMismatch, EvenQ, GroupMismatch, NotSplitting,
                      VerificationFailed)
 from .gl2 import bruhat
-from .repcore import (ClassFunction, MatrixRep, hom_dim, induce,
-                      inner_product, rep_character)
+from .repcore import ClassFunction, MatrixRep, hom_dim, induce, inner_product
+
+# sampled pairs in the homomorphism check of a matrix model with |G| > 400
+CHECK_PAIRS = 4096
 
 
 class BorelChar:
@@ -108,7 +110,7 @@ def decompose_gl2(ctx, bchar):
 
 # --- matrix model of the induced representation (SL2) ---
 
-def build_induced_rep(ctx, bchar, check_pairs=4096, seed=20070714):
+def build_induced_rep(ctx, bchar):
     """Matrix model of Ind_B^G chi for SL2 with basis indexed by B\\G:
     M(g)[j, i] = chi~(b) where r_j g = b r_i.  Verified multiplicative
     on all pairs when |G| <= 400, else on a seeded sample."""
@@ -133,8 +135,8 @@ def build_induced_rep(ctx, bchar, check_pairs=4096, seed=20070714):
     if ctx.n <= 400:
         worst = rep.check_homomorphism()
     else:
-        rng = np.random.default_rng(seed)
-        pairs = rng.integers(0, ctx.n, size=(check_pairs, 2))
+        rng = np.random.default_rng(SEED)
+        pairs = rng.integers(0, ctx.n, size=(CHECK_PAIRS, 2))
         worst = rep.check_homomorphism(pairs=pairs)
     if worst > get_tol():
         raise VerificationFailed(f"induced rep not multiplicative, defect {worst}")
@@ -162,7 +164,7 @@ def sl2_generators(ctx):
     return gens
 
 
-def two_dim_commutant_projectors(gen_mats, seed=20070714):
+def two_dim_commutant_projectors(gen_mats):
     """Spectral projectors of the two-dimensional commutant of a set of
     unitary matrices.  Raises NotSplitting unless the solution space of
     [X, g] = 0 for all g has dimension exactly 2."""
@@ -173,12 +175,12 @@ def two_dim_commutant_projectors(gen_mats, seed=20070714):
         rows.append(np.kron(eye, g) - np.kron(g.T, eye))  # vec(gX - Xg)
     A = np.vstack(rows)
     _, s, vh = np.linalg.svd(A, full_matrices=False)
-    null_dim = int(np.sum(s < 1e-9)) + (d * d - len(s) if A.shape[0] < d * d else 0)
+    null_dim = int(np.sum(s < SVD_NULL))  # A has >= d*d rows: s has d*d values
     if null_dim != 2:
         raise NotSplitting(f"commutant dimension {null_dim}, expected 2")
     basis = [vh[-(i + 1)].reshape(d, d).T for i in range(2)]
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     J = None
     for attempt in range(16):
         if attempt < 2:
@@ -187,7 +189,7 @@ def two_dim_commutant_projectors(gen_mats, seed=20070714):
             c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             cand = c[0] * basis[0] + c[1] * basis[1]
         for herm in ((cand + cand.conj().T) / 2, (cand - cand.conj().T) / 2j):
-            if np.max(np.abs(herm - np.trace(herm) / d * eye)) > 1e-6:
+            if np.max(np.abs(herm - np.trace(herm) / d * eye)) > NON_SCALAR:
                 J = herm
                 break
         if J is not None:
@@ -200,53 +202,58 @@ def two_dim_commutant_projectors(gen_mats, seed=20070714):
     cut = int(np.argmax(gaps)) + 1
     P1 = evecs[:, :cut] @ evecs[:, :cut].conj().T
     P2 = evecs[:, cut:] @ evecs[:, cut:].conj().T
+    tol = get_tol()
     for P in (P1, P2):
-        if np.max(np.abs(P @ P - P)) > 1e-8:
+        if np.max(np.abs(P @ P - P)) > tol:
             raise NotSplitting("projector is not idempotent")
         for g in gen_mats:
-            if np.max(np.abs(P @ g - g @ P)) > 1e-6:
+            if np.max(np.abs(P @ g - g @ P)) > tol:
                 raise NotSplitting("projector does not commute with the action")
-    if np.max(np.abs(P1 + P2 - eye)) > 1e-8:
+    if np.max(np.abs(P1 + P2 - eye)) > tol:
         raise NotSplitting("projectors do not sum to the identity")
     return P1, P2
 
 
+def split_in_two(ctx, gen_mats, class_mats, whole):
+    """Split an SL2 representation with character whole, <whole, whole>
+    = 2, into two irreducible halves of half its degree by the projectors
+    of its commutant; gen_mats are its images of sl2_generators and
+    class_mats those of the class representatives.  Returns (plus, minus)
+    as ClassFunctions; plus has the larger value at the class of
+    (1 1; 0 1), by imaginary and then real part, each rounded to 9 places."""
+    tol = get_tol()
+    ip = inner_product(whole, whole)
+    if abs(ip - 2) > tol:
+        raise VerificationFailed(f"<chi,chi> = {ip}, expected 2")
+    halves = [ClassFunction(ctx.view, np.einsum("ij,nji->n", P, class_mats))
+              for P in two_dim_commutant_projectors(gen_mats)]
+    ident = ctx.class_index_of((1, 0, 0, 1))
+    for f in halves:
+        if abs(f.values[ident] - whole.values[ident] / 2) > tol:
+            raise VerificationFailed("half has wrong degree")
+        if abs(inner_product(f, f) - 1) > tol:
+            raise VerificationFailed("half is not irreducible")
+    f1, f2 = halves
+    if np.max(np.abs((f1 + f2).values - whole.values)) > tol:
+        raise VerificationFailed("halves do not sum to the whole character")
+    u = ctx.class_index_of((1, 1, 0, 1))
+    key = lambda f: (round(f.values[u].imag, 9), round(f.values[u].real, 9))
+    return (f1, f2) if key(f1) >= key(f2) else (f2, f1)
+
+
 def split_rho_pm(ctx, bchar):
     """Split I(chi) for the quadratic character chi of F_q^* into its two
-    irreducible halves of degree (q+1)/2.
-
-    Returns (rho_plus, rho_minus) as ClassFunctions; rho_plus is the one
-    whose value at the class of (1 1; 0 1) has nonnegative imaginary
-    part (ties broken toward the larger real part)."""
+    irreducible halves rho+ and rho- of degree (q+1)/2, ordered as in
+    split_in_two."""
     if ctx.kind != "sl2":
         raise GroupMismatch("rho+- live on sl2")
     chi = bchar.chars[0]
     if not chi.is_quadratic:
         raise CharMismatch("splitting needs the quadratic character")
     rep = build_induced_rep(ctx, bchar)
-    gens = sl2_generators(ctx)
-    P1, P2 = two_dim_commutant_projectors([rep.images[g] for g in gens])
-    reps_mats = rep.images[ctx.view.reps]
-    f1 = ClassFunction(ctx.view, np.einsum("ij,nji->n", P1, reps_mats))
-    f2 = ClassFunction(ctx.view, np.einsum("ij,nji->n", P2, reps_mats))
-
-    tol = get_tol()
-    want_deg = (ctx.q + 1) // 2
-    for f in (f1, f2):
-        if abs(f.values[ctx.class_index_of((1, 0, 0, 1))] - want_deg) > tol:
-            raise VerificationFailed("constituent degree != (q+1)/2")
-        if hom_dim(f, f) != 1:
-            raise VerificationFailed("constituent is not irreducible")
-    ind = induced_character(ctx, bchar)
-    if np.max(np.abs((f1 + f2).values - ind.values)) > tol:
-        raise VerificationFailed("constituents do not sum to the induced character")
-
-    u = ctx.class_index_of((1, 1, 0, 1))
-    a, b = f1.values[u], f2.values[u]
-    key = lambda z: (round(z.imag, 9), round(z.real, 9))
-    if key(a) >= key(b):
-        return f1, f2
-    return f2, f1
+    gen_mats = [rep.images[g] for g in sl2_generators(ctx)]
+    return split_in_two(ctx, gen_mats, rep.images[ctx.view.reps],
+                        induced_character(ctx, bchar))
 
 
 def epsilon_swap_defect(ctx, f_plus, f_minus):
@@ -350,7 +357,7 @@ def intertwiner_idempotents(ctx, bchar):
                            "quadratic character")
     q = ctx.q
     sign = chi.values[int(ctx.field.neg(1))]
-    kappa = 0 if abs(sign - 1) < 1e-12 else 1
+    kappa = 0 if abs(sign - 1) < get_tol() else 1
     d1, dw = delta_kernels(ctx, bchar)
     c1 = 1.0 / (2 * q * (q - 1))
     cw = (1j ** kappa) * c1 / np.sqrt(q)

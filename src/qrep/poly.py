@@ -132,13 +132,6 @@ def compose(ctx, f, g):
     return acc
 
 
-def pow_poly(ctx, f, n):
-    acc = (1,)
-    for _ in range(n):
-        acc = mul(ctx, acc, f)
-    return acc
-
-
 def derivative(ctx, f):
     out = []
     for i in range(1, len(f)):
@@ -147,14 +140,6 @@ def derivative(ctx, f):
             c = int(ctx.add(c, f[i]))
         out.append(c)
     return trim(out)
-
-
-def eval_at(ctx, f, x):
-    """Horner evaluation at the element with index x."""
-    acc = 0
-    for c in reversed(f):
-        acc = int(ctx.add(ctx.mul(acc, x), c))
-    return acc
 
 
 def monics(ctx, d):

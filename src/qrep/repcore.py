@@ -11,9 +11,13 @@ read only an embedding's class fusion map, never group elements.
 
 import numpy as np
 
-from .config import get_tol
+from .config import (DEGREE_INTEGRAL, DIXON_PIVOT, EIG_CLUSTER, SEED,
+                     get_tol)
 from .errors import (GroupMismatch, NonIntegral, NotInGroup, NotNormal,
-                     SizeExceeded, VerificationFailed)
+                     VerificationFailed)
+
+# random combinations Dixon's method tries before giving up
+DIXON_TRIES = 8
 
 
 class FiniteGroupView:
@@ -25,18 +29,10 @@ class FiniteGroupView:
     member, which makes the ordering deterministic.
     """
 
-    def __init__(self, n, mul, inv=None, identity=0, classes=None):
+    def __init__(self, n, mul, inv, identity=0, classes=None):
         self.n = int(n)
         self.mul = mul
         self.identity = int(identity)
-        if inv is None:
-            if self.n > 4096:
-                raise SizeExceeded("inverse search needs n <= 4096")
-            inv = np.empty(self.n, dtype=np.int64)
-            allg = np.arange(self.n)
-            for a in range(self.n):
-                hits = np.flatnonzero(mul(a, allg) == self.identity)
-                inv[a] = hits[0]
         self.inv = np.asarray(inv, dtype=np.int64)
         if classes is None:
             classes = flood_classes(self.n, mul, self.inv)
@@ -123,9 +119,6 @@ class ClassFunction:
     def __sub__(self, other):
         return ClassFunction(self.view, self.values - self._coerce(other))
 
-    def __mul__(self, other):
-        return ClassFunction(self.view, self.values * self._coerce(other))
-
     def conj(self):
         return ClassFunction(self.view, self.values.conj())
 
@@ -140,10 +133,11 @@ def inner_product(f, g):
 
 def hom_dim(f, g):
     """<f, g> rounded to a nonnegative integer; NonIntegral if it is not
-    one beyond 1e-4, which would mean f or g is not a genuine character."""
+    one within tolerance, which would mean f or g is not a genuine
+    character."""
     val = inner_product(f, g)
     r = round(val.real)
-    if abs(val - r) > 1e-4 or r < 0:
+    if abs(val - r) > get_tol() or r < 0:
         raise NonIntegral(f"inner product {val} is not a nonnegative integer")
     return int(r)
 
@@ -296,7 +290,7 @@ def compress_rep(rep, basis):
     basis is d x m with orthonormal columns; invariance of its span is
     verified to tolerance before the compressed images are returned."""
     Q = np.asarray(basis, dtype=complex)
-    if np.max(np.abs(Q.conj().T @ Q - np.eye(Q.shape[1]))) > 1e-10:
+    if np.max(np.abs(Q.conj().T @ Q - np.eye(Q.shape[1]))) > get_tol():
         raise VerificationFailed("basis is not orthonormal")
     small = np.einsum("ij,njk,kl->nil", Q.conj().T, rep.images, Q)
     defect = float(np.max(np.abs(rep.images @ Q - np.einsum("ij,njk->nik", Q, small))))
@@ -305,7 +299,7 @@ def compress_rep(rep, basis):
     return MatrixRep(rep.view, small)
 
 
-def character_table_bruteforce(view, seed=20070714, max_tries=8):
+def character_table_bruteforce(view):
     """Complete character table by the class-algebra (Dixon/Burnside)
     method: the structure constants a_ijl of class sums give commuting
     matrices N_i, a random real combination of which has the characters'
@@ -326,8 +320,9 @@ def character_table_bruteforce(view, seed=20070714, max_tries=8):
         for l in range(k):
             a[i, :, l] = np.bincount(t[:, l], minlength=k)
 
-    rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    tol = get_tol()
+    rng = np.random.default_rng(SEED)
+    for _ in range(DIXON_TRIES):
         coeff = rng.standard_normal(k)
         M = np.tensordot(coeff, a, axes=(0, 0))  # sum_i c_i a[i,:,:]
         evals, evecs = np.linalg.eig(M)
@@ -337,14 +332,14 @@ def character_table_bruteforce(view, seed=20070714, max_tries=8):
         ok = True
         for r in range(k):
             v = evecs[:, r]
-            if abs(v[ident_class]) < 1e-12:
+            if abs(v[ident_class]) < DIXON_PIVOT:
                 ok = False
                 break
             omega = v / v[ident_class]
             s = np.sum(np.abs(omega) ** 2 / sizes)
             d2 = n / s.real
             d = round(np.sqrt(d2))
-            if d < 1 or abs(np.sqrt(d2) - d) > 1e-6:
+            if d < 1 or abs(np.sqrt(d2) - d) > DEGREE_INTEGRAL:
                 ok = False
                 break
             chi = d * omega / sizes
@@ -353,7 +348,7 @@ def character_table_bruteforce(view, seed=20070714, max_tries=8):
             continue
         table = np.array(rows)
         gram = (table * sizes) @ table.conj().T / n
-        if np.max(np.abs(gram - np.eye(k))) > 1e-8:
+        if np.max(np.abs(gram - np.eye(k))) > tol:
             continue
         if int(np.round(np.sum(np.abs(table[:, ident_class]) ** 2))) != n:
             continue
@@ -364,7 +359,7 @@ def character_table_bruteforce(view, seed=20070714, max_tries=8):
     raise VerificationFailed("class-algebra method failed to converge")
 
 
-def clifford_orbit_check(rep, normal_members, seed=20070714):
+def clifford_orbit_check(rep, normal_members):
     """Decompose the restriction of rep to an abelian normal subgroup
     into joint eigenspaces and verify Clifford's theorem: the characters
     appearing form a single orbit under conjugation, all eigenspaces
@@ -380,7 +375,7 @@ def clifford_orbit_check(rep, normal_members, seed=20070714):
         raise NotNormal("subgroup is not normal")
 
     mats = rep.images[members]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     combo = np.tensordot(rng.standard_normal(len(members))
                          + 1j * rng.standard_normal(len(members)), mats, axes=(0, 0))
     evals, evecs = np.linalg.eig(combo)
@@ -388,11 +383,12 @@ def clifford_orbit_check(rep, normal_members, seed=20070714):
     order = np.lexsort((np.round(evals.imag, 8), np.round(evals.real, 8)))
     groups = []
     for idx in order:
-        if groups and abs(evals[idx] - evals[groups[-1][-1]]) < 1e-6:
+        if groups and abs(evals[idx] - evals[groups[-1][-1]]) < EIG_CLUSTER:
             groups[-1].append(idx)
         else:
             groups.append([idx])
 
+    tol = get_tol()
     tuples = []
     dims = []
     for g in groups:
@@ -401,7 +397,7 @@ def clifford_orbit_check(rep, normal_members, seed=20070714):
         for m_i, m in enumerate(members):
             MQ = mats[m_i] @ Q
             lam = np.vdot(Q[:, 0], MQ[:, 0])
-            if np.max(np.abs(MQ - lam * Q)) > 1e-6:
+            if np.max(np.abs(MQ - lam * Q)) > tol:
                 raise VerificationFailed("normal subgroup image is not scalar "
                                          "on a joint eigenspace")
             chi.append(lam)
@@ -416,7 +412,7 @@ def clifford_orbit_check(rep, normal_members, seed=20070714):
     pos[members] = np.arange(len(members))
 
     def close(u, w):
-        return np.max(np.abs(u - w)) < 1e-6
+        return np.max(np.abs(u - w)) < EIG_CLUSTER
 
     orbit = []
     for g in range(v.n):

@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from . import poly
-from .errors import (DerivativeVanishes, SizeExceeded, SizeMismatch,
+from .errors import (DerivativeVanishes, Singular, SizeExceeded, SizeMismatch,
                      VerificationFailed)
 
 MAX_ENUM = 1 << 20
@@ -24,14 +24,6 @@ MAX_ENUM = 1 << 20
 
 # ---------------------------------------------------------------------------
 # matrix arithmetic over a FieldCtx (index-valued numpy arrays)
-
-def mat_add(ctx, A, B):
-    return ctx.add(A, B)
-
-
-def mat_neg(ctx, A):
-    return ctx.neg(A)
-
 
 def mat_mul(ctx, A, B):
     # contract over the inner axis with field ops; n is tiny here
@@ -75,59 +67,47 @@ def random_matrix(ctx, n, rng):
 
 def mat_inv(ctx, A):
     """Gauss-Jordan inverse over the field; Singular if A is not invertible."""
-    from .errors import Singular
     n = A.shape[0]
-    R = np.concatenate([A.astype(np.int64), mat_eye(ctx, n)], axis=1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if R[i, c] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise Singular("matrix is not invertible")
-        R[[c, piv]] = R[[piv, c]]
-        R[c] = ctx.mul(R[c], int(ctx.inv(R[c, c])))
-        for i in range(n):
-            if i != c and R[i, c] != 0:
-                R[i] = ctx.sub(R[i], ctx.mul(R[c], int(R[i, c])))
+    R, pivots = _row_reduce(ctx, np.concatenate([A, mat_eye(ctx, n)], axis=1))
+    if pivots != list(range(n)):
+        raise Singular("matrix is not invertible")
     return R[:, n:]
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over F_q: nullspace by Gaussian elimination on indices
+# linear algebra over F_q: Gaussian elimination on indices
 
-def fq_nullspace(ctx, M):
-    """Basis (list of 1-d arrays) of the right kernel of M over the field."""
-    M = np.array(M, dtype=np.int64)
-    rows, cols = M.shape
-    R = M.copy()
-    pivot_col_of_row = []
-    r = 0
+def _row_reduce(ctx, M):
+    """Reduced row echelon form of M over the field and its pivot columns."""
+    R = np.array(M, dtype=np.int64)
+    rows, cols = R.shape
+    pivots = []
     for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if R[i, c] != 0:
-                piv = i
-                break
-        if piv is None:
+        r = len(pivots)
+        if r == rows:
+            break
+        nonzero = np.flatnonzero(R[r:, c])
+        if not len(nonzero):
             continue
+        piv = r + int(nonzero[0])
         R[[r, piv]] = R[[piv, r]]
         R[r] = ctx.mul(R[r], int(ctx.inv(R[r, c])))
         for i in range(rows):
             if i != r and R[i, c] != 0:
                 R[i] = ctx.sub(R[i], ctx.mul(R[r], int(R[i, c])))
-        pivot_col_of_row.append(c)
-        r += 1
-        if r == rows:
-            break
-    pivots = set(pivot_col_of_row)
-    free = [c for c in range(cols) if c not in pivots]
+        pivots.append(c)
+    return R, pivots
+
+
+def fq_nullspace(ctx, M):
+    """Basis (list of 1-d arrays) of the right kernel of M over the field."""
+    R, pivots = _row_reduce(ctx, M)
+    cols = R.shape[1]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         v = np.zeros(cols, dtype=np.int64)
         v[fc] = 1
-        for i, pc in enumerate(pivot_col_of_row):
+        for i, pc in enumerate(pivots):
             v[pc] = ctx.neg(int(R[i, fc]))
         basis.append(v)
     return basis

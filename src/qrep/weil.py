@@ -33,7 +33,7 @@ from .errors import (EvenExponent, EvenQ, GroupMismatch, NotPrimitive,
                      NotSL2, SizeExceeded, VerificationFailed)
 from .ff import MultChar, NormOneChar, is_primitive
 from .gl2 import GroupCtx
-from .parabolic import sl2_generators, two_dim_commutant_projectors
+from .parabolic import sl2_generators, split_in_two
 from .repcore import (ClassFunction, FiniteGroupView, MatrixRep, MixedRadix,
                       character_table_bruteforce, inner_product,
                       rep_character)
@@ -297,8 +297,7 @@ def weil_matrix(ectx, sigma):
 
 
 class WeilCtx:
-    """rho~ for every element of SL2(F_q), with lazy per-element caching
-    of the dense q^2 x q^2 images."""
+    """rho~ for every element of SL2(F_q) as dense q^2 x q^2 images."""
 
     def __init__(self, ectx, slctx=None):
         if ectx.q % 2 == 0:
@@ -308,23 +307,17 @@ class WeilCtx:
         if self.slctx.field is not ectx.base:
             raise GroupMismatch("sl2 context must live over the base field")
         self.psi = ectx.psi
-        self._images = {}
 
     def image(self, gid):
-        gid = int(gid)
-        if gid not in self._images:
-            self._images[gid] = weil_matrix(self.ectx, self.slctx.mat_of(gid))
-        return self._images[gid]
+        return weil_matrix(self.ectx, self.slctx.mat_of(int(gid)))
 
     def all_images(self):
-        """Every image stacked in element order.  Images not cached yet
-        are built straight into the stack and not cached, so the stack
-        is the only copy of them."""
+        """Every image stacked in element order, each built straight into
+        one preallocated stack so that no second copy is ever held."""
         n = self.slctx.n
         out = np.empty((n, self.ectx.ext.q, self.ectx.ext.q), dtype=complex)
         for g in range(n):
-            out[g] = self._images[g] if g in self._images else \
-                weil_matrix(self.ectx, self.slctx.mat_of(g))
+            out[g] = self.image(g)
         return out
 
 
@@ -706,7 +699,6 @@ def sl2_cuspidal_family(ectx, slctx):
         [cuspidal_module(ectx, w) for om in oms for w in (om, om.conj())]
         + [module], slctx)
     *chars, chi0 = (_trace_character(slctx, stack) for stack in stacks)
-    rep_mats = stacks[-1]
     out = []
     for j, f, finv in zip(js, chars[::2], chars[1::2]):
         if float(np.max(np.abs(f.values - finv.values))) > tol:
@@ -718,26 +710,9 @@ def sl2_cuspidal_family(ectx, slctx):
     if len(out) != (q - 1) // 2:
         raise VerificationFailed("wrong number of sl2 cuspidal pairs")
 
-    ip = inner_product(chi0, chi0)
-    if abs(ip - 2) > tol:
-        raise VerificationFailed(f"<chi,chi> = {ip} for omega_0, expected 2")
-    gens = sl2_generators(slctx)
-    gen_mats = [module.restrict(weil_matrix(ectx, slctx.mat_of(g))) for g in gens]
-    P1, P2 = two_dim_commutant_projectors(gen_mats)
-    f1 = ClassFunction(slctx.view, np.einsum("ij,nji->n", P1, rep_mats))
-    f2 = ClassFunction(slctx.view, np.einsum("ij,nji->n", P2, rep_mats))
-    want = (q - 1) // 2
-    ident = slctx.class_index_of((1, 0, 0, 1))
-    for f in (f1, f2):
-        if abs(f.values[ident] - want) > tol:
-            raise VerificationFailed("half has wrong degree")
-        if abs(inner_product(f, f) - 1) > tol:
-            raise VerificationFailed("half is not irreducible")
-    if float(np.max(np.abs((f1 + f2).values - chi0.values))) > tol:
-        raise VerificationFailed("halves do not sum to the omega_0 character")
-    u = slctx.class_index_of((1, 1, 0, 1))
-    key = lambda z: (round(z.real, 9), round(z.imag, 9))
-    plus, minus = (f1, f2) if key(f1.values[u]) >= key(f2.values[u]) else (f2, f1)
+    gen_mats = [module.restrict(weil_matrix(ectx, slctx.mat_of(g)))
+                for g in sl2_generators(slctx)]
+    plus, minus = split_in_two(slctx, gen_mats, stacks[-1], chi0)
 
     sizes = slctx.view.sizes
     sum_traces = complex(np.sum(sizes * chi0.values))

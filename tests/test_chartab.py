@@ -11,6 +11,7 @@ import pytest
 
 from qrep import (
     EvenQ,
+    NotInGroup,
     SUPPORTED,
     SizeExceeded,
     VerificationFailed,
@@ -122,6 +123,11 @@ def test_unsupported_sizes_are_rejected():
         build_table("gl2", 9)  # only sl2 is built at q = 9
     with pytest.raises(SizeExceeded):
         build_table("sl2", 11)
+
+
+def test_unknown_kind_is_an_input_error():
+    with pytest.raises(NotInGroup):
+        build_table("foo", 3)
 
 
 def test_emit_is_deterministic_and_parseable():

@@ -1,9 +1,11 @@
-"""Source guards: every derived structure has one owner.
+"""Source guards: every derived structure has one owner, and every
+numerical threshold has one home.
 
 Lazily derived data lives on the class that owns it, set in its
 constructor or as a cached property.  No module stores attributes on
 objects it did not create as `self`, and no function keeps state in a
-mutable default argument.
+mutable default argument.  Comparisons read `get_tol()`, and the
+rank and clustering thresholds are named constants in `config.py`.
 """
 
 import ast
@@ -61,3 +63,12 @@ def test_attribute_probes_only_where_emit_duck_types_its_sink():
              for path in SOURCES
              for name in _probes(ast.parse(path.read_text()))]
     assert set(found) <= {("chartab.py", "emit")}
+
+
+def test_small_float_literals_live_only_in_config():
+    found = [f"{path.name}:{node.lineno}: {node.value!r}"
+             for path in SOURCES if path.name != "config.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and
+             isinstance(node.value, float) and 0 < node.value < 1e-3]
+    assert found == []

@@ -9,14 +9,17 @@ import pytest
 from qrep import (
     BorelChar,
     CharMismatch,
+    ClassFunction,
     GroupMismatch,
     MultChar,
     NotSplitting,
+    VerificationFailed,
     build_induced_rep,
     decompose_gl2,
     delta_kernels,
     delta_relation_defect,
     epsilon_swap_defect,
+    get_tol,
     induced_character,
     inner_product,
     intertwiner_dim,
@@ -27,7 +30,8 @@ from qrep import (
     rep_character,
     split_rho_pm,
 )
-from qrep.parabolic import convolve, sl2_generators, two_dim_commutant_projectors
+from qrep.parabolic import (convolve, sl2_generators, split_in_two,
+                            two_dim_commutant_projectors)
 
 
 def _closed_form(ctx, chi1, chi2):
@@ -239,3 +243,34 @@ def test_irreducible_principal_series_has_no_splitting():
     gens = sl2_generators(ctx)
     with pytest.raises(NotSplitting):
         two_dim_commutant_projectors([rep.images[g] for g in gens])
+
+
+def test_split_in_two_gates_fire():
+    ctx = make_group("sl2", make_field(5))
+    F = ctx.field
+    quad = BorelChar(ctx, (MultChar(F, 2),))
+    rep = build_induced_rep(ctx, quad)
+    gens = sl2_generators(ctx)
+    gen_mats = [rep.images[g] for g in gens]
+    class_mats = rep.images[ctx.view.reps]
+    whole = induced_character(ctx, quad)
+    plus, minus = split_in_two(ctx, gen_mats, class_mats, whole)
+    assert np.max(np.abs((plus + minus).values - whole.values)) < 1e-8
+
+    # off by 10 tol at a class where whole vanishes, so <whole, whole>
+    # moves only at second order and the sum gate is the one that fires
+    zero = int(np.flatnonzero(np.abs(whole.values) < 1e-9)[0])
+    off = whole.values.copy()
+    off[zero] += 10 * get_tol()
+    with pytest.raises(VerificationFailed, match="sum"):
+        split_in_two(ctx, gen_mats, class_mats, ClassFunction(ctx.view, off))
+
+    irreducible = BorelChar(ctx, (MultChar(F, 1),))
+    with pytest.raises(VerificationFailed, match="expected 2"):
+        split_in_two(ctx, gen_mats, class_mats,
+                     induced_character(ctx, irreducible))
+
+    irr_rep = build_induced_rep(ctx, irreducible)
+    with pytest.raises(NotSplitting):
+        split_in_two(ctx, [irr_rep.images[g] for g in gens],
+                     irr_rep.images[ctx.view.reps], whole)

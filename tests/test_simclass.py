@@ -9,6 +9,7 @@ import pytest
 
 from qrep import (
     DerivativeVanishes,
+    Singular,
     SizeExceeded,
     SizeMismatch,
     centralizer,
@@ -24,7 +25,8 @@ from qrep import (
     similarity_type,
 )
 from qrep import poly
-from qrep.simclass import mat_det, mat_inv, mat_mul, random_matrix
+from qrep.simclass import (fq_nullspace, mat_det, mat_eye, mat_inv, mat_mul,
+                           random_matrix)
 
 RNG = np.random.default_rng(20070714)
 
@@ -76,6 +78,40 @@ def test_irreducible_enumeration_counts():
 
 # ---------------------------------------------------------------------------
 # invariant factors and similarity types
+
+
+def test_mat_inv_inverts_every_unit_and_refuses_singular_matrices():
+    units = [X for X in (np.array(flat, dtype=np.int64).reshape(2, 2)
+                         for flat in itertools.product(range(3), repeat=4))
+             if mat_det(F3, X) != 0]
+    assert len(units) == 48  # |GL2(F_3)|
+    rng = np.random.default_rng(7)
+    big = []
+    while len(big) < 20:
+        X = random_matrix(F5, 3, rng)
+        if mat_det(F5, X) != 0:
+            big.append(X)
+    for ctx, X in [(F3, X) for X in units] + [(F5, X) for X in big]:
+        n = X.shape[0]
+        assert np.array_equal(mat_mul(ctx, mat_inv(ctx, X), X), mat_eye(ctx, n))
+    with pytest.raises(Singular):
+        mat_inv(F5, np.array([[1, 2, 3], [2, 4, 1], [3, 1, 4]]))  # r3 = r1 + r2
+
+
+def test_nullspace_dimension_is_columns_minus_rank():
+    # the kernel has q^(cols - rank) elements: count them by brute force
+    rng = np.random.default_rng(11)
+    for ctx in (F3, F5):
+        for _ in range(10):
+            rows, inner, cols = (int(t) for t in rng.integers(1, 5, size=3))
+            M = mat_mul(ctx, rng.integers(0, ctx.q, size=(rows, inner)),
+                        rng.integers(0, ctx.q, size=(inner, cols)))
+            basis = fq_nullspace(ctx, M)
+            vecs = np.array(list(itertools.product(range(ctx.q), repeat=cols)))
+            kernel = np.all(mat_mul(ctx, M, vecs.T) == 0, axis=0).sum()
+            assert ctx.q ** len(basis) == kernel
+            for v in basis:
+                assert not mat_mul(ctx, M, v[:, None]).any()
 
 
 def test_invariant_factors_of_scalar_and_companion():

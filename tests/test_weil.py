@@ -279,6 +279,19 @@ def test_sl2_cuspidal_family_census_and_omega0_split():
     assert np.max(np.abs(s.values - chi0.values)) < 1e-9
 
 
+def test_omega0_halves_frozen_at_q3():
+    # at q = 3 the halves are the two nontrivial linear characters; plus
+    # is the one with positive imaginary part at the class of (1 1; 0 1),
+    # as for rho+ in test_rho_pm_frozen_values_at_q3
+    E = make_ext(make_field(3))
+    sl = make_group("sl2", E.base)
+    om0 = sl2_cuspidal_family(E, sl)["omega0"]
+    u = sl.class_index_of((1, 1, 0, 1))
+    root = -0.5 + np.sqrt(3) / 2 * 1j
+    assert abs(om0["plus"].values[u] - root) < 1e-8
+    assert abs(om0["minus"].values[u] - np.conj(root)) < 1e-8
+
+
 def test_sl2_cuspidal_anisotropic_values():
     # at an anisotropic class with ext eigenvalue z (norm one), the
     # cuspidal character takes the value -(omega(z) + omega(1/z))
