@@ -386,9 +386,16 @@ def _suite_simclass(rec, q, seed, tol):
         if units != want:
             ok = False
     rec.check("centralizer unit counts match the four 2x2 class shapes", ok)
-    # hensel lifting round trip on the smallest irreducible quadratic
-    simclass.hensel_lift(F, f2, 3)
-    rec.check("hensel lift of t against f^3 verifies", True)
+    # hensel lifting on the smallest irreducible quadratic: recompute
+    # f(q_r) mod f^3 and (q_r - t) mod f; the defect counts their
+    # nonzero coefficients
+    root = simclass.hensel_lift(F, f2, 3)
+    f3 = poly.mul(F, poly.mul(F, f2, f2), f2)
+    residues = (poly.mod(F, poly.compose(F, f2, root), f3),
+                poly.mod(F, poly.sub(F, root, (0, 1)), f2))
+    nonzero = sum(1 for r in residues for c in r if c)
+    rec.check("hensel lift of t against f^3 verifies", nonzero == 0,
+              defect=nonzero)
 
 
 def _suite_counting(rec, q, seed, tol):

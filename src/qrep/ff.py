@@ -4,7 +4,12 @@ Elements of F_{p^k} are integer indices 0..q-1.  For an extension field
 the index is the little-endian digit expansion over the base field, so
 the base field embeds as the indices 0..base.q-1 and the prime subfield
 always occupies 0..p-1.  All arithmetic is table driven and vectorized
-over numpy integer arrays.
+over numpy integer arrays: multiplication reads the exp/log tables, and
+addition in an extension field reads the Zech logarithm table
+zech[n] = log(1 + g^n) (Lidl-Niederreiter, Finite Fields, 10.1), so
+x + y = g^(log x + zech[log y - log x]) costs a few lookups and never
+touches the digit expansion.  Both extension tables, zech and
+neg_table, are built once from digit-wise arithmetic over the base.
 
 The modulus of an extension is the lexicographically smallest monic
 irreducible of the right degree (coefficients compared low degree
@@ -56,7 +61,10 @@ class FieldCtx:
     base, low degree first, monic; None for a prime field), gen, exp
     (length q-1), log (length q, log[0] = -1), digits (q x deg),
     inv_table (length q, junk at 0), trace_to_prime (length q, values
-    < p), eps (computed on first use).
+    < p), eps (computed on first use).  An extension field also holds
+    zech (length q-1, zech[n] = log(1 + g^n), -1 where 1 + g^n = 0) and
+    neg_table (length q), which serve add, neg and sub; a prime field
+    adds, negates and multiplies mod p and holds None for both.
     """
 
     def __init__(self, p=None, base=None, deg=None):
@@ -80,8 +88,9 @@ class FieldCtx:
         self.base = None
         self.deg = 1
         self.modulus = None
+        self.zech = None
+        self.neg_table = None
         self.digits = np.arange(p, dtype=np.int64).reshape(p, 1)
-        self._places = np.array([1], dtype=np.int64)
         gen = 1
         if p > 2:
             facs = [ell for ell, _ in _factorize(p - 1)]
@@ -133,6 +142,10 @@ class FieldCtx:
         self.log = np.full(q, -1, dtype=np.int64)
         self.log[exp] = np.arange(q - 1)
 
+        # the addition tables, from digit-wise arithmetic over the base
+        self.zech = self.log[base.add(self.digits[1], self.digits[exp]) @ places]
+        self.neg_table = base.neg(self.digits) @ places
+
     def _tup(self, i):
         return poly.trim(int(d) for d in self.digits[i])
 
@@ -167,15 +180,20 @@ class FieldCtx:
     # --- arithmetic on indices (ints or int arrays) ---
 
     def add(self, x, y):
+        x = np.asarray(x)
+        y = np.asarray(y)
         if self.base is None:
-            return (np.asarray(x) + np.asarray(y)) % self.p
-        s = self.base.add(self.digits[x], self.digits[y])
-        return s @ self._places
+            return (x + y) % self.p
+        lx = self.log[x]
+        z = self.zech[(self.log[y] - lx) % (self.q - 1)]
+        out = np.where(z < 0, 0, self.exp[(lx + z) % (self.q - 1)])
+        # [()] gives a scalar for scalar input, like the prime branch
+        return np.where(x == 0, y, np.where(y == 0, x, out))[()]
 
     def neg(self, x):
         if self.base is None:
             return (-np.asarray(x)) % self.p
-        return self.base.neg(self.digits[x]) @ self._places
+        return self.neg_table[x]
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
@@ -183,6 +201,8 @@ class FieldCtx:
     def mul(self, x, y):
         x = np.asarray(x)
         y = np.asarray(y)
+        if self.base is None:
+            return (x * y) % self.p
         lx = self.log[x]
         ly = self.log[y]
         out = self.exp[(lx + ly) % (self.q - 1)]
@@ -232,8 +252,9 @@ class ExtCtx:
 
     norm and trace land in the base subfield, so their tables store base
     indices (< q).  eps is the smallest-index non-square unit of the
-    base field (only defined for odd q).  The trace pairing and psi, the
-    field data behind the Weil operators, are computed on first use.
+    base field (only defined for odd q).  The norm fibres, the trace
+    pairing and psi, the field data behind the cuspidal modules and the
+    Weil operators, are computed on first use.
     """
 
     def __init__(self, base):
@@ -262,6 +283,13 @@ class ExtCtx:
         # norm-one subgroup, cyclic of order q+1: powers of gen^(q-1)
         t = np.arange(base.q + 1, dtype=np.int64)
         self.norm_one = ext.exp[((base.q - 1) * t) % (Q - 1)]
+
+    @cached_property
+    def norm_fibres(self):
+        """(q-1, q+1) indices: row u-1 lists the points of norm u in
+        ascending order, so column 0 holds the smallest point over u."""
+        order = np.argsort(self.norm, kind="stable")
+        return order[1:].reshape(self.q - 1, self.q + 1)
 
     @cached_property
     def trace_pairing(self):

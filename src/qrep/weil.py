@@ -514,27 +514,56 @@ class CuspidalModule:
         self.omega = omega
         q = ectx.q
         ext = ectx.ext
-        basis = np.zeros((ext.q, q - 1), dtype=complex)
-        u_tilde = np.zeros(q - 1, dtype=np.int64)
-        for col, u in enumerate(range(1, q)):
-            fiber = np.flatnonzero(ectx.norm == u)
-            ut = int(fiber.min())
-            u_tilde[col] = ut
-            zx = ext.mul(fiber, int(ext.inv_table[ut]))
-            basis[fiber, col] = np.conj(omega.values[zx])
-        self.basis = basis
-        self.u_tilde = u_tilde
+        fibres = ectx.norm_fibres
+        self.u_tilde = fibres[:, 0]
+        zx = ext.mul(fibres, ext.inv_table[self.u_tilde][:, None])
+        self.basis = np.zeros((ext.q, q - 1), dtype=complex)
+        self.basis[fibres, np.arange(q - 1)[:, None]] = np.conj(omega.values[zx])
         self.dim = q - 1
 
     def restrict(self, M):
         """Compress a full-space operator that preserves W_omega to the
-        1_u basis; the invariance is verified to tolerance."""
-        C = M @ self.basis
-        R = C[self.u_tilde, :]
-        defect = float(np.max(np.abs(C - self.basis @ R)))
-        if defect > get_tol():
-            raise VerificationFailed(f"W_omega is not preserved, defect {defect}")
-        return R
+        1_u basis; the invariance is verified to tolerance.
+
+        Column u of the basis is nonzero only on the q+1 points of the
+        norm fibre over u, and each row x != 0 only in the column u(x) =
+        N(x).  So M @ basis gathers those columns of M and contracts over
+        the fibre, and (basis @ R)[x] is basis[x, u(x)] times row u(x) of
+        R: Q (Q-1) products instead of Q^2 (q-1), with the residual still
+        checked on all Q x (q-1) entries.  This is the one-module case of
+        _restrict_all."""
+        return _restrict_all(self.ectx.norm_fibres, _fibre_values([self]), M)[0]
+
+
+def _fibre_values(modules):
+    """(modules, q-1, q+1): each module's basis entries basis[F[r, j], r]
+    on the norm fibres F = ExtCtx.norm_fibres, read from its basis.
+    They are the only nonzero entries of the 1_u basis."""
+    fibres = modules[0].ectx.norm_fibres
+    cols = np.arange(len(fibres))[:, None]
+    return np.stack([module.basis[fibres, cols] for module in modules])
+
+
+def _restrict_all(fibres, values, M):
+    """Every module's restriction of one full-space operator M, as a
+    (modules, q-1, q-1) array; fibres is ExtCtx.norm_fibres and values
+    is _fibre_values(modules).
+
+    For a module with v = values[m], C = M @ basis has
+    C[x, u] = sum_j M[x, F[u, j]] v[u, j], and R is C at the rows
+    u~ = F[:, 0].  The residual C - basis @ R is checked on every entry:
+    row 0 of C must vanish, and C[F[r, j], u] must equal v[r, j] R[r, u].
+    Every module gets one fixed-shape product per u, so its R does not
+    depend on the other modules in the call."""
+    # Ct[m, u, x] = C[x, u], from M[x, F[u, j]] gathered once
+    Ct = np.matmul(M[:, fibres].transpose(1, 0, 2), values[..., None])[..., 0]
+    on_fibres = Ct[:, :, fibres]                 # [m, u, r, j] = C[F[r, j], u]
+    Rt = on_fibres[..., :1]                      # [m, u, r, 0] = R[r, u]
+    defect = float(max(np.max(np.abs(on_fibres - values[:, None] * Rt)),
+                       np.max(np.abs(Ct[:, :, 0]))))
+    if defect > get_tol():
+        raise VerificationFailed(f"W_omega is not preserved, defect {defect}")
+    return Rt[..., 0].transpose(0, 2, 1)
 
 
 def cuspidal_module(ectx, omega):
@@ -546,7 +575,7 @@ def _class_operators(ectx, gctx):
     class order.  For SL2 the operator is rho~(g) and a~ is None.  For
     GL2, g = diag(1, det g) sigma and the operator is rho~(sigma) with
     its rows permuted by x -> a~ x, a~ the smallest point over det g;
-    a module scales it by omega(a~) to get
+    each module's restriction of it is scaled by omega(a~) to get
     pi_omega(g) = E_{det g} rho~(sigma)."""
     ext = ectx.ext
     F = gctx.field
@@ -559,7 +588,7 @@ def _class_operators(ectx, gctx):
         dinv = int(F.inv(det))
         sig = tuple(int(t) for t in
                     gctx.mat_mul(np.array([1, 0, 0, dinv]), np.asarray(mat)))
-        atil = int(np.flatnonzero(ectx.norm == det).min())
+        atil = int(ectx.norm_fibres[det - 1, 0])
         perm = np.asarray(ext.mul(atil, np.arange(ext.q)))
         yield weil_matrix(ectx, sig)[perm, :], atil
 
@@ -569,11 +598,11 @@ def _restricted_class_images(modules, gctx):
     images of the k class representatives of gctx, in class order.
 
     Each class operator and each upper unipotent rho~((1 x; 0 1)) is
-    built once and restricted to every module, so W_omega invariance is
-    checked for every (module, class) and (module, unipotent) pair.  Per
-    module this also checks that the degree is q - 1 and that the
-    averaged upper-unipotent action on W_omega vanishes (cuspidality at
-    the level of N-fixed vectors)."""
+    built once and restricted to every module by one _restrict_all call,
+    so W_omega invariance is checked for every (module, class) and
+    (module, unipotent) pair.  Per module this also checks that the
+    degree is q - 1 and that the averaged upper-unipotent action on
+    W_omega vanishes (cuspidality at the level of N-fixed vectors)."""
     if not modules:
         return []
     ectx = modules[0].ectx
@@ -586,12 +615,14 @@ def _restricted_class_images(modules, gctx):
             raise GroupMismatch("modules live on different extensions")
     q = ectx.q
     k = len(gctx.view.reps)
+    fibres = ectx.norm_fibres
+    values = _fibre_values(modules)
     stacks = np.empty((len(modules), k, q - 1, q - 1), dtype=complex)
     for ci, (rows, atil) in enumerate(_class_operators(ectx, gctx)):
-        for module, stack in zip(modules, stacks):
-            full = rows if atil is None else \
-                complex(module.omega.values[atil]) * rows
-            stack[ci] = module.restrict(full)
+        stacks[:, ci] = _restrict_all(fibres, values, rows)
+        if atil is not None:
+            stacks[:, ci] *= np.array([module.omega.values[atil]
+                                       for module in modules])[:, None, None]
 
     tol = get_tol()
     ident = gctx.class_index_of((1, 0, 0, 1))
@@ -600,9 +631,7 @@ def _restricted_class_images(modules, gctx):
             raise VerificationFailed("cuspidal degree != q - 1")
     accs = np.zeros((len(modules), q - 1, q - 1), dtype=complex)
     for x in range(q):
-        U = weil_matrix(ectx, (1, x, 0, 1))
-        for module, acc in zip(modules, accs):
-            acc += module.restrict(U)
+        accs += _restrict_all(fibres, values, weil_matrix(ectx, (1, x, 0, 1)))
     for acc in accs:
         if float(np.max(np.abs(acc / q))) > tol:
             raise VerificationFailed("nonzero N-fixed vectors in W_omega")

@@ -21,7 +21,6 @@ from qrep import (
     count_irreducible_monics,
     count_similarity_classes,
     cuspidal_count_identity,
-    cuspidal_module,
     decompose_gl2,
     epsilon_swap_defect,
     fourier_intertwines,
@@ -35,7 +34,6 @@ from qrep import (
     make_ext,
     make_field,
     make_group,
-    pi_omega_character,
     predicted_intertwiner_dim,
     similarity_type,
     sl2_cuspidal_family,

@@ -19,7 +19,6 @@ from qrep import (
     character_table_bruteforce,
     emit,
     get_tol,
-    make_field,
     verify_table,
 )
 from qrep.chartab import expected_degrees, expected_family_counts

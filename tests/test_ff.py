@@ -106,6 +106,59 @@ def test_f9_multiplication_against_polynomial_arithmetic():
             assert F9.mul(x, y) == re + 3 * im
 
 
+# (p, k) of every extension field the Zech-table oracle runs over
+ZECH_FIELDS = [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (3, 3), (7, 2),
+               (3, 4), (5, 3), (17, 2), (19, 2)]
+
+
+def _digitwise(p, k, x, y, sign):
+    """x + sign * y in F_{p^k} by base-p digits, index = sum d_i p^i:
+    the reference the Zech tables must reproduce."""
+    places = p ** np.arange(k)
+    dx = (np.asarray(x)[..., None] // places) % p
+    dy = (np.asarray(y)[..., None] // places) % p
+    return ((dx + sign * dy) % p) @ places
+
+
+@pytest.mark.parametrize("p,k", ZECH_FIELDS)
+def test_extension_add_neg_sub_match_digitwise_arithmetic(p, k):
+    F = make_field(p, k)
+    x, y = np.divmod(np.arange(F.q * F.q), F.q)  # all q^2 pairs
+    assert np.array_equal(F.add(x, y), _digitwise(p, k, x, y, 1))
+    assert np.array_equal(F.sub(x, y), _digitwise(p, k, x, y, -1))
+    xs = np.arange(F.q)
+    assert np.array_equal(F.neg(xs), _digitwise(p, k, 0, xs, -1))
+    assert np.all(F.add(xs, F.neg(xs)) == 0)
+    assert F.zech.shape == (F.q - 1,) and F.neg_table.shape == (F.q,)
+
+
+def test_extension_arithmetic_reads_only_its_own_tables(monkeypatch):
+    # after construction, add/neg/sub are lookups in zech, exp, log and
+    # neg_table: no base-field arithmetic and no digit expansion
+    def refuse(*args):
+        raise AssertionError("base-field arithmetic called")
+
+    for p, k in [(2, 3), (3, 2), (5, 2), (3, 4)]:
+        F = make_field(p, k)
+        monkeypatch.setattr(F.base, "add", refuse)
+        monkeypatch.setattr(F.base, "neg", refuse)
+        monkeypatch.setattr(F, "digits", None)
+        x, y = np.divmod(np.arange(F.q * F.q), F.q)
+        assert np.array_equal(F.add(x, y), _digitwise(p, k, x, y, 1))
+        assert np.array_equal(F.sub(x, y), _digitwise(p, k, x, y, -1))
+        assert F.neg(1) == _digitwise(p, k, 0, 1, -1)
+        assert F.add(1, 1) == _digitwise(p, k, 1, 1, 1)
+
+
+def test_norm_fibres_list_each_fibre_in_ascending_order():
+    for p, k in [(3, 1), (5, 1), (3, 2)]:
+        E = make_ext(make_field(p, k))
+        fibres = E.norm_fibres
+        assert fibres.shape == (E.q - 1, E.q + 1)
+        for u, row in enumerate(fibres, start=1):
+            assert list(row) == list(np.flatnonzero(np.asarray(E.norm) == u))
+
+
 def test_frobenius_fixes_exactly_the_base_field():
     E = make_ext(make_field(3))
     fixed = np.flatnonzero(np.asarray(E.frob) == np.arange(E.ext.q))

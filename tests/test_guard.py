@@ -6,13 +6,14 @@ constructor or as a cached property.  No module stores attributes on
 objects it did not create as `self`, and no function keeps state in a
 mutable default argument.  Comparisons read `get_tol()`, and the
 rank and clustering thresholds are named constants in `config.py`.
+Every imported name is used.
 """
 
 import ast
 from pathlib import Path
 
-SOURCES = sorted(
-    (Path(__file__).resolve().parent.parent / "src" / "qrep").glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+SOURCES = sorted((TESTS.parent / "src" / "qrep").glob("*.py"))
 
 _MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set,
                      ast.DictComp, ast.ListComp, ast.SetComp)
@@ -71,4 +72,29 @@ def test_small_float_literals_live_only_in_config():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Constant) and
              isinstance(node.value, float) and 0 < node.value < 1e-3]
+    assert found == []
+
+
+def _unused_imports(tree):
+    """(line, name) of each imported name that no expression reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_every_import_is_used():
+    # the package's __init__ imports names only to export them
+    paths = [path for path in SOURCES if path.name != "__init__.py"]
+    paths += sorted(TESTS.glob("*.py"))
+    found = [f"{path.parent.name}/{path.name}:{line}: {name}"
+             for path in paths
+             for line, name in _unused_imports(ast.parse(path.read_text()))]
     assert found == []

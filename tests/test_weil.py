@@ -396,3 +396,53 @@ def test_batched_characters_check_the_last_module():
     bad.basis[fiber, 0] *= np.exp(2j * np.pi * RNG.random(len(fiber)))
     with pytest.raises(VerificationFailed, match="W_omega"):
         pi_omega_characters(mods, g)
+
+
+def _dense_restrict(module, M):
+    """The dense restriction: C = M @ basis, R = C at the rows u~, and
+    the largest entry of C - basis @ R."""
+    C = M @ module.basis
+    R = C[module.u_tilde, :]
+    return R, float(np.max(np.abs(C - module.basis @ R)))
+
+
+@pytest.mark.parametrize("kind,q", [("gl2", 3), ("gl2", 5),
+                                    ("sl2", 5), ("sl2", 7)])
+def test_restriction_matches_the_dense_products(kind, q):
+    E, g, mods = _all_modules(kind, q)
+    stacks = weil._restricted_class_images(mods, g)
+    for ci, (rows, atil) in enumerate(weil._class_operators(E, g)):
+        for module, stack in zip(mods, stacks):
+            full = rows if atil is None else \
+                complex(module.omega.values[atil]) * rows
+            want, defect = _dense_restrict(module, full)
+            assert defect < 1e-12
+            assert np.max(np.abs(stack[ci] - want)) < 1e-12
+            assert np.max(np.abs(module.restrict(full) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_restriction_finds_a_bad_module_anywhere_in_the_batch(position):
+    E, g, mods = _all_modules("sl2", 5)
+    U = weil_matrix(E, (1, 1, 0, 1))
+    weil._restrict_all(E.norm_fibres, weil._fibre_values(mods), U)
+    i = {"first": 0, "middle": len(mods) // 2, "last": len(mods) - 1}[position]
+    # column 1 of another module's basis: still zero at 0 and on the other
+    # fibres, so only the residual on the fibre rows can see the change
+    mods[i].basis[:, 1] = mods[i - 1].basis[:, 1]
+    with pytest.raises(VerificationFailed, match="W_omega"):
+        weil._restrict_all(E.norm_fibres, weil._fibre_values(mods), U)
+    with pytest.raises(VerificationFailed, match="W_omega"):
+        pi_omega_characters(mods, g)
+
+
+def test_restriction_residual_covers_row_zero():
+    # 1_0 lies outside every W_omega: an operator that also sends 1_u
+    # onto it is not W_omega-invariant, though its rows u~ are unchanged
+    E = make_ext(make_field(5))
+    mod = cuspidal_module(E, NormOneChar(E, 1))
+    M = weil_matrix(E, (1, 1, 0, 1))
+    mod.restrict(M)
+    M[0, mod.u_tilde[2]] += 1.0
+    with pytest.raises(VerificationFailed, match="W_omega"):
+        mod.restrict(M)
