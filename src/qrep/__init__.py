@@ -27,7 +27,7 @@ from .parabolic import (BorelChar, build_induced_rep, decompose_gl2,
                         epsilon_swap_defect, induced_character,
                         intertwiner_dim, intertwiner_idempotents,
                         predicted_intertwiner_dim, split_rho_pm)
-from .weil import (CuspidalModule, HeisenbergCtx, WeilCtx, averaging_check,
+from .weil import (CuspidalModule, HeisenbergCtx, averaging_check,
                    cuspidal_module, fourier_intertwines, gl2_cuspidal_family,
                    heisenberg_from_ext, heisenberg_group, heisenberg_rep,
                    pi_omega_character, pi_omega_characters,

@@ -18,6 +18,7 @@ import csv
 import io
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -136,15 +137,22 @@ def expected_degrees(kind, q):
     return sorted(out)
 
 
-def _root_of_unity_decomposable(z, d, order):
-    """Whether z is a sum of exactly d roots of unity of the given
-    order, within tolerance; exhaustive multiset search."""
+def _root_of_unity_residual(z, d, order):
+    """|sum - z| for the first multiset of exactly d roots of unity of
+    the given order whose sum is within tolerance of z, or None when
+    the exhaustive search finds none."""
     tol = get_tol()
     roots = np.exp(2j * np.pi * np.arange(order) / order)
     for combo in itertools.combinations_with_replacement(range(order), d):
-        if abs(roots[list(combo)].sum() - z) < tol:
-            return True
-    return False
+        residual = abs(roots[list(combo)].sum() - z)
+        if residual < tol:
+            return float(residual)
+    return None
+
+
+def _mismatches(got, want):
+    """Number of keys whose counts differ between two Counters."""
+    return sum(got[key] != want[key] for key in got | want)
 
 
 def verify_table(table):
@@ -169,7 +177,7 @@ def verify_table(table):
     degrees = [int(round(x)) for x in degs.real]
     if sum(d * d for d in degrees) != n:
         raise VerificationFailed(f"sum of squared degrees != {n}")
-    out["degree_sum"] = 0.0
+    out["degree_sum"] = float(abs(np.sum(np.abs(degs) ** 2) - n))
 
     sizes = gctx.view.sizes
     gram = (A * sizes) @ A.conj().T / n
@@ -185,23 +193,28 @@ def verify_table(table):
         raise VerificationFailed(f"column orthogonality defect {d2}")
     out["column_orthogonality"] = d2
 
-    counts = {}
-    for r in table.rows:
-        counts[r.family] = counts.get(r.family, 0) + 1
-    if counts != expected_family_counts(table.kind, table.q):
-        raise VerificationFailed(f"family counts {counts}")
-    if sorted(degrees) != expected_degrees(table.kind, table.q):
+    counts = Counter(r.family for r in table.rows)
+    family_bad = _mismatches(
+        counts, Counter(expected_family_counts(table.kind, table.q)))
+    if family_bad:
+        raise VerificationFailed(f"family counts {dict(counts)}")
+    degree_bad = _mismatches(
+        Counter(degrees), Counter(expected_degrees(table.kind, table.q)))
+    if degree_bad:
         raise VerificationFailed(f"degree multiset {sorted(degrees)}")
-    out["families"] = 0.0
+    out["families"] = float(family_bad + degree_bad)
 
     if table.q == 3:
         order = int(np.lcm(gctx.field.p, table.q ** 2 - 1))
+        worst = 0.0
         for r in table.rows:
             for z in r.values:
-                if not _root_of_unity_decomposable(complex(z), r.degree, order):
+                residual = _root_of_unity_residual(complex(z), r.degree, order)
+                if residual is None:
                     raise VerificationFailed(
                         f"{z} is not a sum of {r.degree} roots of unity")
-        out["root_of_unity"] = 0.0
+                worst = max(worst, residual)
+        out["root_of_unity"] = worst
     return out
 
 

@@ -125,8 +125,8 @@ def _suite_fields(rec, q, seed, tol):
 def _suite_classes(rec, q, seed, tol):
     F = _field_for(q)
     rng = np.random.default_rng(seed)
-    GL, S = gl2.make_group("gl2", F), gl2.make_group("sl2", F)
-    for G in (GL, S):
+    S = gl2.make_group("sl2", F)
+    for G in (S.gl2_ctx, S):
         kind = G.kind
         order = (q * q - 1) * (q * q - q) if kind == "gl2" else q ** 3 - q
         rec.check(f"{kind}: group order", G.n == order, datum=str(G.n))
@@ -150,7 +150,7 @@ def _suite_classes(rec, q, seed, tol):
         rec.check(f"{kind}: classification agrees with orbit flooding "
                   "on 200 random elements", ok)
     split = sum(1 for c in S.conj_classes if c.tag == "nonsemisimple"
-                and gl2.sl2_split_test(S, c.rep_id, glctx=GL)[0])
+                and gl2.sl2_split_test(S, c.rep_id)[0])
     rec.check("sl2: every non-semisimple class splits from its gl2 class",
               split == 4, datum=f"{split} of 4")
 
@@ -158,16 +158,19 @@ def _suite_classes(rec, q, seed, tol):
 def _suite_bruhat(rec, q, seed, tol):
     F = _field_for(q)
     kinds = ("gl2", "sl2") if q % 2 else ("gl2",)
+    one, w = (1, 0, 0, 1), (0, 1, int(F.neg(1)), 0)
     for kind in kinds:
         G = gl2.make_group(kind, F)
-        cell_b = 0
-        for g in range(G.n):
-            word = gl2.bruhat(G, g)
-            if word[0] == "B":
-                cell_b += 1
-        nb = len(G.borel_ids())
+        words = [gl2.bruhat(G, g) for g in range(G.n)]
+        # every word as a triple product: b1 w b2, or g 1 1 for the B cell
+        factors = np.array([(word[1], one, one) if word[0] == "B"
+                            else (word[1], w, word[2]) for word in words])
+        back = G.mat_mul(G.mat_mul(factors[:, 0], factors[:, 1]), factors[:, 2])
+        bad = int(np.sum(np.any(back != G.elems, axis=-1)))
         rec.check(f"{kind}: bruhat words re-multiply exactly ({G.n} elements)",
-                  True)
+                  bad == 0, defect=bad, datum=f"{bad} mismatches")
+        cell_b = sum(1 for word in words if word[0] == "B")
+        nb = len(G.borel_ids())
         rec.check(f"{kind}: big cell has size |G| - |B|",
                   cell_b == nb, datum=f"|B-cell| = {cell_b}, |B| = {nb}")
 
@@ -277,7 +280,7 @@ def _suite_cuspidal(rec, q, seed, tol):
                 continue
             a = c.params[0]
             val = f.values[G.view.class_of[c.rep_id]]
-            worst = max(worst, abs(val + omega.values[int(E.embed[a])]))
+            worst = max(worst, abs(val + omega.values[a]))
     rec.check("gl2 trace at (a,1;0,a) equals -omega(a)", worst < tol,
               defect=worst)
     sl = weil.sl2_cuspidal_family(E, S)
@@ -509,9 +512,8 @@ def _cmd_weil(args):
     if args.dump_matrices:
         os.makedirs(args.dump_matrices, exist_ok=True)
         S = gl2.make_group("sl2", F)
-        W = weil.WeilCtx(E, S)
         for g in range(S.n):
-            M = W.image(g)
+            M = weil.weil_matrix(E, S.mat_of(g))
             flat = [[float(z.real), float(z.imag)] for z in M.ravel()]
             with open(os.path.join(args.dump_matrices, f"{g}.json"), "w") as fh:
                 json.dump(flat, fh)

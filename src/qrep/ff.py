@@ -59,12 +59,13 @@ class FieldCtx:
     Attributes: p, k (degree over the prime field), q, base (FieldCtx or
     None), deg (degree over base), modulus (coefficient tuple over the
     base, low degree first, monic; None for a prime field), gen, exp
-    (length q-1), log (length q, log[0] = -1), digits (q x deg),
-    inv_table (length q, junk at 0), trace_to_prime (length q, values
-    < p), eps (computed on first use).  An extension field also holds
-    zech (length q-1, zech[n] = log(1 + g^n), -1 where 1 + g^n = 0) and
-    neg_table (length q), which serve add, neg and sub; a prime field
-    adds, negates and multiplies mod p and holds None for both.
+    (length q-1), log (length q, log[0] = -1), inv_table (length q, junk
+    at 0), trace_to_prime (length q, values < p), eps (computed on first
+    use).  An extension field also holds zech (length q-1, zech[n] =
+    log(1 + g^n), -1 where 1 + g^n = 0) and neg_table (length q), which
+    serve add, neg and sub; a prime field adds, negates and multiplies
+    mod p and holds None for both.  The digit expansion is used only to
+    build the tables: a base-field element is its own index here.
     """
 
     def __init__(self, p=None, base=None, deg=None):
@@ -90,7 +91,6 @@ class FieldCtx:
         self.modulus = None
         self.zech = None
         self.neg_table = None
-        self.digits = np.arange(p, dtype=np.int64).reshape(p, 1)
         gen = 1
         if p > 2:
             facs = [ell for ell, _ in _factorize(p - 1)]
@@ -117,16 +117,18 @@ class FieldCtx:
         self.deg = deg
         self.modulus = poly.smallest_irreducible(base, deg)
         places = base.q ** np.arange(deg, dtype=np.int64)
-        self._places = places
         idx = np.arange(q, dtype=np.int64)
-        self.digits = (idx[:, None] // places[None, :]) % base.q
+        digits = (idx[:, None] // places[None, :]) % base.q
+
+        def tup(i):
+            return poly.trim(int(d) for d in digits[i])
 
         # generator: smallest index of multiplicative order q-1
         facs = [ell for ell, _ in _factorize(q - 1)]
         gen = None
         for cand in range(1, q):
-            tup = self._tup(cand)
-            if all(self._pow_tup(tup, (q - 1) // ell) != (1,) for ell in facs):
+            if all(self._pow_tup(tup(cand), (q - 1) // ell) != (1,)
+                   for ell in facs):
                 gen = cand
                 break
         if gen is None:  # q = 2 has trivial unit group
@@ -134,23 +136,17 @@ class FieldCtx:
         self.gen = gen
         exp = np.empty(q - 1, dtype=np.int64)
         cur = (1,)
-        gt = self._tup(gen)
+        gt = tup(gen)
         for i in range(q - 1):
-            exp[i] = self._idx(cur)
+            exp[i] = sum(int(c) * int(places[j]) for j, c in enumerate(cur))
             cur = poly.mod(base, poly.mul(base, cur, gt), self.modulus)
         self.exp = exp
         self.log = np.full(q, -1, dtype=np.int64)
         self.log[exp] = np.arange(q - 1)
 
         # the addition tables, from digit-wise arithmetic over the base
-        self.zech = self.log[base.add(self.digits[1], self.digits[exp]) @ places]
-        self.neg_table = base.neg(self.digits) @ places
-
-    def _tup(self, i):
-        return poly.trim(int(d) for d in self.digits[i])
-
-    def _idx(self, tup):
-        return int(sum(int(c) * int(self._places[j]) for j, c in enumerate(tup)))
+        self.zech = self.log[base.add(digits[1], digits[exp]) @ places]
+        self.neg_table = base.neg(digits) @ places
 
     def _pow_tup(self, tup, n):
         acc = (1,)
@@ -264,7 +260,6 @@ class ExtCtx:
         ext = FieldCtx(base=base, deg=2)
         self.ext = ext
         Q = ext.q
-        self.embed = np.arange(base.q, dtype=np.int64)
 
         frob = np.zeros(Q, dtype=np.int64)
         frob[ext.exp] = ext.exp[(np.arange(Q - 1) * base.q) % (Q - 1)]

@@ -278,7 +278,7 @@ def bruhat(ctx, g):
     return ("BwB", b1, b2)
 
 
-def sl2_split_test(slctx, g, glctx=None):
+def sl2_split_test(slctx, g):
     """Whether the GL2 class of an SL2 element splits into two SL2
     classes, decided by the index of det(Z_GL2(g)) in F_q^*.
 
@@ -288,16 +288,15 @@ def sl2_split_test(slctx, g, glctx=None):
         raise NotInGroup("split test needs an sl2 context")
     if slctx.q % 2 == 0:
         raise EvenQ("split test needs odd q")
-    if glctx is None:
-        glctx = slctx.gl2_ctx
+    gl = slctx.gl2_ctx
     if isinstance(g, (int, np.integer)):
         g = slctx.mat_of(g)
     m = np.asarray(g, dtype=np.int64)
-    E = glctx.elems
-    left = glctx.mat_mul(E, m)
-    right = glctx.mat_mul(m, E)
+    E = gl.elems
+    left = gl.mat_mul(E, m)
+    right = gl.mat_mul(m, E)
     cent = E[np.all(left == right, axis=-1)]
-    dets = np.unique(np.asarray(glctx.mat_det(cent)))
+    dets = np.unique(np.asarray(gl.mat_det(cent)))
     image_size = len(dets)
     q = slctx.q
     n_classes = (q - 1) // image_size

@@ -31,7 +31,7 @@ import numpy as np
 from .config import get_tol
 from .errors import (EvenExponent, EvenQ, GroupMismatch, NotPrimitive,
                      NotSL2, SizeExceeded, VerificationFailed)
-from .ff import MultChar, NormOneChar, is_primitive
+from .ff import MultChar, NormOneChar, dual_pairing, is_primitive
 from .gl2 import GroupCtx
 from .parabolic import sl2_generators, split_in_two
 from .repcore import (ClassFunction, FiniteGroupView, MatrixRep, MixedRadix,
@@ -39,51 +39,47 @@ from .repcore import (ClassFunction, FiniteGroupView, MatrixRep, MixedRadix,
                       rep_character)
 
 MAX_H = 1 << 18
+# symplectic_defect exhausts H x H up to this many pairs
+MAX_PAIRS = 1 << 22
+# seeded random pairs verify_ordinary adds to its panel in sampled mode
+SAMPLED_PAIRS = 1000
 
 
 class HeisenbergCtx:
-    """Either the abstract H(prod Z/n_i) with the standard pairing, or
-    H(F_{q^2}) with the trace-form pairing.  Elements are encoded as
-    x + nG (c + nG z) with z an exponent mod m."""
+    """H(G) for G = Z/n_1 x ... x Z/n_r, indexed little-endian by
+    MixedRadix, with the pairing chi_c(x) = zeta_m^(c . form . x) on digit
+    vectors, m = lcm(n_i).  Elements are encoded as x + nG (c + nG z)
+    with z an exponent mod m.
 
-    def __init__(self, orders=None, ectx=None):
-        if (orders is None) == (ectx is None):
-            raise GroupMismatch("give exactly one of orders, ectx")
-        self.ectx = ectx
-        if ectx is not None:
-            self.nG = ectx.ext.q
-            self.m = ectx.p
-            self.orders = [ectx.p] * ectx.ext.k
-        else:
-            self.orders = [int(o) for o in orders]
-            self._radix = MixedRadix(self.orders)
-            self.nG = self._radix.n
-            self.m = math.lcm(*self.orders)
-            self._weights = self.m // self._radix.orders
+    The addition (nG x nG), negation (nG) and pairing (nG x nG) tables
+    of G are built once, so g_add, g_neg and pair_exp are one gather
+    each.  heisenberg_group takes the standard form diag(m / n_i);
+    heisenberg_from_ext takes the trace form of F_{q^2}."""
+
+    def __init__(self, orders, form):
+        self.orders = [int(o) for o in orders]
+        radix = MixedRadix(self.orders)
+        self.nG = radix.n
+        self.m = math.lcm(*self.orders)
         self.nH = self.nG * self.nG * self.m
         if self.nH > MAX_H:
             raise SizeExceeded(f"|H| = {self.nH} exceeds {MAX_H}")
+        digits = radix.digits(np.arange(self.nG))
+        self._add = radix.index(digits[:, None] + digits[None, :])
+        self._neg = radix.index(-digits)
+        self._pair = digits @ np.asarray(form, dtype=np.int64) @ digits.T % self.m
 
     # --- the abelian group G and its self-pairing ---
 
     def g_add(self, x, y):
-        if self.ectx is not None:
-            return self.ectx.ext.add(x, y)
-        r = self._radix
-        return r.index(r.digits(x) + r.digits(y))
+        return self._add[x, y]
 
     def g_neg(self, x):
-        if self.ectx is not None:
-            return self.ectx.ext.neg(x)
-        return self._radix.index(-self._radix.digits(x))
+        return self._neg[x]
 
     def pair_exp(self, c, x):
         """Exponent e with chi_c(x) = zeta_m^e."""
-        if self.ectx is not None:
-            ext = self.ectx.ext
-            return ext.trace_to_prime[ext.mul(self.ectx.frob[c], x)]
-        r = self._radix
-        return (r.digits(c) * r.digits(x) * self._weights).sum(axis=-1) % self.m
+        return self._pair[c, x]
 
     # --- H itself ---
 
@@ -96,9 +92,8 @@ class HeisenbergCtx:
         return h % self.nG, (h // self.nG) % self.nG, h // (self.nG * self.nG)
 
     def h_mul(self, h1, h2):
-        x1, c1, z1 = self.decode(np.asarray(h1))
-        x2, c2, z2 = self.decode(np.asarray(h2))
-        x1, c1, z1, x2, c2, z2 = np.broadcast_arrays(x1, c1, z1, x2, c2, z2)
+        x1, c1, z1 = self.decode(h1)
+        x2, c2, z2 = self.decode(h2)
         return self.encode(self.g_add(x1, x2), self.g_add(c1, c2),
                            (z1 + z2 + self.pair_exp(c1, x2)) % self.m)
 
@@ -127,9 +122,8 @@ class HeisenbergCtx:
         """Multiplication with the antisymmetric cocycle
         (1/2)(chi(x') - chi'(x))."""
         i2 = self._inv2()
-        x1, c1, z1 = self.decode(np.asarray(h1))
-        x2, c2, z2 = self.decode(np.asarray(h2))
-        x1, c1, z1, x2, c2, z2 = np.broadcast_arrays(x1, c1, z1, x2, c2, z2)
+        x1, c1, z1 = self.decode(h1)
+        x2, c2, z2 = self.decode(h2)
         zz = (z1 + z2 + i2 * (self.pair_exp(c1, x2)
                               - self.pair_exp(c2, x1))) % self.m
         return self.encode(self.g_add(x1, x2), self.g_add(c1, c2), zz)
@@ -138,26 +132,36 @@ class HeisenbergCtx:
         """The bijection phi(x, c, z) = (x, c, z chi_c(-x/2)) carrying
         standard multiplication to symplectic multiplication."""
         i2 = self._inv2()
-        x, c, z = self.decode(np.asarray(h))
+        x, c, z = self.decode(h)
         return self.encode(x, c, (z - i2 * self.pair_exp(c, x)) % self.m)
 
 
 def heisenberg_group(orders):
-    return HeisenbergCtx(orders=orders)
+    """H(prod Z/n_i) with the standard pairing prod zeta_{n_i}^(c_i x_i)."""
+    m = math.lcm(*(int(o) for o in orders))
+    return HeisenbergCtx(orders, np.diag([m // int(o) for o in orders]))
 
 
 def heisenberg_from_ext(ectx):
-    return HeisenbergCtx(ectx=ectx)
+    """H(F_{q^2}) with the trace-form pairing chi_c(x) = psi(tr(conj(c) x)).
+
+    F_{q^2} indices are nested little-endian digit expansions, so they
+    are the base-p digits of (Z/p)^(2k) and field addition is digit-wise.
+    The pairing is F_p-bilinear, so its form is ff.dual_pairing read on
+    the F_p basis p^i."""
+    basis = ectx.p ** np.arange(ectx.ext.k)
+    form = [dual_pairing(ectx, int(b)).exponents[basis] for b in basis]
+    return HeisenbergCtx([ectx.p] * ectx.ext.k, form)
 
 
-def symplectic_defect(hctx, max_pairs=1 << 22, sample=None, seed=20070714):
+def symplectic_defect(hctx, sample=None, seed=20070714):
     """Exact count of pairs violating phi(h h') = phi(h) *_symp phi(h').
 
-    Pairs are exhausted (chunked) when n^2 <= max_pairs; otherwise
+    Pairs are exhausted (chunked) when n^2 <= MAX_PAIRS; otherwise
     `sample` seeded random pairs are checked, or SizeExceeded is raised
     when no sample size was given."""
     n = hctx.nH
-    if n * n > max_pairs:
+    if n * n > MAX_PAIRS:
         if sample is None:
             raise SizeExceeded("too many pairs for the symplectic check")
         rng = np.random.default_rng(seed)
@@ -189,7 +193,7 @@ def heisenberg_rep(hctx):
     for h in range(hctx.nH):
         x1, c1, z1 = (int(t) for t in hctx.decode(h))
         src = hctx.g_add(xs, hctx.g_neg(x1))       # x - x'
-        e = (z1 + hctx.pair_exp(np.full(nG, c1), src)) % m
+        e = (z1 + hctx.pair_exp(c1, src)) % m
         images[h, xs, src] = np.exp(2j * np.pi * e / m)
     return MatrixRep(hctx.view(), images)
 
@@ -247,22 +251,19 @@ def fourier_intertwines(hctx):
     The center scales both sides by the same literal zeta^z' prefactor,
     so checking every (x', c') at z' = 0 covers all of H."""
     nG, m = hctx.nG, hctx.m
-    cs = np.arange(nG)
     xs = np.arange(nG)
-    pair_all = np.empty((nG, nG), dtype=np.int64)
-    for c in cs:
-        pair_all[c] = hctx.pair_exp(np.full(nG, c), xs)
-    FT = np.exp(-2j * np.pi * pair_all / m)  # FT[c, x] = conj(chi_c(x))
+    chi = np.exp(2j * np.pi * hctx.pair_exp(xs[:, None], xs) / m)
+    FT = chi.conj()  # FT[c, x] = conj(chi_c(x))
 
     worst = 0.0
     for x1 in range(nG):
-        shifted = np.asarray(hctx.g_add(xs, x1))        # x + x'
+        shifted = hctx.g_add(xs, x1)                     # x + x'
         for c1 in range(nG):
             # LHS[c, x] = FT[c, x + x'] * chi_c'(x)
-            lhs = FT[:, shifted] * np.exp(2j * np.pi * pair_all[c1] / m)[None, :]
+            lhs = FT[:, shifted] * chi[c1][None, :]
             # RHS[c, x] = chi_c(x')^{-1} FT[c - c', x]
-            src = np.asarray(hctx.g_add(cs, hctx.g_neg(c1)))
-            rhs = FT[src, :] * np.exp(-2j * np.pi * pair_all[:, x1] / m)[:, None]
+            src = hctx.g_add(xs, hctx.g_neg(c1))
+            rhs = FT[src, :] * FT[:, x1][:, None]
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
@@ -296,31 +297,6 @@ def weil_matrix(ectx, sigma):
     return (-1.0 / q) * psi[arg]
 
 
-class WeilCtx:
-    """rho~ for every element of SL2(F_q) as dense q^2 x q^2 images."""
-
-    def __init__(self, ectx, slctx=None):
-        if ectx.q % 2 == 0:
-            raise EvenQ("odd q required")
-        self.ectx = ectx
-        self.slctx = slctx if slctx is not None else GroupCtx("sl2", ectx.base)
-        if self.slctx.field is not ectx.base:
-            raise GroupMismatch("sl2 context must live over the base field")
-        self.psi = ectx.psi
-
-    def image(self, gid):
-        return weil_matrix(self.ectx, self.slctx.mat_of(int(gid)))
-
-    def all_images(self):
-        """Every image stacked in element order, each built straight into
-        one preallocated stack so that no second copy is ever held."""
-        n = self.slctx.n
-        out = np.empty((n, self.ectx.ext.q, self.ectx.ext.q), dtype=complex)
-        for g in range(n):
-            out[g] = self.image(g)
-        return out
-
-
 def _word_for(ctx, mat):
     """Generator word for an SL2 element: t(a) u(ac) when b = 0, else
     u(d/b) w u(ab) t(1/b), with u lower triangular."""
@@ -332,12 +308,12 @@ def _word_for(ctx, mat):
             ctx.lower_id(int(F.mul(a, b))), ctx.t_id(int(F.inv(b)))]
 
 
-def verify_ordinary(ectx, mode="all", seed=20070714, sample=1000):
+def verify_ordinary(ectx, mode="all", seed=20070714):
     """Multiplicativity and normalization checks for rho~.
 
     mode "all": every pair of group elements (use for q <= 5).
     mode "sampled": all pairs from the generator panel {t(a)} u {w} u
-    {u(c)} plus `sample` seeded random pairs.
+    {u(c)} plus SAMPLED_PAIRS seeded random pairs.
 
     Always also checks, for every single element, that rho~ equals the
     product of rho~ over a generator word, and pins the normalization:
@@ -346,8 +322,7 @@ def verify_ordinary(ectx, mode="all", seed=20070714, sample=1000):
 
     Returns {"mode", "pairs", "max_defect", "word_defect", "norm_defect"}.
     """
-    W = WeilCtx(ectx)
-    ctx = W.slctx
+    ctx = GroupCtx("sl2", ectx.base)
     n = ctx.n
     q = ectx.q
 
@@ -355,7 +330,6 @@ def verify_ordinary(ectx, mode="all", seed=20070714, sample=1000):
         pairs = np.stack(np.meshgrid(np.arange(n), np.arange(n),
                                      indexing="ij"), axis=-1).reshape(-1, 2)
     elif mode == "sampled":
-        F = ctx.field
         panel = [ctx.t_id(a) for a in range(1, q)]
         panel += [ctx.w_id()]
         panel += [ctx.lower_id(cc) for cc in range(q)]
@@ -363,12 +337,15 @@ def verify_ordinary(ectx, mode="all", seed=20070714, sample=1000):
         pgrid = np.stack(np.meshgrid(panel, panel, indexing="ij"),
                          axis=-1).reshape(-1, 2)
         rng = np.random.default_rng(seed)
-        rnd = rng.integers(0, n, size=(sample, 2))
+        rnd = rng.integers(0, n, size=(SAMPLED_PAIRS, 2))
         pairs = np.vstack([pgrid, rnd])
     else:
         raise GroupMismatch(f"unknown mode {mode!r}")
 
-    images = W.all_images()
+    # every image built straight into one preallocated stack
+    images = np.empty((n, ectx.ext.q, ectx.ext.q), dtype=complex)
+    for g in range(n):
+        images[g] = weil_matrix(ectx, ctx.mat_of(g))
     worst = MatrixRep(ctx.view, images).check_homomorphism(pairs)
 
     word_worst = 0.0
@@ -383,7 +360,7 @@ def verify_ordinary(ectx, mode="all", seed=20070714, sample=1000):
     norm_worst = 0.0
     delta0 = np.zeros(ectx.ext.q)
     delta0[0] = 1.0
-    psi = W.psi.values
+    psi = ectx.psi.values
     base = ectx.base
     for g in range(n):
         a, b, c, d = ctx.mat_of(g)

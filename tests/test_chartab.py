@@ -21,6 +21,7 @@ from qrep import (
     get_tol,
     verify_table,
 )
+from qrep import chartab
 from qrep.chartab import expected_degrees, expected_family_counts
 from qrep.errors import IoError
 
@@ -171,6 +172,41 @@ def test_serialized_values_have_no_float_dust():
     jbuf = io.StringIO()
     emit(t, "json", jbuf)
     assert "e-1" not in jbuf.getvalue()
+
+
+def test_verify_table_reports_measured_defects():
+    # nudge one degree by tol/100: every gate still passes, and the
+    # degree-sum and root-of-unity entries measure the nudge
+    t = build_table("gl2", 3)
+    report = verify_table(t)
+    assert set(report) == {"degree_sum", "row_orthogonality",
+                           "column_orthogonality", "families",
+                           "root_of_unity"}
+    assert report["families"] == 0
+    delta = get_tol() / 100
+    last = t.rows[-1]
+    vals = last.values.copy()
+    vals[0] += delta
+    nudged = verify_table(dataclasses.replace(
+        t, rows=t.rows[:-1] + [dataclasses.replace(last, values=vals)]))
+    assert nudged["degree_sum"] == pytest.approx(2 * last.degree * delta,
+                                                 rel=1e-3)
+    assert delta / 2 < nudged["root_of_unity"] < 2 * delta
+    assert report["degree_sum"] < delta and report["root_of_unity"] < delta
+
+
+def test_verify_table_family_and_degree_gates_fire(monkeypatch):
+    t = build_table("gl2", 3)
+    relabelled = [dataclasses.replace(t.rows[-1], family="Linear")]
+    with pytest.raises(VerificationFailed, match="family counts"):
+        verify_table(dataclasses.replace(t, rows=t.rows[:-1] + relabelled))
+    # a census that expects one degree-2 row fewer and one degree-3 more
+    want = expected_degrees("gl2", 3)
+    want.remove(2)
+    monkeypatch.setattr(chartab, "expected_degrees",
+                        lambda kind, q: sorted(want + [3]))
+    with pytest.raises(VerificationFailed, match="degree multiset"):
+        verify_table(t)
 
 
 def test_verify_table_gates_fire_on_broken_tables():

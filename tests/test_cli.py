@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from qrep import cli, simclass
+from qrep import cli, gl2, simclass
 
 
 def _json_out(capsys):
@@ -207,6 +207,29 @@ def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
                     "--json"]) == 1
     obj = _json_out(capsys)
     assert len(obj["failures"]) == 1
+    assert obj["max_defect"] == 1.0
+
+
+def test_verify_bruhat_counts_words_that_do_not_re_multiply(capsys,
+                                                           monkeypatch):
+    # the first big-cell word of each group loses its b1: the suite must
+    # re-multiply the words itself and report one mismatch per group
+    real = gl2.bruhat
+    seen = set()
+
+    def corrupted(ctx, g):
+        word = real(ctx, g)
+        if word[0] == "BwB" and word[1] != (1, 0, 0, 1) and \
+                ctx.kind not in seen:
+            seen.add(ctx.kind)
+            return ("BwB", (1, 0, 0, 1), word[2])
+        return word
+
+    monkeypatch.setattr(gl2, "bruhat", corrupted)
+    assert cli.run(["verify", "--suite", "bruhat", "--q", "3", "--json"]) == 1
+    obj = _json_out(capsys)
+    assert len(obj["failures"]) == 2
+    assert all("re-multiply" in f for f in obj["failures"])
     assert obj["max_defect"] == 1.0
 
 

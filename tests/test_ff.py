@@ -134,7 +134,8 @@ def test_extension_add_neg_sub_match_digitwise_arithmetic(p, k):
 
 def test_extension_arithmetic_reads_only_its_own_tables(monkeypatch):
     # after construction, add/neg/sub are lookups in zech, exp, log and
-    # neg_table: no base-field arithmetic and no digit expansion
+    # neg_table: no base-field arithmetic, and the digit expansion that
+    # built them is not kept
     def refuse(*args):
         raise AssertionError("base-field arithmetic called")
 
@@ -142,7 +143,7 @@ def test_extension_arithmetic_reads_only_its_own_tables(monkeypatch):
         F = make_field(p, k)
         monkeypatch.setattr(F.base, "add", refuse)
         monkeypatch.setattr(F.base, "neg", refuse)
-        monkeypatch.setattr(F, "digits", None)
+        assert not hasattr(F, "digits")
         x, y = np.divmod(np.arange(F.q * F.q), F.q)
         assert np.array_equal(F.add(x, y), _digitwise(p, k, x, y, 1))
         assert np.array_equal(F.sub(x, y), _digitwise(p, k, x, y, -1))
@@ -166,7 +167,7 @@ def test_frobenius_fixes_exactly_the_base_field():
     E5 = make_ext(make_field(5))
     fixed5 = np.flatnonzero(np.asarray(E5.frob) == np.arange(25))
     assert len(fixed5) == 5
-    assert np.array_equal(np.asarray(E5.embed), fixed5)
+    assert list(fixed5) == list(range(5))
 
 
 def test_frobenius_is_an_involution_and_field_automorphism():

@@ -177,10 +177,10 @@ def test_bruhat_accepts_ids_and_matrices():
 def test_nonsemisimple_classes_split_in_sl2():
     F = make_field(5)
     sl = make_group("sl2", F)
-    gl = make_group("gl2", F)
+    gl = sl.gl2_ctx
     # each unipotent GL2 class with det 1 meets SL2 in two classes
     u = sl.id_of((1, 1, 0, 1))
-    splits, partner = sl2_split_test(sl, u, gl)
+    splits, partner = sl2_split_test(sl, u)
     assert splits
     # the partner is the same GL2 class but a different SL2 class
     pm = sl.mat_of(partner)

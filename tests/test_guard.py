@@ -10,10 +10,12 @@ Every imported name is used.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SOURCES = sorted((TESTS.parent / "src" / "qrep").glob("*.py"))
+TRACING = TESTS.parent / "perfbench" / "tracing.py"
 
 _MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set,
                      ast.DictComp, ast.ListComp, ast.SetComp)
@@ -98,3 +100,21 @@ def test_every_import_is_used():
              for path in paths
              for line, name in _unused_imports(ast.parse(path.read_text()))]
     assert found == []
+
+
+def test_every_traced_target_resolves():
+    # perfbench's traced mode rebinds every TARGETS name, and looks a
+    # method up in its class's own __dict__: a target that is deleted, or
+    # only inherited, breaks the traced benchmark
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing",
+                                                  TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for modname, attr, _, _ in tracing.TARGETS:
+        module = importlib.import_module(modname)
+        cls_name, _, name = attr.rpartition(".")
+        owner = vars(getattr(module, cls_name)) if cls_name else vars(module)
+        if not callable(owner.get(name)):
+            missing.append(f"{modname}.{attr}")
+    assert missing == []

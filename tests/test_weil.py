@@ -16,6 +16,7 @@ from qrep import (
     averaging_check,
     cuspidal_module,
     fourier_intertwines,
+    get_tol,
     gl2_cuspidal_family,
     heisenberg_from_ext,
     heisenberg_group,
@@ -32,7 +33,7 @@ from qrep import (
     verify_ordinary,
     weil_matrix,
 )
-from qrep import weil
+from qrep import cli, weil
 from qrep.parabolic import sl2_generators
 
 RNG = np.random.default_rng(20070714)
@@ -90,11 +91,45 @@ def test_symplectic_needs_odd_exponent():
 
 
 def test_symplectic_defect_sampled_path():
-    h = heisenberg_from_ext(make_ext(make_field(3, 2)))  # |H| = 81^2 * 3
-    d = symplectic_defect(h, max_pairs=1000, sample=500, seed=1)
+    h = heisenberg_from_ext(make_ext(make_field(7)))  # |H|^2 = 16807^2 > 2^22
+    d = symplectic_defect(h, sample=500, seed=1)
     assert d == 0
     with pytest.raises(SizeExceeded):
-        symplectic_defect(h, max_pairs=1000)
+        symplectic_defect(h)
+
+
+def _field_product(E, h, h1, h2):
+    """h1 h2 in H(F_{q^2}) by the field formula
+    (x1 + x2, c1 + c2, z1 + z2 + tr(conj(c1) x2))."""
+    ext = E.ext
+    x1, c1, z1 = h.decode(h1)
+    x2, c2, z2 = h.decode(h2)
+    z = z1 + z2 + ext.trace_to_prime[ext.mul(E.frob[c1], x2)]
+    return h.encode(ext.add(x1, x2), ext.add(c1, c2), z)
+
+
+@pytest.mark.parametrize("p,k,sample", [(3, 1, None), (5, 1, None),
+                                        (3, 2, 20000)])
+def test_ext_heisenberg_tables_equal_the_field_formula(p, k, sample):
+    # the digit tables of H(F_{q^2}) against Zech-table field arithmetic:
+    # every pair of G, and every pair of H at q = 3, 5 (a seeded sample
+    # of H x H for F_81/F_9)
+    E = make_ext(make_field(p, k))
+    ext = E.ext
+    h = heisenberg_from_ext(E)
+    c, x = np.divmod(np.arange(ext.q * ext.q), ext.q)
+    assert np.array_equal(h.g_add(c, x), ext.add(c, x))
+    assert np.array_equal(h.g_neg(x), ext.neg(x))
+    assert np.array_equal(h.pair_exp(c, x),
+                          ext.trace_to_prime[ext.mul(E.frob[c], x)])
+    hs = np.arange(h.nH)
+    if sample is None:  # H x H, a block of left factors at a time
+        pairs = [(block[:, None], hs)
+                 for block in np.array_split(hs, max(1, h.nH // 128))]
+    else:
+        pairs = [RNG.integers(0, h.nH, size=(2, sample))]
+    for h1, h2 in pairs:
+        assert np.array_equal(h.h_mul(h1, h2), _field_product(E, h, h1, h2))
 
 
 def test_stone_von_neumann_small_panel():
@@ -172,9 +207,27 @@ def test_ordinary_relations_all_pairs_q3():
 
 def test_ordinary_relations_sampled_q7():
     E = make_ext(make_field(7))
-    out = verify_ordinary(E, mode="sampled", sample=300)
+    out = verify_ordinary(E, mode="sampled")
     assert out["pairs"] >= 300
     assert out["max_defect"] < 1e-10
+
+
+def test_a_perturbed_weil_image_fails_verification(monkeypatch, capsys):
+    # one element's image off in one entry: the product check must see
+    # it, and the weil verify suite must exit 1
+    real = weil.weil_matrix
+
+    def perturbed(ectx, sigma):
+        M = real(ectx, sigma)
+        if tuple(int(t) for t in sigma) == (1, 1, 0, 1):
+            M[0, 0] += 100 * get_tol()
+        return M
+
+    monkeypatch.setattr(weil, "weil_matrix", perturbed)
+    out = verify_ordinary(make_ext(make_field(3)), mode="all")
+    assert out["max_defect"] > get_tol()
+    assert cli.run(["verify", "--suite", "weil", "--q", "3"]) == 1
+    assert "FAIL weil: multiplicativity" in capsys.readouterr().out
 
 
 def test_averaging_recovers_the_special_apportionment():
@@ -219,11 +272,11 @@ def test_gl2_cuspidal_value_at_nonsemisimple_class():
     for c_i, c in enumerate(gl.conj_classes):
         if c.tag == "nonsemisimple":
             a = c.params[0]
-            want = -om.values[int(E.embed[a])]
+            want = -om.values[a]
             assert abs(f.values[c_i] - want) < 1e-9
         elif c.tag == "central":
             a = c.params[0]
-            want = (E.q - 1) * om.values[int(E.embed[a])]
+            want = (E.q - 1) * om.values[a]
             assert abs(f.values[c_i] - want) < 1e-9
         elif c.tag == "split_regular":
             assert abs(f.values[c_i]) < 1e-9
