@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EvenQ, NotInGroup, Singular, VerificationFailed
-from .repcore import FiniteGroupView, flood_classes, subgroup_view
+from .repcore import FiniteGroupView, flood_classes, orbits, subgroup_view
 
 TAG_RANK = {"central": 0, "nonsemisimple": 1, "split_regular": 2, "anisotropic": 3}
 
@@ -68,10 +68,15 @@ class GroupCtx:
         self.identity = self.id_of((1, 0, 0, 1))
         inv = self.lookup[_pack(q, self.mat_inv(self.elems))]
         self._mul = self._make_mul()
-        self.view = FiniteGroupView(self.n, self._mul, inv=inv,
-                                    identity=self.identity,
-                                    classes=self._canonical_classes(inv))
-        self.conj_classes = self._attach_class_data()
+        labels = self._canonical_classes(inv)
+        self.view = FiniteGroupView(
+            self.n, self._mul, inv=inv, identity=self.identity,
+            classes=[(rep_id, orbit) for _, _, rep_id, orbit in labels])
+        self.conj_classes = [
+            ConjClass(tag=tag, params=params, rep=self.mat_of(rep_id),
+                      rep_id=rep_id, size=len(orbit),
+                      centralizer_order=self.n // len(orbit))
+            for tag, params, rep_id, orbit in labels]
 
     # --- matrix arithmetic on (..., 4) index arrays ---
 
@@ -162,14 +167,11 @@ class GroupCtx:
         """Right cosets B\\G: canonical (minimal id) representatives and
         the coset index of every element."""
         bids = self.borel_ids()
-        coset_of = np.full(self.n, -1, dtype=np.int64)
-        reps = []
-        for g in range(self.n):
-            if coset_of[g] >= 0:
-                continue
-            coset_of[self.view.mul(bids, g)] = len(reps)
-            reps.append(g)
-        return np.array(reps, dtype=np.int64), coset_of
+        cosets = orbits(self.n, lambda g: self.view.mul(bids, g))
+        coset_of = np.empty(self.n, dtype=np.int64)
+        for i, (_, members) in enumerate(cosets):
+            coset_of[members] = i
+        return np.array([g for g, _ in cosets], dtype=np.int64), coset_of
 
     @cached_property
     def gl2_ctx(self):
@@ -223,6 +225,8 @@ class GroupCtx:
         return self.eps
 
     def _canonical_classes(self, inv):
+        """(tag, params, rep_id, members) of every class, in TAG_RANK then
+        params order."""
         labeled = []
         for _, orbit in flood_classes(self.n, self._mul, inv):
             tag, params, rep = self.classify(self.elems[orbit[0]])
@@ -232,18 +236,8 @@ class GroupCtx:
                     f"canonical representative {rep} escaped its class")
             labeled.append((TAG_RANK[tag], params, tag, rep_id, orbit))
         labeled.sort(key=lambda t: (t[0], t[1]))
-        self._class_labels = [(tag, params) for _, params, tag, _, _ in labeled]
-        return [(rep_id, orbit) for _, _, _, rep_id, orbit in labeled]
-
-    def _attach_class_data(self):
-        out = []
-        for (tag, params), (rep_id, members) in zip(self._class_labels,
-                                                    self.view.classes):
-            out.append(ConjClass(tag=tag, params=params,
-                                 rep=self.mat_of(rep_id), rep_id=rep_id,
-                                 size=len(members),
-                                 centralizer_order=self.n // len(members)))
-        return out
+        return [(tag, params, rep_id, orbit)
+                for _, params, tag, rep_id, orbit in labeled]
 
     def class_index_of(self, m):
         return int(self.view.class_of[self.id_of(m)])
@@ -253,29 +247,31 @@ def make_group(kind, field):
     return GroupCtx(kind, field)
 
 
-def bruhat(ctx, g):
-    """Bruhat decomposition of one element.
+def bruhat(ctx, mats):
+    """Bruhat decomposition of (..., 4) matrices.
 
-    Returns ("B", g) when the lower-left entry vanishes, otherwise
-    ("BwB", b1, b2) with g = b1 w b2, w = (0 1; -1 0),
-    b1 = (1 a/c; 0 1) and b2 = (-c -d; 0 b - ad/c); the product is
-    re-multiplied and compared exactly.  g may be an element id or a
-    length-4 matrix."""
+    Returns (big, b1, b2).  big marks the cell BwB, where the lower-left
+    entry c is nonzero: there g = b1 w b2 with w = (0 1; -1 0),
+    b1 = (1 a/c; 0 1) and b2 = (-c -d; 0 b - ad/c).  On the cell B,
+    b1 = g and b2 = 1.  Every word is re-multiplied in one batched triple
+    product and compared exactly."""
     F = ctx.field
-    if isinstance(g, (int, np.integer)):
-        g = ctx.mat_of(g)
-    a, b, c, d = (int(x) for x in g)
-    if c == 0:
-        return ("B", (a, b, c, d))
-    ci = int(F.inv(c))
-    b1 = (1, int(F.mul(a, ci)), 0, 1)
-    b2 = (int(F.neg(c)), int(F.neg(d)), 0,
-          int(F.sub(b, F.mul(F.mul(a, ci), d))))
-    w = (0, 1, int(F.neg(1)), 0)
-    back = ctx.mat_mul(ctx.mat_mul(np.array(b1), np.array(w)), np.array(b2))
-    if tuple(int(x) for x in back) != (a, b, c, d):
-        raise VerificationFailed(f"bruhat product mismatch at {g}")
-    return ("BwB", b1, b2)
+    g = np.asarray(mats, dtype=np.int64)
+    a, b, c, d = (g[..., i] for i in range(4))
+    big = c != 0
+    x = F.mul(a, F.inv(np.where(big, c, 1)))
+    zero, one = np.zeros_like(a), np.ones_like(a)
+    cell = big[..., None]
+    b1 = np.where(cell, np.stack([one, x, zero, one], axis=-1), g)
+    b2 = np.where(cell, np.stack([F.neg(c), F.neg(d), zero,
+                                  F.sub(b, F.mul(x, d))], axis=-1),
+                  (1, 0, 0, 1))
+    w = np.where(cell, (0, 1, int(F.neg(1)), 0), (1, 0, 0, 1))
+    back = ctx.mat_mul(ctx.mat_mul(b1, w), b2)
+    bad = int(np.count_nonzero(np.any(back != g, axis=-1)))
+    if bad:
+        raise VerificationFailed(f"{bad} bruhat words do not re-multiply")
+    return big, b1, b2
 
 
 def sl2_split_test(slctx, g):

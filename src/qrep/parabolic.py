@@ -287,17 +287,10 @@ def delta_kernels(ctx, bchar):
     else:
         if bchar.chars[0] != bchar.chars[1]:
             raise CharMismatch("inducing pair must be Weyl symmetric")
-    d1 = np.zeros(ctx.n, dtype=complex)
-    dw = np.zeros(ctx.n, dtype=complex)
-    for g in range(ctx.n):
-        m = ctx.mat_of(g)
-        parts = bruhat(ctx, m)
-        if parts[0] == "B":
-            d1[g] = complex(bchar.value_on_mats(np.array(m)))
-        else:
-            _, b1, b2 = parts
-            dw[g] = complex(bchar.value_on_mats(np.array(b1))) * \
-                complex(bchar.value_on_mats(np.array(b2)))
+    big, b1, b2 = bruhat(ctx, ctx.elems)
+    v1 = bchar.value_on_mats(b1)
+    d1 = np.where(big, 0, v1)
+    dw = np.where(big, v1 * bchar.value_on_mats(b2), 0)
     return d1, dw
 
 

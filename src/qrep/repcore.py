@@ -3,10 +3,12 @@
 A FiniteGroupView addresses group elements by integer indices 0..n-1
 and exposes a vectorized multiplication callback; no n x n table is
 ever materialized, so the same machinery serves cyclic toy groups and
-GL2 over F_11 alike.  Conjugacy classes are computed by conjugating a
-representative by every group element in one vectorized sweep, which is
-exact and cheap (order n work per class).  Induction and restriction
-read only an embedding's class fusion map, never group elements.
+GL2 over F_11 alike.  Every orbit enumeration (conjugacy classes, cosets,
+double cosets, matrix similarity orbits, Frobenius orbits of characters)
+goes through orbits, which checks that its blocks partition the set; a
+conjugacy class costs one vectorized conjugation by every group element.
+Induction and restriction read only an embedding's class fusion map,
+never group elements.
 """
 
 import numpy as np
@@ -48,20 +50,33 @@ class FiniteGroupView:
         self.reps = np.array([r for r, _ in self.classes], dtype=np.int64)
 
 
-def flood_classes(n, mul, inv):
-    """Conjugacy classes of a group given by its vectorized mul and its
-    inverse array, as (smallest member, members) pairs in increasing
-    order of the smallest member."""
-    allg = np.arange(n)
+def orbits(n, orbit):
+    """Partition 0..n-1 into the blocks orbit(x), as (smallest member,
+    sorted members) pairs in increasing order of the smallest member.
+
+    x runs upwards over the members not yet seen.  VerificationFailed
+    unless x is the smallest member of its block and the block meets no
+    earlier one, so the blocks returned partition the set."""
     seen = np.zeros(n, dtype=bool)
     out = []
     for x in range(n):
         if seen[x]:
             continue
-        orbit = np.unique(mul(mul(allg, x), inv[allg]))
-        seen[orbit] = True
-        out.append((x, orbit))
+        block = np.unique(orbit(x))
+        if not len(block) or block[0] != x or seen[block].any():
+            raise VerificationFailed(f"the orbit of {x} is not a block of "
+                                     "a partition")
+        seen[block] = True
+        out.append((x, block))
     return out
+
+
+def flood_classes(n, mul, inv):
+    """Conjugacy classes of a group given by its vectorized mul and its
+    inverse array, as (smallest member, members) pairs in increasing
+    order of the smallest member."""
+    allg = np.arange(n)
+    return orbits(n, lambda x: mul(mul(allg, x), inv[allg]))
 
 
 class MixedRadix:
@@ -213,16 +228,8 @@ def double_cosets(emb):
     """Representatives of H\\G/H, each the smallest index in its coset."""
     G = emb.big
     hin = emb.injection
-    seen = np.zeros(G.n, dtype=bool)
-    reps = []
-    for x in range(G.n):
-        if seen[x]:
-            continue
-        hx = G.mul(hin[:, None], x)
-        members = np.unique(G.mul(hx.ravel()[:, None], hin[None, :]))
-        seen[members] = True
-        reps.append(x)
-    return reps
+    return [x for x, _ in orbits(G.n, lambda x: G.mul(
+        G.mul(hin[:, None], x).ravel()[:, None], hin[None, :]))]
 
 
 def mackey_check(f, emb):

@@ -35,7 +35,7 @@ from .ff import MultChar, NormOneChar, dual_pairing, is_primitive
 from .gl2 import GroupCtx
 from .parabolic import sl2_generators, split_in_two
 from .repcore import (ClassFunction, FiniteGroupView, MatrixRep, MixedRadix,
-                      character_table_bruteforce, inner_product,
+                      character_table_bruteforce, inner_product, orbits,
                       rep_character)
 
 MAX_H = 1 << 18
@@ -327,8 +327,7 @@ def verify_ordinary(ectx, mode="all", seed=20070714):
     q = ectx.q
 
     if mode == "all":
-        pairs = np.stack(np.meshgrid(np.arange(n), np.arange(n),
-                                     indexing="ij"), axis=-1).reshape(-1, 2)
+        pairs = None
     elif mode == "sampled":
         panel = [ctx.t_id(a) for a in range(1, q)]
         panel += [ctx.w_id()]
@@ -371,7 +370,7 @@ def verify_ordinary(ectx, mode="all", seed=20070714):
         pred = (-1.0 / q) * psi[base.mul(base.mul(d, base.inv(b)), ectx.norm)]
         norm_worst = max(norm_worst, float(np.max(np.abs(out - pred))))
 
-    return {"mode": mode, "pairs": int(len(pairs)),
+    return {"mode": mode, "pairs": n * n if pairs is None else len(pairs),
             "max_defect": float(worst), "word_defect": float(word_worst),
             "norm_defect": float(norm_worst)}
 
@@ -647,17 +646,14 @@ def gl2_cuspidal_family(ectx, glctx):
     q = ectx.q
     Q1 = ext.q - 1
     tol = get_tol()
-    orbits = []
-    seen = set()
-    for j in range(1, Q1):
-        if j % (q + 1) == 0 or j in seen:
-            continue
-        partner = (j * q) % Q1
-        seen.update({j, partner})
-        orbits.append((j, partner))
+    # omega_j is primitive iff j -> jq mod q^2 - 1 moves j, so iff its
+    # Frobenius orbit {j, jq} has two members
+    frob_orbits = [tuple(int(i) for i in block)
+                   for _, block in orbits(Q1, lambda j: [j, j * q % Q1])
+                   if len(block) == 2]
     chars = pi_omega_characters(
         [cuspidal_module(ectx, MultChar(ext, i))
-         for orbit in orbits for i in orbit], glctx)
+         for orbit in frob_orbits for i in orbit], glctx)
     # one root z of each anisotropic class's characteristic polynomial
     lam = np.arange(ext.q)
     aniso = {}
@@ -671,7 +667,7 @@ def gl2_cuspidal_family(ectx, glctx):
             raise VerificationFailed("anisotropic class has no ext roots")
         aniso[ci] = int(roots[0])
     out = []
-    for (j, partner), f, f2 in zip(orbits, chars[::2], chars[1::2]):
+    for (j, partner), f, f2 in zip(frob_orbits, chars[::2], chars[1::2]):
         om = MultChar(ext, j)
         if float(np.max(np.abs(f.values - f2.values))) > tol:
             raise VerificationFailed("omega and omega^q give different characters")

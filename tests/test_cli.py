@@ -6,6 +6,7 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
 from qrep import cli, gl2, simclass
@@ -215,15 +216,12 @@ def test_verify_bruhat_counts_words_that_do_not_re_multiply(capsys,
     # the first big-cell word of each group loses its b1: the suite must
     # re-multiply the words itself and report one mismatch per group
     real = gl2.bruhat
-    seen = set()
 
-    def corrupted(ctx, g):
-        word = real(ctx, g)
-        if word[0] == "BwB" and word[1] != (1, 0, 0, 1) and \
-                ctx.kind not in seen:
-            seen.add(ctx.kind)
-            return ("BwB", (1, 0, 0, 1), word[2])
-        return word
+    def corrupted(ctx, mats):
+        big, b1, b2 = real(ctx, mats)
+        first = np.flatnonzero(big & np.any(b1 != (1, 0, 0, 1), axis=-1))[0]
+        b1[first] = (1, 0, 0, 1)
+        return big, b1, b2
 
     monkeypatch.setattr(gl2, "bruhat", corrupted)
     assert cli.run(["verify", "--suite", "bruhat", "--q", "3", "--json"]) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qrep import NotInGroup, bruhat, make_field, make_group, sl2_split_test
-from qrep.errors import Singular
+from qrep.errors import Singular, VerificationFailed
 
 RNG = np.random.default_rng(20070714)
 
@@ -126,6 +126,22 @@ def test_class_sizes_match_orbit_flood():
         assert ctx.view.class_of[c.rep_id] == ctx.view.class_of[orbit].min()
 
 
+def test_borel_cosets_match_the_seen_loop():
+    for kind, q in (("gl2", 3), ("sl2", 5)):
+        ctx = make_group(kind, make_field(q))
+        bids = ctx.borel_ids()
+        coset_of = np.full(ctx.n, -1, dtype=np.int64)
+        reps = []
+        for g in range(ctx.n):
+            if coset_of[g] >= 0:
+                continue
+            coset_of[ctx.view.mul(bids, g)] = len(reps)
+            reps.append(g)
+        got_reps, got_coset_of = ctx.borel_cosets
+        assert got_reps.tolist() == reps
+        assert np.array_equal(got_coset_of, coset_of)
+
+
 def test_membership_errors():
     ctx = make_group("sl2", make_field(3))
     with pytest.raises(NotInGroup):
@@ -144,10 +160,8 @@ def test_membership_errors():
 def test_bruhat_cells_partition_the_group():
     for kind, q in (("gl2", 3), ("sl2", 5)):
         ctx = make_group(kind, make_field(q))
-        in_b = 0
-        for g in range(ctx.view.n):
-            cell = bruhat(ctx, g)  # internally re-multiplies and compares
-            in_b += cell[0] == "B"
+        big, _, _ = bruhat(ctx, ctx.elems)  # re-multiplies and compares
+        in_b = int(np.count_nonzero(~big))
         b_order = (q * (q - 1) ** 2) if kind == "gl2" else q * (q - 1)
         assert in_b == b_order
 
@@ -155,19 +169,38 @@ def test_bruhat_cells_partition_the_group():
 def test_bruhat_of_weyl_element_and_factor_membership():
     ctx = make_group("sl2", make_field(7))
     w = ctx.mat_of(ctx.w_id())
-    cell = bruhat(ctx, np.array(w))
-    assert cell[0] == "BwB"
+    big, b1, b2 = bruhat(ctx, np.array(w))
+    assert big
     borel = set(ctx.borel_ids())
-    for part in cell[1:]:
+    for part in (b1, b2):
         assert ctx.id_of(part) in borel
 
 
-def test_bruhat_accepts_ids_and_matrices():
+def test_bruhat_of_one_matrix_matches_the_batch():
     ctx = make_group("gl2", make_field(3))
     g = 17
-    c1 = bruhat(ctx, g)
+    c1 = bruhat(ctx, ctx.elems)
     c2 = bruhat(ctx, np.asarray(ctx.mat_of(g)))
-    assert c1 == c2
+    assert all(np.array_equal(x[g], y) for x, y in zip(c1, c2))
+
+
+def test_bruhat_counts_words_that_do_not_re_multiply(monkeypatch):
+    # the outer product of the re-multiplication is skewed on its first
+    # three rows: bruhat must count exactly those three words
+    ctx = make_group("sl2", make_field(5))
+    real = ctx.mat_mul
+    calls = []
+
+    def skewed(m1, m2):
+        out = real(m1, m2)
+        calls.append(1)
+        if len(calls) == 2:
+            out[:3, 0] = (out[:3, 0] + 1) % ctx.q
+        return out
+
+    monkeypatch.setattr(ctx, "mat_mul", skewed)
+    with pytest.raises(VerificationFailed, match="^3 bruhat words"):
+        bruhat(ctx, ctx.elems)
 
 
 # ---------------------------------------------------------------------------

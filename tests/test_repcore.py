@@ -25,6 +25,8 @@ from qrep import (
     restrict,
     subgroup_view,
 )
+from qrep.errors import VerificationFailed
+from qrep.repcore import orbits
 
 RNG = np.random.default_rng(20070714)
 
@@ -174,6 +176,40 @@ def test_double_cosets_of_borel_realize_bruhat_partition():
     b = ctx.q * (ctx.q - 1)
     assert sorted(sizes) == [b, b * ctx.q]  # B and BwB
     assert sum(sizes) == ctx.view.n
+
+
+def test_double_cosets_match_the_seen_loop():
+    ctx = make_group("sl2", make_field(5))
+    emb = _borel_embedding(ctx)
+    G, hin = emb.big, emb.injection
+    seen = np.zeros(G.n, dtype=bool)
+    reference = []
+    for x in range(G.n):
+        if seen[x]:
+            continue
+        hx = G.mul(hin[:, None], x)
+        seen[np.unique(G.mul(hx.ravel()[:, None], hin[None, :]))] = True
+        reference.append(x)
+    assert double_cosets(emb) == reference
+
+
+def test_orbits_partition_in_order_of_smallest_member():
+    blocks = orbits(6, lambda x: [x, (x + 3) % 6])
+    assert [(x, b.tolist()) for x, b in blocks] == \
+        [(0, [0, 3]), (1, [1, 4]), (2, [2, 5])]
+
+
+def test_orbits_refuses_a_block_without_its_generator():
+    # 0 -> {1} leaves 0 uncovered, and without the check 2 -> {0} would
+    # then pass as a fresh block
+    with pytest.raises(VerificationFailed):
+        orbits(3, lambda x: [(x + 1) % 3])
+
+
+def test_orbits_refuses_overlapping_blocks():
+    # {0, 2} and {1, 2} each contain and start at their generator
+    with pytest.raises(VerificationFailed):
+        orbits(3, lambda x: [x, 2])
 
 
 def test_mackey_decomposition_defect_vanishes():

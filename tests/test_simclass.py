@@ -24,9 +24,10 @@ from qrep import (
     similar,
     similarity_type,
 )
-from qrep import poly
-from qrep.simclass import (fq_nullspace, mat_det, mat_eye, mat_inv, mat_mul,
-                           random_matrix)
+from qrep import poly, simclass
+from qrep.errors import VerificationFailed
+from qrep.simclass import (conjugation_orbits, fq_nullspace, mat_det, mat_eye,
+                           mat_inv, mat_mul, random_matrix)
 
 RNG = np.random.default_rng(20070714)
 
@@ -164,6 +165,32 @@ def _brute_orbit_partition(ctx, n):
             seen[k] = len(orbits)
         orbits.append(orbit)
     return orbits
+
+
+def test_conjugation_orbits_match_the_seen_loop():
+    for ctx, n in ((F2, 3), (F3, 2)):
+        mats = [np.array(flat, dtype=np.int64).reshape(n, n)
+                for flat in itertools.product(range(ctx.q), repeat=n * n)]
+        units = [(X, mat_inv(ctx, X)) for X in mats if mat_det(ctx, X) != 0]
+        reference = {}
+        count = 0
+        for A in mats:
+            if tuple(int(t) for t in A.ravel()) in reference:
+                continue
+            for X, Xinv in units:
+                B = mat_mul(ctx, mat_mul(ctx, X, A), Xinv)
+                reference[tuple(int(t) for t in B.ravel())] = count
+            count += 1
+        assert conjugation_orbits(ctx, n) == reference
+
+
+def test_similar_refuses_a_wrong_invariant_factor_verdict(monkeypatch):
+    A = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    B = np.array([[1, 0], [0, 1]], dtype=np.int64)
+    assert not similar(F3, A, B)
+    monkeypatch.setattr(simclass, "similarity_type", lambda ctx, M: 0)
+    with pytest.raises(VerificationFailed):
+        similar(F3, A, B)
 
 
 def test_types_agree_with_brute_conjugation_orbits_f2():

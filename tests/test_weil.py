@@ -293,6 +293,22 @@ def test_gl2_cuspidal_family_census():
         assert abs(f.values[0] - 2) < 1e-9
 
 
+def test_gl2_cuspidal_orbits_match_the_seen_loop():
+    for q in (3, 5, 7):
+        E = make_ext(make_field(q))
+        Q1 = q * q - 1
+        reference = []
+        seen = set()
+        for j in range(1, Q1):
+            if j % (q + 1) == 0 or j in seen:
+                continue
+            partner = (j * q) % Q1
+            seen.update({j, partner})
+            reference.append((j, partner))
+        fam = gl2_cuspidal_family(E, make_group("gl2", E.base))
+        assert [orbit for orbit, _ in fam] == reference
+
+
 def test_gl2_cuspidal_operator_independent_of_fiber_choice():
     # E_a f(x) = omega(a~) f(a~ x) for any preimage a~ of a under the
     # norm: on the full space the choices differ, but they agree on
