@@ -137,17 +137,20 @@ def expected_degrees(kind, q):
     return sorted(out)
 
 
-def _root_of_unity_residual(z, d, order):
-    """|sum - z| for the first multiset of exactly d roots of unity of
-    the given order whose sum is within tolerance of z, or None when
-    the exhaustive search finds none."""
-    tol = get_tol()
+def _multiset_sums(d, order):
+    """The sum of every multiset of exactly d roots of unity of the given
+    order, in itertools.combinations_with_replacement order."""
     roots = np.exp(2j * np.pi * np.arange(order) / order)
-    for combo in itertools.combinations_with_replacement(range(order), d):
-        residual = abs(roots[list(combo)].sum() - z)
-        if residual < tol:
-            return float(residual)
-    return None
+    combos = np.array(list(
+        itertools.combinations_with_replacement(range(order), d)))
+    return roots[combos].sum(axis=1)
+
+
+def _first_multiset(z, sums):
+    """Index of the first of the _multiset_sums within tolerance of z,
+    or None when none is."""
+    hit = np.flatnonzero(np.abs(sums - z) < get_tol())
+    return int(hit[0]) if len(hit) else None
 
 
 def _mismatches(got, want):
@@ -206,14 +209,15 @@ def verify_table(table):
 
     if table.q == 3:
         order = int(np.lcm(gctx.field.p, table.q ** 2 - 1))
+        sums = {d: _multiset_sums(d, order) for d in set(degrees)}
         worst = 0.0
         for r in table.rows:
             for z in r.values:
-                residual = _root_of_unity_residual(complex(z), r.degree, order)
-                if residual is None:
+                i = _first_multiset(complex(z), sums[r.degree])
+                if i is None:
                     raise VerificationFailed(
                         f"{z} is not a sum of {r.degree} roots of unity")
-                worst = max(worst, residual)
+                worst = max(worst, float(abs(sums[r.degree][i] - z)))
         out["root_of_unity"] = worst
     return out
 

@@ -252,7 +252,8 @@ def mackey_check(f, emb):
     return float(np.max(np.abs(lhs.values - total)))
 
 
-# bytes of one stacked operand in check_homomorphism, whatever d is
+# bytes of one stacked operand in check_homomorphism and in the weil
+# averaging and Fourier checks, whatever the operator size is
 _CHUNK_BYTES = 1 << 20
 
 

@@ -34,9 +34,9 @@ from .errors import (EvenExponent, EvenQ, GroupMismatch, NotPrimitive,
 from .ff import MultChar, NormOneChar, dual_pairing, is_primitive
 from .gl2 import GroupCtx
 from .parabolic import sl2_generators, split_in_two
-from .repcore import (ClassFunction, FiniteGroupView, MatrixRep, MixedRadix,
-                      character_table_bruteforce, inner_product, orbits,
-                      rep_character)
+from .repcore import (_CHUNK_BYTES, ClassFunction, FiniteGroupView,
+                      MatrixRep, MixedRadix, character_table_bruteforce,
+                      inner_product, orbits, rep_character)
 
 MAX_H = 1 << 18
 # symplectic_defect exhausts H x H up to this many pairs
@@ -247,24 +247,42 @@ def fourier_intertwines(hctx):
     eta^ is the dual-model action
     (eta^(x', c', z') F)(c) = zeta^z' chi_c(x')^{-1} F(c - c').
 
-    Works by permutation/phase indexing, so the full H(F_81) is feasible.
     The center scales both sides by the same literal zeta^z' prefactor,
-    so checking every (x', c') at z' = 0 covers all of H."""
+    so checking every (x', c') at z' = 0 covers all of H.
+
+    With FT[c, x] = conj(chi_c(x)), the defect at (x', c', c, x) is
+      |FT[c, x + x'] chi_c'(x) - FT[c - c', x] FT[c, x']|.
+    Every entry of FT and chi is w[e] = exp(2 pi i e / m) at a pair_exp
+    value e, so the defect is fixed by the exponent tuple
+    (P[c, x + x'], P[c', x], P[c - c', x], P[c, x']).  Every tuple that
+    occurs for some (x', c', c, x) is marked, in chunks of at most
+    _CHUNK_BYTES of tuple codes, and the defect is read from the phase
+    table |conj(w_a) w_b - conj(w_c) conj(w_d)| at the marked tuples,
+    again in chunks.  The table takes the same float operations as the
+    dense products, so the result equals their maximum bit for bit."""
     nG, m = hctx.nG, hctx.m
     xs = np.arange(nG)
-    chi = np.exp(2j * np.pi * hctx.pair_exp(xs[:, None], xs) / m)
-    FT = chi.conj()  # FT[c, x] = conj(chi_c(x))
-
+    P = hctx.pair_exp(xs[:, None], xs)
+    shift = hctx.g_add(xs[:, None], xs)                  # [x, x'] = x + x'
+    diff = hctx.g_add(xs[:, None], hctx.g_neg(xs))       # [c, c'] = c - c'
+    seen = np.zeros(m ** 4, dtype=bool)
+    step = max(1, _CHUNK_BYTES // (nG * nG * P.itemsize))
+    for lo in range(0, nG, step):
+        c1 = xs[lo:lo + step]
+        # [c', c, x] -> (P[c', x] m + P[c - c', x]) m
+        inner = (P[c1, None, :] * m + P[diff[:, c1].T]) * m
+        for x1 in range(nG):
+            # [c, x] -> P[c, x + x'] m^3 + P[c, x']
+            seen[inner + (P[:, shift[:, x1]] * m ** 3 + P[:, x1, None])] = True
+    codes = np.flatnonzero(seen)
+    w = np.exp(2j * np.pi * np.arange(m) / m)
+    wbar = w.conj()
     worst = 0.0
-    for x1 in range(nG):
-        shifted = hctx.g_add(xs, x1)                     # x + x'
-        for c1 in range(nG):
-            # LHS[c, x] = FT[c, x + x'] * chi_c'(x)
-            lhs = FT[:, shifted] * chi[c1][None, :]
-            # RHS[c, x] = chi_c(x')^{-1} FT[c - c', x]
-            src = hctx.g_add(xs, hctx.g_neg(c1))
-            rhs = FT[src, :] * FT[:, x1][:, None]
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    step = _CHUNK_BYTES // w.itemsize
+    for lo in range(0, len(codes), step):
+        a, b, c, d = (codes[lo:lo + step] // m ** k % m for k in (3, 2, 1, 0))
+        worst = max(worst, float(np.max(np.abs(wbar[a] * w[b]
+                                                - wbar[c] * wbar[d]))))
     return worst
 
 
@@ -274,27 +292,60 @@ def weil_matrix(ectx, sigma):
     """The operator rho~(sigma) on L^2(F_{q^2}) as a q^2 x q^2 matrix,
     rows indexed by the argument x.  sigma = (a, b, c, d) base-field
     indices with determinant 1."""
-    base, ext = ectx.base, ectx.ext
-    q, Q = base.q, ext.q
-    if q % 2 == 0:
+    a, b, c, d = (np.array([int(t)]) for t in sigma)
+    _check_sl2(ectx, a, b, c, d)
+    if b[0] == 0:
+        return _lower_cell(ectx, c, d)[0]
+    return _big_cell(ectx, a, b, d)[0]
+
+
+def _weil_stack(ectx, mats):
+    """rho~ of every row (a, b, c, d) of the (n, 4) array mats, as an
+    (n, Q, Q) stack: weil_matrix with one field call per step for all
+    rows of each Bruhat cell."""
+    a, b, c, d = np.asarray(mats, dtype=np.int64).T
+    _check_sl2(ectx, a, b, c, d)
+    lower = b == 0
+    out = np.empty((len(b), ectx.ext.q, ectx.ext.q), dtype=complex)
+    out[lower] = _lower_cell(ectx, c[lower], d[lower])
+    out[~lower] = _big_cell(ectx, a[~lower], b[~lower], d[~lower])
+    return out
+
+
+def _check_sl2(ectx, a, b, c, d):
+    if ectx.q % 2 == 0:
         raise EvenQ("odd q required")
-    a, b, c, d = (int(t) for t in sigma)
-    det = int(base.sub(base.mul(a, d), base.mul(b, c)))
-    if det != 1:
-        raise NotSL2(f"det {det} != 1")
-    psi = ectx.psi.values
-    Nx = ectx.norm
+    base = ectx.base
+    det = base.sub(base.mul(a, d), base.mul(b, c))
+    if np.any(det != 1):
+        raise NotSL2(f"det {int(det[det != 1][0])} != 1")
+
+
+def _lower_cell(ectx, c, d):
+    """rho~ of the elements (d^-1, 0; c, d), one per entry of the
+    arrays c and d: f(x) -> psi(d c N(x)) f(d x)."""
+    base, ext = ectx.base, ectx.ext
+    Q = ext.q
     idx = np.arange(Q)
-    if b == 0:
-        M = np.zeros((Q, Q), dtype=complex)
-        cols = ext.mul(d, idx)
-        M[idx, cols] = psi[base.mul(base.mul(d, c), Nx)]
-        return M
-    binv = int(base.inv(b))
+    M = np.zeros((len(d), Q, Q), dtype=complex)
+    cols = ext.mul(d[:, None], idx)
+    M[np.arange(len(d))[:, None], idx, cols] = \
+        ectx.psi.values[base.mul(base.mul(d, c)[:, None], ectx.norm)]
+    return M
+
+
+def _big_cell(ectx, a, b, d):
+    """rho~ of the elements (a, b; c, d) with b != 0, one per entry of
+    the arrays a, b and d: the kernel
+    -(1/q) psi((d N(x) - tr(conj(y) x) + a N(y)) / b)."""
+    base = ectx.base
+    Nx = ectx.norm
+    binv = base.inv(b)[:, None, None]
     arg = base.mul(binv, base.sub(
-        base.add(base.mul(d, Nx)[:, None], base.mul(a, Nx)[None, :]),
+        base.add(base.mul(d[:, None], Nx)[:, :, None],
+                 base.mul(a[:, None], Nx)[:, None, :]),
         ectx.trace_pairing))
-    return (-1.0 / q) * psi[arg]
+    return (-1.0 / base.q) * ectx.psi.values[arg]
 
 
 def _word_for(ctx, mat):
@@ -385,79 +436,86 @@ def _half_psi_exponent(ectx, z):
     return base.trace_to_prime[base.mul(inv2, ectx.trace[z])]
 
 
-def sigma_action(ectx, sigma, x, y, zphase):
-    """The SL2 automorphism of H(F_{q^2}) in coordinates (x, y, z):
-    (x, y) -> (a x + b y, c x + d y) with a twist
-    psi((1/2) tr(-conj(y) x + conj(c x + d y)(a x + b y))) on z."""
-    ext = ectx.ext
-    a, b, c, d = (int(t) for t in sigma)
-    X = ext.add(ext.mul(a, x), ext.mul(b, y))
-    Y = ext.add(ext.mul(c, x), ext.mul(d, y))
-    t1 = ext.neg(ext.mul(ectx.frob[y], x))
-    t2 = ext.mul(ectx.frob[Y], X)
-    e = _half_psi_exponent(ectx, ext.add(t1, t2))
-    return X, Y, zphase * np.exp(2j * np.pi * e / ectx.p)
-
-
-def nu_from_action(ectx, sigma):
-    """The averaging intertwiner specialized to the induced model:
+def _nu_stack(ectx, mats):
+    """The averaging intertwiner specialized to the induced model, for
+    every row sigma = (a, b, c, d) of mats, as an (n, Q, Q) stack:
     (nu(sigma) f~)(x) = (1/q^2) sum_y f(^sigma((-x, y, psi(tr(-conj(y) x)))))
-    with f read off through f(x, y, z) = z psi(tr(conj(y) x))^{-1} f~(-x)."""
+    with f read off through f(x, y, z) = z psi(tr(conj(y) x))^{-1} f~(-x).
+
+    sigma acts on H(F_{q^2}) by (x, y) -> (X, Y) = (a x + b y, c x + d y),
+    twisting z by psi((1/2) tr(-conj(y) x + conj(Y) X)).  Each step is
+    one field call over the (g, x, y) grid, and the scatter into column
+    -X adds each row's terms in increasing y."""
     ext = ectx.ext
-    Q = ext.q
-    base = ectx.base
+    Q, p = ext.q, ectx.p
     psi_exp = ext.trace_to_prime  # absolute trace exponent of psi on the ext
-    M = np.zeros((Q, Q), dtype=complex)
-    ys = np.arange(Q)
-    for x in range(Q):
-        xg = int(ext.neg(x))
-        # h = (0, y, 1)(xg, 0, 1) = (xg, y, psi(tr(conj(y) xg)))
-        z0 = np.exp(2j * np.pi * psi_exp[ext.mul(ectx.frob[ys], xg)] / ectx.p)
-        X, Y, Z = sigma_action(ectx, sigma, np.full(Q, xg), ys, z0)
-        # f(X, Y, Z) = Z conj(psi(tr(conj(Y) X))) f~(-X)
-        coeff = Z * np.exp(-2j * np.pi * psi_exp[ext.mul(ectx.frob[Y], X)] / ectx.p)
-        np.add.at(M, (np.full(Q, x), np.asarray(ext.neg(X))), coeff)
+    frob = ectx.frob
+    a, b, c, d = (col[:, None, None] for col in np.asarray(mats).T)
+    xg = ext.neg(np.arange(Q))[:, None]
+    ys = np.arange(Q)[None, :]
+    # h = (0, y, 1)(xg, 0, 1) = (xg, y, psi(tr(conj(y) xg)))
+    yx = ext.mul(frob[ys], xg)
+    z0 = np.exp(2j * np.pi * psi_exp[yx] / p)
+    X = ext.add(ext.mul(a, xg), ext.mul(b, ys))
+    Y = ext.add(ext.mul(c, xg), ext.mul(d, ys))
+    YX = ext.mul(frob[Y], X)
+    e = _half_psi_exponent(ectx, ext.add(ext.neg(yx), YX))
+    Z = z0 * np.exp(2j * np.pi * e / p)
+    # f(X, Y, Z) = Z conj(psi(tr(conj(Y) X))) f~(-X)
+    coeff = Z * np.exp(-2j * np.pi * psi_exp[YX] / p)
+    M = np.zeros((len(X), Q, Q), dtype=complex)
+    np.add.at(M, (np.arange(len(X))[:, None, None], np.arange(Q)[:, None],
+                  ext.neg(X)), coeff)
     return M / Q
 
 
-def rho_special(ectx, sigma):
-    """The un-normalized intertwiner in closed form:
+def _rho_stack(ectx, mats):
+    """The un-normalized intertwiner in closed form, for every row
+    sigma = (a, b, c, d) of mats, as an (n, Q, Q) stack:
     (rho(sigma) f~)(x) = (1/q^2) sum_y psi((1/2) tr(-conj(y) x
-        - conj(c x + a y)(-d x - b y))) f~(d x + b y)."""
+        - conj(c x + a y)(-d x - b y))) f~(d x + b y).
+    Each step is one field call over the (g, y, x) grid, and the
+    scatter adds each entry's terms in increasing y."""
     ext = ectx.ext
     Q = ext.q
-    a, b, c, d = (int(t) for t in sigma)
-    xs = np.arange(Q)
-    M = np.zeros((Q, Q), dtype=complex)
-    for y in range(Q):
-        u = ext.add(ext.mul(c, xs), int(ext.mul(a, y)))
-        v = ext.neg(ext.add(ext.mul(d, xs), int(ext.mul(b, y))))
-        z = ext.neg(ext.add(ext.mul(ectx.frob[y], xs), ext.mul(ectx.frob[u], v)))
-        e = _half_psi_exponent(ectx, z)
-        coeff = np.exp(2j * np.pi * e / ectx.p)
-        tgt = np.asarray(ext.add(ext.mul(d, xs), int(ext.mul(b, y))))
-        np.add.at(M, (xs, tgt), coeff)
+    a, b, c, d = (col[:, None, None] for col in np.asarray(mats).T)
+    ys = np.arange(Q)[:, None]
+    xs = np.arange(Q)[None, :]
+    u = ext.add(ext.mul(c, xs), ext.mul(a, ys))
+    tgt = ext.add(ext.mul(d, xs), ext.mul(b, ys))
+    z = ext.neg(ext.add(ext.mul(ectx.frob[ys], xs),
+                        ext.mul(ectx.frob[u], ext.neg(tgt))))
+    coeff = np.exp(2j * np.pi * _half_psi_exponent(ectx, z) / ectx.p)
+    M = np.zeros((len(tgt), Q, Q), dtype=complex)
+    np.add.at(M, (np.arange(len(tgt))[:, None, None], xs, tgt), coeff)
     return M / Q
 
 
 def averaging_check(ectx):
-    """At q = 3 (cheap anywhere): nu built from the Heisenberg action
-    agrees with the closed-form rho at sigma^{-1}, and rho agrees with
-    the normalized rho~ up to the per-element scalar (1 for b = 0, -q
-    otherwise).  Returns the max defects."""
+    """Over every element g of SL2(F_q): nu built from the Heisenberg
+    action agrees with the closed-form rho at g^{-1}, and rho agrees
+    with the normalized rho~ up to the per-element scalar (1 for b = 0,
+    -q otherwise).  The weil verify suite runs it at q <= 5.
+
+    nu(g), rho(g^-1), rho(g) and rho~(g) are built as (n, Q, Q) stacks
+    over chunks of g, each stack no larger than repcore._CHUNK_BYTES.
+    Each step is one array-valued field call over the chunk's (g, y, x)
+    grid, with one np.add.at scatter per stack, so the number of field
+    calls grows with the chunk count, not with |SL2|.  Returns the max
+    defects."""
     ctx = GroupCtx("sl2", ectx.base)
+    Q = ectx.ext.q
+    step = max(1, _CHUNK_BYTES // (Q * Q * np.dtype(complex).itemsize))
     worst_nu = 0.0
     worst_scale = 0.0
-    for g in range(ctx.n):
-        mat = ctx.mat_of(g)
-        ginv = ctx.mat_of(int(ctx.view.inv[g]))
-        nu = nu_from_action(ectx, mat)
-        rs = rho_special(ectx, ginv)
-        worst_nu = max(worst_nu, float(np.max(np.abs(nu - rs))))
-        rho = rho_special(ectx, mat)
-        tilde = weil_matrix(ectx, mat)
-        scal = 1.0 if mat[1] == 0 else -float(ectx.q)
-        worst_scale = max(worst_scale, float(np.max(np.abs(scal * rho - tilde))))
+    for lo in range(0, ctx.n, step):
+        mats = ctx.elems[lo:lo + step]
+        inv_mats = ctx.elems[ctx.view.inv[lo:lo + step]]
+        worst_nu = max(worst_nu, float(np.max(np.abs(
+            _nu_stack(ectx, mats) - _rho_stack(ectx, inv_mats)))))
+        scal = np.where(mats[:, 1] == 0, 1.0, -float(ectx.q))[:, None, None]
+        worst_scale = max(worst_scale, float(np.max(np.abs(
+            scal * _rho_stack(ectx, mats) - _weil_stack(ectx, mats)))))
     return {"nu_vs_rho": worst_nu, "rho_vs_normalized": worst_scale}
 
 

@@ -4,6 +4,7 @@ class-algebra brute-force table."""
 import csv
 import dataclasses
 import io
+import itertools
 import json
 
 import numpy as np
@@ -193,6 +194,44 @@ def test_verify_table_reports_measured_defects():
                                                  rel=1e-3)
     assert delta / 2 < nudged["root_of_unity"] < 2 * delta
     assert report["degree_sum"] < delta and report["root_of_unity"] < delta
+
+
+def _first_multiset_by_loop(z, d, order):
+    """(index, residual) of the first multiset of d roots of unity, in
+    combinations_with_replacement order, whose sum is within tolerance
+    of z, or None: the reference for the summed search."""
+    roots = np.exp(2j * np.pi * np.arange(order) / order)
+    combos = itertools.combinations_with_replacement(range(order), d)
+    for i, combo in enumerate(combos):
+        residual = abs(roots[list(combo)].sum() - z)
+        if residual < get_tol():
+            return i, float(residual)
+    return None
+
+
+@pytest.mark.parametrize("kind", ["gl2", "sl2"])
+def test_root_of_unity_search_equals_the_multiset_loop(kind):
+    t = build_table(kind, 3)
+    order = 24  # lcm(3, 3^2 - 1)
+    sums = {}
+    for r in t.rows:
+        d = r.degree
+        sums.setdefault(d, chartab._multiset_sums(d, order))
+        for z in r.values:
+            i, residual = _first_multiset_by_loop(complex(z), d, order)
+            assert chartab._first_multiset(complex(z), sums[d]) == i
+            assert abs(abs(sums[d][i] - z) - residual) <= 1e-15
+    # a value beyond the reach of any d roots of unity
+    for d in sums:
+        assert _first_multiset_by_loop(d + 1.0, d, order) is None
+        assert chartab._first_multiset(d + 1.0, sums[d]) is None
+
+
+def test_verify_table_root_of_unity_gate_fires(monkeypatch):
+    t = build_table("sl2", 3)
+    monkeypatch.setattr(chartab, "_first_multiset", lambda z, sums: None)
+    with pytest.raises(VerificationFailed, match="is not a sum of"):
+        verify_table(t)
 
 
 def test_verify_table_family_and_degree_gates_fire(monkeypatch):

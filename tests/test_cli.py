@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from qrep import cli, gl2, simclass
+from qrep import chartab, cli, gl2, simclass
 
 
 def _json_out(capsys):
@@ -228,6 +228,21 @@ def test_verify_bruhat_counts_words_that_do_not_re_multiply(capsys,
     obj = _json_out(capsys)
     assert len(obj["failures"]) == 2
     assert all("re-multiply" in f for f in obj["failures"])
+    assert obj["max_defect"] == 1.0
+
+
+def test_verify_chartable_reports_the_measured_table_defect(capsys,
+                                                           monkeypatch):
+    # a report over tolerance from a verify_table that raises nothing
+    # (build_table and emit call the same stub): the suite's own table
+    # check must fail on the reported defect
+    monkeypatch.setattr(chartab, "verify_table",
+                        lambda table: {"column_orthogonality": 1.0})
+    assert cli.run(["verify", "--suite", "chartable", "--q", "3",
+                    "--json"]) == 1
+    obj = _json_out(capsys)
+    assert len(obj["failures"]) == 2
+    assert all("irreducibles verifies" in f for f in obj["failures"])
     assert obj["max_defect"] == 1.0
 
 

@@ -34,6 +34,7 @@ from qrep import (
     weil_matrix,
 )
 from qrep import cli, weil
+from qrep.ff import FieldCtx
 from qrep.parabolic import sl2_generators
 
 RNG = np.random.default_rng(20070714)
@@ -146,6 +147,41 @@ def test_fourier_transform_intertwines_translation_and_modulation():
     assert fourier_intertwines(heisenberg_from_ext(E)) < 1e-10
 
 
+def _fourier_by_dense_loop(hctx):
+    """fourier_intertwines as one dense product per (x', c'): the
+    reference for the phase-table reading."""
+    nG, m = hctx.nG, hctx.m
+    xs = np.arange(nG)
+    chi = np.exp(2j * np.pi * hctx.pair_exp(xs[:, None], xs) / m)
+    FT = chi.conj()
+    worst = 0.0
+    for x1 in range(nG):
+        shifted = hctx.g_add(xs, x1)
+        for c1 in range(nG):
+            lhs = FT[:, shifted] * chi[c1][None, :]
+            src = hctx.g_add(xs, hctx.g_neg(c1))
+            rhs = FT[src, :] * FT[:, x1][:, None]
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def test_fourier_phase_table_equals_the_dense_loop():
+    groups = [heisenberg_group(orders)
+              for orders in ((2,), (3,), (4,), (2, 2))]
+    groups.append(heisenberg_from_ext(make_ext(make_field(3, 2))))
+    for h in groups:
+        assert fourier_intertwines(h) == _fourier_by_dense_loop(h)
+
+
+def test_fourier_check_fires_on_a_shifted_pairing_entry():
+    h = heisenberg_group((3,))
+    assert fourier_intertwines(h) < get_tol()
+    h._pair[1, 2] = (h._pair[1, 2] + 1) % h.m
+    defect = fourier_intertwines(h)
+    assert defect > get_tol()
+    assert defect == _fourier_by_dense_loop(h)
+
+
 def test_canonical_model_center_acts_by_tautological_character():
     h = heisenberg_group((4,))
     rep = heisenberg_rep(h)
@@ -236,6 +272,110 @@ def test_averaging_recovers_the_special_apportionment():
         out = averaging_check(E)
         assert out["nu_vs_rho"] < 1e-10
         assert out["rho_vs_normalized"] < 1e-10
+
+
+def _nu_by_element(ectx, sigma):
+    """nu(sigma) one row x at a time, through the SL2 action on
+    H(F_{q^2}): the reference for weil._nu_stack."""
+    ext = ectx.ext
+    Q = ext.q
+    psi_exp = ext.trace_to_prime
+    a, b, c, d = (int(t) for t in sigma)
+    M = np.zeros((Q, Q), dtype=complex)
+    ys = np.arange(Q)
+    for x in range(Q):
+        xg = int(ext.neg(x))
+        z0 = np.exp(2j * np.pi * psi_exp[ext.mul(ectx.frob[ys], xg)] / ectx.p)
+        X = ext.add(ext.mul(a, xg), ext.mul(b, ys))
+        Y = ext.add(ext.mul(c, xg), ext.mul(d, ys))
+        t1 = ext.neg(ext.mul(ectx.frob[ys], xg))
+        e = weil._half_psi_exponent(ectx, ext.add(t1, ext.mul(ectx.frob[Y], X)))
+        Z = z0 * np.exp(2j * np.pi * e / ectx.p)
+        coeff = Z * np.exp(-2j * np.pi * psi_exp[ext.mul(ectx.frob[Y], X)]
+                           / ectx.p)
+        np.add.at(M, (np.full(Q, x), np.asarray(ext.neg(X))), coeff)
+    return M / Q
+
+
+def _rho_by_element(ectx, sigma):
+    """The closed-form rho(sigma) one y at a time: the reference for
+    weil._rho_stack."""
+    ext = ectx.ext
+    Q = ext.q
+    a, b, c, d = (int(t) for t in sigma)
+    xs = np.arange(Q)
+    M = np.zeros((Q, Q), dtype=complex)
+    for y in range(Q):
+        u = ext.add(ext.mul(c, xs), int(ext.mul(a, y)))
+        v = ext.neg(ext.add(ext.mul(d, xs), int(ext.mul(b, y))))
+        z = ext.neg(ext.add(ext.mul(ectx.frob[y], xs), ext.mul(ectx.frob[u], v)))
+        coeff = np.exp(2j * np.pi * weil._half_psi_exponent(ectx, z) / ectx.p)
+        tgt = np.asarray(ext.add(ext.mul(d, xs), int(ext.mul(b, y))))
+        np.add.at(M, (xs, tgt), coeff)
+    return M / Q
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_averaging_stacks_equal_the_per_element_operators(p):
+    E = make_ext(make_field(p))
+    ctx = make_group("sl2", E.base)
+    nu = weil._nu_stack(E, ctx.elems)
+    rho = weil._rho_stack(E, ctx.elems)
+    tilde = weil._weil_stack(E, ctx.elems)
+    worst_nu = worst_scale = 0.0
+    for g in range(ctx.n):
+        mat = ctx.mat_of(g)
+        nu_g = _nu_by_element(E, mat)
+        rho_g = _rho_by_element(E, mat)
+        assert np.max(np.abs(nu[g] - nu_g)) <= 1e-15
+        assert np.max(np.abs(rho[g] - rho_g)) <= 1e-15
+        assert np.array_equal(tilde[g], weil_matrix(E, mat))
+        rs = _rho_by_element(E, ctx.mat_of(int(ctx.view.inv[g])))
+        worst_nu = max(worst_nu, float(np.max(np.abs(nu_g - rs))))
+        scal = 1.0 if mat[1] == 0 else -float(E.q)
+        worst_scale = max(worst_scale, float(np.max(np.abs(
+            scal * rho_g - weil_matrix(E, mat)))))
+    out = averaging_check(E)
+    assert out == {"nu_vs_rho": worst_nu, "rho_vs_normalized": worst_scale}
+
+
+def test_averaging_field_calls_do_not_grow_with_the_group(monkeypatch):
+    # the stacks make a fixed number of field calls per chunk of
+    # elements (two chunks at q = 5); one call per element and row made
+    # 84,558 calls here.  The group context is built outside the count.
+    E = make_ext(make_field(5))
+    ctx = make_group("sl2", E.base)
+    monkeypatch.setattr(weil, "GroupCtx", lambda kind, field: ctx)
+    calls = []
+    real = FieldCtx.mul
+
+    def counting(self, x, y):
+        calls.append(1)
+        return real(self, x, y)
+
+    monkeypatch.setattr(FieldCtx, "mul", counting)
+    averaging_check(E)
+    assert 0 < len(calls) <= 64 < ctx.n
+
+
+def test_a_perturbed_normalized_stack_fails_the_averaging_check(
+        monkeypatch, capsys):
+    # one element's rho~ off in one entry: the closed-form comparison
+    # must see it, and the weil verify suite must exit 1
+    real = weil._weil_stack
+
+    def perturbed(ectx, mats):
+        out = real(ectx, mats)
+        hit = np.flatnonzero(np.all(np.asarray(mats) == (1, 1, 0, 1), axis=1))
+        out[hit, 0, 0] += 100 * get_tol()
+        return out
+
+    monkeypatch.setattr(weil, "_weil_stack", perturbed)
+    out = averaging_check(make_ext(make_field(3)))
+    assert out["rho_vs_normalized"] > get_tol()
+    assert out["nu_vs_rho"] < get_tol()
+    assert cli.run(["verify", "--suite", "weil", "--q", "3"]) == 1
+    assert "FAIL weil: closed form" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
