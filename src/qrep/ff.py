@@ -4,12 +4,14 @@ Elements of F_{p^k} are integer indices 0..q-1.  For an extension field
 the index is the little-endian digit expansion over the base field, so
 the base field embeds as the indices 0..base.q-1 and the prime subfield
 always occupies 0..p-1.  All arithmetic is table driven and vectorized
-over numpy integer arrays: multiplication reads the exp/log tables, and
-addition in an extension field reads the Zech logarithm table
-zech[n] = log(1 + g^n) (Lidl-Niederreiter, Finite Fields, 10.1), so
-x + y = g^(log x + zech[log y - log x]) costs a few lookups and never
-touches the digit expansion.  Both extension tables, zech and
-neg_table, are built once from digit-wise arithmetic over the base.
+over numpy integer arrays (FieldCtx.scalar reads the same tables as
+Python lists, for one index at a time): multiplication reads the
+exp/log tables, and addition in an extension field reads the Zech
+logarithm table zech[n] = log(1 + g^n) (Lidl-Niederreiter, Finite
+Fields, 10.1), so x + y = g^(log x + zech[log y - log x]) costs a few
+lookups and never touches the digit expansion.  Both extension tables,
+zech and neg_table, are built once from digit-wise arithmetic over the
+base.
 
 The modulus of an extension is the lexicographically smallest monic
 irreducible of the right degree (coefficients compared low degree
@@ -17,6 +19,7 @@ first), and the stored generator is the smallest-index element of
 multiplicative order q-1, so every table is deterministic.
 """
 
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -25,6 +28,8 @@ from . import poly
 from .errors import NonPrime, SizeExceeded, Singular, SizeMismatch
 
 MAX_Q = 1 << 20
+
+ScalarOps = namedtuple("ScalarOps", "add sub mul neg inv")
 
 
 def _factorize(n):
@@ -66,6 +71,12 @@ class FieldCtx:
     serve add, neg and sub; a prime field adds, negates and multiplies
     mod p and holds None for both.  The digit expansion is used only to
     build the tables: a base-field element is its own index here.
+
+    add, sub, mul, neg and inv take ints or int arrays and return numpy
+    values.  scalar (built on first use) holds the same five operations
+    on one Python-int index at a time, returning Python ints; it serves
+    the per-coefficient loops of poly and simclass, where a numpy call
+    per scalar would cost more than the arithmetic.
     """
 
     def __init__(self, p=None, base=None, deg=None):
@@ -209,6 +220,49 @@ class FieldCtx:
         if np.any(x == 0):
             raise Singular("zero is not invertible")
         return self.inv_table[x]
+
+    @cached_property
+    def scalar(self):
+        """ScalarOps(add, sub, mul, neg, inv) on Python-int indices.
+
+        Each operation reads this field's tables as Python lists, or
+        works mod p in a prime field, and agrees with the array method
+        of the same name; inv(0) raises Singular."""
+        inv_table = self.inv_table.tolist()
+
+        def inv(x):
+            if x == 0:
+                raise Singular("zero is not invertible")
+            return inv_table[x]
+
+        if self.base is None:
+            p = self.p
+            return ScalarOps(add=lambda x, y: (x + y) % p,
+                             sub=lambda x, y: (x - y) % p,
+                             mul=lambda x, y: (x * y) % p,
+                             neg=lambda x: -x % p, inv=inv)
+        exp = self.exp.tolist()
+        log = self.log.tolist()
+        zech = self.zech.tolist()
+        neg_table = self.neg_table.tolist()
+        n = self.q - 1
+
+        def add(x, y):
+            if x == 0:
+                return y
+            if y == 0:
+                return x
+            lx = log[x]
+            z = zech[(log[y] - lx) % n]
+            return 0 if z < 0 else exp[(lx + z) % n]
+
+        def mul(x, y):
+            if x == 0 or y == 0:
+                return 0
+            return exp[(log[x] + log[y]) % n]
+
+        return ScalarOps(add=add, sub=lambda x, y: add(x, neg_table[y]),
+                         mul=mul, neg=neg_table.__getitem__, inv=inv)
 
     def pow(self, x, n):
         """x^n for a scalar index x and integer n >= 0."""

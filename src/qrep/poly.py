@@ -1,9 +1,10 @@
 """Dense univariate polynomial arithmetic over a finite field context.
 
-Polynomials are tuples of element indices, low degree first, with no
-trailing zeros (the zero polynomial is the empty tuple).  The field
-context only needs scalar index operations add/sub/mul/neg/inv and the
-attributes p, q; both prime fields and extensions satisfy this.
+Polynomials are tuples of element indices (Python ints), low degree
+first, with no trailing zeros (the zero polynomial is the empty tuple).
+Coefficient arithmetic goes through ctx.scalar, the FieldCtx's add/sub/
+mul/neg/inv on one Python-int index at a time; poly also reads ctx.p
+and ctx.q.  Prime fields and extensions take the same path.
 """
 
 import itertools
@@ -28,17 +29,19 @@ def is_monic(f):
 
 
 def add(ctx, f, g):
+    plus = ctx.scalar.add
     n = max(len(f), len(g))
     out = []
     for i in range(n):
         a = f[i] if i < len(f) else 0
         b = g[i] if i < len(g) else 0
-        out.append(int(ctx.add(a, b)))
+        out.append(plus(a, b))
     return trim(out)
 
 
 def neg(ctx, f):
-    return tuple(int(ctx.neg(a)) for a in f)
+    negate = ctx.scalar.neg
+    return tuple(negate(a) for a in f)
 
 
 def sub(ctx, f, g):
@@ -48,18 +51,20 @@ def sub(ctx, f, g):
 def scale(ctx, s, f):
     if s == 0:
         return ()
-    return trim(int(ctx.mul(s, a)) for a in f)
+    times = ctx.scalar.mul
+    return trim(times(s, a) for a in f)
 
 
 def mul(ctx, f, g):
     if not f or not g:
         return ()
+    plus, times = ctx.scalar.add, ctx.scalar.mul
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a == 0:
             continue
         for j, b in enumerate(g):
-            out[i + j] = int(ctx.add(out[i + j], ctx.mul(a, b)))
+            out[i + j] = plus(out[i + j], times(a, b))
     return trim(out)
 
 
@@ -67,19 +72,20 @@ def divmod_poly(ctx, f, g):
     """Quotient and remainder; g must be nonzero."""
     if not g:
         raise Singular("division by zero polynomial")
+    minus, times = ctx.scalar.sub, ctx.scalar.mul
     f = list(f)
     dg = deg(g)
-    lead_inv = int(ctx.inv(g[-1]))
+    lead_inv = ctx.scalar.inv(g[-1])
     q = [0] * max(0, len(f) - dg)
     while len(f) > dg:
         if f[-1] == 0:
             f.pop()
             continue
         df = len(f) - 1
-        c = int(ctx.mul(f[-1], lead_inv))
+        c = times(f[-1], lead_inv)
         q[df - dg] = c
         for i in range(dg + 1):
-            f[df - dg + i] = int(ctx.sub(f[df - dg + i], ctx.mul(c, g[i])))
+            f[df - dg + i] = minus(f[df - dg + i], times(c, g[i]))
         f.pop()
     return trim(q), trim(f)
 
@@ -91,7 +97,7 @@ def mod(ctx, f, g):
 def monic(ctx, f):
     if not f:
         return ()
-    return scale(ctx, int(ctx.inv(f[-1])), f)
+    return scale(ctx, ctx.scalar.inv(f[-1]), f)
 
 
 def gcd(ctx, f, g):
@@ -112,7 +118,7 @@ def xgcd(ctx, f, g):
         v0, v1 = v1, sub(ctx, v0, mul(ctx, q, v1))
     if not r0:
         return (), u0, v0
-    lead = int(ctx.inv(r0[-1]))
+    lead = ctx.scalar.inv(r0[-1])
     return monic(ctx, r0), scale(ctx, lead, u0), scale(ctx, lead, v0)
 
 
@@ -133,13 +139,10 @@ def compose(ctx, f, g):
 
 
 def derivative(ctx, f):
-    out = []
-    for i in range(1, len(f)):
-        c = 0
-        for _ in range(i % ctx.p):  # i*f_i with i reduced mod the characteristic
-            c = int(ctx.add(c, f[i]))
-        out.append(c)
-    return trim(out)
+    # i * f_i: the integer i is the prime-subfield element i mod p, and
+    # the prime subfield occupies the indices 0..p-1
+    times, p = ctx.scalar.mul, ctx.p
+    return trim(times(i % p, f[i]) for i in range(1, len(f)))
 
 
 def monics(ctx, d):

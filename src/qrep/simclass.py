@@ -92,7 +92,7 @@ def _row_reduce(ctx, M):
             continue
         piv = r + int(nonzero[0])
         R[[r, piv]] = R[[piv, r]]
-        R[r] = ctx.mul(R[r], int(ctx.inv(R[r, c])))
+        R[r] = ctx.mul(R[r], ctx.scalar.inv(int(R[r, c])))
         for i in range(rows):
             if i != r and R[i, c] != 0:
                 R[i] = ctx.sub(R[i], ctx.mul(R[r], int(R[i, c])))
@@ -109,7 +109,7 @@ def fq_nullspace(ctx, M):
         v = np.zeros(cols, dtype=np.int64)
         v[fc] = 1
         for i, pc in enumerate(pivots):
-            v[pc] = ctx.neg(int(R[i, fc]))
+            v[pc] = ctx.scalar.neg(int(R[i, fc]))
         basis.append(v)
     return basis
 
@@ -120,12 +120,13 @@ def fq_nullspace(ctx, M):
 def char_matrix(ctx, A):
     """tI - A as a nested list of polynomials (low-degree-first tuples)."""
     n = A.shape[0]
+    neg = ctx.scalar.neg
     S = []
     for i in range(n):
         row = []
         for j in range(n):
-            c = ctx.neg(int(A[i, j]))
-            const = (int(c),) if c else ()
+            c = neg(int(A[i, j]))
+            const = (c,) if c else ()
             if i == j:
                 row.append(poly.add(ctx, const, (0, 1)))
             else:
@@ -299,7 +300,7 @@ def companion(ctx, f):
         C[i + 1, i] = 1
     for i in range(d):
         coeff = f[i] if i < len(f) else 0
-        C[i, d - 1] = ctx.neg(int(coeff))
+        C[i, d - 1] = ctx.scalar.neg(int(coeff))
     return C
 
 
@@ -347,6 +348,8 @@ def centralizer(ctx, A):
     stay within the enumeration bound.
     """
     n = A.shape[0]
+    plus, minus = ctx.scalar.add, ctx.scalar.sub
+    a = A.tolist()
     L = np.zeros((n * n, n * n), dtype=np.int64)
     for i in range(n):
         for j in range(n):
@@ -354,9 +357,9 @@ def centralizer(ctx, A):
                 for l in range(n):
                     val = 0
                     if l == j:
-                        val = ctx.add(val, int(A[i, k]))
+                        val = plus(val, a[i][k])
                     if k == i:
-                        val = ctx.sub(val, int(A[l, j]))
+                        val = minus(val, a[l][j])
                     L[i * n + j, k * n + l] = val
     basis = fq_nullspace(ctx, L)
     dim = len(basis)

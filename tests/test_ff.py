@@ -15,6 +15,7 @@ from qrep import (
     NonPrime,
     SizeExceeded,
     SizeMismatch,
+    Singular,
     dual_pairing,
     fourier_transform,
     is_primitive,
@@ -149,6 +150,24 @@ def test_extension_arithmetic_reads_only_its_own_tables(monkeypatch):
         assert np.array_equal(F.sub(x, y), _digitwise(p, k, x, y, -1))
         assert F.neg(1) == _digitwise(p, k, 0, 1, -1)
         assert F.add(1, 1) == _digitwise(p, k, 1, 1, 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 9, 25, 27, 49])
+def test_scalar_ops_match_the_array_methods(q):
+    # poly and simclass loop over FieldCtx.scalar; every other caller
+    # uses the array methods.  The two paths must agree on every pair.
+    F = make_field(*prime_power(q))
+    s = F.scalar
+    for x in range(q):
+        got = [s.neg(x)] + ([s.inv(x)] if x else [])
+        want = [int(F.neg(x))] + ([int(F.inv(x))] if x else [])
+        for y in range(q):
+            got += [s.add(x, y), s.sub(x, y), s.mul(x, y)]
+            want += [int(F.add(x, y)), int(F.sub(x, y)), int(F.mul(x, y))]
+        assert got == want
+        assert all(type(v) is int for v in got)
+    with pytest.raises(Singular):
+        s.inv(0)
 
 
 def test_norm_fibres_list_each_fibre_in_ascending_order():

@@ -24,8 +24,9 @@ from qrep import (
     similar,
     similarity_type,
 )
-from qrep import poly, simclass
+from qrep import make_ext, poly, simclass
 from qrep.errors import VerificationFailed
+from qrep.ff import FieldCtx, ScalarOps
 from qrep.simclass import (conjugation_orbits, fq_nullspace, mat_det, mat_eye,
                            mat_inv, mat_mul, random_matrix)
 
@@ -49,6 +50,87 @@ def test_poly_factor_recovers_the_product():
             back = poly.mul(F5, back, g)
     assert poly.trim(back) == poly.trim(f)
     assert all(poly.is_irreducible(F5, g) for g, _ in facs)
+
+
+def _array_path(F):
+    """Reference arithmetic for FieldCtx.scalar: one call of the array
+    method per scalar, converted to a Python int."""
+    return ScalarOps(add=lambda x, y: int(F.add(x, y)),
+                     sub=lambda x, y: int(F.sub(x, y)),
+                     mul=lambda x, y: int(F.mul(x, y)),
+                     neg=lambda x: int(F.neg(x)),
+                     inv=lambda x: int(F.inv(x)))
+
+
+def _scalar_path_results():
+    rng = np.random.default_rng(20070714)
+    out = {}
+    for p, k in [(3, 1), (5, 1), (7, 1), (3, 2)]:
+        F = make_field(p, k)
+        out[F.q, "types"] = [similarity_type(F, random_matrix(F, n, rng))
+                             for n in (3, 4) for _ in range(25)]
+        out[F.q, "factor"] = [poly.factor(F, tuple(int(c) for c in f))
+                              for f in rng.integers(0, F.q, size=(20, 6))
+                              if f[-1]]
+        out[F.q, "irreducibles"] = poly.irreducibles(F, 3)
+        out[F.q, "hensel"] = [simclass.hensel_lift(F, f, r)
+                              for f in poly.irreducibles(F, 2)[:3]
+                              for r in (2, 3)]
+    for F in (make_field(3, 4), make_ext(make_field(19)).ext):
+        out[F.q, "tables"] = (F.modulus, F.gen, F.exp.tolist(),
+                              F.zech.tolist())
+    return out
+
+
+def test_scalar_arithmetic_reproduces_the_array_path(monkeypatch):
+    # 200 random similarity types, factorizations, degree-3 irreducibles,
+    # Hensel lifts and two poly-built extension tables: ctx.scalar must
+    # give what one array-method call per scalar gave
+    fast = _scalar_path_results()
+    monkeypatch.setattr(FieldCtx, "scalar", property(_array_path))
+    assert _scalar_path_results() == fast
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2)])
+def test_similarity_type_makes_no_array_field_calls(monkeypatch, p, k):
+    # the Smith diagonalization and the factorization run on
+    # FieldCtx.scalar; a numpy call per coefficient made about 160k
+    # array-method calls in one verify --suite simclass pass
+    F = make_field(p, k)
+    A = np.array([[1, 2, 0, 3], [0, 1, 4, 0], [5, 0, 1, 2], [1, 1, 0, 6]]) % F.q
+    calls = []
+
+    def counting(name):
+        real = getattr(FieldCtx, name)
+
+        def wrapper(self, *args):
+            calls.append(name)
+            return real(self, *args)
+        return wrapper
+
+    for name in ("add", "sub", "mul", "neg", "inv"):
+        monkeypatch.setattr(FieldCtx, name, counting(name))
+    st = similarity_type(F, A)
+    assert st.dim == 4 and calls == []
+
+
+def _derivative_by_repeated_addition(F, f):
+    out = []
+    for i in range(1, len(f)):
+        c = 0
+        for _ in range(i % F.p):
+            c = int(F.add(c, f[i]))
+        out.append(c)
+    return poly.trim(out)
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (5, 2)])
+def test_derivative_matches_repeated_addition(p, k):
+    F = make_field(p, k)
+    rng = np.random.default_rng(20070714)
+    for f in rng.integers(0, F.q, size=(40, 16)):
+        f = poly.trim(int(c) for c in f[:rng.integers(0, 17)])
+        assert poly.derivative(F, f) == _derivative_by_repeated_addition(F, f)
 
 
 def test_poly_xgcd_bezout_identity():
