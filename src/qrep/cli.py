@@ -196,9 +196,9 @@ def _suite_parabolic(rec, q, seed, tol):
     rec.check(f"idempotents of the rank-two hecke algebra (kappa={kappa})",
               defect < tol, defect=defect)
     plus, minus = parabolic.split_rho_pm(S, bq)
-    deg_ok = abs(plus.values[0] - (q + 1) / 2) < tol and \
-        abs(minus.values[0] - (q + 1) / 2) < tol
-    rec.check("split principal series halves have degree (q+1)/2", deg_ok)
+    d = max(abs(f.values[0] - (q + 1) / 2) for f in (plus, minus))
+    rec.check("split principal series halves have degree (q+1)/2", d < tol,
+              defect=d)
     d = parabolic.epsilon_swap_defect(S, plus, minus)
     rec.check("conjugation by diag(eps, 1) swaps the halves", d < tol, defect=d)
     if q <= 5:
@@ -296,9 +296,8 @@ def _suite_cuspidal(rec, q, seed, tol):
     ip = repcore.inner_product(om["character"], om["character"])
     rec.check("quadratic-character module splits in two",
               abs(ip - 2) < tol, defect=abs(ip - 2))
-    deg_ok = abs(om["plus"].values[0] - (q - 1) / 2) < tol and \
-        abs(om["minus"].values[0] - (q - 1) / 2) < tol
-    rec.check("split cuspidal halves have degree (q-1)/2", deg_ok)
+    d = max(abs(om[h].values[0] - (q - 1) / 2) for h in ("plus", "minus"))
+    rec.check("split cuspidal halves have degree (q-1)/2", d < tol, defect=d)
     worst = 0.0
     for j, f in sl["cuspidal"]:
         for c in S.conj_classes:

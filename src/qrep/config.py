@@ -3,18 +3,15 @@
 All floating-point identity checks in this package compare a residual
 against a single tolerance.  The default is 1e-8; it can be overridden
 with the QREP_TOL environment variable, which must parse to a float in
-(0, 1e-3].  The named thresholds below decide a numerical rank, cluster
-eigenvalues or snap float dust, so they do not follow QREP_TOL.
+(0, 1e-3].  The named thresholds below pivot and round Dixon's
+eigenvectors, cluster eigenvalues or snap float dust, so they do not
+follow QREP_TOL.
 """
 
 import os
 
 DEFAULT_TOL = 1e-8
 
-# numerical rank: null singular values are ~1e-15, kept ones about 1 or more
-SVD_NULL = 1e-9
-# a Hermitian commutant element this far from scalar has two eigenvalues
-NON_SCALAR = 1e-6
 # Dixon's eigenvectors are divided by their identity-class entry
 DIXON_PIVOT = 1e-12
 # a degree read off a Dixon eigenvector must be this close to an integer

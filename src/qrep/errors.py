@@ -55,7 +55,8 @@ class NonIntegral(QrepError):
 
 
 class NotSplitting(QrepError):
-    """A commutant expected to be two-dimensional is not."""
+    """An involution meant to split a representation in two is not one,
+    or does not commute with the action."""
 
 
 class NotPrimitive(QrepError):

@@ -16,7 +16,7 @@ these identities are re-verified numerically on every construction.
 
 import numpy as np
 
-from .config import NON_SCALAR, SEED, SVD_NULL, get_tol
+from .config import SEED, get_tol
 from .errors import (CharMismatch, EvenQ, GroupMismatch, NotSplitting,
                      VerificationFailed)
 from .gl2 import bruhat
@@ -164,45 +164,23 @@ def sl2_generators(ctx):
     return gens
 
 
-def two_dim_commutant_projectors(gen_mats):
-    """Spectral projectors of the two-dimensional commutant of a set of
-    unitary matrices.  Raises NotSplitting unless the solution space of
-    [X, g] = 0 for all g has dimension exactly 2."""
-    d = gen_mats[0].shape[0]
-    eye = np.eye(d)
-    rows = []
-    for g in gen_mats:
-        rows.append(np.kron(eye, g) - np.kron(g.T, eye))  # vec(gX - Xg)
-    A = np.vstack(rows)
-    _, s, vh = np.linalg.svd(A, full_matrices=False)
-    null_dim = int(np.sum(s < SVD_NULL))  # A has >= d*d rows: s has d*d values
-    if null_dim != 2:
-        raise NotSplitting(f"commutant dimension {null_dim}, expected 2")
-    basis = [vh[-(i + 1)].reshape(d, d).T for i in range(2)]
-
-    rng = np.random.default_rng(SEED)
-    J = None
-    for attempt in range(16):
-        if attempt < 2:
-            cand = basis[attempt]
-        else:
-            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            cand = c[0] * basis[0] + c[1] * basis[1]
-        for herm in ((cand + cand.conj().T) / 2, (cand - cand.conj().T) / 2j):
-            if np.max(np.abs(herm - np.trace(herm) / d * eye)) > NON_SCALAR:
-                J = herm
-                break
-        if J is not None:
-            break
-    if J is None:
-        raise NotSplitting("no non-scalar Hermitian element in the commutant")
-
-    evals, evecs = np.linalg.eigh(J)
-    gaps = np.diff(evals)
-    cut = int(np.argmax(gaps)) + 1
-    P1 = evecs[:, :cut] @ evecs[:, :cut].conj().T
-    P2 = evecs[:, cut:] @ evecs[:, cut:].conj().T
+def two_dim_commutant_projectors(T, gen_mats):
+    """The projectors (I + T)/2 and (I - T)/2 of an involution T in the
+    commutant of a set of unitary matrices.  Once the character has
+    <chi, chi> = 2 the commutant is two-dimensional, so span{I, T} is all
+    of it.  Raises NotSplitting unless T^2 = I and T commutes with every
+    matrix, and unless the projectors are idempotent, commute with the
+    action and sum to the identity."""
+    eye = np.eye(T.shape[0])
     tol = get_tol()
+    defect = float(np.max(np.abs(T @ T - eye)))
+    if defect > tol:
+        raise NotSplitting(f"T is not an involution, defect {defect}")
+    defect = max(float(np.max(np.abs(T @ g - g @ T))) for g in gen_mats)
+    if defect > tol:
+        raise NotSplitting(f"T does not commute with the action, "
+                           f"defect {defect}")
+    P1, P2 = (eye + T) / 2, (eye - T) / 2
     for P in (P1, P2):
         if np.max(np.abs(P @ P - P)) > tol:
             raise NotSplitting("projector is not idempotent")
@@ -214,19 +192,20 @@ def two_dim_commutant_projectors(gen_mats):
     return P1, P2
 
 
-def split_in_two(ctx, gen_mats, class_mats, whole):
+def split_in_two(ctx, T, gen_mats, class_mats, whole):
     """Split an SL2 representation with character whole, <whole, whole>
-    = 2, into two irreducible halves of half its degree by the projectors
-    of its commutant; gen_mats are its images of sl2_generators and
-    class_mats those of the class representatives.  Returns (plus, minus)
-    as ClassFunctions; plus has the larger value at the class of
-    (1 1; 0 1), by imaginary and then real part, each rounded to 9 places."""
+    = 2, into two irreducible halves of half its degree by the
+    eigenspaces of the involution T in its commutant; gen_mats are its
+    images of sl2_generators and class_mats those of the class
+    representatives.  Returns (plus, minus) as ClassFunctions; plus has
+    the larger value at the class of (1 1; 0 1), by imaginary and then
+    real part, each rounded to 9 places."""
     tol = get_tol()
     ip = inner_product(whole, whole)
     if abs(ip - 2) > tol:
         raise VerificationFailed(f"<chi,chi> = {ip}, expected 2")
     halves = [ClassFunction(ctx.view, np.einsum("ij,nji->n", P, class_mats))
-              for P in two_dim_commutant_projectors(gen_mats)]
+              for P in two_dim_commutant_projectors(T, gen_mats)]
     ident = ctx.class_index_of((1, 0, 0, 1))
     for f in halves:
         if abs(f.values[ident] - whole.values[ident] / 2) > tol:
@@ -241,10 +220,24 @@ def split_in_two(ctx, gen_mats, class_mats, whole):
     return (f1, f2) if key(f1) >= key(f2) else (f2, f1)
 
 
+def hecke_involution(ctx, bchar):
+    """The normalized Weyl intertwiner T_w of I(chi), chi quadratic, on
+    the B\\G coset basis of build_induced_rep:
+    T[i, j] = Delta_w(r_i r_j^-1) / sqrt(chi(-1) q), with Delta_w read off
+    the Bruhat words of the (q+1)^2 products only.  T^2 = I because
+    Delta_w * Delta_w = q^2 (q-1) chi(-1) Delta_1."""
+    reps, _ = ctx.borel_cosets
+    view = ctx.view
+    prods = view.mul(np.asarray(reps)[:, None], view.inv[reps][None, :])
+    _, dw = _kernels_at(ctx, bchar, ctx.elems[prods])
+    sign = bchar.chars[0].values[int(ctx.field.neg(1))]
+    return dw / np.sqrt(sign.real * ctx.q + 0j)
+
+
 def split_rho_pm(ctx, bchar):
     """Split I(chi) for the quadratic character chi of F_q^* into its two
-    irreducible halves rho+ and rho- of degree (q+1)/2, ordered as in
-    split_in_two."""
+    irreducible halves rho+ and rho- of degree (q+1)/2 by the eigenspaces
+    of hecke_involution, ordered as in split_in_two."""
     if ctx.kind != "sl2":
         raise GroupMismatch("rho+- live on sl2")
     chi = bchar.chars[0]
@@ -252,7 +245,8 @@ def split_rho_pm(ctx, bchar):
         raise CharMismatch("splitting needs the quadratic character")
     rep = build_induced_rep(ctx, bchar)
     gen_mats = [rep.images[g] for g in sl2_generators(ctx)]
-    return split_in_two(ctx, gen_mats, rep.images[ctx.view.reps],
+    return split_in_two(ctx, hecke_involution(ctx, bchar), gen_mats,
+                        rep.images[ctx.view.reps],
                         induced_character(ctx, bchar))
 
 
@@ -280,6 +274,11 @@ def delta_kernels(ctx, bchar):
 
     Delta_w is well defined only when the inducing character equals its
     Weyl twist, so that is required."""
+    return _kernels_at(ctx, bchar, ctx.elems)
+
+
+def _kernels_at(ctx, bchar, mats):
+    """(Delta_1, Delta_w) at the (..., 4) matrices mats."""
     if ctx.kind == "sl2":
         chi = bchar.chars[0]
         if chi.j != 0 and not chi.is_quadratic:
@@ -287,7 +286,7 @@ def delta_kernels(ctx, bchar):
     else:
         if bchar.chars[0] != bchar.chars[1]:
             raise CharMismatch("inducing pair must be Weyl symmetric")
-    big, b1, b2 = bruhat(ctx, ctx.elems)
+    big, b1, b2 = bruhat(ctx, mats)
     v1 = bchar.value_on_mats(b1)
     d1 = np.where(big, 0, v1)
     dw = np.where(big, v1 * bchar.value_on_mats(b2), 0)

@@ -772,7 +772,10 @@ def sl2_cuspidal_family(ectx, slctx):
 
     gen_mats = [module.restrict(weil_matrix(ectx, slctx.mat_of(g)))
                 for g in sl2_generators(slctx)]
-    plus, minus = split_in_two(slctx, gen_mats, stacks[-1], chi0)
+    # f -> f o frob preserves W_omega0, as omega0(y^q) = omega0(y^-1) =
+    # omega0(y) for norm-one y, and its square is the identity
+    frob = module.restrict(np.eye(ectx.ext.q)[ectx.frob])
+    plus, minus = split_in_two(slctx, frob, gen_mats, stacks[-1], chi0)
 
     sizes = slctx.view.sizes
     sum_traces = complex(np.sum(sizes * chi0.values))

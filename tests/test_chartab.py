@@ -50,6 +50,17 @@ def test_build_and_verify_small_tables():
         assert counts == expected_family_counts(kind, q)
 
 
+def test_sl2_table_path_takes_no_svd(monkeypatch):
+    # rho+- and omega0+- are split by explicit involutions; no commutant
+    # is solved for on the way to a table
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called while building a table")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    t = build_table("sl2", 9)
+    assert len(t.rows) == len(t.gctx.conj_classes)
+
+
 def test_gl2_f3_degrees_frozen():
     t = build_table("gl2", 3)
     assert sorted(r.degree for r in t.rows) == [1, 1, 2, 2, 2, 3, 3, 4]

@@ -5,7 +5,7 @@ Lazily derived data lives on the class that owns it, set in its
 constructor or as a cached property.  No module stores attributes on
 objects it did not create as `self`, and no function keeps state in a
 mutable default argument.  Comparisons read `get_tol()`, and the
-rank and clustering thresholds are named constants in `config.py`.
+pivot, clustering and rounding thresholds are named constants in `config.py`.
 Every imported name is used.
 """
 

@@ -24,14 +24,58 @@ from qrep import (
     inner_product,
     intertwiner_dim,
     intertwiner_idempotents,
+    make_ext,
     make_field,
     make_group,
     predicted_intertwiner_dim,
     rep_character,
+    sl2_cuspidal_family,
     split_rho_pm,
 )
-from qrep.parabolic import (convolve, sl2_generators, split_in_two,
-                            two_dim_commutant_projectors)
+from qrep import parabolic
+from qrep.config import SEED
+from qrep.parabolic import (convolve, hecke_involution, sl2_generators,
+                            split_in_two, two_dim_commutant_projectors)
+
+
+def _svd_commutant_projectors(gen_mats):
+    """Reference splitter that knows no involution: the commutant of the
+    generator images from the null space of the Kronecker system
+    vec(gX - Xg) = 0, a seeded search in it for a non-scalar Hermitian
+    element J, and the spectral projectors of J cut at its largest
+    eigenvalue gap.  Raises NotSplitting unless the commutant is
+    two-dimensional."""
+    d = gen_mats[0].shape[0]
+    eye = np.eye(d)
+    A = np.vstack([np.kron(eye, g) - np.kron(g.T, eye) for g in gen_mats])
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    # null singular values are ~1e-15, kept ones about 1 or more
+    null_dim = int(np.sum(s < 1e-9))
+    if null_dim != 2:
+        raise NotSplitting(f"commutant dimension {null_dim}, expected 2")
+    basis = [vh[-(i + 1)].reshape(d, d).T for i in range(2)]
+    rng = np.random.default_rng(SEED)
+    for attempt in range(16):
+        if attempt < 2:
+            cand = basis[attempt]
+        else:
+            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            cand = c[0] * basis[0] + c[1] * basis[1]
+        for J in ((cand + cand.conj().T) / 2, (cand - cand.conj().T) / 2j):
+            if np.max(np.abs(J - np.trace(J) / d * eye)) > 1e-6:
+                evals, evecs = np.linalg.eigh(J)
+                cut = int(np.argmax(np.diff(evals))) + 1
+                return (evecs[:, :cut] @ evecs[:, :cut].conj().T,
+                        evecs[:, cut:] @ evecs[:, cut:].conj().T)
+    raise NotSplitting("no non-scalar Hermitian element in the commutant")
+
+
+def _quadratic_split_setup(q):
+    ctx = make_group("sl2", make_field(3, 2) if q == 9 else make_field(q))
+    quad = BorelChar(ctx, (MultChar(ctx.field, (q - 1) // 2),))
+    rep = build_induced_rep(ctx, quad)
+    gen_mats = [rep.images[g] for g in sl2_generators(ctx)]
+    return ctx, quad, rep, gen_mats
 
 
 def _closed_form(ctx, chi1, chi2):
@@ -241,20 +285,71 @@ def test_irreducible_principal_series_has_no_splitting():
     chi = MultChar(ctx.field, 1)
     rep = build_induced_rep(ctx, BorelChar(ctx, (chi,)))
     gens = sl2_generators(ctx)
-    with pytest.raises(NotSplitting):
-        two_dim_commutant_projectors([rep.images[g] for g in gens])
+    with pytest.raises(NotSplitting, match="commutant dimension 1"):
+        _svd_commutant_projectors([rep.images[g] for g in gens])
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_involution_halves_equal_the_commutant_svd_halves(q, monkeypatch):
+    ctx, quad, _, _ = _quadratic_split_setup(q)
+    ectx = make_ext(ctx.field)
+
+    def halves():
+        om0 = sl2_cuspidal_family(ectx, ctx)["omega0"]
+        return [*split_rho_pm(ctx, quad), om0["plus"], om0["minus"]]
+
+    got = halves()
+    monkeypatch.setattr(parabolic, "two_dim_commutant_projectors",
+                        lambda T, gens: _svd_commutant_projectors(gens))
+    want = halves()
+    for f, g in zip(got, want):
+        assert np.max(np.abs(f.values - g.values)) < get_tol()
+
+
+def test_involution_gates_fire():
+    tol = get_tol()
+    ctx, quad, rep, gen_mats = _quadratic_split_setup(5)
+    T = hecke_involution(ctx, quad)
+    P1, P2 = two_dim_commutant_projectors(T, gen_mats)
+    assert np.max(np.abs(P1 + P2 - np.eye(ctx.q + 1))) < tol
+    with pytest.raises(NotSplitting, match="T is not an involution"):
+        two_dim_commutant_projectors(T * (1 + 10 * tol), gen_mats)
+    bent = list(gen_mats)
+    bent[0] = bent[0].copy()
+    bent[0][0, 0] += 10 * tol
+    with pytest.raises(NotSplitting, match="T does not commute"):
+        two_dim_commutant_projectors(T, bent)
+    # the identity passes both involution gates; only the halves' degree
+    # shows that it splits nothing
+    with pytest.raises(VerificationFailed, match="wrong degree"):
+        split_in_two(ctx, np.eye(ctx.q + 1), gen_mats,
+                     rep.images[ctx.view.reps], induced_character(ctx, quad))
+
+
+def test_hecke_involution_is_the_normalized_delta_w():
+    # T^2 = I, and T is Delta_w at r_i r_j^-1 scaled by 1/sqrt(chi(-1) q)
+    for q in (3, 5, 7):
+        ctx, quad, _, _ = _quadratic_split_setup(q)
+        T = hecke_involution(ctx, quad)
+        assert np.max(np.abs(T @ T - np.eye(q + 1))) < get_tol()
+        _, dw = delta_kernels(ctx, quad)
+        reps, _ = ctx.borel_cosets
+        view = ctx.view
+        scale = np.sqrt(complex(q if q % 4 == 1 else -q))
+        for i, ri in enumerate(reps):
+            for j, rj in enumerate(reps):
+                x = int(view.mul(ri, view.inv[rj]))
+                assert abs(T[i, j] * scale - dw[x]) < 1e-12
 
 
 def test_split_in_two_gates_fire():
-    ctx = make_group("sl2", make_field(5))
+    ctx, quad, rep, gen_mats = _quadratic_split_setup(5)
     F = ctx.field
-    quad = BorelChar(ctx, (MultChar(F, 2),))
-    rep = build_induced_rep(ctx, quad)
     gens = sl2_generators(ctx)
-    gen_mats = [rep.images[g] for g in gens]
+    T = hecke_involution(ctx, quad)
     class_mats = rep.images[ctx.view.reps]
     whole = induced_character(ctx, quad)
-    plus, minus = split_in_two(ctx, gen_mats, class_mats, whole)
+    plus, minus = split_in_two(ctx, T, gen_mats, class_mats, whole)
     assert np.max(np.abs((plus + minus).values - whole.values)) < 1e-8
 
     # off by 10 tol at a class where whole vanishes, so <whole, whole>
@@ -263,14 +358,17 @@ def test_split_in_two_gates_fire():
     off = whole.values.copy()
     off[zero] += 10 * get_tol()
     with pytest.raises(VerificationFailed, match="sum"):
-        split_in_two(ctx, gen_mats, class_mats, ClassFunction(ctx.view, off))
+        split_in_two(ctx, T, gen_mats, class_mats,
+                     ClassFunction(ctx.view, off))
 
     irreducible = BorelChar(ctx, (MultChar(F, 1),))
     with pytest.raises(VerificationFailed, match="expected 2"):
-        split_in_two(ctx, gen_mats, class_mats,
+        split_in_two(ctx, T, gen_mats, class_mats,
                      induced_character(ctx, irreducible))
 
+    # the Weyl intertwiner of I(quad) does not commute with I(chi) for
+    # chi of order 4
     irr_rep = build_induced_rep(ctx, irreducible)
-    with pytest.raises(NotSplitting):
-        split_in_two(ctx, [irr_rep.images[g] for g in gens],
+    with pytest.raises(NotSplitting, match="T does not commute"):
+        split_in_two(ctx, T, [irr_rep.images[g] for g in gens],
                      irr_rep.images[ctx.view.reps], whole)

@@ -501,6 +501,18 @@ def test_omega0_halves_frozen_at_q3():
     assert abs(om0["minus"].values[u] - np.conj(root)) < 1e-8
 
 
+def test_a_no_op_frobenius_splits_nothing(monkeypatch):
+    # with the identity in place of the Frobenius permutation, the
+    # restricted operator is I: an involution that commutes with
+    # everything, so only the degree of its +1 half shows the fault
+    E = make_ext(make_field(5))
+    sl = make_group("sl2", E.base)
+    E.trace_pairing  # built from the true frob before it is replaced
+    monkeypatch.setattr(E, "frob", np.arange(E.ext.q))
+    with pytest.raises(VerificationFailed, match="wrong degree"):
+        sl2_cuspidal_family(E, sl)
+
+
 def test_sl2_cuspidal_anisotropic_values():
     # at an anisotropic class with ext eigenvalue z (norm one), the
     # cuspidal character takes the value -(omega(z) + omega(1/z))
