@@ -9,7 +9,9 @@ index arrays; no |G| x |G| multiplication table is ever built.
 Class representatives follow the rational-canonical shapes: scalars,
 (lambda v; 0 lambda) with v = 1 (and v = eps for SL2, where the two
 unipotent directions are not conjugate), diag(l1, l2) with l1 < l2, and
-the companion matrix (0 -a0; 1 a1) of an irreducible quadratic.  Each
+the companion matrix (0 -a0; 1 a1) of an irreducible quadratic.  The
+classes themselves are flooded by conjugation with a certified
+generating set of the group (repcore.generating_set), and each
 constructed representative is verified to lie in its flooded class, so
 the canonical labels are cross-checked against ground truth.
 """
@@ -20,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EvenQ, NotInGroup, Singular, VerificationFailed
-from .repcore import FiniteGroupView, flood_classes, orbits, subgroup_view
+from .repcore import FiniteGroupView, orbits, subgroup_view
 
 TAG_RANK = {"central": 0, "nonsemisimple": 1, "split_regular": 2, "anisotropic": 3}
 
@@ -68,10 +70,11 @@ class GroupCtx:
         self.identity = self.id_of((1, 0, 0, 1))
         inv = self.lookup[_pack(q, self.mat_inv(self.elems))]
         self._mul = self._make_mul()
-        labels = self._canonical_classes(inv)
-        self.view = FiniteGroupView(
-            self.n, self._mul, inv=inv, identity=self.identity,
-            classes=[(rep_id, orbit) for _, _, rep_id, orbit in labels])
+        flooded = FiniteGroupView(self.n, self._mul, inv=inv,
+                                  identity=self.identity)
+        labels = self._canonical_classes(flooded.classes)
+        self.view = flooded.with_classes(
+            [(rep_id, orbit) for _, _, rep_id, orbit in labels])
         self.conj_classes = [
             ConjClass(tag=tag, params=params, rep=self.mat_of(rep_id),
                       rep_id=rep_id, size=len(orbit),
@@ -224,11 +227,11 @@ class GroupCtx:
             raise EvenQ("no non-square unit in even characteristic")
         return self.eps
 
-    def _canonical_classes(self, inv):
-        """(tag, params, rep_id, members) of every class, in TAG_RANK then
-        params order."""
+    def _canonical_classes(self, flooded):
+        """(tag, params, rep_id, members) of every flooded class, in
+        TAG_RANK then params order."""
         labeled = []
-        for _, orbit in flood_classes(self.n, self._mul, inv):
+        for _, orbit in flooded:
             tag, params, rep = self.classify(self.elems[orbit[0]])
             rep_id = self.id_of(rep)
             if rep_id not in orbit:

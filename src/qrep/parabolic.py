@@ -20,7 +20,8 @@ from .config import SEED, get_tol
 from .errors import (CharMismatch, EvenQ, GroupMismatch, NotSplitting,
                      VerificationFailed)
 from .gl2 import bruhat
-from .repcore import ClassFunction, MatrixRep, hom_dim, induce, inner_product
+from .repcore import (ClassFunction, MatrixRep, generating_set, hom_dim,
+                      induce, inner_product)
 
 # sampled pairs in the homomorphism check of a matrix model with |G| > 400
 CHECK_PAIRS = 4096
@@ -150,17 +151,7 @@ def sl2_generators(ctx):
     if F.k > 1:
         gens += [ctx.upper_id(F.gen), ctx.lower_id(F.gen)]
     gens = sorted(set(gens))
-    reached = np.zeros(ctx.n, dtype=bool)
-    frontier = np.array([ctx.identity], dtype=np.int64)
-    reached[frontier] = True
-    garr = np.array(gens, dtype=np.int64)
-    while len(frontier):
-        nxt = np.unique(ctx.view.mul(frontier[:, None], garr[None, :]))
-        nxt = nxt[~reached[nxt]]
-        reached[nxt] = True
-        frontier = nxt
-    if not reached.all():
-        raise VerificationFailed("generator set does not generate")
+    generating_set(ctx.n, ctx.view.mul, ctx.identity, gens)
     return gens
 
 

@@ -5,11 +5,16 @@ and exposes a vectorized multiplication callback; no n x n table is
 ever materialized, so the same machinery serves cyclic toy groups and
 GL2 over F_11 alike.  Every orbit enumeration (conjugacy classes, cosets,
 double cosets, matrix similarity orbits, Frobenius orbits of characters)
-goes through orbits, which checks that its blocks partition the set; a
-conjugacy class costs one vectorized conjugation by every group element.
+goes through orbits, which checks that its blocks partition the set.
+Each view certifies a generating set once, by a search that reaches
+every element; conjugacy classes are the orbits of conjugation by those
+generators alone, and a subgroup embedding is checked on (element,
+generator) pairs.
 Induction and restriction read only an embedding's class fusion map,
 never group elements.
 """
+
+import copy
 
 import numpy as np
 
@@ -24,20 +29,34 @@ DIXON_TRIES = 8
 
 class FiniteGroupView:
     """n, mul(a, b) vectorized over int arrays, inv array, identity,
-    classes as a list of (representative, members) pairs, class_of map.
+    a certified generating set gens, classes as a list of
+    (representative, members) pairs, class_of map.
 
-    If classes is given it must be a complete partition (it is checked);
-    otherwise classes are found in increasing order of their smallest
-    member, which makes the ordering deterministic.
+    gens, if given, is certified to generate (generating_set); otherwise
+    a set is chosen greedily.  If classes is given it must be a complete
+    partition (it is checked); otherwise classes are flooded through the
+    generators, in increasing order of their smallest member, which
+    makes the ordering deterministic.
     """
 
-    def __init__(self, n, mul, inv, identity=0, classes=None):
+    def __init__(self, n, mul, inv, identity=0, classes=None, gens=None):
         self.n = int(n)
         self.mul = mul
         self.identity = int(identity)
         self.inv = np.asarray(inv, dtype=np.int64)
+        self.gens = generating_set(self.n, mul, self.identity, gens)
         if classes is None:
-            classes = flood_classes(self.n, mul, self.inv)
+            classes = flood_classes(self.n, mul, self.inv, self.gens)
+        self._set_classes(classes)
+
+    def with_classes(self, classes):
+        """The same group, generators included, with its classes given
+        anew (relabelled or reordered); the partition is checked again."""
+        other = copy.copy(self)
+        other._set_classes(classes)
+        return other
+
+    def _set_classes(self, classes):
         self.classes = [(int(r), np.asarray(m, dtype=np.int64)) for r, m in classes]
         self.class_of = np.full(self.n, -1, dtype=np.int64)
         for ci, (_, members) in enumerate(self.classes):
@@ -48,6 +67,38 @@ class FiniteGroupView:
         if int(self.sizes.sum()) != self.n:
             raise VerificationFailed("class sizes do not sum to |G|")
         self.reps = np.array([r for r, _ in self.classes], dtype=np.int64)
+
+
+def generating_set(n, mul, identity, gens=None):
+    """A generating set S of the group 0..n-1, certified: a breadth-first
+    search from the identity, multiplying on the right by S, reaches all
+    n elements, or VerificationFailed.  Without gens, S is chosen
+    greedily, the smallest unreached element each time the search
+    stalls, and the reached set is multiplied by each new generator once.
+    Either way every element meets every generator exactly once (n |S|
+    products).  Positive words in S reach every element, and in a finite
+    group they are all of <S>, so the search also proves the set closed
+    when mul refuses products outside it.  Returns S as an int64 array."""
+    greedy = gens is None
+    S = np.array([] if greedy else gens, dtype=np.int64)
+    reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    frontier = np.array([identity], dtype=np.int64)
+    while True:
+        while len(frontier) and len(S):
+            nxt = np.unique(mul(frontier[:, None], S[None, :]))
+            frontier = nxt[~reached[nxt]]
+            reached[frontier] = True
+        if reached.all() or not greedy:
+            break
+        s = int(np.argmin(reached))
+        nxt = np.unique(mul(np.flatnonzero(reached), s))
+        S = np.append(S, s)
+        frontier = nxt[~reached[nxt]]
+        reached[frontier] = True
+    if not reached.all():
+        raise VerificationFailed("generator set does not generate")
+    return S
 
 
 def orbits(n, orbit):
@@ -71,12 +122,29 @@ def orbits(n, orbit):
     return out
 
 
-def flood_classes(n, mul, inv):
-    """Conjugacy classes of a group given by its vectorized mul and its
-    inverse array, as (smallest member, members) pairs in increasing
-    order of the smallest member."""
-    allg = np.arange(n)
-    return orbits(n, lambda x: mul(mul(allg, x), inv[allg]))
+def flood_classes(n, mul, inv, gens):
+    """Conjugacy classes of a group given by its vectorized mul, its
+    inverse array and a certified generating set, as (smallest member,
+    members) pairs in increasing order of the smallest member.
+
+    The classes are the orbits of the |S| permutations x -> s x s^-1,
+    since <S> is the whole group: every element takes the smallest label
+    of its images under the permutations, with pointer jumping, until no
+    label moves.  A permutation's inverse is a power of it, so following
+    images alone reaches the whole orbit."""
+    x = np.arange(n)
+    conj = mul(mul(gens[:, None], x[None, :]), inv[gens][:, None])
+    label = x
+    while True:
+        new = np.minimum(label, label[conj].min(axis=0, initial=n))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    blocks = {int(label[b[0]]): b for b in np.split(order, cuts)}
+    return orbits(n, lambda y: blocks[int(label[y])])
 
 
 class MixedRadix:
@@ -158,8 +226,11 @@ def hom_dim(f, g):
 
 
 class SubgroupEmbedding:
-    """An injection H -> G verified to be a group homomorphism on every
-    pair of H elements.  fusion[c] is the G-class of the H-class c."""
+    """An injection H -> G verified to be a group homomorphism:
+    phi(h s) = phi(h) phi(s) for every h in H and every s in H's
+    certified generators.  By induction on the length of a positive word
+    in those generators this gives phi(g h) = phi(g) phi(h) for every
+    pair.  fusion[c] is the G-class of the H-class c."""
 
     def __init__(self, sub, big, injection):
         injection = np.asarray(injection, dtype=np.int64)
@@ -171,8 +242,8 @@ class SubgroupEmbedding:
         self.big = big
         self.injection = injection
         h = np.arange(sub.n)
-        lhs = injection[sub.mul(h[:, None], h[None, :])]
-        rhs = big.mul(injection[:, None], injection[None, :])
+        lhs = injection[sub.mul(h[:, None], sub.gens[None, :])]
+        rhs = big.mul(injection[:, None], injection[sub.gens][None, :])
         if not np.array_equal(lhs, rhs):
             raise NotInGroup("injection is not a homomorphism")
         self.g_to_h = np.full(big.n, -1, dtype=np.int64)
@@ -182,7 +253,9 @@ class SubgroupEmbedding:
 
 def subgroup_view(big, members):
     """Build a FiniteGroupView on a subset closed under multiplication,
-    together with its embedding into the ambient view."""
+    together with its embedding into the ambient view.  The view's
+    generator search multiplies every member by every generator, so it
+    proves the subset closed or raises NotInGroup."""
     members = np.unique(np.asarray(members, dtype=np.int64))
     pos = np.full(big.n, -1, dtype=np.int64)
     pos[members] = np.arange(len(members))

@@ -372,3 +372,22 @@ def test_split_in_two_gates_fire():
     with pytest.raises(NotSplitting, match="T does not commute"):
         split_in_two(ctx, T, [irr_rep.images[g] for g in gens],
                      irr_rep.images[ctx.view.reps], whole)
+
+
+def test_sl2_generators_list_order_and_refusal(monkeypatch):
+    # the sorted ids of t(gen), w, u(1) and l(1), plus u(gen) and l(gen)
+    # over a proper extension; a torus alone does not generate
+    for p, k in ((5, 1), (3, 2)):
+        ctx = make_group("sl2", make_field(p, k))
+        F = ctx.field
+        want = {ctx.t_id(F.gen), ctx.w_id(), ctx.upper_id(1),
+                ctx.lower_id(1)}
+        if k > 1:
+            want |= {ctx.upper_id(F.gen), ctx.lower_id(F.gen)}
+        assert sl2_generators(ctx) == sorted(want)
+    torus = ctx.t_id(ctx.field.gen)
+    for name in ("w_id", "upper_id", "lower_id"):
+        monkeypatch.setattr(ctx, name, lambda *_: torus)
+    with pytest.raises(VerificationFailed,
+                       match="^generator set does not generate$"):
+        sl2_generators(ctx)

@@ -6,8 +6,12 @@ import pytest
 
 from qrep import (
     ClassFunction,
+    FiniteGroupView,
+    GroupCtx,
     MatrixRep,
+    NotInGroup,
     NotNormal,
+    SubgroupEmbedding,
     abelian_view,
     character_table_bruteforce,
     clifford_orbit_check,
@@ -26,7 +30,7 @@ from qrep import (
     subgroup_view,
 )
 from qrep.errors import VerificationFailed
-from qrep.repcore import orbits
+from qrep.repcore import generating_set, orbits
 
 RNG = np.random.default_rng(20070714)
 
@@ -290,3 +294,120 @@ def test_hom_dim_counts_common_constituents():
             assert hom_dim(f, g) == (1 if i == j else 0)
     both = rows[0] + rows[1]
     assert hom_dim(both, both) == 2
+
+
+# ---------------------------------------------------------------------------
+# generator certificate: classes and embeddings through certified generators
+
+def _flood_by_all(view):
+    """Reference: classes by conjugation with every group element."""
+    allg = np.arange(view.n)
+    return orbits(view.n, lambda x: view.mul(view.mul(allg, x),
+                                             view.inv[allg]))
+
+
+def _all_pairs_homomorphism(emb):
+    """Reference: the embedding checked on every pair of H elements."""
+    h = np.arange(emb.sub.n)
+    lhs = emb.injection[emb.sub.mul(h[:, None], h[None, :])]
+    rhs = emb.big.mul(emb.injection[:, None], emb.injection[None, :])
+    return np.array_equal(lhs, rhs)
+
+
+def _same_classes(got, want):
+    return len(got) == len(want) and all(
+        r == s and np.array_equal(m, n) for (r, m), (s, n) in zip(got, want))
+
+
+@pytest.mark.parametrize("kind, p, k", [
+    ("gl2", 3, 1), ("gl2", 5, 1), ("gl2", 7, 1), ("gl2", 3, 2),
+    ("sl2", 3, 1), ("sl2", 5, 1), ("sl2", 7, 1), ("sl2", 3, 2),
+    ("sl2", 17, 1)])
+def test_generator_classes_and_fusion_equal_the_all_elements_references(
+        kind, p, k):
+    ctx = make_group(kind, make_field(p, k))
+    G = ctx.view
+    canonical = ctx._canonical_classes(_flood_by_all(G))
+    assert _same_classes(G.classes, [(rep_id, orbit)
+                                     for _, _, rep_id, orbit in canonical])
+    B, emb = ctx.borel
+    assert _same_classes(B.classes, _flood_by_all(B))
+    assert _all_pairs_homomorphism(emb)
+    want = [G.class_of[emb.injection[r]] for r, _ in _flood_by_all(B)]
+    assert emb.fusion.tolist() == want
+
+
+@pytest.mark.parametrize("orders", [(2,), (3,), (4,), (2, 2)])
+def test_heisenberg_classes_equal_the_all_elements_reference(orders):
+    v = heisenberg_group(orders).view()
+    assert _same_classes(v.classes, _flood_by_all(v))
+
+
+def test_generating_set_is_greedy_and_certified():
+    # Z/4 x Z/6: 1 reaches 0..3, and 4 (= (0, 1)) then reaches the rest
+    v = abelian_view((4, 6))
+    assert v.gens.tolist() == [1, 4]
+    assert generating_set(v.n, v.mul, 0, [4, 1]).tolist() == [4, 1]
+    assert generating_set(1, v.mul, 0).tolist() == []
+
+
+def test_a_set_that_does_not_generate_is_refused():
+    v = abelian_view((6,))
+    with pytest.raises(VerificationFailed, match="does not generate"):
+        generating_set(v.n, v.mul, 0, [2])
+    with pytest.raises(VerificationFailed, match="does not generate"):
+        FiniteGroupView(v.n, v.mul, v.inv, gens=[3])
+    ctx = make_group("sl2", make_field(5))
+    upper = [ctx.upper_id(x) for x in range(1, 5)]
+    with pytest.raises(VerificationFailed, match="does not generate"):
+        generating_set(ctx.n, ctx.view.mul, ctx.identity, upper)
+
+
+def test_an_injective_non_homomorphism_is_refused():
+    # the Borel of SL2(F_5) mapped with two non-generators swapped: the
+    # map stays injective, and only some (element, generator) products
+    # see the swap
+    ctx = make_group("sl2", make_field(5))
+    B, emb = ctx.borel
+    x, y = [h for h in range(B.n) if h not in B.gens and h != B.identity][:2]
+    bad = emb.injection.copy()
+    bad[[x, y]] = bad[[y, x]]
+    with pytest.raises(NotInGroup, match="not a homomorphism"):
+        SubgroupEmbedding(B, ctx.view, bad)
+    # Z/4 x Z/6 (generators 1 and 4) by (a, b) -> (a, sigma(b)): only
+    # the products with the second generator see that sigma is not additive
+    v = abelian_view((4, 6))
+    sigma = np.array([0, 1, 3, 2, 4, 5])
+    a, b = np.arange(v.n) % 4, np.arange(v.n) // 4
+    with pytest.raises(NotInGroup, match="not a homomorphism"):
+        SubgroupEmbedding(v, v, a + 4 * sigma[b])
+
+
+def test_a_subset_that_is_not_closed_is_refused():
+    # each set holds the identity and is closed under inversion, so only
+    # the generator search can see that a product leaves it
+    v = abelian_view((6,))
+    with pytest.raises(NotInGroup, match="under multiplication"):
+        subgroup_view(v, [0, 1, 5])
+    ctx = make_group("sl2", make_field(3))
+    w = ctx.w_id()
+    members = np.append(ctx.borel_ids(), [w, ctx.view.inv[w]])
+    with pytest.raises(NotInGroup, match="under multiplication"):
+        subgroup_view(ctx.view, members)
+
+
+def test_gl2_f9_context_and_borel_take_few_products(monkeypatch):
+    # conjugating every class representative by all of G and checking
+    # the Borel embedding on all |B|^2 pairs took 290 |G| products
+    real = GroupCtx.mat_mul
+    products = []
+
+    def counting(self, m1, m2):
+        out = real(self, m1, m2)
+        products.append(np.size(out) // 4)
+        return out
+
+    monkeypatch.setattr(GroupCtx, "mat_mul", counting)
+    ctx = GroupCtx("gl2", make_field(3, 2))
+    ctx.borel
+    assert 0 < sum(products) <= 32 * ctx.n
