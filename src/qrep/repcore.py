@@ -29,25 +29,21 @@ DIXON_TRIES = 8
 
 class FiniteGroupView:
     """n, mul(a, b) vectorized over int arrays, inv array, identity,
-    a certified generating set gens, classes as a list of
-    (representative, members) pairs, class_of map.
+    a greedily chosen certified generating set gens (generating_set),
+    classes as a list of (representative, members) pairs, class_of map.
 
-    gens, if given, is certified to generate (generating_set); otherwise
-    a set is chosen greedily.  If classes is given it must be a complete
-    partition (it is checked); otherwise classes are flooded through the
-    generators, in increasing order of their smallest member, which
-    makes the ordering deterministic.
+    Classes are flooded through the generators, in increasing order of
+    their smallest member, which makes the ordering deterministic;
+    with_classes relabels them.
     """
 
-    def __init__(self, n, mul, inv, identity=0, classes=None, gens=None):
+    def __init__(self, n, mul, inv, identity=0):
         self.n = int(n)
         self.mul = mul
         self.identity = int(identity)
         self.inv = np.asarray(inv, dtype=np.int64)
-        self.gens = generating_set(self.n, mul, self.identity, gens)
-        if classes is None:
-            classes = flood_classes(self.n, mul, self.inv, self.gens)
-        self._set_classes(classes)
+        self.gens = generating_set(self.n, mul, self.identity)
+        self._set_classes(flood_classes(self.n, mul, self.inv, self.gens))
 
     def with_classes(self, classes):
         """The same group, generators included, with its classes given
@@ -227,10 +223,11 @@ def hom_dim(f, g):
 
 class SubgroupEmbedding:
     """An injection H -> G verified to be a group homomorphism:
-    phi(h s) = phi(h) phi(s) for every h in H and every s in H's
-    certified generators.  By induction on the length of a positive word
-    in those generators this gives phi(g h) = phi(g) phi(h) for every
-    pair.  fusion[c] is the G-class of the H-class c."""
+    phi(e) = e, and phi(h s) = phi(h) phi(s) for every h in H and every
+    s in H's certified generators.  By induction on the length of a
+    positive word in those generators (the empty word being e) this
+    gives phi(g h) = phi(g) phi(h) for every pair.  fusion[c] is the
+    G-class of the H-class c."""
 
     def __init__(self, sub, big, injection):
         injection = np.asarray(injection, dtype=np.int64)
@@ -241,6 +238,8 @@ class SubgroupEmbedding:
         self.sub = sub
         self.big = big
         self.injection = injection
+        if injection[sub.identity] != big.identity:
+            raise NotInGroup("injection does not fix the identity")
         h = np.arange(sub.n)
         lhs = injection[sub.mul(h[:, None], sub.gens[None, :])]
         rhs = big.mul(injection[:, None], injection[sub.gens][None, :])

@@ -356,7 +356,7 @@ def test_a_set_that_does_not_generate_is_refused():
     with pytest.raises(VerificationFailed, match="does not generate"):
         generating_set(v.n, v.mul, 0, [2])
     with pytest.raises(VerificationFailed, match="does not generate"):
-        FiniteGroupView(v.n, v.mul, v.inv, gens=[3])
+        generating_set(v.n, v.mul, 0, [3, 0])
     ctx = make_group("sl2", make_field(5))
     upper = [ctx.upper_id(x) for x in range(1, 5)]
     with pytest.raises(VerificationFailed, match="does not generate"):
@@ -381,6 +381,13 @@ def test_an_injective_non_homomorphism_is_refused():
     a, b = np.arange(v.n) % 4, np.arange(v.n) // 4
     with pytest.raises(NotInGroup, match="not a homomorphism"):
         SubgroupEmbedding(v, v, a + 4 * sigma[b])
+
+
+def test_a_trivial_view_off_the_identity_is_refused():
+    # the trivial group has no generators, so only phi(e) = e sees this
+    trivial = FiniteGroupView(1, lambda a, b: a * b, inv=[0])
+    with pytest.raises(NotInGroup, match="identity"):
+        SubgroupEmbedding(trivial, abelian_view((6,)), [2])
 
 
 def test_a_subset_that_is_not_closed_is_refused():
