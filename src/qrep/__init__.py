@@ -18,9 +18,8 @@ from .ff import (AddChar, ExtCtx, FieldCtx, MultChar, NormOneChar,
 from .repcore import (ClassFunction, FiniteGroupView, MatrixRep,
                       SubgroupEmbedding, abelian_view,
                       character_table_bruteforce, clifford_orbit_check,
-                      compress_rep, double_cosets, hom_dim, induce,
-                      inner_product, mackey_check, rep_character, restrict,
-                      subgroup_view)
+                      double_cosets, hom_dim, induce, inner_product,
+                      mackey_check, rep_character, restrict, subgroup_view)
 from .gl2 import ConjClass, GroupCtx, bruhat, make_group, sl2_split_test
 from .parabolic import (BorelChar, build_induced_rep, decompose_gl2,
                         delta_kernels, delta_relation_defect,

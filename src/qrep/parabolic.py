@@ -16,15 +16,12 @@ these identities are re-verified numerically on every construction.
 
 import numpy as np
 
-from .config import SEED, get_tol
+from .config import get_tol
 from .errors import (CharMismatch, EvenQ, GroupMismatch, NotSplitting,
                      VerificationFailed)
 from .gl2 import bruhat
 from .repcore import (ClassFunction, MatrixRep, generating_set, hom_dim,
                       induce, inner_product)
-
-# sampled pairs in the homomorphism check of a matrix model with |G| > 400
-CHECK_PAIRS = 4096
 
 
 class BorelChar:
@@ -114,7 +111,7 @@ def decompose_gl2(ctx, bchar):
 def build_induced_rep(ctx, bchar):
     """Matrix model of Ind_B^G chi for SL2 with basis indexed by B\\G:
     M(g)[j, i] = chi~(b) where r_j g = b r_i.  Verified multiplicative
-    on all pairs when |G| <= 400, else on a seeded sample."""
+    by MatrixRep.check_homomorphism, whose bound covers every pair."""
     if ctx.kind != "sl2":
         raise GroupMismatch("matrix model is built for sl2")
     if ctx.q % 2 == 0:
@@ -133,14 +130,9 @@ def build_induced_rep(ctx, bchar):
         vals = bchar.value_on_mats(ctx.elems[b])
         images[allg, j, i] = vals
     rep = MatrixRep(view, images)
-    if ctx.n <= 400:
-        worst = rep.check_homomorphism()
-    else:
-        rng = np.random.default_rng(SEED)
-        pairs = rng.integers(0, ctx.n, size=(CHECK_PAIRS, 2))
-        worst = rep.check_homomorphism(pairs=pairs)
-    if worst > get_tol():
-        raise VerificationFailed(f"induced rep not multiplicative, defect {worst}")
+    bound = rep.check_homomorphism()
+    if not bound < get_tol():
+        raise VerificationFailed(f"induced rep not multiplicative, bound {bound}")
     return rep
 
 

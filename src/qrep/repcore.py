@@ -29,8 +29,9 @@ DIXON_TRIES = 8
 
 class FiniteGroupView:
     """n, mul(a, b) vectorized over int arrays, inv array, identity,
-    a greedily chosen certified generating set gens (generating_set),
-    classes as a list of (representative, members) pairs, class_of map.
+    a greedily chosen certified generating set gens with its word length
+    bound word_length (generating_set), classes as a list of
+    (representative, members) pairs, class_of map.
 
     Classes are flooded through the generators, in increasing order of
     their smallest member, which makes the ordering deterministic;
@@ -42,7 +43,8 @@ class FiniteGroupView:
         self.mul = mul
         self.identity = int(identity)
         self.inv = np.asarray(inv, dtype=np.int64)
-        self.gens = generating_set(self.n, mul, self.identity)
+        self.gens, self.word_length = generating_set(self.n, mul,
+                                                     self.identity)
         self._set_classes(flood_classes(self.n, mul, self.inv, self.gens))
 
     def with_classes(self, classes):
@@ -74,9 +76,16 @@ def generating_set(n, mul, identity, gens=None):
     Either way every element meets every generator exactly once (n |S|
     products).  Positive words in S reach every element, and in a finite
     group they are all of <S>, so the search also proves the set closed
-    when mul refuses products outside it.  Returns S as an int64 array."""
+    when mul refuses products outside it.
+
+    Returns (S, L): S as an int64 array, and L a bound on the length of
+    the shortest positive word in S for every element.  L counts the
+    search rounds that reach a new element, plus one for each greedy
+    generator: an element first reached by a round or by a new generator
+    is one letter longer than the reached element it came from."""
     greedy = gens is None
     S = np.array([] if greedy else gens, dtype=np.int64)
+    L = 0
     reached = np.zeros(n, dtype=bool)
     reached[identity] = True
     frontier = np.array([identity], dtype=np.int64)
@@ -85,16 +94,18 @@ def generating_set(n, mul, identity, gens=None):
             nxt = np.unique(mul(frontier[:, None], S[None, :]))
             frontier = nxt[~reached[nxt]]
             reached[frontier] = True
+            L += bool(len(frontier))
         if reached.all() or not greedy:
             break
         s = int(np.argmin(reached))
         nxt = np.unique(mul(np.flatnonzero(reached), s))
         S = np.append(S, s)
+        L += 1
         frontier = nxt[~reached[nxt]]
         reached[frontier] = True
     if not reached.all():
         raise VerificationFailed("generator set does not generate")
-    return S
+    return S, L
 
 
 def orbits(n, orbit):
@@ -341,42 +352,48 @@ class MatrixRep:
         self.images = images
         self.dim = images.shape[1]
 
-    def check_homomorphism(self, pairs=None):
-        """Max |pi(a)pi(b) - pi(ab)| over the given (or all) pairs."""
-        v = self.view
-        if pairs is None:
-            a, b = np.meshgrid(np.arange(v.n), np.arange(v.n), indexing="ij")
-            pairs = np.stack([a.ravel(), b.ravel()], axis=1)
-        pairs = np.asarray(pairs)
+    def check_homomorphism(self):
+        """A bound B on ||pi(gh) - pi(g) pi(h)||_2 over every pair, from
+        pi(e), the view's certified generators S, its word length bound
+        L and the |G| |S| products pi(g) pi(s), g in G, s in S.  Callers
+        gate on B < get_tol().
+
+        Proof.  Let delta be the largest entry of |pi(e) - I| and of
+        every |pi(g) pi(s) - pi(gs)|, and u that of every
+        |pi(s) pi(s)* - I|.  A d x d matrix has 2-norm at most d times
+        its largest entry, so each of these defects has norm at most
+        eps = d delta, and ||pi(s)|| <= sqrt(1 + d u) <= 1 + d u / 2.
+        Every h is a positive word s_1 ... s_k in S with k <= L; its
+        product W = pi(s_1) ... pi(s_k) has norm at most
+        a = (1 + d u / 2)^L.  Replacing pi(x s_j) by pi(x) pi(s_j) one
+        letter at a time, from x = e, gives ||pi(h) - W|| <= (L+1) eps a
+        (one term for pi(e), one per letter), and from x = g gives
+        ||pi(gh) - pi(g) W|| <= L eps a.  With ||pi(g)|| <=
+        a (1 + (L+1) eps), the triangle inequality gives
+        ||pi(gh) - pi(g) pi(h)|| <= B with
+        B = eps a (L + (L+1) a (1 + (L+1) eps))."""
+        v, d = self.view, self.dim
+        gs = v.mul(np.arange(v.n)[:, None], v.gens[None, :])
         step = max(1, _CHUNK_BYTES // self.images[0].nbytes)
-        worst = 0.0
-        for lo in range(0, len(pairs), step):
-            chunk = pairs[lo:lo + step]
-            pa = self.images[chunk[:, 0]]
-            pb = self.images[chunk[:, 1]]
-            pab = self.images[v.mul(chunk[:, 0], chunk[:, 1])]
-            worst = max(worst, float(np.max(np.abs(pa @ pb - pab))))
-        return worst
+        delta = float(np.max(np.abs(self.images[v.identity] - np.eye(d))))
+        for j, s in enumerate(v.gens):
+            for lo in range(0, v.n, step):
+                block = self.images[lo:lo + step]
+                prod = (block.reshape(-1, d) @ self.images[s]).reshape(
+                    block.shape)
+                err = prod - self.images[gs[lo:lo + step, j]]
+                delta = max(delta, float(np.max(np.abs(err))))
+        gen = self.images[v.gens]
+        unit = gen @ gen.conj().transpose(0, 2, 1) - np.eye(d)
+        u = float(np.max(np.abs(unit), initial=0.0))
+        eps, L = d * delta, v.word_length
+        a = np.float64(1.0 + d * u / 2) ** L
+        return float(eps * a * (L + (L + 1) * a * (1 + (L + 1) * eps)))
 
 
 def rep_character(rep):
     tr = [np.trace(rep.images[r]) for r, _ in rep.view.classes]
     return ClassFunction(rep.view, np.array(tr, dtype=complex))
-
-
-def compress_rep(rep, basis):
-    """Restrict a representation to an invariant subspace.
-
-    basis is d x m with orthonormal columns; invariance of its span is
-    verified to tolerance before the compressed images are returned."""
-    Q = np.asarray(basis, dtype=complex)
-    if np.max(np.abs(Q.conj().T @ Q - np.eye(Q.shape[1]))) > get_tol():
-        raise VerificationFailed("basis is not orthonormal")
-    small = np.einsum("ij,njk,kl->nil", Q.conj().T, rep.images, Q)
-    defect = float(np.max(np.abs(rep.images @ Q - np.einsum("ij,njk->nik", Q, small))))
-    if defect > get_tol():
-        raise VerificationFailed(f"subspace is not invariant, defect {defect}")
-    return MatrixRep(rep.view, small)
 
 
 def character_table_bruteforce(view):

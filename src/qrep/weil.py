@@ -41,8 +41,6 @@ from .repcore import (_CHUNK_BYTES, ClassFunction, FiniteGroupView,
 MAX_H = 1 << 18
 # symplectic_defect exhausts H x H up to this many pairs
 MAX_PAIRS = 1 << 22
-# seeded random pairs verify_ordinary adds to its panel in sampled mode
-SAMPLED_PAIRS = 1000
 
 
 class HeisenbergCtx:
@@ -211,9 +209,9 @@ def svn_check(hctx):
     tol = get_tol()
     view = hctx.view()
     rep = heisenberg_rep(hctx)
-    worst = rep.check_homomorphism()
-    if worst > tol:
-        raise VerificationFailed(f"canonical model not multiplicative: {worst}")
+    bound = rep.check_homomorphism()
+    if not bound < tol:
+        raise VerificationFailed(f"canonical model not multiplicative: {bound}")
     chi = rep_character(rep)
     ip = inner_product(chi, chi)
     if abs(ip - 1) > tol:
@@ -359,44 +357,29 @@ def _word_for(ctx, mat):
             ctx.lower_id(int(F.mul(a, b))), ctx.t_id(int(F.inv(b)))]
 
 
-def verify_ordinary(ectx, mode="all", seed=20070714):
+def verify_ordinary(ectx):
     """Multiplicativity and normalization checks for rho~.
 
-    mode "all": every pair of group elements (use for q <= 5).
-    mode "sampled": all pairs from the generator panel {t(a)} u {w} u
-    {u(c)} plus SAMPLED_PAIRS seeded random pairs.
-
-    Always also checks, for every single element, that rho~ equals the
+    Multiplicativity is MatrixRep.check_homomorphism on SL2's view: its
+    |G| |S| (element, generator) products bound the defect of every pair.
+    Also checks, for every single element, that rho~ equals the
     product of rho~ over a generator word, and pins the normalization:
     rho~(w) 1_0 evaluated at 0 equals -1/q, and
     (rho~(sigma) 1_0)(x) = -(1/q) psi(d b^{-1} N(x)) for b != 0.
 
-    Returns {"mode", "pairs", "max_defect", "word_defect", "norm_defect"}.
+    Returns {"pairs", "word_length", "bound", "word_defect",
+    "norm_defect"}: the products checked, the view's word length bound L
+    and the certificate's bound B.
     """
     ctx = GroupCtx("sl2", ectx.base)
     n = ctx.n
     q = ectx.q
 
-    if mode == "all":
-        pairs = None
-    elif mode == "sampled":
-        panel = [ctx.t_id(a) for a in range(1, q)]
-        panel += [ctx.w_id()]
-        panel += [ctx.lower_id(cc) for cc in range(q)]
-        panel = np.array(sorted(set(panel)), dtype=np.int64)
-        pgrid = np.stack(np.meshgrid(panel, panel, indexing="ij"),
-                         axis=-1).reshape(-1, 2)
-        rng = np.random.default_rng(seed)
-        rnd = rng.integers(0, n, size=(SAMPLED_PAIRS, 2))
-        pairs = np.vstack([pgrid, rnd])
-    else:
-        raise GroupMismatch(f"unknown mode {mode!r}")
-
     # every image built straight into one preallocated stack
     images = np.empty((n, ectx.ext.q, ectx.ext.q), dtype=complex)
     for g in range(n):
         images[g] = weil_matrix(ectx, ctx.mat_of(g))
-    worst = MatrixRep(ctx.view, images).check_homomorphism(pairs)
+    bound = MatrixRep(ctx.view, images).check_homomorphism()
 
     word_worst = 0.0
     for g in range(n):
@@ -421,9 +404,9 @@ def verify_ordinary(ectx, mode="all", seed=20070714):
         pred = (-1.0 / q) * psi[base.mul(base.mul(d, base.inv(b)), ectx.norm)]
         norm_worst = max(norm_worst, float(np.max(np.abs(out - pred))))
 
-    return {"mode": mode, "pairs": n * n if pairs is None else len(pairs),
-            "max_defect": float(worst), "word_defect": float(word_worst),
-            "norm_defect": float(norm_worst)}
+    return {"pairs": n * len(ctx.view.gens),
+            "word_length": ctx.view.word_length, "bound": bound,
+            "word_defect": float(word_worst), "norm_defect": float(norm_worst)}
 
 
 # --- the averaging intertwiner, built from the Heisenberg action ---

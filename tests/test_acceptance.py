@@ -12,6 +12,7 @@ import numpy as np
 
 from qrep import (
     BorelChar,
+    MatrixRep,
     MultChar,
     NormOneChar,
     bruhat,
@@ -41,6 +42,7 @@ from qrep import (
     svn_check,
     verify_ordinary,
     verify_table,
+    weil_matrix,
 )
 from qrep import poly
 from qrep.simclass import conjugation_orbits, random_matrix
@@ -106,19 +108,23 @@ def test_criterion_02_bruhat_exhaustive_q5():
            "GL2(F_5) and SL2(F_5)")
 
 
-def test_criterion_03_weil_product_relations():
-    out3 = verify_ordinary(make_ext(make_field(3)), mode="all")
-    assert out3["pairs"] == 576
-    out5 = verify_ordinary(make_ext(make_field(5)), mode="all")
-    assert out5["pairs"] == 14400
-    out7 = verify_ordinary(make_ext(make_field(7)), mode="sampled")
-    assert out7["pairs"] >= 1000
-    for out in (out3, out5, out7):
-        assert out["max_defect"] < TAU
+def test_criterion_03_weil_product_relations(all_pairs_defect):
+    for q in (3, 5, 7):
+        E = make_ext(make_field(q))
+        out = verify_ordinary(E)
+        ctx = make_group("sl2", E.base)
+        assert out["pairs"] == ctx.n * len(ctx.view.gens)
+        assert out["bound"] < TAU
         assert out["word_defect"] < TAU
         assert out["norm_defect"] < TAU
-    _ok(3, "rho~(s1)rho~(s2) = rho~(s1 s2): all 576 pairs at q=3, "
-           "all 14400 at q=5, sampled at q=7")
+        if q <= 5:
+            # the exhaustive reference: 576 pairs at q=3, 14400 at q=5
+            rep = MatrixRep(ctx.view, [weil_matrix(E, ctx.mat_of(g))
+                                       for g in range(ctx.n)])
+            assert all_pairs_defect(rep) <= out["bound"]
+    _ok(3, "rho~(s1)rho~(s2) = rho~(s1 s2): certified from every "
+           "(element, generator) product at q=3, 5, 7, and all 576 pairs "
+           "at q=3 and 14400 at q=5 within the certified bound")
 
 
 def test_criterion_04_stone_von_neumann_and_fourier():

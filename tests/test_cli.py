@@ -101,12 +101,19 @@ def test_weil_check_and_dump(tmp_path, capsys):
     d = tmp_path / "mats"
     assert cli.run(["weil", "--q", "3", "--dump-matrices", str(d)]) == 0
     out = capsys.readouterr().out
-    assert "checked 576 products" in out
+    assert "certified 48 (element, generator) products, word length 7" in out
     files = sorted(os.listdir(d))
     assert len(files) == 24
     flat = json.loads((d / "0.json").read_text())
     assert len(flat) == 81  # 9 x 9 entries as [re, im]
     assert all(len(z) == 2 for z in flat)
+
+
+def test_weil_has_no_check_option():
+    assert cli.run(["weil", "--q", "3"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["weil", "--q", "3", "--check", "all"])
+    assert exc.value.code == 2
 
 
 def test_simclass_matrix_report(capsys):

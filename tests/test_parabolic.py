@@ -181,6 +181,45 @@ def test_matrix_model_realizes_the_induced_character():
     assert np.max(np.abs(got.values - want.values)) < 1e-8
 
 
+def test_induced_bound_covers_every_pair(all_pairs_defect):
+    # the sizes where the all-pairs check ran in the library
+    for q in (3, 5, 7):
+        ctx = make_group("sl2", make_field(q))
+        for j in (1, (q - 1) // 2):
+            bchar = BorelChar(ctx, (MultChar(ctx.field, j),))
+            rep = build_induced_rep(ctx, bchar)
+            bound = rep.check_homomorphism()
+            assert all_pairs_defect(rep) <= bound < get_tol()
+
+
+def test_the_certificate_catches_an_image_the_old_sample_missed(
+        monkeypatch, all_pairs_defect):
+    # beyond |G| = 400 the induced model was checked on 4,096 seeded
+    # pairs; an image they never touch, turned by a sign, passes that
+    # sample and fails the certificate
+    ctx = make_group("sl2", make_field(17))
+    pairs = np.random.default_rng(SEED).integers(0, ctx.n, size=(4096, 2))
+    touched = np.zeros(ctx.n, dtype=bool)
+    touched[pairs.ravel()] = True
+    touched[ctx.view.mul(pairs[:, 0], pairs[:, 1])] = True
+    bad = int(np.argmin(touched))
+    assert not touched[bad]
+    real = parabolic.MatrixRep
+    sampled = []
+
+    def corrupted(view, images):
+        images[bad] *= -1
+        rep = real(view, images)
+        sampled.append(all_pairs_defect(rep, pairs))
+        return rep
+
+    monkeypatch.setattr(parabolic, "MatrixRep", corrupted)
+    bchar = BorelChar(ctx, (MultChar(ctx.field, 1),))
+    with pytest.raises(VerificationFailed, match="not multiplicative"):
+        build_induced_rep(ctx, bchar)
+    assert sampled[0] < get_tol()
+
+
 def test_quadratic_induced_splits_into_two_halves():
     for q in (3, 5):
         ctx = make_group("sl2", make_field(q))

@@ -15,7 +15,6 @@ from qrep import (
     abelian_view,
     character_table_bruteforce,
     clifford_orbit_check,
-    compress_rep,
     double_cosets,
     heisenberg_group,
     heisenberg_rep,
@@ -30,7 +29,7 @@ from qrep import (
     subgroup_view,
 )
 from qrep.errors import VerificationFailed
-from qrep.repcore import generating_set, orbits
+from qrep.repcore import _CHUNK_BYTES, generating_set, orbits
 
 RNG = np.random.default_rng(20070714)
 
@@ -226,20 +225,47 @@ def test_mackey_decomposition_defect_vanishes():
 
 
 def test_homomorphism_check_reaches_every_chunk():
-    # d = 64 images take 64 KiB each, so the pairs span several chunks;
-    # the faulty element enters only through the very last pair
-    n, d = 12, 64
+    # d = 128 images take 256 KiB each, so Z/12 spans three chunks of
+    # four; the faulty element n - 1 meets the generator 1 only in the
+    # products of g = n - 2 and g = n - 1, both in the last chunk
+    n, d = 12, 128
     v = abelian_view((n,))
+    assert v.gens.tolist() == [1]
+    step = _CHUNK_BYTES // (d * d * 16)
+    assert step == 4
     phases = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(d)) / n)
     images = np.stack([np.diag(row) for row in phases])
-    assert MatrixRep(v, images).check_homomorphism() < 1e-12
+    assert MatrixRep(v, images).check_homomorphism() < 1e-8
     images[n - 1, 0, 0] *= -1
-    clean = [(a, b) for a in range(n) for b in range(n)
-             if n - 1 not in (a, b, (a + b) % n)]
-    pairs = np.array(clean + [(n - 1, 1)])
-    rep = MatrixRep(v, images)
-    assert rep.check_homomorphism(pairs[:-1]) < 1e-12
-    assert rep.check_homomorphism(pairs) > 1.0
+    assert MatrixRep(v, images).check_homomorphism() > 1.0
+
+
+def test_homomorphism_bound_covers_every_pair(all_pairs_defect):
+    # the Heisenberg models svn_check certifies, against the exhaustive
+    # reference
+    for orders in ((2,), (3,), (4,), (2, 2)):
+        rep = heisenberg_rep(heisenberg_group(orders))
+        bound = rep.check_homomorphism()
+        assert all_pairs_defect(rep) <= bound < 1e-10
+
+
+def test_homomorphism_check_sees_the_identity_and_unitarity():
+    # rotations by quarter turns represent Z/4 exactly
+    v = abelian_view((4,))
+    rot = np.array([[0, -1], [1, 0]])
+    images = np.stack([np.linalg.matrix_power(rot, k)
+                       for k in range(4)]).astype(complex)
+    assert MatrixRep(v, images).check_homomorphism() == 0.0
+    # the zero map is multiplicative on every pair, but pi(e) != I
+    assert MatrixRep(v, 0 * images).check_homomorphism() >= 2.0
+    # the same entry defect costs more once the model is conjugated
+    # away from unitary
+    P = np.diag([1.0, 10.0])
+    skew = P @ images @ np.linalg.inv(P)
+    images[2, 0, 0] += 1e-12
+    skew[2, 0, 0] += 1e-12
+    assert (MatrixRep(v, skew).check_homomorphism()
+            > 10 * MatrixRep(v, images).check_homomorphism() > 0)
 
 
 def test_heisenberg_rep_is_a_homomorphism_with_known_character():
@@ -275,13 +301,6 @@ def test_clifford_rejects_non_normal_subgroups():
     # {1, (0,1,0)} is not normal in the Heisenberg group
     with pytest.raises(NotNormal):
         clifford_orbit_check(rep, [0, int(h.encode(0, 1, 0))])
-
-
-def test_compress_rep_identity_basis_is_noop():
-    h = heisenberg_group((2,))
-    rep = heisenberg_rep(h)
-    c = compress_rep(rep, np.eye(h.nG, dtype=complex))
-    assert np.max(np.abs(c.images - rep.images)) < 1e-12
 
 
 def test_hom_dim_counts_common_constituents():
@@ -345,10 +364,51 @@ def test_heisenberg_classes_equal_the_all_elements_reference(orders):
 
 def test_generating_set_is_greedy_and_certified():
     # Z/4 x Z/6: 1 reaches 0..3, and 4 (= (0, 1)) then reaches the rest
+    # (1 step and 2 rounds, then 1 step and 4 rounds: L = 8, the depth)
     v = abelian_view((4, 6))
     assert v.gens.tolist() == [1, 4]
-    assert generating_set(v.n, v.mul, 0, [4, 1]).tolist() == [4, 1]
-    assert generating_set(1, v.mul, 0).tolist() == []
+    assert v.word_length == 8
+    S, L = generating_set(v.n, v.mul, 0, [4, 1])
+    assert (S.tolist(), L) == ([4, 1], 8)
+    S, L = generating_set(1, v.mul, 0)
+    assert (S.tolist(), L) == ([], 0)
+
+
+def _word_depth(v, gens):
+    """The largest shortest-word length in gens over the group, by a
+    breadth-first search one element and one generator at a time."""
+    dist = {v.identity: 0}
+    frontier = [v.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = int(v.mul(x, int(s)))
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    assert len(dist) == v.n
+    return max(dist.values())
+
+
+def _certified_views():
+    for kind in ("sl2", "gl2"):
+        for q in (3, 5):
+            ctx = make_group(kind, make_field(q))
+            yield f"{kind} {q}", ctx.view
+            yield f"{kind} {q} Borel", ctx.borel[0]
+    for orders in ((2,), (3,), (4,), (2, 2)):
+        yield f"Heisenberg {orders}", heisenberg_group(orders).view()
+
+
+def test_word_length_bounds_the_depth_of_every_element():
+    for name, v in _certified_views():
+        assert v.word_length >= _word_depth(v, v.gens), name
+        # with the generators given, L is the exact depth
+        given = v.gens[::-1]
+        _, L = generating_set(v.n, v.mul, v.identity, given)
+        assert L == _word_depth(v, given), name
 
 
 def test_a_set_that_does_not_generate_is_refused():

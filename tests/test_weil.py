@@ -8,6 +8,7 @@ from qrep import (
     CuspidalModule,
     EvenExponent,
     GroupMismatch,
+    MatrixRep,
     MultChar,
     NormOneChar,
     NotPrimitive,
@@ -231,21 +232,28 @@ def test_weil_weyl_image_is_a_scaled_fourier_kernel():
     assert np.max(np.abs(M[:, 0] - M[0, 0])) < 1e-12
 
 
-def test_ordinary_relations_all_pairs_q3():
+def _weil_rep(E):
+    ctx = make_group("sl2", E.base)
+    return MatrixRep(ctx.view, [weil_matrix(E, ctx.mat_of(g))
+                                for g in range(ctx.n)])
+
+
+def test_ordinary_relations_all_pairs_q3(all_pairs_defect):
     E = make_ext(make_field(3))
-    out = verify_ordinary(E, mode="all")
-    assert out["mode"] == "all"
-    assert out["pairs"] == 24 * 24
-    assert out["max_defect"] < 1e-10
+    out = verify_ordinary(E)
+    rep = _weil_rep(E)
+    assert out["pairs"] == 24 * len(rep.view.gens)
+    assert out["bound"] == rep.check_homomorphism()
+    assert all_pairs_defect(rep) <= out["bound"] < 1e-10
     assert out["word_defect"] < 1e-10
     assert out["norm_defect"] < 1e-10
 
 
-def test_ordinary_relations_sampled_q7():
-    E = make_ext(make_field(7))
-    out = verify_ordinary(E, mode="sampled")
-    assert out["pairs"] >= 300
-    assert out["max_defect"] < 1e-10
+def test_ordinary_relations_certified_q7():
+    out = verify_ordinary(make_ext(make_field(7)))
+    view = make_group("sl2", make_field(7)).view
+    assert out["pairs"] == 336 * len(view.gens)
+    assert out["bound"] < 1e-10
 
 
 def test_a_perturbed_weil_image_fails_verification(monkeypatch, capsys):
@@ -260,8 +268,8 @@ def test_a_perturbed_weil_image_fails_verification(monkeypatch, capsys):
         return M
 
     monkeypatch.setattr(weil, "weil_matrix", perturbed)
-    out = verify_ordinary(make_ext(make_field(3)), mode="all")
-    assert out["max_defect"] > get_tol()
+    out = verify_ordinary(make_ext(make_field(3)))
+    assert out["bound"] > get_tol()
     assert cli.run(["verify", "--suite", "weil", "--q", "3"]) == 1
     assert "FAIL weil: multiplicativity" in capsys.readouterr().out
 
