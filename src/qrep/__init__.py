@@ -16,7 +16,7 @@ from .ff import (AddChar, ExtCtx, FieldCtx, MultChar, NormOneChar,
                  dual_pairing, fourier_transform, is_primitive, make_ext,
                  make_field)
 from .repcore import (ClassFunction, FiniteGroupView, MatrixRep,
-                      SubgroupEmbedding, abelian_view,
+                      MonomialImages, SubgroupEmbedding, abelian_view,
                       character_table_bruteforce, clifford_orbit_check,
                       double_cosets, hom_dim, induce, inner_product,
                       mackey_check, rep_character, restrict, subgroup_view)

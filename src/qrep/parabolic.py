@@ -20,8 +20,8 @@ from .config import get_tol
 from .errors import (CharMismatch, EvenQ, GroupMismatch, NotSplitting,
                      VerificationFailed)
 from .gl2 import bruhat
-from .repcore import (ClassFunction, MatrixRep, generating_set, hom_dim,
-                      induce, inner_product)
+from .repcore import (ClassFunction, MatrixRep, MonomialImages,
+                      generating_set, hom_dim, induce, inner_product)
 
 
 class BorelChar:
@@ -110,8 +110,9 @@ def decompose_gl2(ctx, bchar):
 
 def build_induced_rep(ctx, bchar):
     """Matrix model of Ind_B^G chi for SL2 with basis indexed by B\\G:
-    M(g)[j, i] = chi~(b) where r_j g = b r_i.  Verified multiplicative
-    by MatrixRep.check_homomorphism, whose bound covers every pair."""
+    M(g)[j, i] = chi~(b) where r_j g = b r_i, one entry per row, kept as
+    a MonomialImages store.  Verified multiplicative by
+    MatrixRep.check_homomorphism, whose bound covers every pair."""
     if ctx.kind != "sl2":
         raise GroupMismatch("matrix model is built for sl2")
     if ctx.q % 2 == 0:
@@ -121,15 +122,16 @@ def build_induced_rep(ctx, bchar):
     if k != ctx.q + 1:
         raise VerificationFailed(f"expected {ctx.q + 1} cosets, got {k}")
     view = ctx.view
-    images = np.zeros((ctx.n, k, k), dtype=complex)
+    cols = np.empty((ctx.n, k), dtype=np.intp)
+    vals = np.empty((ctx.n, k), dtype=complex)
     allg = np.arange(ctx.n)
     for j in range(k):
         x = view.mul(reps[j], allg)          # r_j g for all g
         i = coset_of[x]
         b = view.mul(x, view.inv[reps[i]])   # x r_i^-1 in B
-        vals = bchar.value_on_mats(ctx.elems[b])
-        images[allg, j, i] = vals
-    rep = MatrixRep(view, images)
+        cols[:, j] = i
+        vals[:, j] = bchar.value_on_mats(ctx.elems[b])
+    rep = MatrixRep(view, MonomialImages(cols, vals))
     bound = rep.check_homomorphism()
     if not bound < get_tol():
         raise VerificationFailed(f"induced rep not multiplicative, bound {bound}")

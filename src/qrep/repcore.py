@@ -340,12 +340,41 @@ def mackey_check(f, emb):
 _CHUNK_BYTES = 1 << 20
 
 
+class MonomialImages:
+    """The images of a monomial model, one nonzero entry per row:
+    image g has entry [j, cols[g, j]] = vals[g, j] and zeros elsewhere.
+    Stores (n, d) arrays instead of (n, d, d); indexing, as on a dense
+    (n, d, d) stack, materializes dense matrices for the indices asked
+    for only."""
+
+    def __init__(self, cols, vals):
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.vals = np.asarray(vals, dtype=complex)
+        if self.cols.ndim != 2 or self.cols.shape != self.vals.shape:
+            raise GroupMismatch("cols and vals must both be (n, d)")
+        n, d = self.cols.shape
+        # a column outside 0..d-1 would land in another row's entries
+        if self.cols.size and not 0 <= self.cols.min() <= self.cols.max() < d:
+            raise GroupMismatch("columns must lie in 0..d-1")
+        self.shape = (n, d, d)
+
+    def __getitem__(self, idx):
+        cols, vals = self.cols[idx], self.vals[idx]
+        d = self.shape[1]
+        out = np.zeros(cols.shape + (d,), dtype=complex)
+        rows = np.arange(0, cols.size * d, d)
+        out.reshape(-1)[rows + cols.reshape(-1)] = vals.reshape(-1)
+        return out
+
+
 class MatrixRep:
-    """A matrix representation with eagerly stored images, one d x d
-    complex matrix per group element."""
+    """A matrix representation, one d x d complex matrix per group
+    element: images is a dense (n, d, d) stack, or a MonomialImages
+    store for models whose images are monomial matrices."""
 
     def __init__(self, view, images):
-        images = np.asarray(images, dtype=complex)
+        if not isinstance(images, MonomialImages):
+            images = np.asarray(images, dtype=complex)
         if images.shape[0] != view.n or images.shape[1] != images.shape[2]:
             raise GroupMismatch("images must be (n, d, d)")
         self.view = view
@@ -371,19 +400,22 @@ class MatrixRep:
         ||pi(gh) - pi(g) W|| <= L eps a.  With ||pi(g)|| <=
         a (1 + (L+1) eps), the triangle inequality gives
         ||pi(gh) - pi(g) pi(h)|| <= B with
-        B = eps a (L + (L+1) a (1 + (L+1) eps))."""
-        v, d = self.view, self.dim
+        B = eps a (L + (L+1) a (1 + (L+1) eps)).
+
+        The images are read in chunks of at most _CHUNK_BYTES each, the
+        g chunk once and its gs chunk once per generator, so a
+        MonomialImages store is never materialized whole."""
+        v, d, images = self.view, self.dim, self.images
         gs = v.mul(np.arange(v.n)[:, None], v.gens[None, :])
-        step = max(1, _CHUNK_BYTES // self.images[0].nbytes)
-        delta = float(np.max(np.abs(self.images[v.identity] - np.eye(d))))
-        for j, s in enumerate(v.gens):
-            for lo in range(0, v.n, step):
-                block = self.images[lo:lo + step]
-                prod = (block.reshape(-1, d) @ self.images[s]).reshape(
-                    block.shape)
-                err = prod - self.images[gs[lo:lo + step, j]]
+        gen = images[v.gens]
+        step = max(1, _CHUNK_BYTES // (d * d * gen.itemsize))
+        delta = float(np.max(np.abs(images[v.identity] - np.eye(d))))
+        for lo in range(0, v.n, step):
+            block = images[lo:lo + step].reshape(-1, d)
+            for j in range(len(v.gens)):
+                err = block @ gen[j]
+                err -= images[gs[lo:lo + step, j]].reshape(-1, d)
                 delta = max(delta, float(np.max(np.abs(err))))
-        gen = self.images[v.gens]
         unit = gen @ gen.conj().transpose(0, 2, 1) - np.eye(d)
         u = float(np.max(np.abs(unit), initial=0.0))
         eps, L = d * delta, v.word_length

@@ -35,8 +35,9 @@ from .ff import MultChar, NormOneChar, dual_pairing, is_primitive
 from .gl2 import GroupCtx
 from .parabolic import sl2_generators, split_in_two
 from .repcore import (_CHUNK_BYTES, ClassFunction, FiniteGroupView,
-                      MatrixRep, MixedRadix, character_table_bruteforce,
-                      inner_product, orbits, rep_character)
+                      MatrixRep, MixedRadix, MonomialImages,
+                      character_table_bruteforce, inner_product, orbits,
+                      rep_character)
 
 MAX_H = 1 << 18
 # symplectic_defect exhausts H x H up to this many pairs
@@ -182,18 +183,20 @@ def symplectic_defect(hctx, sample=None, seed=20070714):
 def heisenberg_rep(hctx):
     """The canonical model on L^2(G):
     (eta(x', c', z') f)(x) = zeta^z' chi_c'(x - x') f(x - x').
-    Dense images; |H| is capped at 4096 here."""
+    Monomial images, row x having its one entry at column x - x', kept
+    as a MonomialImages store; |H| is capped at 4096 here."""
     if hctx.nH > 4096:
-        raise SizeExceeded("dense Heisenberg images need |H| <= 4096")
+        raise SizeExceeded("Heisenberg images need |H| <= 4096")
     nG, m = hctx.nG, hctx.m
     xs = np.arange(nG)
-    images = np.zeros((hctx.nH, nG, nG), dtype=complex)
+    cols = np.empty((hctx.nH, nG), dtype=np.intp)
+    vals = np.empty((hctx.nH, nG), dtype=complex)
     for h in range(hctx.nH):
         x1, c1, z1 = (int(t) for t in hctx.decode(h))
-        src = hctx.g_add(xs, hctx.g_neg(x1))       # x - x'
-        e = (z1 + hctx.pair_exp(c1, src)) % m
-        images[h, xs, src] = np.exp(2j * np.pi * e / m)
-    return MatrixRep(hctx.view(), images)
+        cols[h] = hctx.g_add(xs, hctx.g_neg(x1))       # x - x'
+        e = (z1 + hctx.pair_exp(c1, cols[h])) % m
+        vals[h] = np.exp(2j * np.pi * e / m)
+    return MatrixRep(hctx.view(), MonomialImages(cols, vals))
 
 
 def svn_check(hctx):

@@ -2,6 +2,7 @@
 the rho+/- splitting, and the Hecke kernel calculus."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qrep import (
     CharMismatch,
     ClassFunction,
     GroupMismatch,
+    MatrixRep,
     MultChar,
     NotSplitting,
     VerificationFailed,
@@ -208,7 +210,7 @@ def test_the_certificate_catches_an_image_the_old_sample_missed(
     sampled = []
 
     def corrupted(view, images):
-        images[bad] *= -1
+        images.vals[bad] *= -1
         rep = real(view, images)
         sampled.append(all_pairs_defect(rep, pairs))
         return rep
@@ -218,6 +220,50 @@ def test_the_certificate_catches_an_image_the_old_sample_missed(
     with pytest.raises(VerificationFailed, match="not multiplicative"):
         build_induced_rep(ctx, bchar)
     assert sampled[0] < get_tol()
+
+
+def _dense_induced_images(ctx, bchar):
+    """Reference: the (|G|, q+1, q+1) image stack of the induced model,
+    filled densely as build_induced_rep did before its monomial store."""
+    reps, coset_of = ctx.borel_cosets
+    k = len(reps)
+    view = ctx.view
+    images = np.zeros((ctx.n, k, k), dtype=complex)
+    allg = np.arange(ctx.n)
+    for j in range(k):
+        x = view.mul(reps[j], allg)
+        i = coset_of[x]
+        b = view.mul(x, view.inv[reps[i]])
+        images[allg, j, i] = bchar.value_on_mats(ctx.elems[b])
+    return images
+
+
+def test_monomial_induced_model_equals_the_dense_reference():
+    for q in (3, 5, 7, 9):
+        ctx = make_group("sl2", make_field(3, 2) if q == 9 else make_field(q))
+        for j in (1, (q - 1) // 2):
+            bchar = BorelChar(ctx, (MultChar(ctx.field, j),))
+            rep = build_induced_rep(ctx, bchar)
+            dense = rep.images[np.arange(ctx.n)]
+            assert np.array_equal(dense, _dense_induced_images(ctx, bchar))
+            assert (rep.check_homomorphism()
+                    == MatrixRep(ctx.view, dense).check_homomorphism())
+
+
+def test_induced_model_stores_no_image_stack():
+    # at sl2 q=17 the model peaks at about 6 MB traced with its monomial
+    # store and the chunked certificate, and at 30 MB with a dense
+    # (|G|, q+1, q+1) image stack
+    ctx = make_group("sl2", make_field(17))
+    ctx.borel_cosets
+    bchar = BorelChar(ctx, (MultChar(ctx.field, 1),))
+    tracemalloc.start()
+    try:
+        build_induced_rep(ctx, bchar)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_quadratic_induced_splits_into_two_halves():

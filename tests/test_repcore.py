@@ -8,7 +8,9 @@ from qrep import (
     ClassFunction,
     FiniteGroupView,
     GroupCtx,
+    GroupMismatch,
     MatrixRep,
+    MonomialImages,
     NotInGroup,
     NotNormal,
     SubgroupEmbedding,
@@ -238,6 +240,37 @@ def test_homomorphism_check_reaches_every_chunk():
     assert MatrixRep(v, images).check_homomorphism() < 1e-8
     images[n - 1, 0, 0] *= -1
     assert MatrixRep(v, images).check_homomorphism() > 1.0
+
+
+def test_monomial_homomorphism_check_reaches_every_chunk():
+    # the monomial twin of the test above: the same diagonal images kept
+    # as (n, d) columns and values, read a chunk of at most four images
+    # at a time, never all twelve
+    n, d = 12, 128
+    v = abelian_view((n,))
+    phases = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(d)) / n)
+    cols = np.tile(np.arange(d), (n, 1))
+    read = []
+
+    class Recorded(MonomialImages):
+        def __getitem__(self, idx):
+            out = super().__getitem__(idx)
+            read.append(out.size // (d * d))
+            return out
+
+    clean = MatrixRep(v, Recorded(cols, phases))
+    dense = np.stack([np.diag(row) for row in phases])
+    assert np.array_equal(clean.images[np.arange(n)], dense)
+    read.clear()
+    assert (clean.check_homomorphism()
+            == MatrixRep(v, dense).check_homomorphism())
+    assert max(read) == _CHUNK_BYTES // (d * d * 16) == 4
+    phases[n - 1, 0] *= -1
+    assert MatrixRep(v, Recorded(cols, phases)).check_homomorphism() > 1.0
+    for bad in (-1, d):
+        cols[0, 0] = bad
+        with pytest.raises(GroupMismatch, match="columns"):
+            MonomialImages(cols, phases)
 
 
 def test_homomorphism_bound_covers_every_pair(all_pairs_defect):

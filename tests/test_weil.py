@@ -200,7 +200,8 @@ def test_weil_matrices_are_unitary_and_multiplicative():
     E = make_ext(make_field(3))
     ctx = make_group("sl2", E.base)
     n = E.ext.q
-    # exhaustive multiplicativity at q = 3
+    # unitarity of every image and multiplicativity on 150 random pairs
+    # at q = 3; test_ordinary_relations_all_pairs_q3 checks all pairs
     mats = [weil_matrix(E, ctx.mat_of(g)) for g in range(ctx.view.n)]
     for g in range(ctx.view.n):
         M = mats[g]
