@@ -260,24 +260,33 @@ def _row_label(r):
     return f"{r.family}({','.join(str(p) for p in r.params)})"
 
 
+def _formatted(table, fmt):
+    """fmt of the real and of the imaginary part of every entry of
+    table.matrix, as two nested lists (re, im) in row order.  Each
+    distinct float is formatted once; -0.0 and 0.0 share one, which
+    _snap sends to 0.0 either way."""
+    A = table.matrix
+    parts = np.stack([A.real, A.imag])
+    distinct, inverse = np.unique(parts, return_inverse=True)
+    done = [fmt(x) for x in distinct.tolist()]
+    return [[[done[i] for i in row] for row in half]
+            for half in inverse.reshape(parts.shape).tolist()]
+
+
 def table_to_json_obj(table):
     classes = []
     for c in table.gctx.conj_classes:
         a, b, cc, d = c.rep
         classes.append({"tag": c.tag, "rep": [[a, b], [cc, d]],
                         "size": c.size, "centralizer": c.centralizer_order})
+    re, im = _formatted(table, _sig12)
     irr = []
-    for r in table.rows:
+    for r, re_row, im_row in zip(table.rows, re, im):
         irr.append({"family": r.family, "params": list(r.params),
                     "degree": r.degree,
-                    "values": [[_sig12(z.real), _sig12(z.imag)]
-                               for z in r.values]})
+                    "values": [list(z) for z in zip(re_row, im_row)]})
     return {"group": table.kind, "q": table.q,
             "classes": classes, "irreducibles": irr}
-
-
-def _fmt_complex(z):
-    return f"{_snap(z.real):.12g}{_snap(z.imag):+.12g}j"
 
 
 def emit(table, fmt, sink):
@@ -292,8 +301,11 @@ def emit(table, fmt, sink):
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["irreducible"] +
                    [_class_label(c) for c in table.gctx.conj_classes])
-        for r in table.rows:
-            w.writerow([_row_label(r)] + [_fmt_complex(z) for z in r.values])
+        re, im = _formatted(table, lambda x: (f"{_snap(x):.12g}",
+                                              f"{_snap(x):+.12g}"))
+        for r, re_row, im_row in zip(table.rows, re, im):
+            w.writerow([_row_label(r)] +
+                       [a + b + "j" for (a, _), (_, b) in zip(re_row, im_row)])
         text = buf.getvalue()
     else:
         raise IoError(f"unknown format {fmt!r}")

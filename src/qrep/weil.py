@@ -614,17 +614,24 @@ def _class_operators(ectx, gctx):
 
 
 def _restricted_class_images(modules, gctx):
-    """The (modules, k, q-1, q-1) array of every module's restricted
-    images of the k class representatives of gctx, in class order.
+    """Every module's restricted images of the k class representatives
+    of gctx, in class order, and its character, as (images, inverse,
+    characters): module m's image of class ci is images[inverse[m], ci],
+    times omega_m(a~) for GL2 (see _class_operators), and characters[m]
+    is its trace as a ClassFunction.
 
-    Each class operator and each upper unipotent rho~((1 x; 0 1)) is
-    built once and restricted to every module by one _restrict_all call,
-    so W_omega invariance is checked for every (module, class) and
-    (module, unipotent) pair.  Per module this also checks that the
+    A restriction reads a module only through its 1_u basis, which GL2
+    characters agreeing on the norm-one torus share: the q^2 - q
+    primitive characters give only q distinct W_omega.  So modules are
+    grouped by the bytes of their _fibre_values rows, read from each
+    basis, and each class operator and each upper unipotent
+    rho~((1 x; 0 1)) is built once and restricted to the distinct rows
+    by one _restrict_all call; W_omega invariance is thereby checked for
+    every (module, class) and (module, unipotent) pair.  A character is
+    the diagonal of the distinct images, scaled entry by entry by
+    omega_m(a~) and then summed.  Per module this also checks that the
     degree is q - 1 and that the averaged upper-unipotent action on
     W_omega vanishes (cuspidality at the level of N-fixed vectors)."""
-    if not modules:
-        return []
     ectx = modules[0].ectx
     for module in modules:
         if gctx.kind != module.kind:
@@ -637,39 +644,43 @@ def _restricted_class_images(modules, gctx):
     k = len(gctx.view.reps)
     fibres = ectx.norm_fibres
     values = _fibre_values(modules)
-    stacks = np.empty((len(modules), k, q - 1, q - 1), dtype=complex)
+    keys = {}
+    inverse = np.array([keys.setdefault(row.tobytes(), len(keys))
+                        for row in values])
+    values = values[np.unique(inverse, return_index=True)[1]]
+    images = np.empty((len(values), k, q - 1, q - 1), dtype=complex)
+    atils = []
     for ci, (rows, atil) in enumerate(_class_operators(ectx, gctx)):
-        stacks[:, ci] = _restrict_all(fibres, values, rows)
-        if atil is not None:
-            stacks[:, ci] *= np.array([module.omega.values[atil]
-                                       for module in modules])[:, None, None]
+        images[:, ci] = _restrict_all(fibres, values, rows)
+        atils.append(atil)
 
+    diagonals = np.diagonal(images, axis1=2, axis2=3)[inverse]
+    if gctx.kind == "gl2":
+        diagonals *= np.array([module.omega.values[atils]
+                               for module in modules])[..., None]
+    traces = diagonals.sum(axis=-1)
+    del diagonals  # freed before the Q x Q unipotent operators are built
     tol = get_tol()
     ident = gctx.class_index_of((1, 0, 0, 1))
-    for stack in stacks:
-        if abs(np.trace(stack[ident]) - (q - 1)) > tol:
-            raise VerificationFailed("cuspidal degree != q - 1")
-    accs = np.zeros((len(modules), q - 1, q - 1), dtype=complex)
+    if np.any(np.abs(traces[:, ident] - (q - 1)) > tol):
+        raise VerificationFailed("cuspidal degree != q - 1")
+    accs = np.zeros((len(values), q - 1, q - 1), dtype=complex)
     for x in range(q):
         accs += _restrict_all(fibres, values, weil_matrix(ectx, (1, x, 0, 1)))
-    for acc in accs:
-        if float(np.max(np.abs(acc / q))) > tol:
+    for i in inverse:
+        if float(np.max(np.abs(accs[i] / q))) > tol:
             raise VerificationFailed("nonzero N-fixed vectors in W_omega")
-    return stacks
-
-
-def _trace_character(gctx, stack):
-    return ClassFunction(gctx.view,
-                         np.array([np.trace(R) for R in stack], dtype=complex))
+    return images, inverse, [ClassFunction(gctx.view, t) for t in traces]
 
 
 def pi_omega_characters(modules, gctx):
     """Characters of the cuspidal representations on the given modules,
     with the construction-time checks of _restricted_class_images.  The
     Weil operators do not depend on omega, so each is built once for all
-    modules."""
-    return [_trace_character(gctx, stack)
-            for stack in _restricted_class_images(modules, gctx)]
+    modules and restricted once per distinct W_omega."""
+    if not modules:
+        return []
+    return _restricted_class_images(modules, gctx)[2]
 
 
 def pi_omega_character(module, gctx):
@@ -741,10 +752,9 @@ def sl2_cuspidal_family(ectx, slctx):
     js = range(1, (q + 1) // 2)
     oms = [NormOneChar(ectx, j) for j in js]
     module = CuspidalModule(ectx, NormOneChar(ectx, (q + 1) // 2))
-    stacks = _restricted_class_images(
+    images, inverse, (*chars, chi0) = _restricted_class_images(
         [cuspidal_module(ectx, w) for om in oms for w in (om, om.conj())]
         + [module], slctx)
-    *chars, chi0 = (_trace_character(slctx, stack) for stack in stacks)
     out = []
     for j, f, finv in zip(js, chars[::2], chars[1::2]):
         if float(np.max(np.abs(f.values - finv.values))) > tol:
@@ -761,7 +771,8 @@ def sl2_cuspidal_family(ectx, slctx):
     # f -> f o frob preserves W_omega0, as omega0(y^q) = omega0(y^-1) =
     # omega0(y) for norm-one y, and its square is the identity
     frob = module.restrict(np.eye(ectx.ext.q)[ectx.frob])
-    plus, minus = split_in_two(slctx, frob, gen_mats, stacks[-1], chi0)
+    plus, minus = split_in_two(slctx, frob, gen_mats, images[inverse[-1]],
+                               chi0)
 
     sizes = slctx.view.sizes
     sum_traces = complex(np.sum(sizes * chi0.values))

@@ -24,6 +24,7 @@ from qrep import (
 )
 from qrep import chartab
 from qrep.chartab import expected_degrees, expected_family_counts
+from qrep.config import SNAP
 from qrep.errors import IoError
 
 
@@ -75,16 +76,20 @@ def test_sl2_f3_has_no_generic_principal_series():
     assert {"SplitPrincipal", "SplitCuspidal", "Cuspidal"} <= fams
 
 
-def test_every_constructed_row_is_a_bruteforce_row():
+def test_every_constructed_row_is_a_bruteforce_row(monkeypatch):
     # the class-algebra method knows nothing about parabolic induction
-    # or Weil operators; agreement pins the whole construction
-    for kind, q in (("gl2", 3), ("sl2", 3), ("sl2", 5)):
+    # or Weil operators; agreement pins the whole construction.  gl2
+    # q = 9 lies beyond the cap: there 72 primitive characters share 9
+    # restrictions
+    monkeypatch.setitem(chartab.SUPPORTED, "gl2", (3, 5, 7, 9))
+    tol = get_tol()
+    for kind, q in (("gl2", 3), ("sl2", 3), ("sl2", 5), ("gl2", 9)):
         t = build_table(kind, q)
         brute = character_table_bruteforce(t.gctx.view)
         used = set()
         for r in t.rows:
             hits = [i for i in range(brute.shape[0])
-                    if np.max(np.abs(brute[i] - r.values)) < 1e-6]
+                    if np.max(np.abs(brute[i] - r.values)) < tol]
             assert len(hits) == 1, (kind, q, r.family, r.params)
             used.add(hits[0])
         assert len(used) == len(t.rows) == brute.shape[0]
@@ -184,6 +189,63 @@ def test_serialized_values_have_no_float_dust():
     jbuf = io.StringIO()
     emit(t, "json", jbuf)
     assert "e-1" not in jbuf.getvalue()
+
+
+def _per_value_text(table, fmt):
+    """emit's text with every float formatted where it stands, one at a
+    time: the reference for emit, which formats each distinct one once."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["irreducible"] +
+                   [chartab._class_label(c) for c in table.gctx.conj_classes])
+        for r in table.rows:
+            w.writerow([chartab._row_label(r)] +
+                       [f"{chartab._snap(z.real):.12g}"
+                        f"{chartab._snap(z.imag):+.12g}j" for z in r.values])
+        return buf.getvalue()
+    classes = []
+    for c in table.gctx.conj_classes:
+        a, b, cc, d = c.rep
+        classes.append({"tag": c.tag, "rep": [[a, b], [cc, d]],
+                        "size": c.size, "centralizer": c.centralizer_order})
+    irr = []
+    for r in table.rows:
+        irr.append({"family": r.family, "params": list(r.params),
+                    "degree": r.degree,
+                    "values": [[chartab._sig12(z.real), chartab._sig12(z.imag)]
+                               for z in r.values]})
+    obj = {"group": table.kind, "q": table.q,
+           "classes": classes, "irreducibles": irr}
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _awkward_table():
+    """The sl2 q = 3 table moved within tolerance so that it holds -0.0,
+    values within SNAP of an integer and just outside it, and distinct
+    floats that agree to 12 significant digits."""
+    t = build_table("sl2", 3)
+    vals = [r.values.copy() for r in t.rows]
+    vals[1][2] = complex(-0.0, -0.0)
+    vals[0][1] = 1 + SNAP / 2                 # written as 1
+    vals[0][2] = 1 + 1.5 * SNAP               # written as 1.0000000015
+    vals[2][2] += 3e-14                       # both written as 0.5
+    vals[3][3] -= 2e-14
+    a, b = vals[2][2].real, vals[3][3].real
+    assert a != b and f"{a:.12g}" == f"{b:.12g}"
+    return dataclasses.replace(t, rows=[dataclasses.replace(r, values=v)
+                                        for r, v in zip(t.rows, vals)])
+
+
+def test_emit_equals_the_per_value_renderer():
+    tables = [build_table(kind, q) for kind in SUPPORTED
+              for q in SUPPORTED[kind]] + [_awkward_table()]
+    for t in tables:
+        for fmt in ("json", "csv"):
+            assert emit(t, fmt, io.StringIO()) == _per_value_text(t, fmt)
+    awkward = emit(tables[-1], "csv", io.StringIO())
+    assert "1.0000000015" in awkward
+    assert "-0+" not in awkward and "-0j" not in awkward
 
 
 def test_verify_table_reports_measured_defects():

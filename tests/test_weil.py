@@ -628,6 +628,30 @@ def test_batched_characters_check_the_last_module():
         pi_omega_characters(mods, g)
 
 
+@pytest.mark.parametrize("gate", ["cuspidal degree", "N-fixed"])
+def test_degree_and_n_fixed_gates_read_every_module(monkeypatch, gate):
+    # add the orthogonal projector onto the last module's W_omega to the
+    # identity (degree gate) or to every nontrivial upper unipotent
+    # (N-fixed gate): every W_omega stays invariant, and only that module
+    # and its twin, which shares the subspace, see the change
+    E, g, mods = _all_modules("gl2", 3)
+    target = mods[-1]
+    P = target.basis @ np.linalg.pinv(target.basis)
+    real = weil.weil_matrix
+
+    def bent(ectx, sigma):
+        a, b, c, d = (int(t) for t in sigma)
+        hit = (a, c, d) == (1, 0, 1) and (b == 0) == (gate != "N-fixed")
+        return real(ectx, sigma) + P if hit else real(ectx, sigma)
+
+    monkeypatch.setattr(weil, "weil_matrix", bent)
+    with pytest.raises(VerificationFailed, match=gate):
+        pi_omega_characters(mods, g)
+    others = [m for m in mods if not np.array_equal(m.basis, target.basis)]
+    assert len(others) == len(mods) - 2
+    pi_omega_characters(others, g)
+
+
 def _dense_restrict(module, M):
     """The dense restriction: C = M @ basis, R = C at the rows u~, and
     the largest entry of C - basis @ R."""
@@ -639,16 +663,51 @@ def _dense_restrict(module, M):
 @pytest.mark.parametrize("kind,q", [("gl2", 3), ("gl2", 5),
                                     ("sl2", 5), ("sl2", 7)])
 def test_restriction_matches_the_dense_products(kind, q):
+    # every module's scaled restriction, not only every distinct one
     E, g, mods = _all_modules(kind, q)
-    stacks = weil._restricted_class_images(mods, g)
+    images, inverse, _ = weil._restricted_class_images(mods, g)
+    assert len(inverse) == len(mods)
     for ci, (rows, atil) in enumerate(weil._class_operators(E, g)):
-        for module, stack in zip(mods, stacks):
-            full = rows if atil is None else \
-                complex(module.omega.values[atil]) * rows
-            want, defect = _dense_restrict(module, full)
+        for module, i in zip(mods, inverse):
+            scale = 1 if atil is None else complex(module.omega.values[atil])
+            want, defect = _dense_restrict(module, scale * rows)
             assert defect < 1e-12
-            assert np.max(np.abs(stack[ci] - want)) < 1e-12
-            assert np.max(np.abs(module.restrict(full) - want)) < 1e-12
+            assert np.max(np.abs(scale * images[i, ci] - want)) < 1e-12
+            assert np.max(np.abs(module.restrict(scale * rows) - want)) < 1e-12
+
+
+def test_gl2_restricts_once_per_distinct_w_omega(monkeypatch):
+    # the q^2 - q primitive characters of F_{q^2}^* span only q distinct
+    # W_omega: every class operator and upper unipotent is restricted to
+    # those q, while sl2's modules are all distinct
+    seen = []
+    real = weil._restrict_all
+
+    def counting(fibres, values, M):
+        seen.append(len(values))
+        return real(fibres, values, M)
+
+    monkeypatch.setattr(weil, "_restrict_all", counting)
+    for kind, q in (("gl2", 5), ("sl2", 7)):
+        E, g, mods = _all_modules(kind, q)
+        seen.clear()
+        pi_omega_characters(mods, g)
+        assert len(mods) == (q * q - q if kind == "gl2" else q)
+        assert seen == [q] * (len(g.view.reps) + q)
+
+
+def test_a_corrupt_module_is_not_merged_with_its_healthy_twin():
+    # omega_1 and omega_5 agree on the norm-one torus of F_9^*, so their
+    # bases are equal; corrupting the first must not let the later,
+    # healthy twin's restriction stand in for it
+    E, g, mods = _all_modules("gl2", 3)
+    first = mods[0]
+    twins = [i for i, m in enumerate(mods) if np.array_equal(m.basis, first.basis)]
+    assert twins == [0, 3]
+    fiber = np.flatnonzero(first.basis[:, 0])
+    first.basis[fiber, 0] *= np.exp(2j * np.pi * RNG.random(len(fiber)))
+    with pytest.raises(VerificationFailed, match="W_omega"):
+        pi_omega_characters(mods, g)
 
 
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
