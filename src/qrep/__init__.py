@@ -9,17 +9,16 @@ two are compared numerically.  Nothing is returned unverified.
 from .config import DEFAULT_TOL, get_tol
 from .errors import (CharMismatch, DerivativeVanishes, EvenExponent, EvenQ,
                      GroupMismatch, IoError, NonIntegral, NonPrime,
-                     NotInGroup, NotIrreducible, NotNormal, NotPrimitive,
-                     NotSL2, NotSplitting, QrepError, SizeExceeded,
-                     SizeMismatch, Singular, VerificationFailed)
+                     NotInGroup, NotIrreducible, NotPrimitive, NotSL2,
+                     NotSplitting, QrepError, SizeExceeded, SizeMismatch,
+                     Singular, VerificationFailed)
 from .ff import (AddChar, ExtCtx, FieldCtx, MultChar, NormOneChar,
                  dual_pairing, fourier_transform, is_primitive, make_ext,
                  make_field)
 from .repcore import (ClassFunction, FiniteGroupView, MatrixRep,
-                      MonomialImages, SubgroupEmbedding, abelian_view,
-                      character_table_bruteforce, clifford_orbit_check,
-                      double_cosets, hom_dim, induce, inner_product,
-                      mackey_check, rep_character, restrict, subgroup_view)
+                      MonomialImages, SubgroupEmbedding,
+                      character_table_bruteforce, hom_dim, induce,
+                      inner_product, rep_character, restrict, subgroup_view)
 from .gl2 import ConjClass, GroupCtx, bruhat, make_group, sl2_split_test
 from .parabolic import (BorelChar, build_induced_rep, decompose_gl2,
                         delta_kernels, delta_relation_defect,
@@ -27,7 +26,7 @@ from .parabolic import (BorelChar, build_induced_rep, decompose_gl2,
                         intertwiner_dim, intertwiner_idempotents,
                         predicted_intertwiner_dim, split_rho_pm)
 from .weil import (CuspidalModule, HeisenbergCtx, averaging_check,
-                   cuspidal_module, fourier_intertwines, gl2_cuspidal_family,
+                   fourier_intertwines, gl2_cuspidal_family,
                    heisenberg_from_ext, heisenberg_group, heisenberg_rep,
                    pi_omega_character, pi_omega_characters,
                    sl2_cuspidal_family, svn_check, symplectic_defect,
@@ -36,7 +35,7 @@ from .chartab import CharacterTable, SUPPORTED, build_table, emit, verify_table
 from .simclass import (SimilarityType, centralizer, companion,
                        count_irreducible_monics, count_similarity_classes,
                        cuspidal_count_identity, hensel_lift, invariant_factors,
-                       jordan_form, similar, similarity_type)
+                       jordan_form, similarity_type)
 
 __version__ = "0.1.0"
 

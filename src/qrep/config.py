@@ -4,8 +4,7 @@ All floating-point identity checks in this package compare a residual
 against a single tolerance.  The default is 1e-8; it can be overridden
 with the QREP_TOL environment variable, which must parse to a float in
 (0, 1e-3].  The named thresholds below pivot and round Dixon's
-eigenvectors, cluster eigenvalues or snap float dust, so they do not
-follow QREP_TOL.
+eigenvectors or snap float dust, so they do not follow QREP_TOL.
 """
 
 import os
@@ -16,8 +15,6 @@ DEFAULT_TOL = 1e-8
 DIXON_PIVOT = 1e-12
 # a degree read off a Dixon eigenvector must be this close to an integer
 DEGREE_INTEGRAL = 1e-6
-# eigenvalues (and eigen-character tuples) this close are one cluster
-EIG_CLUSTER = 1e-6
 # emit writes values this close to an integer as it; part of the bytes
 SNAP = 1e-9
 # seed of the random steps whose callers pass none

@@ -26,10 +26,6 @@ class NotIrreducible(QrepError):
     """A polynomial expected to be irreducible factors."""
 
 
-class NotNormal(QrepError):
-    """A subgroup expected to be normal is not."""
-
-
 class Singular(QrepError):
     """A matrix expected to be invertible has zero determinant."""
 

@@ -153,10 +153,6 @@ class GroupCtx:
         m = self.elems
         return np.flatnonzero(m[:, 2] == 0)
 
-    def torus_ids(self):
-        m = self.elems
-        return np.flatnonzero((m[:, 1] == 0) & (m[:, 2] == 0))
-
     def subview(self, members):
         return subgroup_view(self.view, members)
 

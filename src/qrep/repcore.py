@@ -4,8 +4,8 @@ A FiniteGroupView addresses group elements by integer indices 0..n-1
 and exposes a vectorized multiplication callback; no n x n table is
 ever materialized, so the same machinery serves cyclic toy groups and
 GL2 over F_11 alike.  Every orbit enumeration (conjugacy classes, cosets,
-double cosets, matrix similarity orbits, Frobenius orbits of characters)
-goes through orbits, which checks that its blocks partition the set.
+matrix similarity orbits, Frobenius orbits of characters) goes through
+orbits, which checks that its blocks partition the set.
 Each view certifies a generating set once, by a search that reaches
 every element; conjugacy classes are the orbits of conjugation by those
 generators alone, and a subgroup embedding is checked on (element,
@@ -18,10 +18,8 @@ import copy
 
 import numpy as np
 
-from .config import (DEGREE_INTEGRAL, DIXON_PIVOT, EIG_CLUSTER, SEED,
-                     get_tol)
-from .errors import (GroupMismatch, NonIntegral, NotInGroup, NotNormal,
-                     VerificationFailed)
+from .config import DEGREE_INTEGRAL, DIXON_PIVOT, SEED, get_tol
+from .errors import GroupMismatch, NonIntegral, NotInGroup, VerificationFailed
 
 # random combinations Dixon's method tries before giving up
 DIXON_TRIES = 8
@@ -171,17 +169,6 @@ class MixedRadix:
         return (digs % self.orders) @ self.places
 
 
-def abelian_view(orders):
-    """Direct product of cyclic groups Z/n_1 x ... indexed little-endian."""
-    r = MixedRadix([int(o) for o in orders])
-
-    def mul(a, b):
-        return r.index(r.digits(a) + r.digits(b))
-
-    inv = r.index(-r.digits(np.arange(r.n)))
-    return FiniteGroupView(r.n, mul, inv=inv, identity=0)
-
-
 class ClassFunction:
     """A complex-valued function constant on conjugacy classes, stored
     by class index in the order of view.classes."""
@@ -192,9 +179,6 @@ class ClassFunction:
             raise GroupMismatch("value count != class count")
         self.view = view
         self.values = values
-
-    def at_element(self, g):
-        return self.values[self.view.class_of[g]]
 
     def _coerce(self, other):
         if isinstance(other, ClassFunction):
@@ -305,34 +289,6 @@ def restrict(f, emb):
     if f.view is not emb.big:
         raise GroupMismatch("function does not live on the big group")
     return ClassFunction(emb.sub, f.values[emb.fusion])
-
-
-def double_cosets(emb):
-    """Representatives of H\\G/H, each the smallest index in its coset."""
-    G = emb.big
-    hin = emb.injection
-    return [x for x, _ in orbits(G.n, lambda x: G.mul(
-        G.mul(hin[:, None], x).ravel()[:, None], hin[None, :]))]
-
-
-def mackey_check(f, emb):
-    """Mackey decomposition of res ind f as a sum over double cosets of
-    inductions of twisted restrictions.  Returns the maximum absolute
-    defect between the two sides."""
-    G, H = emb.big, emb.sub
-    lhs = restrict(induce(f, emb), emb)
-    total = np.zeros(len(H.classes), dtype=complex)
-    for x in double_cosets(emb):
-        xinv = int(G.inv[x])
-        # K_x = { h in H : x^-1 h x in H }
-        hg = emb.injection
-        conj_in = emb.g_to_h[G.mul(G.mul(xinv, hg), x)]
-        kmembers = np.flatnonzero(conj_in >= 0)
-        K, kemb = subgroup_view(H, kmembers)
-        # twisted function f_x(k) = f(x^-1 k x) on K_x
-        tw = f.values[H.class_of[conj_in[kemb.injection[K.reps]]]]
-        total += induce(ClassFunction(K, tw), kemb).values
-    return float(np.max(np.abs(lhs.values - total)))
 
 
 # bytes of one stacked operand in check_homomorphism and in the weil
@@ -487,74 +443,3 @@ def character_table_bruteforce(view):
         return table[order]
     raise VerificationFailed("class-algebra method failed to converge")
 
-
-def clifford_orbit_check(rep, normal_members):
-    """Decompose the restriction of rep to an abelian normal subgroup
-    into joint eigenspaces and verify Clifford's theorem: the characters
-    appearing form a single orbit under conjugation, all eigenspaces
-    have equal dimension, and dim rep = (orbit size) x (common dim).
-
-    normal_members: element indices of an abelian subgroup, verified
-    normal in rep.view.  Returns (orbit size, common dimension)."""
-    v = rep.view
-    members = np.unique(np.asarray(normal_members, dtype=np.int64))
-    # normal iff a union of classes: each class lies wholly in or out
-    hit = np.bincount(v.class_of[members], minlength=len(v.classes))
-    if np.any((hit != 0) & (hit != v.sizes)):
-        raise NotNormal("subgroup is not normal")
-
-    mats = rep.images[members]
-    rng = np.random.default_rng(SEED)
-    combo = np.tensordot(rng.standard_normal(len(members))
-                         + 1j * rng.standard_normal(len(members)), mats, axes=(0, 0))
-    evals, evecs = np.linalg.eig(combo)
-    # cluster eigenvalues
-    order = np.lexsort((np.round(evals.imag, 8), np.round(evals.real, 8)))
-    groups = []
-    for idx in order:
-        if groups and abs(evals[idx] - evals[groups[-1][-1]]) < EIG_CLUSTER:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-
-    tol = get_tol()
-    tuples = []
-    dims = []
-    for g in groups:
-        Q, _ = np.linalg.qr(evecs[:, g])
-        chi = []
-        for m_i, m in enumerate(members):
-            MQ = mats[m_i] @ Q
-            lam = np.vdot(Q[:, 0], MQ[:, 0])
-            if np.max(np.abs(MQ - lam * Q)) > tol:
-                raise VerificationFailed("normal subgroup image is not scalar "
-                                         "on a joint eigenspace")
-            chi.append(lam)
-        tuples.append(np.array(chi))
-        dims.append(Q.shape[1])
-
-    if len(set(dims)) != 1:
-        raise VerificationFailed("joint eigenspaces have unequal dimensions")
-
-    # orbit of the first character tuple under conjugation by all of G
-    pos = np.full(v.n, -1, dtype=np.int64)
-    pos[members] = np.arange(len(members))
-
-    def close(u, w):
-        return np.max(np.abs(u - w)) < EIG_CLUSTER
-
-    orbit = []
-    for g in range(v.n):
-        moved = pos[v.mul(v.mul(v.inv[g], members), g)]
-        cand = tuples[0][moved]
-        if not any(close(cand, o) for o in orbit):
-            orbit.append(cand)
-    if len(orbit) != len(tuples):
-        raise VerificationFailed(
-            f"expected one orbit of size {len(tuples)}, got {len(orbit)}")
-    for t in tuples:
-        if not any(close(t, o) for o in orbit):
-            raise VerificationFailed("eigenspace character outside the orbit")
-    if len(tuples) * dims[0] != rep.dim:
-        raise VerificationFailed("orbit size x multiplicity != degree")
-    return len(tuples), dims[0]

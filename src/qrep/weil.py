@@ -103,12 +103,9 @@ class HeisenbergCtx:
                            (-z + self.pair_exp(c, x)) % self.m)
 
     @cached_property
-    def _view(self):
+    def view(self):
         return FiniteGroupView(self.nH, self.h_mul, inv=self.h_inv_array(),
                                identity=0)
-
-    def view(self):
-        return self._view
 
     # --- symplectic presentation, for 2 invertible mod m ---
 
@@ -154,11 +151,13 @@ def heisenberg_from_ext(ectx):
 
 
 def symplectic_defect(hctx, sample=None, seed=20070714):
-    """Exact count of pairs violating phi(h h') = phi(h) *_symp phi(h').
+    """(violations, pairs checked): the number of pairs (h, h') violating
+    phi(h h') = phi(h) *_symp phi(h'), and how many pairs were read.
 
-    Pairs are exhausted (chunked) when n^2 <= MAX_PAIRS; otherwise
-    `sample` seeded random pairs are checked, or SizeExceeded is raised
-    when no sample size was given."""
+    All n^2 pairs are checked, one row at a time, when n^2 <= MAX_PAIRS;
+    otherwise only `sample` seeded random pairs are, so the count is exact
+    over the sample alone, or SizeExceeded is raised when no sample size
+    was given."""
     n = hctx.nH
     if n * n > MAX_PAIRS:
         if sample is None:
@@ -169,7 +168,7 @@ def symplectic_defect(hctx, sample=None, seed=20070714):
         lhs = hctx.to_symplectic(hctx.h_mul(h1, h2))
         rhs = hctx.symplectic_mul(hctx.to_symplectic(h1),
                                   hctx.to_symplectic(h2))
-        return int(np.sum(lhs != rhs))
+        return int(np.sum(lhs != rhs)), sample
     allh = np.arange(n)
     bad = 0
     for h in allh:
@@ -177,7 +176,7 @@ def symplectic_defect(hctx, sample=None, seed=20070714):
         rhs = hctx.symplectic_mul(hctx.to_symplectic(h),
                                   hctx.to_symplectic(allh))
         bad += int(np.sum(lhs != rhs))
-    return bad
+    return bad, n * n
 
 
 def heisenberg_rep(hctx):
@@ -196,7 +195,7 @@ def heisenberg_rep(hctx):
         cols[h] = hctx.g_add(xs, hctx.g_neg(x1))       # x - x'
         e = (z1 + hctx.pair_exp(c1, cols[h])) % m
         vals[h] = np.exp(2j * np.pi * e / m)
-    return MatrixRep(hctx.view(), MonomialImages(cols, vals))
+    return MatrixRep(hctx.view, MonomialImages(cols, vals))
 
 
 def svn_check(hctx):
@@ -210,7 +209,7 @@ def svn_check(hctx):
     if hctx.nG > 16:
         raise SizeExceeded("svn check is restricted to |G| <= 16")
     tol = get_tol()
-    view = hctx.view()
+    view = hctx.view
     rep = heisenberg_rep(hctx)
     bound = rep.check_homomorphism()
     if not bound < tol:
@@ -586,10 +585,6 @@ def _restrict_all(fibres, values, M):
     return Rt[..., 0].transpose(0, 2, 1)
 
 
-def cuspidal_module(ectx, omega):
-    return CuspidalModule(ectx, omega)
-
-
 def _class_operators(ectx, gctx):
     """Yield (operator, a~) for each class representative g of gctx, in
     class order.  For SL2 the operator is rho~(g) and a~ is None.  For
@@ -707,7 +702,7 @@ def gl2_cuspidal_family(ectx, glctx):
                    for _, block in orbits(Q1, lambda j: [j, j * q % Q1])
                    if len(block) == 2]
     chars = pi_omega_characters(
-        [cuspidal_module(ectx, MultChar(ext, i))
+        [CuspidalModule(ectx, MultChar(ext, i))
          for orbit in frob_orbits for i in orbit], glctx)
     # one root z of each anisotropic class's characteristic polynomial
     lam = np.arange(ext.q)
@@ -753,7 +748,7 @@ def sl2_cuspidal_family(ectx, slctx):
     oms = [NormOneChar(ectx, j) for j in js]
     module = CuspidalModule(ectx, NormOneChar(ectx, (q + 1) // 2))
     images, inverse, (*chars, chi0) = _restricted_class_images(
-        [cuspidal_module(ectx, w) for om in oms for w in (om, om.conj())]
+        [CuspidalModule(ectx, w) for om in oms for w in (om, om.conj())]
         + [module], slctx)
     out = []
     for j, f, finv in zip(js, chars[::2], chars[1::2]):

@@ -1,12 +1,14 @@
-"""Source guards: every derived structure has one owner, and every
-numerical threshold has one home.
+"""Source guards: every derived structure has one owner, every
+numerical threshold has one home, and the package holds no code that
+nothing runs.
 
 Lazily derived data lives on the class that owns it, set in its
 constructor or as a cached property.  No module stores attributes on
 objects it did not create as `self`, and no function keeps state in a
 mutable default argument.  Comparisons read `get_tol()`, and the
-pivot, clustering and rounding thresholds are named constants in `config.py`.
-Every imported name is used.
+pivot and rounding thresholds are named constants in `config.py`.
+Every imported name is used, and every function, class and method the
+package defines is read by name inside it or traced by perfbench.
 """
 
 import ast
@@ -102,19 +104,65 @@ def test_every_import_is_used():
     assert found == []
 
 
-def test_every_traced_target_resolves():
-    # perfbench's traced mode rebinds every TARGETS name, and looks a
-    # method up in its class's own __dict__: a target that is deleted, or
-    # only inherited, breaks the traced benchmark
+def _traced_targets():
+    """perfbench's TARGETS as (module, attribute) pairs."""
     spec = importlib.util.spec_from_file_location("_perfbench_tracing",
                                                   TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return [(modname, attr) for modname, attr, _, _ in tracing.TARGETS]
+
+
+def test_every_traced_target_resolves():
+    # perfbench's traced mode rebinds every TARGETS name, and looks a
+    # method up in its class's own __dict__: a target that is deleted, or
+    # only inherited, breaks the traced benchmark
     missing = []
-    for modname, attr, _, _ in tracing.TARGETS:
+    for modname, attr in _traced_targets():
         module = importlib.import_module(modname)
         cls_name, _, name = attr.rpartition(".")
         owner = vars(getattr(module, cls_name)) if cls_name else vars(module)
         if not callable(owner.get(name)):
             missing.append(f"{modname}.{attr}")
     assert missing == []
+
+
+def _definitions(tree):
+    """Qualified names of a module's top-level functions and classes,
+    and of its classes' methods other than dunders."""
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield top.name
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef) and not (
+                        node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    yield f"{top.name}.{node.name}"
+
+
+def _names_read(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_definition_is_read_by_the_package():
+    # a definition that only the package's exports and the tests reach is
+    # dead code (a test oracle belongs in the tests); perfbench's traced
+    # targets are exempt, since its tracer reads them by name
+    paths = [path for path in SOURCES if path.name != "__init__.py"]
+    trees = {f"qrep.{path.stem}": ast.parse(path.read_text())
+             for path in paths}
+    read = {name for tree in trees.values() for name in _names_read(tree)}
+    traced = {f"{modname}.{attr}" for modname, attr in _traced_targets()}
+    unread = [f"{modname}.{name}"
+              for modname, tree in trees.items()
+              for name in _definitions(tree)
+              if name.rpartition(".")[2] not in read
+              and f"{modname}.{name}" not in traced]
+    assert unread == []

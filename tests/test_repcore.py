@@ -1,5 +1,8 @@
-"""Generic finite-group machinery: class functions, induction,
-Mackey theory, brute-force character tables, Clifford decomposition."""
+"""Generic finite-group machinery: class functions, induction and
+restriction (against the Mackey formula), brute-force character tables,
+certified generators and matrix models."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -12,12 +15,8 @@ from qrep import (
     MatrixRep,
     MonomialImages,
     NotInGroup,
-    NotNormal,
     SubgroupEmbedding,
-    abelian_view,
     character_table_bruteforce,
-    clifford_orbit_check,
-    double_cosets,
     heisenberg_group,
     heisenberg_rep,
     hom_dim,
@@ -25,13 +24,12 @@ from qrep import (
     inner_product,
     make_field,
     make_group,
-    mackey_check,
     rep_character,
     restrict,
     subgroup_view,
 )
 from qrep.errors import VerificationFailed
-from qrep.repcore import _CHUNK_BYTES, generating_set, orbits
+from qrep.repcore import _CHUNK_BYTES, MixedRadix, generating_set, orbits
 
 RNG = np.random.default_rng(20070714)
 
@@ -41,12 +39,28 @@ def _borel_embedding(ctx):
     return emb
 
 
+def _abelian_view(orders):
+    """The toy group Z/n_1 x ... x Z/n_r, indexed little-endian."""
+    r = MixedRadix([int(o) for o in orders])
+
+    def mul(a, b):
+        return r.index(r.digits(a) + r.digits(b))
+
+    inv = r.index(-r.digits(np.arange(r.n)))
+    return FiniteGroupView(r.n, mul, inv=inv, identity=0)
+
+
+def _at(f, g):
+    """The value of the class function f at the element g."""
+    return f.values[f.view.class_of[g]]
+
+
 def test_abelian_view_classes_are_singletons():
-    v = abelian_view((6,))
+    v = _abelian_view((6,))
     assert v.n == 6
     assert len(v.reps) == 6
     assert all(s == 1 for s in v.sizes)
-    w = abelian_view((2, 3))
+    w = _abelian_view((2, 3))
     assert w.n == 6
     # Z/2 x Z/3 = Z/6: same character table degrees (all 1)
     t = character_table_bruteforce(w)
@@ -57,7 +71,7 @@ def test_abelian_view_classes_are_singletons():
 def test_dihedral_character_degrees_from_heisenberg_two():
     # the Heisenberg group over Z/2 has order 8 and degrees 1,1,1,1,2
     h = heisenberg_group((2,))
-    v = h.view()
+    v = h.view
     assert v.n == 8
     t = character_table_bruteforce(v)
     idc = int(v.class_of[v.identity])
@@ -107,8 +121,7 @@ def test_induction_degree_and_frobenius_reciprocity():
         fG = ClassFunction(G, RNG.standard_normal(len(G.reps))
                            + 1j * RNG.standard_normal(len(G.reps)))
         ind = induce(fH, emb)
-        assert abs(ind.at_element(G.identity)
-                   - index * fH.at_element(H.identity)) < 1e-9
+        assert abs(_at(ind, G.identity) - index * _at(fH, H.identity)) < 1e-9
         lhs = inner_product(ind, fG)
         rhs = inner_product(fH, restrict(fG, emb))
         assert abs(lhs - rhs) < 1e-9
@@ -129,11 +142,13 @@ def _induce_by_definition(f, emb):
 def _induction_embeddings():
     sl3, sl5 = make_group("sl2", make_field(3)), make_group("sl2", make_field(5))
     gl3, gl5 = make_group("gl2", make_field(3)), make_group("gl2", make_field(5))
-    ab = abelian_view((4, 6))
+    ab = _abelian_view((4, 6))
     # 2Z/4 x 3Z/6, indexed little-endian as a + 4 b
     _, ab_emb = subgroup_view(ab, [a + 4 * b for a in (0, 2) for b in (0, 3)])
+    m = gl5.elems
+    torus = np.flatnonzero((m[:, 1] == 0) & (m[:, 2] == 0))
     return [_borel_embedding(sl3), _borel_embedding(sl5), _borel_embedding(gl3),
-            subgroup_view(gl5.view, gl5.torus_ids())[1], ab_emb]
+            subgroup_view(gl5.view, torus)[1], ab_emb]
 
 
 def test_induction_matches_the_defining_sum():
@@ -146,7 +161,7 @@ def test_induction_matches_the_defining_sum():
             assert np.max(np.abs(induce(f, emb).values - want)) < 1e-12
 
 
-def test_induction_restriction_and_normality_multiply_nothing(monkeypatch):
+def test_induction_and_restriction_multiply_nothing(monkeypatch):
     def no_mul(a, b):
         raise AssertionError("group multiplication called")
 
@@ -159,18 +174,39 @@ def test_induction_restriction_and_normality_multiply_nothing(monkeypatch):
     monkeypatch.setattr(H, "mul", no_mul)
     assert np.max(np.abs(induce(fH, emb).values - want)) < 1e-12
     assert np.array_equal(restrict(fG, emb).values,
-                          [fG.at_element(emb.injection[r]) for r in H.reps])
-    h = heisenberg_group((2,))
-    rep = heisenberg_rep(h)
-    monkeypatch.setattr(rep.view, "mul", no_mul)
-    with pytest.raises(NotNormal):
-        clifford_orbit_check(rep, [0, int(h.encode(0, 1, 0))])
+                          [_at(fG, emb.injection[r]) for r in H.reps])
+
+
+def _double_cosets(emb):
+    """Representatives of H\\G/H, each the smallest index in its coset."""
+    G = emb.big
+    hin = emb.injection
+    return [x for x, _ in orbits(G.n, lambda x: G.mul(
+        G.mul(hin[:, None], x).ravel()[:, None], hin[None, :]))]
+
+
+def _mackey_defect(f, emb):
+    """The largest entry of |res ind f - sum_x ind_{K_x}^H f_x| over the
+    H-classes: the Mackey formula (Serre, Linear Representations of
+    Finite Groups, 7.3), with x over the double cosets H\\G/H,
+    K_x = H cap x H x^-1 and f_x(k) = f(x^-1 k x).  An oracle for induce
+    and restrict, which read only the embedding's fusion map."""
+    G, H = emb.big, emb.sub
+    lhs = restrict(induce(f, emb), emb)
+    total = np.zeros(len(H.classes), dtype=complex)
+    for x in _double_cosets(emb):
+        xinv = int(G.inv[x])
+        conj_in = emb.g_to_h[G.mul(G.mul(xinv, emb.injection), x)]
+        K, kemb = subgroup_view(H, np.flatnonzero(conj_in >= 0))
+        tw = f.values[H.class_of[conj_in[kemb.injection[K.reps]]]]
+        total += induce(ClassFunction(K, tw), kemb).values
+    return float(np.max(np.abs(lhs.values - total)))
 
 
 def test_double_cosets_of_borel_realize_bruhat_partition():
     ctx = make_group("sl2", make_field(5))
     emb = _borel_embedding(ctx)
-    reps = double_cosets(emb)
+    reps = _double_cosets(emb)
     assert len(reps) == 2
     G, hin = emb.big, emb.injection
     sizes = []
@@ -195,7 +231,7 @@ def test_double_cosets_match_the_seen_loop():
         hx = G.mul(hin[:, None], x)
         seen[np.unique(G.mul(hx.ravel()[:, None], hin[None, :]))] = True
         reference.append(x)
-    assert double_cosets(emb) == reference
+    assert _double_cosets(emb) == reference
 
 
 def test_orbits_partition_in_order_of_smallest_member():
@@ -223,7 +259,20 @@ def test_mackey_decomposition_defect_vanishes():
     for _ in range(3):
         f = ClassFunction(emb.sub, RNG.standard_normal(len(emb.sub.reps))
                           + 1j * RNG.standard_normal(len(emb.sub.reps)))
-        assert mackey_check(f, emb) < 1e-9
+        assert _mackey_defect(f, emb) < 1e-9
+
+
+def test_mackey_defect_sees_a_corrupt_fusion_map():
+    # one H-class fused into the wrong G-class: induce and restrict read
+    # the map, while the Mackey side builds its own embeddings of K_x
+    ctx = make_group("sl2", make_field(3))
+    emb = _borel_embedding(ctx)
+    f = ClassFunction(emb.sub, RNG.standard_normal(len(emb.sub.reps)))
+    assert _mackey_defect(f, emb) < 1e-9
+    bad = copy.copy(emb)
+    bad.fusion = emb.fusion.copy()
+    bad.fusion[1] = (bad.fusion[1] + 1) % len(emb.big.classes)
+    assert _mackey_defect(f, bad) > 1e-9
 
 
 def test_homomorphism_check_reaches_every_chunk():
@@ -231,7 +280,7 @@ def test_homomorphism_check_reaches_every_chunk():
     # four; the faulty element n - 1 meets the generator 1 only in the
     # products of g = n - 2 and g = n - 1, both in the last chunk
     n, d = 12, 128
-    v = abelian_view((n,))
+    v = _abelian_view((n,))
     assert v.gens.tolist() == [1]
     step = _CHUNK_BYTES // (d * d * 16)
     assert step == 4
@@ -247,7 +296,7 @@ def test_monomial_homomorphism_check_reaches_every_chunk():
     # as (n, d) columns and values, read a chunk of at most four images
     # at a time, never all twelve
     n, d = 12, 128
-    v = abelian_view((n,))
+    v = _abelian_view((n,))
     phases = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(d)) / n)
     cols = np.tile(np.arange(d), (n, 1))
     read = []
@@ -284,7 +333,7 @@ def test_homomorphism_bound_covers_every_pair(all_pairs_defect):
 
 def test_homomorphism_check_sees_the_identity_and_unitarity():
     # rotations by quarter turns represent Z/4 exactly
-    v = abelian_view((4,))
+    v = _abelian_view((4,))
     rot = np.array([[0, -1], [1, 0]])
     images = np.stack([np.linalg.matrix_power(rot, k)
                        for k in range(4)]).astype(complex)
@@ -310,30 +359,7 @@ def test_heisenberg_rep_is_a_homomorphism_with_known_character():
     for hid in range(h.nH):
         x, c, z = (int(t) for t in h.decode(hid))
         want = 0.0 if (x, c) != (0, 0) else 3 * np.exp(2j * np.pi * z / 3)
-        assert abs(chi.at_element(hid) - want) < 1e-10
-
-
-def test_clifford_orbit_for_heisenberg_translations():
-    h = heisenberg_group((2,))
-    rep = heisenberg_rep(h)
-    # translations + center form an abelian normal subgroup of index 2
-    members = [int(h.encode(x, 0, z)) for x in range(2) for z in range(2)]
-    orbit, common = clifford_orbit_check(rep, members)
-    assert (orbit, common) == (2, 1)
-    # the center alone: single character, multiplicity 2
-    orbit, common = clifford_orbit_check(rep, [int(h.encode(0, 0, z))
-                                               for z in range(2)])
-    assert (orbit, common) == (1, 2)
-
-
-def test_clifford_rejects_non_normal_subgroups():
-    ctx = make_group("sl2", make_field(3))
-    h = heisenberg_group((2,))
-    rep = heisenberg_rep(h)
-    del ctx
-    # {1, (0,1,0)} is not normal in the Heisenberg group
-    with pytest.raises(NotNormal):
-        clifford_orbit_check(rep, [0, int(h.encode(0, 1, 0))])
+        assert abs(_at(chi, hid) - want) < 1e-10
 
 
 def test_hom_dim_counts_common_constituents():
@@ -391,14 +417,14 @@ def test_generator_classes_and_fusion_equal_the_all_elements_references(
 
 @pytest.mark.parametrize("orders", [(2,), (3,), (4,), (2, 2)])
 def test_heisenberg_classes_equal_the_all_elements_reference(orders):
-    v = heisenberg_group(orders).view()
+    v = heisenberg_group(orders).view
     assert _same_classes(v.classes, _flood_by_all(v))
 
 
 def test_generating_set_is_greedy_and_certified():
     # Z/4 x Z/6: 1 reaches 0..3, and 4 (= (0, 1)) then reaches the rest
     # (1 step and 2 rounds, then 1 step and 4 rounds: L = 8, the depth)
-    v = abelian_view((4, 6))
+    v = _abelian_view((4, 6))
     assert v.gens.tolist() == [1, 4]
     assert v.word_length == 8
     S, L = generating_set(v.n, v.mul, 0, [4, 1])
@@ -432,7 +458,7 @@ def _certified_views():
             yield f"{kind} {q}", ctx.view
             yield f"{kind} {q} Borel", ctx.borel[0]
     for orders in ((2,), (3,), (4,), (2, 2)):
-        yield f"Heisenberg {orders}", heisenberg_group(orders).view()
+        yield f"Heisenberg {orders}", heisenberg_group(orders).view
 
 
 def test_word_length_bounds_the_depth_of_every_element():
@@ -445,7 +471,7 @@ def test_word_length_bounds_the_depth_of_every_element():
 
 
 def test_a_set_that_does_not_generate_is_refused():
-    v = abelian_view((6,))
+    v = _abelian_view((6,))
     with pytest.raises(VerificationFailed, match="does not generate"):
         generating_set(v.n, v.mul, 0, [2])
     with pytest.raises(VerificationFailed, match="does not generate"):
@@ -469,7 +495,7 @@ def test_an_injective_non_homomorphism_is_refused():
         SubgroupEmbedding(B, ctx.view, bad)
     # Z/4 x Z/6 (generators 1 and 4) by (a, b) -> (a, sigma(b)): only
     # the products with the second generator see that sigma is not additive
-    v = abelian_view((4, 6))
+    v = _abelian_view((4, 6))
     sigma = np.array([0, 1, 3, 2, 4, 5])
     a, b = np.arange(v.n) % 4, np.arange(v.n) // 4
     with pytest.raises(NotInGroup, match="not a homomorphism"):
@@ -480,13 +506,13 @@ def test_a_trivial_view_off_the_identity_is_refused():
     # the trivial group has no generators, so only phi(e) = e sees this
     trivial = FiniteGroupView(1, lambda a, b: a * b, inv=[0])
     with pytest.raises(NotInGroup, match="identity"):
-        SubgroupEmbedding(trivial, abelian_view((6,)), [2])
+        SubgroupEmbedding(trivial, _abelian_view((6,)), [2])
 
 
 def test_a_subset_that_is_not_closed_is_refused():
     # each set holds the identity and is closed under inversion, so only
     # the generator search can see that a product leaves it
-    v = abelian_view((6,))
+    v = _abelian_view((6,))
     with pytest.raises(NotInGroup, match="under multiplication"):
         subgroup_view(v, [0, 1, 5])
     ctx = make_group("sl2", make_field(3))

@@ -21,11 +21,9 @@ from qrep import (
     invariant_factors,
     jordan_form,
     make_field,
-    similar,
     similarity_type,
 )
 from qrep import make_ext, poly, simclass
-from qrep.errors import VerificationFailed
 from qrep.ff import FieldCtx, ScalarOps
 from qrep.simclass import (conjugation_orbits, fq_nullspace, mat_det, mat_eye,
                            mat_inv, mat_mul, random_matrix)
@@ -225,7 +223,6 @@ def test_similarity_type_is_conjugation_invariant():
                 break
         B = mat_mul(F3, mat_mul(F3, X, A), mat_inv(F3, X))
         assert similarity_type(F3, A) == similarity_type(F3, B)
-        assert similar(F3, A, B)
 
 
 def _brute_orbit_partition(ctx, n):
@@ -264,15 +261,6 @@ def test_conjugation_orbits_match_the_seen_loop():
                 reference[tuple(int(t) for t in B.ravel())] = count
             count += 1
         assert conjugation_orbits(ctx, n) == reference
-
-
-def test_similar_refuses_a_wrong_invariant_factor_verdict(monkeypatch):
-    A = np.array([[1, 1], [0, 1]], dtype=np.int64)
-    B = np.array([[1, 0], [0, 1]], dtype=np.int64)
-    assert not similar(F3, A, B)
-    monkeypatch.setattr(simclass, "similarity_type", lambda ctx, M: 0)
-    with pytest.raises(VerificationFailed):
-        similar(F3, A, B)
 
 
 def test_types_agree_with_brute_conjugation_orbits_f2():
@@ -414,6 +402,16 @@ def test_similarity_class_count_at_a_large_prime_is_fast():
     q = 1000003
     t0 = time.perf_counter()
     assert count_similarity_classes(q, 2) == q * q + q
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_similarity_class_count_at_a_large_degree_is_fast():
+    # each power of P(x^d) has n/d + 1 nonzero terms and must be the
+    # zero-skipping operand of the product; with the dense series there
+    # this count took about 2 s on a 2-core VM
+    t0 = time.perf_counter()
+    assert count_similarity_classes(3, 100) == \
+        920109848551465258448968976413316470536046640778
     assert time.perf_counter() - t0 < 1.0
 
 

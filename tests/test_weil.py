@@ -15,7 +15,6 @@ from qrep import (
     SizeExceeded,
     VerificationFailed,
     averaging_check,
-    cuspidal_module,
     fourier_intertwines,
     get_tol,
     gl2_cuspidal_family,
@@ -83,7 +82,8 @@ def test_symplectic_presentation_is_isomorphic():
     lhs = h.to_symplectic(h.h_mul(a, b))
     rhs = h.symplectic_mul(h.to_symplectic(a), h.to_symplectic(b))
     assert np.array_equal(np.asarray(lhs), np.asarray(rhs))
-    assert symplectic_defect(heisenberg_group((3, 3))) == 0  # exhaustive
+    small = heisenberg_group((3, 3))
+    assert symplectic_defect(small) == (0, small.nH ** 2)  # exhaustive
 
 
 def test_symplectic_needs_odd_exponent():
@@ -94,8 +94,7 @@ def test_symplectic_needs_odd_exponent():
 
 def test_symplectic_defect_sampled_path():
     h = heisenberg_from_ext(make_ext(make_field(7)))  # |H|^2 = 16807^2 > 2^22
-    d = symplectic_defect(h, sample=500, seed=1)
-    assert d == 0
+    assert symplectic_defect(h, sample=500, seed=1) == (0, 500)
     with pytest.raises(SizeExceeded):
         symplectic_defect(h)
 
@@ -416,7 +415,7 @@ def test_gl2_cuspidal_value_at_nonsemisimple_class():
     E = make_ext(make_field(3))
     gl = make_group("gl2", E.base)
     om = MultChar(E.ext, 1)
-    f = pi_omega_character(cuspidal_module(E, om), gl)
+    f = pi_omega_character(CuspidalModule(E, om), gl)
     assert abs(f.values[0] - 2) < 1e-9  # degree q - 1
     for c_i, c in enumerate(gl.conj_classes):
         if c.tag == "nonsemisimple":
@@ -465,7 +464,7 @@ def test_gl2_cuspidal_operator_independent_of_fiber_choice():
     E = make_ext(make_field(3))
     ext = E.ext
     om = MultChar(ext, 1)
-    mod = cuspidal_module(E, om)
+    mod = CuspidalModule(E, om)
     eye = np.eye(ext.q, dtype=complex)
     for a in range(1, 3):
         fiber = np.flatnonzero(np.asarray(E.norm) == a)
@@ -529,7 +528,7 @@ def test_sl2_cuspidal_anisotropic_values():
     ext = E.ext
     sl = make_group("sl2", E.base)
     om = NormOneChar(E, 1)
-    f = pi_omega_character(cuspidal_module(E, om), sl)
+    f = pi_omega_character(CuspidalModule(E, om), sl)
     lam = np.arange(ext.q)
     for c_i, c in enumerate(sl.conj_classes):
         if c.tag != "anisotropic":
@@ -548,7 +547,7 @@ def test_sl2_cuspidal_values_at_split_and_unipotent_classes():
     E = make_ext(make_field(5))
     sl = make_group("sl2", E.base)
     om = NormOneChar(E, 2)
-    f = pi_omega_character(cuspidal_module(E, om), sl)
+    f = pi_omega_character(CuspidalModule(E, om), sl)
     for c_i, c in enumerate(sl.conj_classes):
         if c.tag == "split_regular":
             assert abs(f.values[c_i]) < 1e-9
@@ -560,7 +559,7 @@ def test_pi_omega_group_kind_must_match_module_kind():
     E = make_ext(make_field(3))
     sl = make_group("sl2", E.base)
     with pytest.raises(GroupMismatch):
-        pi_omega_character(cuspidal_module(E, MultChar(E.ext, 1)), sl)
+        pi_omega_character(CuspidalModule(E, MultChar(E.ext, 1)), sl)
 
 
 def _field(q):
@@ -577,7 +576,7 @@ def _all_modules(kind, q):
                if j % (q + 1) != 0]
     else:
         oms = [NormOneChar(E, j) for j in range(1, q + 1)]
-    return E, g, [cuspidal_module(E, om) for om in oms]
+    return E, g, [CuspidalModule(E, om) for om in oms]
 
 
 @pytest.mark.parametrize("kind,q", [("gl2", 3), ("gl2", 5),
@@ -611,7 +610,7 @@ def test_sl2_family_builds_each_weil_operator_once(monkeypatch):
 
 def test_restrict_rejects_a_non_invariant_operator():
     E = make_ext(make_field(5))
-    mod = cuspidal_module(E, NormOneChar(E, 1))
+    mod = CuspidalModule(E, NormOneChar(E, 1))
     Q = E.ext.q
     perm = np.random.default_rng(7).permutation(Q)
     with pytest.raises(VerificationFailed, match="W_omega"):
@@ -729,7 +728,7 @@ def test_restriction_residual_covers_row_zero():
     # 1_0 lies outside every W_omega: an operator that also sends 1_u
     # onto it is not W_omega-invariant, though its rows u~ are unchanged
     E = make_ext(make_field(5))
-    mod = cuspidal_module(E, NormOneChar(E, 1))
+    mod = CuspidalModule(E, NormOneChar(E, 1))
     M = weil_matrix(E, (1, 1, 0, 1))
     mod.restrict(M)
     M[0, mod.u_tilde[2]] += 1.0
