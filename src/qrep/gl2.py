@@ -21,10 +21,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EvenQ, NotInGroup, Singular, VerificationFailed
+from .errors import (EvenQ, NotInGroup, SizeExceeded, Singular,
+                     VerificationFailed)
 from .repcore import FiniteGroupView, orbits, subgroup_view
 
 TAG_RANK = {"central": 0, "nonsemisimple": 1, "split_regular": 2, "anisotropic": 3}
+# GroupCtx enumerates all q^4 matrices over F_q at once: q <= 61 fits
+MAX_GRID = 1 << 24
 
 
 @dataclass
@@ -56,6 +59,8 @@ class GroupCtx:
         self.kind = kind
         self.field = field
         q = field.q
+        if q ** 4 > MAX_GRID:
+            raise SizeExceeded(f"q^4 = {q ** 4} matrices exceed {MAX_GRID}")
         self.q = q
         self.eps = field.eps
 

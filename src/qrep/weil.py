@@ -20,15 +20,18 @@ normalized operators rho~ on L^2(F_{q^2}):
 which is multiplicative on the nose.  Cuspidal representations are cut
 out of this model by a character omega of the norm-one subgroup (SL2)
 or of the full F_{q^2}^* (GL2, after extending by an operator for
-diag(1, a)).
+diag(1, a)).  Every element of SL2 is a word in l(c) = (1 0; c 1),
+t(a) = diag(a, 1/a) and w = (0 1; -1 0), and rho~ is monomial on the
+lower cell, so a cuspidal image is a product of restricted letters with
+rho~(w) the one dense operator.
 """
 
 import math
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .config import get_tol
+from .config import SEED, get_tol
 from .errors import (EvenExponent, EvenQ, GroupMismatch, NotPrimitive,
                      NotSL2, SizeExceeded, VerificationFailed)
 from .ff import MultChar, NormOneChar, dual_pairing, is_primitive
@@ -150,7 +153,7 @@ def heisenberg_from_ext(ectx):
     return HeisenbergCtx([ectx.p] * ectx.ext.k, form)
 
 
-def symplectic_defect(hctx, sample=None, seed=20070714):
+def symplectic_defect(hctx, sample=None, seed=SEED):
     """(violations, pairs checked): the number of pairs (h, h') violating
     phi(h h') = phi(h) *_symp phi(h'), and how many pairs were read.
 
@@ -307,7 +310,7 @@ def _weil_stack(ectx, mats):
     _check_sl2(ectx, a, b, c, d)
     lower = b == 0
     out = np.empty((len(b), ectx.ext.q, ectx.ext.q), dtype=complex)
-    out[lower] = _lower_cell(ectx, c[lower], d[lower])
+    out[lower] = _lower_cell(ectx, c[lower], d[lower])[:]
     out[~lower] = _big_cell(ectx, a[~lower], b[~lower], d[~lower])
     return out
 
@@ -323,15 +326,11 @@ def _check_sl2(ectx, a, b, c, d):
 
 def _lower_cell(ectx, c, d):
     """rho~ of the elements (d^-1, 0; c, d), one per entry of the
-    arrays c and d: f(x) -> psi(d c N(x)) f(d x)."""
+    arrays c and d, as MonomialImages: f(x) -> psi(d c N(x)) f(d x)."""
     base, ext = ectx.base, ectx.ext
-    Q = ext.q
-    idx = np.arange(Q)
-    M = np.zeros((len(d), Q, Q), dtype=complex)
-    cols = ext.mul(d[:, None], idx)
-    M[np.arange(len(d))[:, None], idx, cols] = \
-        ectx.psi.values[base.mul(base.mul(d, c)[:, None], ectx.norm)]
-    return M
+    cols = ext.mul(d[:, None], np.arange(ext.q))
+    vals = ectx.psi.values[base.mul(base.mul(d, c)[:, None], ectx.norm)]
+    return MonomialImages(cols, vals)
 
 
 def _big_cell(ectx, a, b, d):
@@ -349,10 +348,15 @@ def _big_cell(ectx, a, b, d):
 
 
 def _word_for(ctx, mat):
-    """Generator word for an SL2 element: t(a) u(ac) when b = 0, else
-    u(d/b) w u(ab) t(1/b), with u lower triangular."""
+    """Generator word for an SL2 element: t(a) l(ac) when b = 0, else
+    l(d/b) w l(ab) t(1/b), with l lower triangular; for a GL2 element g
+    of det g != 1, diag(1, det g) then the word of diag(1, 1/det g) g."""
     F = ctx.field
     a, b, c, d = (int(t) for t in mat)
+    det = int(F.sub(F.mul(a, d), F.mul(b, c)))
+    if det != 1:
+        sigma = ctx.mat_mul((1, 0, 0, int(F.inv(det))), (a, b, c, d))
+        return [ctx.id_of((1, 0, 0, det))] + _word_for(ctx, sigma)
     if b == 0:
         return [ctx.t_id(a), ctx.lower_id(int(F.mul(a, c)))]
     return [ctx.lower_id(int(F.mul(d, F.inv(b)))), ctx.w_id(),
@@ -385,10 +389,7 @@ def verify_ordinary(ectx):
 
     word_worst = 0.0
     for g in range(n):
-        word = _word_for(ctx, ctx.mat_of(g))
-        acc = images[word[0]]
-        for piece in word[1:]:
-            acc = acc @ images[piece]
+        acc = reduce(np.matmul, images[_word_for(ctx, ctx.mat_of(g))])
         word_worst = max(word_worst, float(np.max(np.abs(acc - images[g]))))
 
     # normalization: rho~(sigma) delta_0 at 0 is -1/q whenever b != 0
@@ -541,16 +542,9 @@ class CuspidalModule:
         self.dim = q - 1
 
     def restrict(self, M):
-        """Compress a full-space operator that preserves W_omega to the
-        1_u basis; the invariance is verified to tolerance.
-
-        Column u of the basis is nonzero only on the q+1 points of the
-        norm fibre over u, and each row x != 0 only in the column u(x) =
-        N(x).  So M @ basis gathers those columns of M and contracts over
-        the fibre, and (basis @ R)[x] is basis[x, u(x)] times row u(x) of
-        R: Q (Q-1) products instead of Q^2 (q-1), with the residual still
-        checked on all Q x (q-1) entries.  This is the one-module case of
-        _restrict_all."""
+        """Compress a full-space operator that preserves W_omega, dense
+        or a one-image MonomialImages, to the 1_u basis; the invariance
+        is verified to tolerance.  The one-module case of _restrict_all."""
         return _restrict_all(self.ectx.norm_fibres, _fibre_values([self]), M)[0]
 
 
@@ -564,69 +558,66 @@ def _fibre_values(modules):
 
 
 def _restrict_all(fibres, values, M):
-    """Every module's restriction of one full-space operator M, as a
-    (modules, q-1, q-1) array; fibres is ExtCtx.norm_fibres and values
-    is _fibre_values(modules).
+    """Every module's restriction of one full-space operator M, dense
+    Q x Q or a one-image MonomialImages, as a (modules, q-1, q-1) array
+    that owns its data; fibres is ExtCtx.norm_fibres and values is
+    _fibre_values(modules).
 
     For a module with v = values[m], C = M @ basis has
     C[x, u] = sum_j M[x, F[u, j]] v[u, j], and R is C at the rows
     u~ = F[:, 0].  The residual C - basis @ R is checked on every entry:
     row 0 of C must vanish, and C[F[r, j], u] must equal v[r, j] R[r, u].
-    Every module gets one fixed-shape product per u, so its R does not
-    depend on the other modules in the call."""
-    # Ct[m, u, x] = C[x, u], from M[x, F[u, j]] gathered once
-    Ct = np.matmul(M[:, fibres].transpose(1, 0, 2), values[..., None])[..., 0]
-    on_fibres = Ct[:, :, fibres]                 # [m, u, r, j] = C[F[r, j], u]
-    Rt = on_fibres[..., :1]                      # [m, u, r, 0] = R[r, u]
-    defect = float(max(np.max(np.abs(on_fibres - values[:, None] * Rt)),
-                       np.max(np.abs(Ct[:, :, 0]))))
+    Each module's R is one fixed-shape product per u.  For a monomial M,
+    row x of C is zero but for one entry, so the residual is read in
+    O(Q) per module."""
+    if isinstance(M, MonomialImages):
+        m, n_u, n_j = values.shape
+        # pos[y] = r (q+1) + j for y = F[r, j]; y = 0 reads a zero after v
+        pos = np.full(M.shape[1], n_u * n_j)
+        pos[fibres] = np.arange(n_u * n_j).reshape(fibres.shape)
+        pos = pos[M.cols[0]]
+        e = M.vals[0] * np.pad(values.reshape(m, -1), ((0, 0), (0, 1)))[:, pos]
+        # row F[r, j] of C: entry on[m, r, j] in column at[r, j]
+        at, on = pos[fibres] // n_j, e[:, fibres]
+        want = values * on[..., :1]
+        defect = float(max(np.max(np.where(
+            at == at[:, :1], np.abs(on - want),
+            np.maximum(np.abs(on), np.abs(want)))), np.max(np.abs(e[:, 0]))))
+        R = on[..., :1] * (at[:, :1] == np.arange(n_u))
+    else:
+        # Ct[m, u, x] = C[x, u], from M[x, F[u, j]] gathered once
+        Ct = np.matmul(M[:, fibres].transpose(1, 0, 2), values[..., None])[..., 0]
+        on_fibres = Ct[:, :, fibres]             # [m, u, r, j] = C[F[r, j], u]
+        Rt = on_fibres[..., :1]                  # [m, u, r, 0] = R[r, u]
+        defect = float(max(np.max(np.abs(on_fibres - values[:, None] * Rt)),
+                           np.max(np.abs(Ct[:, :, 0]))))
+        R = Rt[..., 0].transpose(0, 2, 1).copy()
     if defect > get_tol():
         raise VerificationFailed(f"W_omega is not preserved, defect {defect}")
-    return Rt[..., 0].transpose(0, 2, 1)
-
-
-def _class_operators(ectx, gctx):
-    """Yield (operator, a~) for each class representative g of gctx, in
-    class order.  For SL2 the operator is rho~(g) and a~ is None.  For
-    GL2, g = diag(1, det g) sigma and the operator is rho~(sigma) with
-    its rows permuted by x -> a~ x, a~ the smallest point over det g;
-    each module's restriction of it is scaled by omega(a~) to get
-    pi_omega(g) = E_{det g} rho~(sigma)."""
-    ext = ectx.ext
-    F = gctx.field
-    for rid in gctx.view.reps:
-        mat = gctx.mat_of(int(rid))
-        if gctx.kind == "sl2":
-            yield weil_matrix(ectx, mat), None
-            continue
-        det = int(gctx.mat_det(np.asarray(mat)))
-        dinv = int(F.inv(det))
-        sig = tuple(int(t) for t in
-                    gctx.mat_mul(np.array([1, 0, 0, dinv]), np.asarray(mat)))
-        atil = int(ectx.norm_fibres[det - 1, 0])
-        perm = np.asarray(ext.mul(atil, np.arange(ext.q)))
-        yield weil_matrix(ectx, sig)[perm, :], atil
+    return R
 
 
 def _restricted_class_images(modules, gctx):
-    """Every module's restricted images of the k class representatives
-    of gctx, in class order, and its character, as (images, inverse,
-    characters): module m's image of class ci is images[inverse[m], ci],
-    times omega_m(a~) for GL2 (see _class_operators), and characters[m]
-    is its trace as a ClassFunction.
+    """Every module's restricted images of the class representatives of
+    gctx, in class order, and its character, as (images, inverse,
+    characters, image): images[:, ci] = image(reps[ci]), module m's
+    image of g is image(g)[inverse[m]] times omega_m(a~), and
+    characters[m] is its trace as a ClassFunction.
 
-    A restriction reads a module only through its 1_u basis, which GL2
-    characters agreeing on the norm-one torus share: the q^2 - q
-    primitive characters give only q distinct W_omega.  So modules are
-    grouped by the bytes of their _fibre_values rows, read from each
-    basis, and each class operator and each upper unipotent
-    rho~((1 x; 0 1)) is built once and restricted to the distinct rows
-    by one _restrict_all call; W_omega invariance is thereby checked for
-    every (module, class) and (module, unipotent) pair.  A character is
-    the diagonal of the distinct images, scaled entry by entry by
-    omega_m(a~) and then summed.  Per module this also checks that the
-    degree is q - 1 and that the averaged upper-unipotent action on
-    W_omega vanishes (cuspidality at the level of N-fixed vectors)."""
+    For g = diag(1, det g) sigma, pi_omega(g) = omega(a~) E rho~(sigma)
+    with E f(x) = f(a~ x), a~ the smallest point over det g (1 for SL2).
+    image(g) is the product of the restricted letters of _word_for(g),
+    each restricted once by _restrict_all to the distinct _fibre_values
+    rows (the q^2 - q primitive GL2 characters give q distinct W_omega)
+    with every (module, letter) residual checked; W_omega is invariant
+    under a product once it is under each factor, and R(AB) = R(A) R(B).
+
+    Per module this also checks that the degree is q - 1 and that no
+    vector of W_omega is N-fixed: w l(c) w = (-1 c; 0 -1), so the upper
+    unipotent u(x) is t(-1) w l(-x) w and sum_x R(u(x)) =
+    R(t(-1)) R(w) (sum_x R(l(x))) R(w), with the q lower unipotents l(x)
+    restricted but not kept.  R(w) is invertible, so the gate fires
+    exactly when sum_x R(l(x)) is nonzero."""
     ectx = modules[0].ectx
     for module in modules:
         if gctx.kind != module.kind:
@@ -635,44 +626,57 @@ def _restricted_class_images(modules, gctx):
             raise GroupMismatch("group field != module base field")
         if module.ectx is not ectx:
             raise GroupMismatch("modules live on different extensions")
-    q = ectx.q
-    k = len(gctx.view.reps)
+    q, F, ext = ectx.q, gctx.field, ectx.ext
+    reps = gctx.view.reps
     fibres = ectx.norm_fibres
     values = _fibre_values(modules)
     keys = {}
     inverse = np.array([keys.setdefault(row.tobytes(), len(keys))
                         for row in values])
     values = values[np.unique(inverse, return_index=True)[1]]
-    images = np.empty((len(values), k, q - 1, q - 1), dtype=complex)
-    atils = []
-    for ci, (rows, atil) in enumerate(_class_operators(ectx, gctx)):
-        images[:, ci] = _restrict_all(fibres, values, rows)
-        atils.append(atil)
+    letters = {}
 
-    diagonals = np.diagonal(images, axis1=2, axis2=3)[inverse]
-    if gctx.kind == "gl2":
-        diagonals *= np.array([module.omega.values[atils]
-                               for module in modules])[..., None]
-    traces = diagonals.sum(axis=-1)
-    del diagonals  # freed before the Q x Q unipotent operators are built
+    def letter(lid):
+        if lid not in letters:
+            a, b, c, d = gctx.mat_of(lid)
+            if b:
+                op = weil_matrix(ectx, (a, b, c, d))
+            elif int(F.mul(a, d)) == 1:
+                op = _lower_cell(ectx, np.array([c]), np.array([d]))
+            else:
+                cols = ext.mul(fibres[d - 1, 0], np.arange(ext.q))
+                op = MonomialImages(cols[None], np.ones((1, ext.q)))
+            letters[lid] = _restrict_all(fibres, values, op)
+        return letters[lid]
+
+    def image(g):
+        return reduce(np.matmul, map(letter, _word_for(gctx, gctx.mat_of(g))))
+
+    images = np.empty((len(values), len(reps), q - 1, q - 1), dtype=complex)
+    for ci, rid in enumerate(reps):
+        images[:, ci] = image(int(rid))
+    atils = fibres[gctx.mat_det(gctx.elems[reps]) - 1, 0]
+    traces = np.trace(images, axis1=2, axis2=3)[inverse] * np.array(
+        [module.omega.values[atils] for module in modules])
     tol = get_tol()
     ident = gctx.class_index_of((1, 0, 0, 1))
     if np.any(np.abs(traces[:, ident] - (q - 1)) > tol):
         raise VerificationFailed("cuspidal degree != q - 1")
-    accs = np.zeros((len(values), q - 1, q - 1), dtype=complex)
-    for x in range(q):
-        accs += _restrict_all(fibres, values, weil_matrix(ectx, (1, x, 0, 1)))
+    lowers = sum(_restrict_all(fibres, values,
+                               _lower_cell(ectx, np.array([x]), np.array([1])))
+                 for x in range(q))
+    w = letter(gctx.w_id())
+    n_fixed = letter(gctx.t_id(int(F.neg(1)))) @ w @ lowers @ w
     for i in inverse:
-        if float(np.max(np.abs(accs[i] / q))) > tol:
+        if float(np.max(np.abs(n_fixed[i] / q))) > tol:
             raise VerificationFailed("nonzero N-fixed vectors in W_omega")
-    return images, inverse, [ClassFunction(gctx.view, t) for t in traces]
+    return (images, inverse, [ClassFunction(gctx.view, tr) for tr in traces],
+            image)
 
 
 def pi_omega_characters(modules, gctx):
     """Characters of the cuspidal representations on the given modules,
-    with the construction-time checks of _restricted_class_images.  The
-    Weil operators do not depend on omega, so each is built once for all
-    modules and restricted once per distinct W_omega."""
+    with the construction-time checks of _restricted_class_images."""
     if not modules:
         return []
     return _restricted_class_images(modules, gctx)[2]
@@ -747,7 +751,7 @@ def sl2_cuspidal_family(ectx, slctx):
     js = range(1, (q + 1) // 2)
     oms = [NormOneChar(ectx, j) for j in js]
     module = CuspidalModule(ectx, NormOneChar(ectx, (q + 1) // 2))
-    images, inverse, (*chars, chi0) = _restricted_class_images(
+    images, inverse, (*chars, chi0), image = _restricted_class_images(
         [CuspidalModule(ectx, w) for om in oms for w in (om, om.conj())]
         + [module], slctx)
     out = []
@@ -761,11 +765,10 @@ def sl2_cuspidal_family(ectx, slctx):
     if len(out) != (q - 1) // 2:
         raise VerificationFailed("wrong number of sl2 cuspidal pairs")
 
-    gen_mats = [module.restrict(weil_matrix(ectx, slctx.mat_of(g)))
-                for g in sl2_generators(slctx)]
+    gen_mats = [image(g)[inverse[-1]] for g in sl2_generators(slctx)]
     # f -> f o frob preserves W_omega0, as omega0(y^q) = omega0(y^-1) =
     # omega0(y) for norm-one y, and its square is the identity
-    frob = module.restrict(np.eye(ectx.ext.q)[ectx.frob])
+    frob = module.restrict(MonomialImages([ectx.frob], [np.ones(ectx.ext.q)]))
     plus, minus = split_in_two(slctx, frob, gen_mats, images[inverse[-1]],
                                chi0)
 

@@ -177,6 +177,22 @@ def test_cuspidal_count_refuses_beyond_the_enumeration_bound(capsys):
         (1009 * 1008 // 2, 1009 * 1008 // 2, True)
 
 
+@pytest.mark.parametrize("argv", [
+    ["classes", "--group", "gl2", "--q", "101"],
+    ["verify", "--suite", "classes", "--q", "101"],
+])
+def test_classes_refuse_beyond_the_grid_bound(argv, capsys):
+    # the 101^4 matrix grid would take 3.1 GiB: GroupCtx refuses it before
+    # allocating, while sl2 q = 37 stays admitted
+    assert 37 ** 4 <= gl2.MAX_GRID < 101 ** 4
+    t0 = time.perf_counter()
+    assert cli.run(argv) == 1
+    assert time.perf_counter() - t0 < 1.0
+    got = capsys.readouterr()
+    assert "SizeExceeded" in got.out + got.err
+    assert "Traceback" not in got.out + got.err
+
+
 def test_verify_counting_json(capsys):
     assert cli.run(["verify", "--suite", "counting", "--q", "3",
                     "--json"]) == 0

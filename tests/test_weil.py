@@ -9,12 +9,14 @@ from qrep import (
     EvenExponent,
     GroupMismatch,
     MatrixRep,
+    MonomialImages,
     MultChar,
     NormOneChar,
     NotPrimitive,
     SizeExceeded,
     VerificationFailed,
     averaging_check,
+    build_table,
     fourier_intertwines,
     get_tol,
     gl2_cuspidal_family,
@@ -35,7 +37,6 @@ from qrep import (
 )
 from qrep import cli, weil
 from qrep.ff import FieldCtx
-from qrep.parabolic import sl2_generators
 
 RNG = np.random.default_rng(20070714)
 
@@ -591,21 +592,28 @@ def test_batched_characters_equal_the_one_module_characters(kind, q):
 
 
 def test_sl2_family_builds_each_weil_operator_once(monkeypatch):
-    # one operator per class, per upper unipotent and per generator,
-    # however many cuspidal modules share them
-    E = make_ext(make_field(7))
-    sl = make_group("sl2", E.base)
-    built = []
-    real = weil.weil_matrix
+    # the table path, for either kind, builds one dense operator, rho~(w),
+    # per _restricted_class_images call, however many classes and modules
+    # share it; every other letter is monomial
+    built, calls = [], []
+    real_matrix, real_images = weil.weil_matrix, weil._restricted_class_images
 
-    def counting(ectx, sigma):
+    def counting_matrix(ectx, sigma):
         built.append(tuple(int(t) for t in sigma))
-        return real(ectx, sigma)
+        return real_matrix(ectx, sigma)
 
-    monkeypatch.setattr(weil, "weil_matrix", counting)
-    sl2_cuspidal_family(E, sl)
-    k = len(sl.view.reps)
-    assert len(built) <= k + E.q + len(sl2_generators(sl))
+    def counting_images(modules, gctx):
+        calls.append(gctx.kind)
+        return real_images(modules, gctx)
+
+    monkeypatch.setattr(weil, "weil_matrix", counting_matrix)
+    monkeypatch.setattr(weil, "_restricted_class_images", counting_images)
+    for kind, q in (("gl2", 5), ("sl2", 7)):
+        built.clear()
+        calls.clear()
+        build_table(kind, q)
+        assert calls == [kind]
+        assert built == [(0, 1, q - 1, 0)]
 
 
 def test_restrict_rejects_a_non_invariant_operator():
@@ -629,26 +637,90 @@ def test_batched_characters_check_the_last_module():
 
 @pytest.mark.parametrize("gate", ["cuspidal degree", "N-fixed"])
 def test_degree_and_n_fixed_gates_read_every_module(monkeypatch, gate):
-    # add the orthogonal projector onto the last module's W_omega to the
-    # identity (degree gate) or to every nontrivial upper unipotent
-    # (N-fixed gate): every W_omega stays invariant, and only that module
-    # and its twin, which shares the subspace, see the change
+    # add the orthogonal projector onto one module's W_omega to the
+    # identity letter (degree gate) or to every nontrivial lower
+    # unipotent l(x), which the N-fixed sum reads (N-fixed gate): every
+    # W_omega stays invariant, and only that module and its twin, which
+    # shares the subspace, see the change; the first, a middle and the
+    # last module are each the target once
     E, g, mods = _all_modules("gl2", 3)
-    target = mods[-1]
-    P = target.basis @ np.linalg.pinv(target.basis)
-    real = weil.weil_matrix
+    real = weil._lower_cell
+    for target in (mods[0], mods[len(mods) // 2], mods[-1]):
+        P = target.basis @ np.linalg.pinv(target.basis)
 
-    def bent(ectx, sigma):
-        a, b, c, d = (int(t) for t in sigma)
-        hit = (a, c, d) == (1, 0, 1) and (b == 0) == (gate != "N-fixed")
-        return real(ectx, sigma) + P if hit else real(ectx, sigma)
+        def bent(ectx, c, d):
+            out = real(ectx, c, d)
+            hit = (len(c) == 1 and int(d[0]) == 1
+                   and (int(c[0]) == 0) == (gate == "cuspidal degree"))
+            return out[0] + P if hit else out
 
-    monkeypatch.setattr(weil, "weil_matrix", bent)
-    with pytest.raises(VerificationFailed, match=gate):
-        pi_omega_characters(mods, g)
-    others = [m for m in mods if not np.array_equal(m.basis, target.basis)]
-    assert len(others) == len(mods) - 2
-    pi_omega_characters(others, g)
+        monkeypatch.setattr(weil, "_lower_cell", bent)
+        with pytest.raises(VerificationFailed, match=gate):
+            pi_omega_characters(mods, g)
+        others = [m for m in mods if not np.array_equal(m.basis, target.basis)]
+        assert len(others) == len(mods) - 2
+        pi_omega_characters(others, g)
+        monkeypatch.setattr(weil, "_lower_cell", real)
+
+
+def _corrupt(letter, fault, v, fibres):
+    """A copy of a one-image MonomialImages letter with one fault in row
+    x = F[1, 1], for the module whose _fibre_values row is v: x sent
+    onto the smallest point of another fibre, with the very entry the
+    residual expects in its own column (leaves its fibre), one phase of
+    x bent, or row 0 sent onto the point F[1, 0]."""
+    cols, vals = letter.cols.copy(), letter.vals.copy()
+    x0, x = fibres[1, 0], fibres[1, 1]
+    if fault == "leaves its fibre":
+        y = cols[0, x0]
+        other = (np.flatnonzero((fibres == y).any(axis=1))[0] + 1) % len(fibres)
+        cols[0, x] = fibres[other, 0]
+        vals[0, x] = v[1, 1] * vals[0, x0] * v[fibres == y][0]
+    elif fault == "bends one phase":
+        vals[0, x] *= np.exp(2j * np.pi / 7)
+    else:
+        cols[0, 0] = x0
+    return MonomialImages(cols, vals)
+
+
+@pytest.mark.parametrize("fault", ["leaves its fibre", "bends one phase",
+                                   "hits row 0"])
+def test_a_bad_monomial_letter_fails_on_every_module(monkeypatch, fault):
+    E, g, mods = _all_modules("sl2", 5)
+    fibres = E.norm_fibres
+    # the letter (3 0; 1 2): x -> 2 x moves every norm fibre
+    letter = weil._lower_cell(E, np.array([1]), np.array([2]))
+    R = weil._restrict_all(fibres, weil._fibre_values(mods), letter)
+    for module, Rm in zip(mods, R):
+        want, defect = _dense_restrict(module, letter[0])
+        assert defect < 1e-12
+        assert np.max(np.abs(Rm - want)) < 1e-14
+    real = weil._lower_cell
+    for module in mods:
+        v = weil._fibre_values([module])
+        with pytest.raises(VerificationFailed, match="W_omega"):
+            weil._restrict_all(fibres, v, _corrupt(letter, fault, v[0], fibres))
+
+        # and on the table path, at the letter l(1) of the N-fixed sum
+        def faulty(ectx, c, d):
+            out = real(ectx, c, d)
+            hit = len(c) == 1 and (int(c[0]), int(d[0])) == (1, 1)
+            return _corrupt(out, fault, v[0], fibres) if hit else out
+
+        monkeypatch.setattr(weil, "_lower_cell", faulty)
+        with pytest.raises(VerificationFailed, match="W_omega"):
+            pi_omega_characters([module], g)
+        monkeypatch.setattr(weil, "_lower_cell", real)
+
+
+def test_restrictions_own_their_data():
+    # a kept restriction must not hold the (m, q-1, q-1, q+1) residual
+    # array it was read from alive
+    E, g, mods = _all_modules("sl2", 5)
+    values = weil._fibre_values(mods)
+    for op in (weil_matrix(E, (0, 1, 4, 0)),
+               weil._lower_cell(E, np.array([1]), np.array([2]))):
+        assert weil._restrict_all(E.norm_fibres, values, op).base is None
 
 
 def _dense_restrict(module, M):
@@ -659,26 +731,60 @@ def _dense_restrict(module, M):
     return R, float(np.max(np.abs(C - module.basis @ R)))
 
 
-@pytest.mark.parametrize("kind,q", [("gl2", 3), ("gl2", 5),
-                                    ("sl2", 5), ("sl2", 7)])
+def _dense_class_operators(ectx, gctx):
+    """Yield (operator, a~) for each class representative g of gctx, in
+    class order, each operator one dense Q x Q build: g = diag(1, det g)
+    sigma, and the operator is rho~(sigma) with its rows permuted by
+    x -> a~ x, a~ the smallest point over det g (1 for SL2).  Each
+    module's restriction of it times omega(a~) is pi_omega(g).  The
+    reference for the factored images of _restricted_class_images."""
+    ext = ectx.ext
+    F = gctx.field
+    for rid in gctx.view.reps:
+        mat = np.asarray(gctx.mat_of(int(rid)))
+        det = int(gctx.mat_det(mat))
+        sig = gctx.mat_mul(np.array([1, 0, 0, int(F.inv(det))]), mat)
+        atil = int(ectx.norm_fibres[det - 1, 0])
+        perm = np.asarray(ext.mul(atil, np.arange(ext.q)))
+        yield weil_matrix(ectx, sig)[perm, :], atil
+
+
+@pytest.mark.parametrize("kind,q", [("gl2", 3), ("gl2", 5), ("gl2", 7),
+                                    ("gl2", 9), ("sl2", 3), ("sl2", 5),
+                                    ("sl2", 7), ("sl2", 9)])
 def test_restriction_matches_the_dense_products(kind, q):
-    # every module's scaled restriction, not only every distinct one
+    # every module's scaled factored image against the dense per-class
+    # restriction, at every supported size and at gl2 q = 9
     E, g, mods = _all_modules(kind, q)
-    images, inverse, _ = weil._restricted_class_images(mods, g)
+    images, inverse, chars, _ = weil._restricted_class_images(mods, g)
     assert len(inverse) == len(mods)
-    for ci, (rows, atil) in enumerate(weil._class_operators(E, g)):
-        for module, i in zip(mods, inverse):
-            scale = 1 if atil is None else complex(module.omega.values[atil])
+    for ci, (rows, atil) in enumerate(_dense_class_operators(E, g)):
+        for module, i, f in zip(mods, inverse, chars):
+            scale = complex(module.omega.values[atil])
             want, defect = _dense_restrict(module, scale * rows)
             assert defect < 1e-12
             assert np.max(np.abs(scale * images[i, ci] - want)) < 1e-12
             assert np.max(np.abs(module.restrict(scale * rows) - want)) < 1e-12
+            assert abs(f.values[ci] - np.trace(want)) < get_tol()
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_upper_unipotents_are_words_in_lower_ones_and_w(q):
+    # u(x) = t(-1) w l(-x) w, the identity the N-fixed gate reads
+    E = make_ext(make_field(*_field(q)))
+    F = E.base
+    m1 = int(F.neg(1))
+    t, w = weil_matrix(E, (m1, 0, 0, m1)), weil_matrix(E, (0, 1, m1, 0))
+    for x in range(q):
+        lower = weil_matrix(E, (1, 0, int(F.neg(x)), 1))
+        assert np.max(np.abs(weil_matrix(E, (1, x, 0, 1))
+                             - t @ w @ lower @ w)) < 1e-12
 
 
 def test_gl2_restricts_once_per_distinct_w_omega(monkeypatch):
     # the q^2 - q primitive characters of F_{q^2}^* span only q distinct
-    # W_omega: every class operator and upper unipotent is restricted to
-    # those q, while sl2's modules are all distinct
+    # W_omega: every letter and lower unipotent is restricted to those
+    # q, while sl2's modules are all distinct
     seen = []
     real = weil._restrict_all
 
@@ -692,7 +798,7 @@ def test_gl2_restricts_once_per_distinct_w_omega(monkeypatch):
         seen.clear()
         pi_omega_characters(mods, g)
         assert len(mods) == (q * q - q if kind == "gl2" else q)
-        assert seen == [q] * (len(g.view.reps) + q)
+        assert seen and set(seen) == {q}
 
 
 def test_a_corrupt_module_is_not_merged_with_its_healthy_twin():
