@@ -160,7 +160,9 @@ def _mismatches(got, want):
 
 def verify_table(table):
     """All structural checks; raises VerificationFailed on the first
-    violation, returns a dict of check names -> max defect."""
+    violation, returns a dict of check names -> max defect, with
+    column_orthogonality_scaled, recorded but not gated, next to
+    column_orthogonality."""
     tol = get_tol()
     gctx = table.gctx
     _identity_first_check(gctx)
@@ -190,11 +192,17 @@ def verify_table(table):
     out["row_orthogonality"] = d1
 
     col = A.T.conj() @ A  # col[c, c'] = sum_i conj(chi_i(c)) chi_i(c')
-    want = np.diag(n / sizes).astype(complex)
-    d2 = float(np.max(np.abs(col - want)))
+    cent = n / sizes
+    err = np.abs(col - np.diag(cent))
+    d2 = float(np.max(err))
     if d2 > tol:
         raise VerificationFailed(f"column orthogonality defect {d2}")
     out["column_orthogonality"] = d2
+    # recorded, not gated: dividing by sqrt(|C(c)| |C(c')|) >= 1 takes
+    # out the growth with the centralizer orders, so drift shows apart
+    # from scale, but at the same tol it would be the weaker check
+    out["column_orthogonality_scaled"] = float(
+        np.max(err / np.sqrt(np.outer(cent, cent))))
 
     counts = Counter(r.family for r in table.rows)
     family_bad = _mismatches(

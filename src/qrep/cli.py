@@ -43,6 +43,15 @@ def _field_for(q):
     return ff.make_field(p, k)
 
 
+def _group_field_for(q):
+    """_field_for where a group over F_q follows: the q^4 grid bound is
+    checked first, since an extension field near ff.MAX_Q takes seconds
+    to build."""
+    p, k = _parse_q(q)
+    gl2.check_grid(q)
+    return ff.make_field(p, k)
+
+
 # ---------------------------------------------------------------------------
 # check recorder
 
@@ -124,7 +133,7 @@ def _suite_fields(rec, q, seed, tol):
 
 
 def _suite_classes(rec, q, seed, tol):
-    F = _field_for(q)
+    F = _group_field_for(q)
     rng = np.random.default_rng(seed)
     S = gl2.make_group("sl2", F)
     for G in (S.gl2_ctx, S):
@@ -157,7 +166,7 @@ def _suite_classes(rec, q, seed, tol):
 
 
 def _suite_bruhat(rec, q, seed, tol):
-    F = _field_for(q)
+    F = _group_field_for(q)
     kinds = ("gl2", "sl2") if q % 2 else ("gl2",)
     one, w = (1, 0, 0, 1), (0, 1, int(F.neg(1)), 0)
     for kind in kinds:
@@ -175,7 +184,7 @@ def _suite_bruhat(rec, q, seed, tol):
 
 
 def _suite_parabolic(rec, q, seed, tol):
-    F = _field_for(q)
+    F = _group_field_for(q)
     S = gl2.make_group("sl2", F)
     chars = [ff.MultChar(F, j) for j in range(q - 1)]
     bad = 0
@@ -220,7 +229,7 @@ def _suite_parabolic(rec, q, seed, tol):
 
 
 def _suite_weil(rec, q, seed, tol):
-    F = _field_for(q)
+    F = _group_field_for(q)
     E = ff.make_ext(F)
     res = weil.verify_ordinary(E)
     rec.check(f"multiplicativity of the lifted action from {res['pairs']} "
@@ -265,7 +274,7 @@ def _suite_svn(rec, q, seed, tol):
 
 
 def _suite_cuspidal(rec, q, seed, tol):
-    F = _field_for(q)
+    F = _group_field_for(q)
     E = ff.make_ext(F)
     S = gl2.make_group("sl2", F)
     G = gl2.make_group("gl2", F)
@@ -454,7 +463,7 @@ def _cmd_field(args):
 def _cmd_classes(args):
     if args.q % 2 == 0:
         raise InputError("q must be odd")
-    F = _field_for(args.q)
+    F = _group_field_for(args.q)
     G = gl2.make_group(args.group, F)
     rows = [{"tag": c.tag, "params": list(c.params),
              "rep": [[int(c.rep[0]), int(c.rep[1])],

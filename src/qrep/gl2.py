@@ -40,6 +40,13 @@ class ConjClass:
     centralizer_order: int
 
 
+def check_grid(q):
+    """SizeExceeded unless the q^4 matrices over F_q fit MAX_GRID; the
+    bound needs q alone, so callers can check it before building F_q."""
+    if q ** 4 > MAX_GRID:
+        raise SizeExceeded(f"q^4 = {q ** 4} matrices exceed {MAX_GRID}")
+
+
 def _pack(q, m):
     m = np.asarray(m, dtype=np.int64)
     return ((m[..., 0] * q + m[..., 1]) * q + m[..., 2]) * q + m[..., 3]
@@ -59,8 +66,7 @@ class GroupCtx:
         self.kind = kind
         self.field = field
         q = field.q
-        if q ** 4 > MAX_GRID:
-            raise SizeExceeded(f"q^4 = {q ** 4} matrices exceed {MAX_GRID}")
+        check_grid(q)
         self.q = q
         self.eps = field.eps
 

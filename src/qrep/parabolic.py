@@ -112,26 +112,53 @@ def build_induced_rep(ctx, bchar):
     """Matrix model of Ind_B^G chi for SL2 with basis indexed by B\\G:
     M(g)[j, i] = chi~(b) where r_j g = b r_i, one entry per row, kept as
     a MonomialImages store.  Verified multiplicative by
-    MatrixRep.check_homomorphism, whose bound covers every pair."""
+    MatrixRep.check_homomorphism, whose bound covers every pair.
+
+    B\\G is the projective line: b r has bottom row b22 times that of
+    r, so cosets are the lines of bottom rows.  A q^2-entry table takes
+    each line to the coset borel_cosets gives its elements, once every
+    element's bottom row is checked proportional to its representative's.
+    The coset of r_j g is then read off the bottom row (c_j, d_j) g, four
+    field products and two sums per entry.  If that row is
+    lam (c_i, d_i), then b = r_j g r_i^-1 has b22 = lam, so b11 = lam^-1
+    and the entry is chi(lam^-1).  Proportionality is checked exactly on
+    every entry, which proves b in B."""
     if ctx.kind != "sl2":
         raise GroupMismatch("matrix model is built for sl2")
     if ctx.q % 2 == 0:
         raise EvenQ("odd q required")
+    F, q = ctx.field, ctx.q
     reps, coset_of = ctx.borel_cosets
     k = len(reps)
-    if k != ctx.q + 1:
-        raise VerificationFailed(f"expected {ctx.q + 1} cosets, got {k}")
-    view = ctx.view
+    if k != q + 1:
+        raise VerificationFailed(f"expected {q + 1} cosets, got {k}")
+    a, b, c, d = ctx.elems.T
+    rc, rd = c[reps], d[reps]
+
+    def scale(x, y, i):
+        """lam with (x, y) = lam (c_i, d_i), entry by entry."""
+        on_c = rc[i] != 0
+        lam = F.mul(np.where(on_c, x, y), F.inv(np.where(on_c, rc[i], rd[i])))
+        bad = np.count_nonzero((F.mul(lam, rc[i]) != x)
+                               | (F.mul(lam, rd[i]) != y))
+        if bad:
+            raise VerificationFailed(f"{bad} bottom rows are not proportional "
+                                     "to their coset representative's")
+        return lam
+
+    scale(c, d, coset_of)
+    line = np.empty(q * q, dtype=np.intp)
+    line[c * q + d] = coset_of
+    chi = bchar.chars[0].values
     cols = np.empty((ctx.n, k), dtype=np.intp)
     vals = np.empty((ctx.n, k), dtype=complex)
-    allg = np.arange(ctx.n)
     for j in range(k):
-        x = view.mul(reps[j], allg)          # r_j g for all g
-        i = coset_of[x]
-        b = view.mul(x, view.inv[reps[i]])   # x r_i^-1 in B
+        x = F.add(F.mul(rc[j], a), F.mul(rd[j], c))   # bottom row of r_j g
+        y = F.add(F.mul(rc[j], b), F.mul(rd[j], d))
+        i = line[x * q + y]
         cols[:, j] = i
-        vals[:, j] = bchar.value_on_mats(ctx.elems[b])
-    rep = MatrixRep(view, MonomialImages(cols, vals))
+        vals[:, j] = chi[F.inv(scale(x, y, i))]
+    rep = MatrixRep(ctx.view, MonomialImages(cols, vals))
     bound = rep.check_homomorphism()
     if not bound < get_tol():
         raise VerificationFailed(f"induced rep not multiplicative, bound {bound}")

@@ -358,25 +358,55 @@ class MatrixRep:
         ||pi(gh) - pi(g) pi(h)|| <= B with
         B = eps a (L + (L+1) a (1 + (L+1) eps)).
 
-        The images are read in chunks of at most _CHUNK_BYTES each, the
-        g chunk once and its gs chunk once per generator, so a
-        MonomialImages store is never materialized whole."""
+        delta is product_defect(), and u reads the |S| generator images
+        alone, so a MonomialImages store is made dense only at pi(e) and
+        the pi(s)."""
+        v, d = self.view, self.dim
+        gen = self.images[v.gens]
+        unit = gen @ gen.conj().transpose(0, 2, 1) - np.eye(d)
+        u = float(np.max(np.abs(unit), initial=0.0))
+        eps, L = d * self.product_defect(), v.word_length
+        a = np.float64(1.0 + d * u / 2) ** L
+        return float(eps * a * (L + (L + 1) * a * (1 + (L + 1) * eps)))
+
+    def product_defect(self):
+        """delta of check_homomorphism: the largest entry of
+        |pi(e) - I| and of every |pi(g) pi(s) - pi(gs)|, g in G, s in S,
+        with g read in chunks of at most _CHUNK_BYTES.
+
+        A dense stack takes one GEMM per chunk and generator.  A
+        MonomialImages store is never made dense beyond pi(e) and the
+        pi(s): row j of pi(g) pi(s) is its one entry vals[g, j] times
+        row cols[g, j] of pi(s), so the product has columns
+        cols[s][cols[g]] and values vals[g] vals[s][cols[g]].  Row j
+        of the difference with pi(gs) is |pv - tv| where the columns
+        agree and max(|pv|, |tv|) where they differ, which is the
+        largest entry of that row of the dense difference."""
         v, d, images = self.view, self.dim, self.images
         gs = v.mul(np.arange(v.n)[:, None], v.gens[None, :])
+        delta = float(np.max(np.abs(images[v.identity] - np.eye(d))))
+        if isinstance(images, MonomialImages):
+            C, V = images.cols, images.vals
+            step = max(1, _CHUNK_BYTES // (d * V.itemsize))
+            for lo in range(0, v.n, step):
+                c, val = C[lo:lo + step], V[lo:lo + step]
+                for j, s in enumerate(v.gens):
+                    pc, pv = C[s][c], val * V[s][c]
+                    t = gs[lo:lo + step, j]
+                    tc, tv = C[t], V[t]
+                    err = np.where(pc == tc, np.abs(pv - tv),
+                                   np.maximum(np.abs(pv), np.abs(tv)))
+                    delta = max(delta, float(np.max(err)))
+            return delta
         gen = images[v.gens]
         step = max(1, _CHUNK_BYTES // (d * d * gen.itemsize))
-        delta = float(np.max(np.abs(images[v.identity] - np.eye(d))))
         for lo in range(0, v.n, step):
             block = images[lo:lo + step].reshape(-1, d)
             for j in range(len(v.gens)):
                 err = block @ gen[j]
                 err -= images[gs[lo:lo + step, j]].reshape(-1, d)
                 delta = max(delta, float(np.max(np.abs(err))))
-        unit = gen @ gen.conj().transpose(0, 2, 1) - np.eye(d)
-        u = float(np.max(np.abs(unit), initial=0.0))
-        eps, L = d * delta, v.word_length
-        a = np.float64(1.0 + d * u / 2) ** L
-        return float(eps * a * (L + (L + 1) * a * (1 + (L + 1) * eps)))
+        return delta
 
 
 def rep_character(rep):

@@ -612,12 +612,17 @@ def _restricted_class_images(modules, gctx):
     with every (module, letter) residual checked; W_omega is invariant
     under a product once it is under each factor, and R(AB) = R(A) R(B).
 
-    Per module this also checks that the degree is q - 1 and that no
-    vector of W_omega is N-fixed: w l(c) w = (-1 c; 0 -1), so the upper
-    unipotent u(x) is t(-1) w l(-x) w and sum_x R(u(x)) =
+    Per module this also checks that the degree is q - 1, and the
+    N-fixed gate: w l(c) w = (-1 c; 0 -1), so the upper unipotent u(x)
+    is t(-1) w l(-x) w and sum_x R(u(x)) =
     R(t(-1)) R(w) (sum_x R(l(x))) R(w), with the q lower unipotents l(x)
-    restricted but not kept.  R(w) is invertible, so the gate fires
-    exactly when sum_x R(l(x)) is nonzero."""
+    restricted but not kept.  R(w) is invertible, so the gate certifies
+    sum_x R(l(x)) = 0, a property of the lower letters alone:
+    sum_x rho~(l(x)) is q times the projection onto the point 0, which
+    lies outside every W_omega, so only a wrong lower letter fires it.
+    A wrong R(w) is not seen here (a sign cancels between its two
+    factors); gl2_cuspidal_family's anisotropic cross-check and
+    chartab.verify_table's row orthonormality catch it."""
     ectx = modules[0].ectx
     for module in modules:
         if gctx.kind != module.kind:

@@ -26,6 +26,31 @@ def _all_pairs_defect(rep, pairs=None):
     return worst
 
 
+def _elementwise_product_defect(rep):
+    """delta of MatrixRep.product_defect formed with elementwise products
+    and sums, not GEMM: the largest entry of |pi(e) - I| and of every
+    |pi(g) pi(s) - pi(gs)|, every image made dense.  A monomial product
+    has one nonzero term per entry, so the gathered delta must equal
+    this bit for bit."""
+    v, d = rep.view, rep.dim
+    gs = v.mul(np.arange(v.n)[:, None], v.gens[None, :])
+    gen = rep.images[v.gens]
+    worst = float(np.max(np.abs(rep.images[v.identity] - np.eye(d))))
+    step = max(1, _CHUNK_BYTES // (d ** 3 * 16))
+    for lo in range(0, v.n, step):
+        block = rep.images[np.arange(lo, min(v.n, lo + step))]
+        for j, s in enumerate(gen):
+            prod = (block[..., None] * s[None, None]).sum(axis=2)
+            err = prod - rep.images[gs[lo:lo + step, j]]
+            worst = max(worst, float(np.max(np.abs(err))))
+    return worst
+
+
 @pytest.fixture
 def all_pairs_defect():
     return _all_pairs_defect
+
+
+@pytest.fixture
+def elementwise_product_defect():
+    return _elementwise_product_defect

@@ -254,9 +254,12 @@ def test_verify_table_reports_measured_defects():
     t = build_table("gl2", 3)
     report = verify_table(t)
     assert set(report) == {"degree_sum", "row_orthogonality",
-                           "column_orthogonality", "families",
+                           "column_orthogonality",
+                           "column_orthogonality_scaled", "families",
                            "root_of_unity"}
     assert report["families"] == 0
+    assert (report["column_orthogonality_scaled"]
+            <= report["column_orthogonality"])
     delta = get_tol() / 100
     last = t.rows[-1]
     vals = last.values.copy()

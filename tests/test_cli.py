@@ -193,6 +193,23 @@ def test_classes_refuse_beyond_the_grid_bound(argv, capsys):
     assert "Traceback" not in got.out + got.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classes", "--group", "gl2", "--q", "531441"],
+    *(["verify", "--suite", suite, "--q", "531441"]
+      for suite in ("classes", "bruhat", "parabolic", "weil", "cuspidal")),
+])
+def test_grid_refusal_comes_before_the_field(argv, capsys):
+    # F_{3^12} takes seconds to build, and the q^4 bound needs q alone:
+    # the same refusal GroupCtx gives, before any field is built
+    t0 = time.perf_counter()
+    assert cli.run(argv) == 1
+    assert time.perf_counter() - t0 < 1.0
+    got = capsys.readouterr()
+    assert (f"SizeExceeded: q^4 = {531441 ** 4} matrices exceed "
+            f"{gl2.MAX_GRID}") in got.out + got.err
+    assert "Traceback" not in got.out + got.err
+
+
 def test_verify_counting_json(capsys):
     assert cli.run(["verify", "--suite", "counting", "--q", "3",
                     "--json"]) == 0

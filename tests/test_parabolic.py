@@ -12,7 +12,6 @@ from qrep import (
     CharMismatch,
     ClassFunction,
     GroupMismatch,
-    MatrixRep,
     MultChar,
     NotSplitting,
     VerificationFailed,
@@ -238,7 +237,11 @@ def _dense_induced_images(ctx, bchar):
     return images
 
 
-def test_monomial_induced_model_equals_the_dense_reference():
+def test_monomial_induced_model_equals_the_dense_reference(
+        elementwise_product_defect):
+    # the bottom-row fill gives the group-product fill's images, and the
+    # gathered certificate its delta bit for bit (GEMM may round the
+    # products otherwise)
     for q in (3, 5, 7, 9):
         ctx = make_group("sl2", make_field(3, 2) if q == 9 else make_field(q))
         for j in (1, (q - 1) // 2):
@@ -246,8 +249,23 @@ def test_monomial_induced_model_equals_the_dense_reference():
             rep = build_induced_rep(ctx, bchar)
             dense = rep.images[np.arange(ctx.n)]
             assert np.array_equal(dense, _dense_induced_images(ctx, bchar))
-            assert (rep.check_homomorphism()
-                    == MatrixRep(ctx.view, dense).check_homomorphism())
+            assert rep.product_defect() == elementwise_product_defect(rep)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_a_wrong_coset_fails_the_proportionality_gate(where):
+    # one element sent to the next coset: its bottom row is no multiple
+    # of that coset representative's
+    ctx = make_group("sl2", make_field(5))
+    reps, coset_of = ctx.borel_cosets
+    g = {"first": 0, "middle": ctx.n // 2, "last": ctx.n - 1}[where]
+    bad = coset_of.copy()
+    bad[g] = (bad[g] + 1) % len(reps)
+    ctx.borel_cosets = (reps, bad)
+    bchar = BorelChar(ctx, (MultChar(ctx.field, 1),))
+    with pytest.raises(VerificationFailed, match="1 bottom rows are not "
+                                                 "proportional"):
+        build_induced_rep(ctx, bchar)
 
 
 def test_induced_model_stores_no_image_stack():

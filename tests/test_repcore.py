@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 
 from qrep import (
+    BorelChar,
     ClassFunction,
     FiniteGroupView,
     GroupCtx,
     GroupMismatch,
     MatrixRep,
     MonomialImages,
+    MultChar,
     NotInGroup,
     SubgroupEmbedding,
+    build_induced_rep,
     character_table_bruteforce,
     heisenberg_group,
     heisenberg_rep,
@@ -291,35 +294,57 @@ def test_homomorphism_check_reaches_every_chunk():
     assert MatrixRep(v, images).check_homomorphism() > 1.0
 
 
-def test_monomial_homomorphism_check_reaches_every_chunk():
-    # the monomial twin of the test above: the same diagonal images kept
-    # as (n, d) columns and values, read a chunk of at most four images
-    # at a time, never all twelve
-    n, d = 12, 128
-    v = _abelian_view((n,))
-    phases = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(d)) / n)
-    cols = np.tile(np.arange(d), (n, 1))
+def test_monomial_homomorphism_check_gathers_every_pair(all_pairs_defect):
+    # Z/64 x Z/48 acting by the cyclic shift of 64 points times a phase:
+    # columns and values both move, and the 3,072 elements span three
+    # chunks of 1,024 rows
+    v = _abelian_view((64, 48))
+    d = 64
+    assert v.gens.tolist() == [1, 64]
+    assert _CHUNK_BYTES // (d * 16) == 1024
+    b, a = np.divmod(np.arange(v.n), 64)  # element a + 64 b
+    cols = (np.arange(d) + a[:, None]) % d
+    vals = np.repeat(np.exp(2j * np.pi * b / 48)[:, None], d, axis=1)
     read = []
 
     class Recorded(MonomialImages):
         def __getitem__(self, idx):
-            out = super().__getitem__(idx)
-            read.append(out.size // (d * d))
-            return out
+            read.extend(np.ravel(idx).tolist())
+            return super().__getitem__(idx)
 
-    clean = MatrixRep(v, Recorded(cols, phases))
-    dense = np.stack([np.diag(row) for row in phases])
-    assert np.array_equal(clean.images[np.arange(n)], dense)
-    read.clear()
-    assert (clean.check_homomorphism()
-            == MatrixRep(v, dense).check_homomorphism())
-    assert max(read) == _CHUNK_BYTES // (d * d * 16) == 4
-    phases[n - 1, 0] *= -1
-    assert MatrixRep(v, Recorded(cols, phases)).check_homomorphism() > 1.0
+    rep = MatrixRep(v, Recorded(cols, vals))
+    assert rep.check_homomorphism() < 1e-8
+    assert set(read) == {v.identity, *v.gens.tolist()}
+    # one (g, s) product sent one step further along either factor, in
+    # the first, a middle and the last chunk: the shift leaves the
+    # values and moves every column, the phase the other way round
+    for g in (0, 1500, v.n - 1):
+        for step, want in ((1, 1.0), (64, abs(1 - np.exp(2j * np.pi / 48)))):
+            def faulty(x, y, g=g, step=step):
+                out = v.mul(x, y)
+                if np.shape(out) == (v.n, 2):
+                    out[g, 1] = v.mul(out[g, 1], step)
+                return out
+
+            bad = copy.copy(v)
+            bad.mul = faulty
+            rep = MatrixRep(bad, Recorded(cols, vals))
+            assert rep.product_defect() == pytest.approx(want, rel=1e-12)
+            assert rep.check_homomorphism() > 1.0
     for bad in (-1, d):
-        cols[0, 0] = bad
+        wrong = cols.copy()
+        wrong[0, 0] = bad
         with pytest.raises(GroupMismatch, match="columns"):
-            MonomialImages(cols, phases)
+            MonomialImages(wrong, vals)
+    # the induced models, exact and with every value turned by up to
+    # about 1e-9: the bound covers the exhaustive all-pairs defect
+    for q in (3, 5):
+        ctx = make_group("sl2", make_field(q))
+        rep = build_induced_rep(ctx, BorelChar(ctx, (MultChar(ctx.field, 1),)))
+        C, V = rep.images.cols, rep.images.vals
+        turn = np.exp(1e-9j * RNG.standard_normal(V.shape))
+        for model in (rep, MatrixRep(ctx.view, MonomialImages(C, V * turn))):
+            assert all_pairs_defect(model) <= model.check_homomorphism()
 
 
 def test_homomorphism_bound_covers_every_pair(all_pairs_defect):

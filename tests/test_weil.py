@@ -663,6 +663,32 @@ def test_degree_and_n_fixed_gates_read_every_module(monkeypatch, gate):
         monkeypatch.setattr(weil, "_lower_cell", real)
 
 
+@pytest.mark.parametrize("kind,q,gate", [
+    ("gl2", 3, "anisotropic cuspidal value mismatch"),
+    ("gl2", 5, "anisotropic cuspidal value mismatch"),
+    ("sl2", 3, "row orthonormality"),
+    ("sl2", 5, "row orthonormality")])
+def test_a_negated_weyl_letter_is_caught_downstream(monkeypatch, kind, q,
+                                                    gate):
+    # -R(w) keeps every W_omega invariant, and its sign cancels in the
+    # N-fixed sum R(t(-1)) R(w) (sum_x R(l(x))) R(w), so that gate passes;
+    # the class images of the big cell change sign, and a later gate fires
+    real = weil._restrict_all
+    dense = []
+
+    def negated(fibres, values, M):
+        R = real(fibres, values, M)
+        if isinstance(M, MonomialImages):
+            return R
+        dense.append(M.shape)
+        return -R
+
+    monkeypatch.setattr(weil, "_restrict_all", negated)
+    with pytest.raises(VerificationFailed, match=gate):
+        build_table(kind, q)
+    assert dense == [(q * q, q * q)]
+
+
 def _corrupt(letter, fault, v, fibres):
     """A copy of a one-image MonomialImages letter with one fault in row
     x = F[1, 1], for the module whose _fibre_values row is v: x sent
