@@ -18,7 +18,7 @@ from .ff import (AddChar, ExtCtx, FieldCtx, MultChar, NormOneChar,
 from .repcore import (ClassFunction, FiniteGroupView, MatrixRep,
                       MonomialImages, SubgroupEmbedding,
                       character_table_bruteforce, hom_dim, induce,
-                      inner_product, rep_character, restrict, subgroup_view)
+                      inner_product, rep_character, subgroup_view)
 from .gl2 import ConjClass, GroupCtx, bruhat, make_group, sl2_split_test
 from .parabolic import (BorelChar, build_induced_rep, decompose_gl2,
                         delta_kernels, delta_relation_defect,

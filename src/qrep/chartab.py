@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .config import SNAP, get_tol
+from .config import SNAP, gate, get_tol
 from .errors import EvenQ, IoError, NotInGroup, SizeExceeded, VerificationFailed
 from .ff import MultChar, make_ext, make_field, prime_power
 from .gl2 import GroupCtx
@@ -163,7 +163,6 @@ def verify_table(table):
     violation, returns a dict of check names -> max defect, with
     column_orthogonality_scaled, recorded but not gated, next to
     column_orthogonality."""
-    tol = get_tol()
     gctx = table.gctx
     _identity_first_check(gctx)
     k = len(gctx.view.classes)
@@ -175,9 +174,10 @@ def verify_table(table):
         raise VerificationFailed(f"{A.shape[0]} rows for {k} classes")
 
     degs = A[:, 0]
-    if np.max(np.abs(degs.imag)) > tol or \
-            np.max(np.abs(degs.real - np.round(degs.real))) > tol or \
-            np.min(degs.real) < 0.5:
+    gate(np.max(np.maximum(np.abs(degs.imag),
+                           np.abs(degs.real - np.round(degs.real)))),
+         "degrees are not positive integers")
+    if np.min(degs.real) < 0.5:
         raise VerificationFailed("degrees are not positive integers")
     degrees = [int(round(x)) for x in degs.real]
     if sum(d * d for d in degrees) != n:
@@ -186,18 +186,13 @@ def verify_table(table):
 
     sizes = gctx.view.sizes
     gram = (A * sizes) @ A.conj().T / n
-    d1 = float(np.max(np.abs(gram - np.eye(k))))
-    if d1 > tol:
-        raise VerificationFailed(f"row orthonormality defect {d1}")
-    out["row_orthogonality"] = d1
+    out["row_orthogonality"] = gate(np.max(np.abs(gram - np.eye(k))),
+                                    "row orthonormality")
 
     col = A.T.conj() @ A  # col[c, c'] = sum_i conj(chi_i(c)) chi_i(c')
     cent = n / sizes
     err = np.abs(col - np.diag(cent))
-    d2 = float(np.max(err))
-    if d2 > tol:
-        raise VerificationFailed(f"column orthogonality defect {d2}")
-    out["column_orthogonality"] = d2
+    out["column_orthogonality"] = gate(np.max(err), "column orthogonality")
     # recorded, not gated: dividing by sqrt(|C(c)| |C(c')|) >= 1 takes
     # out the growth with the centralizer orders, so drift shows apart
     # from scale, but at the same tol it would be the weaker check
@@ -225,8 +220,8 @@ def verify_table(table):
                 if i is None:
                     raise VerificationFailed(
                         f"{z} is not a sum of {r.degree} roots of unity")
-                worst = max(worst, float(abs(sums[r.degree][i] - z)))
-        out["root_of_unity"] = worst
+                worst = np.maximum(worst, abs(sums[r.degree][i] - z))
+        out["root_of_unity"] = float(worst)
     return out
 
 

@@ -67,7 +67,7 @@ class Recorder:
         self.checks += 1
         tail = ""
         if defect is not None:
-            self.max_defect = max(self.max_defect, float(defect))
+            self.max_defect = float(np.maximum(self.max_defect, defect))
             tail = f"  defect={_fmt(defect)}"
         if cond:
             self.lines.append(f"ok   {self.suite}: {label}{tail}")
@@ -205,7 +205,7 @@ def _suite_parabolic(rec, q, seed, tol):
     rec.check(f"idempotents of the rank-two hecke algebra (kappa={kappa})",
               defect < tol, defect=defect)
     plus, minus = parabolic.split_rho_pm(S, bq)
-    d = max(abs(f.values[0] - (q + 1) / 2) for f in (plus, minus))
+    d = np.max([abs(f.values[0] - (q + 1) / 2) for f in (plus, minus)])
     rec.check("split principal series halves have degree (q+1)/2", d < tol,
               defect=d)
     d = parabolic.epsilon_swap_defect(S, plus, minus)
@@ -289,7 +289,7 @@ def _suite_cuspidal(rec, q, seed, tol):
                 continue
             a = c.params[0]
             val = f.values[G.view.class_of[c.rep_id]]
-            worst = max(worst, abs(val + omega.values[a]))
+            worst = np.maximum(worst, abs(val + omega.values[a]))
     rec.check("gl2 trace at (a,1;0,a) equals -omega(a)", worst < tol,
               defect=worst)
     sl = weil.sl2_cuspidal_family(E, S)
@@ -299,23 +299,23 @@ def _suite_cuspidal(rec, q, seed, tol):
     worst = 0.0
     for j, f in sl["cuspidal"]:
         ip = repcore.inner_product(f, f)
-        worst = max(worst, abs(ip - 1))
+        worst = np.maximum(worst, abs(ip - 1))
     rec.check("primitive sl2 cuspidal characters are irreducible",
               worst < tol, defect=worst)
     om = sl["omega0"]
     ip = repcore.inner_product(om["character"], om["character"])
     rec.check("quadratic-character module splits in two",
               abs(ip - 2) < tol, defect=abs(ip - 2))
-    d = max(abs(om[h].values[0] - (q - 1) / 2) for h in ("plus", "minus"))
+    d = np.max([abs(om[h].values[0] - (q - 1) / 2) for h in ("plus", "minus")])
     rec.check("split cuspidal halves have degree (q-1)/2", d < tol, defect=d)
     worst = 0.0
     for j, f in sl["cuspidal"]:
         for c in S.conj_classes:
             i = S.view.class_of[c.rep_id]
             if c.tag == "split_regular":
-                worst = max(worst, abs(f.values[i]))
+                worst = np.maximum(worst, abs(f.values[i]))
             elif c.tag == "nonsemisimple" and c.params[0] == 1:
-                worst = max(worst, abs(f.values[i] + 1))
+                worst = np.maximum(worst, abs(f.values[i] + 1))
     rec.check("sl2 cuspidal values: 0 on split regular, -1 on unipotent",
               worst < tol, defect=worst)
 
@@ -327,7 +327,7 @@ def _suite_chartable(rec, q, seed, tol):
             continue
         ran += 1
         t = chartab.build_table(kind, q)
-        defect = max(chartab.verify_table(t).values())
+        defect = np.max(list(chartab.verify_table(t).values()))
         rec.check(f"{kind}: table of {len(t.rows)} irreducibles verifies "
                   "(orthogonality, degrees, families)", defect < tol,
                   defect=defect)
@@ -502,7 +502,7 @@ def _cmd_chartable(args):
 def _cmd_weil(args):
     if args.q % 2 == 0:
         raise InputError("q must be odd")
-    F = _field_for(args.q)
+    F = _group_field_for(args.q)
     E = ff.make_ext(F)
     res = weil.verify_ordinary(E)
     tol = get_tol()

@@ -1,13 +1,18 @@
 """Numerical tolerance handling.
 
 All floating-point identity checks in this package compare a residual
-against a single tolerance.  The default is 1e-8; it can be overridden
-with the QREP_TOL environment variable, which must parse to a float in
-(0, 1e-3].  The named thresholds below pivot and round Dixon's
-eigenvectors or snap float dust, so they do not follow QREP_TOL.
+against a single tolerance, through gate: a defect passes only when
+defect <= tol, so a NaN defect never passes, and every running maximum
+behind a defect is taken with numpy so that a NaN reaches the gate.
+The default is 1e-8; it can be overridden with the QREP_TOL environment
+variable, which must parse to a float in (0, 1e-3].  The named
+thresholds below pivot and round Dixon's eigenvectors or snap float
+dust, so they do not follow QREP_TOL.
 """
 
 import os
+
+from .errors import VerificationFailed
 
 DEFAULT_TOL = 1e-8
 
@@ -35,3 +40,12 @@ def get_tol():
     if not (0.0 < val <= 1e-3):
         raise ValueError(f"{_ENV_VAR} must lie in (0, 1e-3], got {val}")
     return val
+
+
+def gate(defect, what, error=VerificationFailed):
+    """float(defect) if defect <= get_tol(); raises error, with what,
+    the defect and the tol as its message, otherwise, NaN included."""
+    defect, tol = float(defect), get_tol()
+    if not defect <= tol:
+        raise error(f"{what}: defect {defect}, tol {tol}")
+    return defect

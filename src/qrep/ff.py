@@ -373,10 +373,6 @@ class AddChar:
     def __call__(self, x):
         return self.values[x]
 
-    @property
-    def is_trivial(self):
-        return self.shift == 0
-
 
 class MultChar:
     """Multiplicative character chi_j(x) = zeta_(q-1)^(j log x) of F_q^*.
@@ -396,16 +392,9 @@ class MultChar:
         return self.values[x]
 
     @property
-    def is_trivial(self):
-        return self.j == 0
-
-    @property
     def is_quadratic(self):
         """Nontrivial and equal to its own inverse (odd q only)."""
         return self.ctx.q % 2 == 1 and self.j == (self.ctx.q - 1) // 2
-
-    def conj(self):
-        return MultChar(self.ctx, (-self.j) % (self.ctx.q - 1))
 
     def __eq__(self, other):
         return isinstance(other, MultChar) and other.ctx is self.ctx and other.j == self.j
@@ -444,10 +433,6 @@ class NormOneChar:
     @property
     def is_trivial(self):
         return self.j == 0
-
-    @property
-    def is_quadratic(self):
-        return self.ectx.q % 2 == 1 and self.j == (self.ectx.q + 1) // 2
 
     def conj(self):
         return NormOneChar(self.ectx, (-self.j) % (self.ectx.q + 1))

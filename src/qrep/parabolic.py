@@ -16,7 +16,7 @@ these identities are re-verified numerically on every construction.
 
 import numpy as np
 
-from .config import get_tol
+from .config import gate, get_tol
 from .errors import (CharMismatch, EvenQ, GroupMismatch, NotSplitting,
                      VerificationFailed)
 from .gl2 import bruhat
@@ -159,9 +159,7 @@ def build_induced_rep(ctx, bchar):
         cols[:, j] = i
         vals[:, j] = chi[F.inv(scale(x, y, i))]
     rep = MatrixRep(ctx.view, MonomialImages(cols, vals))
-    bound = rep.check_homomorphism()
-    if not bound < get_tol():
-        raise VerificationFailed(f"induced rep not multiplicative, bound {bound}")
+    gate(rep.check_homomorphism(), "induced rep not multiplicative")
     return rep
 
 
@@ -184,23 +182,18 @@ def two_dim_commutant_projectors(T, gen_mats):
     matrix, and unless the projectors are idempotent, commute with the
     action and sum to the identity."""
     eye = np.eye(T.shape[0])
-    tol = get_tol()
-    defect = float(np.max(np.abs(T @ T - eye)))
-    if defect > tol:
-        raise NotSplitting(f"T is not an involution, defect {defect}")
-    defect = max(float(np.max(np.abs(T @ g - g @ T))) for g in gen_mats)
-    if defect > tol:
-        raise NotSplitting(f"T does not commute with the action, "
-                           f"defect {defect}")
+    gate(np.max(np.abs(T @ T - eye)), "T is not an involution", NotSplitting)
+    gate(np.max([np.max(np.abs(T @ g - g @ T)) for g in gen_mats]),
+         "T does not commute with the action", NotSplitting)
     P1, P2 = (eye + T) / 2, (eye - T) / 2
     for P in (P1, P2):
-        if np.max(np.abs(P @ P - P)) > tol:
-            raise NotSplitting("projector is not idempotent")
+        gate(np.max(np.abs(P @ P - P)), "projector is not idempotent",
+             NotSplitting)
         for g in gen_mats:
-            if np.max(np.abs(P @ g - g @ P)) > tol:
-                raise NotSplitting("projector does not commute with the action")
-    if np.max(np.abs(P1 + P2 - eye)) > tol:
-        raise NotSplitting("projectors do not sum to the identity")
+            gate(np.max(np.abs(P @ g - g @ P)),
+                 "projector does not commute with the action", NotSplitting)
+    gate(np.max(np.abs(P1 + P2 - eye)),
+         "projectors do not sum to the identity", NotSplitting)
     return P1, P2
 
 
@@ -212,21 +205,18 @@ def split_in_two(ctx, T, gen_mats, class_mats, whole):
     representatives.  Returns (plus, minus) as ClassFunctions; plus has
     the larger value at the class of (1 1; 0 1), by imaginary and then
     real part, each rounded to 9 places."""
-    tol = get_tol()
     ip = inner_product(whole, whole)
-    if abs(ip - 2) > tol:
-        raise VerificationFailed(f"<chi,chi> = {ip}, expected 2")
+    gate(abs(ip - 2), f"<chi,chi> = {ip}, expected 2")
     halves = [ClassFunction(ctx.view, np.einsum("ij,nji->n", P, class_mats))
               for P in two_dim_commutant_projectors(T, gen_mats)]
     ident = ctx.class_index_of((1, 0, 0, 1))
     for f in halves:
-        if abs(f.values[ident] - whole.values[ident] / 2) > tol:
-            raise VerificationFailed("half has wrong degree")
-        if abs(inner_product(f, f) - 1) > tol:
-            raise VerificationFailed("half is not irreducible")
+        gate(abs(f.values[ident] - whole.values[ident] / 2),
+             "half has wrong degree")
+        gate(abs(inner_product(f, f) - 1), "half is not irreducible")
     f1, f2 = halves
-    if np.max(np.abs((f1 + f2).values - whole.values)) > tol:
-        raise VerificationFailed("halves do not sum to the whole character")
+    gate(np.max(np.abs((f1 + f2).values - whole.values)),
+         "halves do not sum to the whole character")
     u = ctx.class_index_of((1, 1, 0, 1))
     key = lambda f: (round(f.values[u].imag, 9), round(f.values[u].real, 9))
     return (f1, f2) if key(f1) >= key(f2) else (f2, f1)
@@ -273,8 +263,8 @@ def epsilon_swap_defect(ctx, f_plus, f_minus):
         a, b, c, d = ctx.mat_of(rid)
         conj = (a, int(F.mul(eps, b)), int(F.mul(c, F.inv(eps))), d)
         cj = ctx.class_index_of(conj)
-        worst = max(worst, abs(f_plus.values[cj] - f_minus.values[ci]))
-    return worst
+        worst = np.maximum(worst, abs(f_plus.values[cj] - f_minus.values[ci]))
+    return float(worst)
 
 
 # --- Hecke kernels on the group ---
@@ -336,13 +326,11 @@ def delta_relation_defect(ctx, bchar):
     sign = chi.values[int(ctx.field.neg(1))]
     d1, dw = delta_kernels(ctx, bchar)
     c = q * (q - 1)
-    worst = 0.0
-    worst = max(worst, float(np.max(np.abs(convolve(ctx, d1, d1) - c * d1))))
-    worst = max(worst, float(np.max(np.abs(convolve(ctx, d1, dw) - c * dw))))
-    worst = max(worst, float(np.max(np.abs(convolve(ctx, dw, d1) - c * dw))))
-    worst = max(worst, float(np.max(np.abs(
-        convolve(ctx, dw, dw) - q * q * (q - 1) * sign * d1))))
-    return worst
+    return float(np.max([
+        np.max(np.abs(convolve(ctx, d1, d1) - c * d1)),
+        np.max(np.abs(convolve(ctx, d1, dw) - c * dw)),
+        np.max(np.abs(convolve(ctx, dw, d1) - c * dw)),
+        np.max(np.abs(convolve(ctx, dw, dw) - q * q * (q - 1) * sign * d1))]))
 
 
 def intertwiner_idempotents(ctx, bchar):
@@ -368,12 +356,11 @@ def intertwiner_idempotents(ctx, bchar):
     e_plus = c1 * d1 + cw * dw
     e_minus = c1 * d1 - cw * dw
     ident = d1 / (q * (q - 1))
-    worst = 0.0
-    for e in (e_plus, e_minus):
-        worst = max(worst, float(np.max(np.abs(convolve(ctx, e, e) - e))))
-    worst = max(worst, float(np.max(np.abs(convolve(ctx, e_plus, e_minus)))))
-    worst = max(worst, float(np.max(np.abs(convolve(ctx, e_minus, e_plus)))))
-    worst = max(worst, float(np.max(np.abs(e_plus + e_minus - ident))))
-    if worst > get_tol():
-        raise VerificationFailed(f"idempotent identities fail, defect {worst}")
+    worst = gate(np.max([
+        np.max(np.abs(convolve(ctx, e_plus, e_plus) - e_plus)),
+        np.max(np.abs(convolve(ctx, e_minus, e_minus) - e_minus)),
+        np.max(np.abs(convolve(ctx, e_plus, e_minus))),
+        np.max(np.abs(convolve(ctx, e_minus, e_plus))),
+        np.max(np.abs(e_plus + e_minus - ident))]),
+        "idempotent identities fail")
     return (c1, cw), (c1, -cw), kappa, worst

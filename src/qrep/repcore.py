@@ -10,15 +10,15 @@ Each view certifies a generating set once, by a search that reaches
 every element; conjugacy classes are the orbits of conjugation by those
 generators alone, and a subgroup embedding is checked on (element,
 generator) pairs.
-Induction and restriction read only an embedding's class fusion map,
-never group elements.
+Induction reads only an embedding's class fusion map, never group
+elements.
 """
 
 import copy
 
 import numpy as np
 
-from .config import DEGREE_INTEGRAL, DIXON_PIVOT, SEED, get_tol
+from .config import DEGREE_INTEGRAL, DIXON_PIVOT, SEED, gate, get_tol
 from .errors import GroupMismatch, NonIntegral, NotInGroup, VerificationFailed
 
 # random combinations Dixon's method tries before giving up
@@ -193,9 +193,6 @@ class ClassFunction:
     def __sub__(self, other):
         return ClassFunction(self.view, self.values - self._coerce(other))
 
-    def conj(self):
-        return ClassFunction(self.view, self.values.conj())
-
 
 def inner_product(f, g):
     """<f, g> = (1/|G|) sum over classes |C| f(C) conj(g(C))."""
@@ -210,9 +207,11 @@ def hom_dim(f, g):
     one within tolerance, which would mean f or g is not a genuine
     character."""
     val = inner_product(f, g)
-    r = round(val.real)
-    if abs(val - r) > get_tol() or r < 0:
-        raise NonIntegral(f"inner product {val} is not a nonnegative integer")
+    r = np.round(val.real)
+    what = f"inner product {val} is not a nonnegative integer"
+    gate(abs(val - r), what, NonIntegral)
+    if r < 0:
+        raise NonIntegral(what)
     return int(r)
 
 
@@ -284,13 +283,6 @@ def induce(f, emb):
     return ClassFunction(G, vals * G.n / (H.n * G.sizes))
 
 
-def restrict(f, emb):
-    """Restriction of a class function on G to H."""
-    if f.view is not emb.big:
-        raise GroupMismatch("function does not live on the big group")
-    return ClassFunction(emb.sub, f.values[emb.fusion])
-
-
 # bytes of one stacked operand in check_homomorphism and in the weil
 # averaging and Fourier checks, whatever the operator size is
 _CHUNK_BYTES = 1 << 20
@@ -341,7 +333,7 @@ class MatrixRep:
         """A bound B on ||pi(gh) - pi(g) pi(h)||_2 over every pair, from
         pi(e), the view's certified generators S, its word length bound
         L and the |G| |S| products pi(g) pi(s), g in G, s in S.  Callers
-        gate on B < get_tol().
+        pass B to config.gate; a NaN image gives a NaN B.
 
         Proof.  Let delta be the largest entry of |pi(e) - I| and of
         every |pi(g) pi(s) - pi(gs)|, and u that of every
@@ -384,7 +376,7 @@ class MatrixRep:
         largest entry of that row of the dense difference."""
         v, d, images = self.view, self.dim, self.images
         gs = v.mul(np.arange(v.n)[:, None], v.gens[None, :])
-        delta = float(np.max(np.abs(images[v.identity] - np.eye(d))))
+        delta = np.max(np.abs(images[v.identity] - np.eye(d)))
         if isinstance(images, MonomialImages):
             C, V = images.cols, images.vals
             step = max(1, _CHUNK_BYTES // (d * V.itemsize))
@@ -396,8 +388,8 @@ class MatrixRep:
                     tc, tv = C[t], V[t]
                     err = np.where(pc == tc, np.abs(pv - tv),
                                    np.maximum(np.abs(pv), np.abs(tv)))
-                    delta = max(delta, float(np.max(err)))
-            return delta
+                    delta = np.maximum(delta, np.max(err))
+            return float(delta)
         gen = images[v.gens]
         step = max(1, _CHUNK_BYTES // (d * d * gen.itemsize))
         for lo in range(0, v.n, step):
@@ -405,8 +397,8 @@ class MatrixRep:
             for j in range(len(v.gens)):
                 err = block @ gen[j]
                 err -= images[gs[lo:lo + step, j]].reshape(-1, d)
-                delta = max(delta, float(np.max(np.abs(err))))
-        return delta
+                delta = np.maximum(delta, np.max(np.abs(err)))
+        return float(delta)
 
 
 def rep_character(rep):
@@ -463,7 +455,7 @@ def character_table_bruteforce(view):
             continue
         table = np.array(rows)
         gram = (table * sizes) @ table.conj().T / n
-        if np.max(np.abs(gram - np.eye(k))) > tol:
+        if not np.max(np.abs(gram - np.eye(k))) <= tol:
             continue
         if int(np.round(np.sum(np.abs(table[:, ident_class]) ** 2))) != n:
             continue

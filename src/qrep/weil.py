@@ -31,7 +31,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .config import SEED, get_tol
+from .config import SEED, gate, get_tol
 from .errors import (EvenExponent, EvenQ, GroupMismatch, NotPrimitive,
                      NotSL2, SizeExceeded, VerificationFailed)
 from .ff import MultChar, NormOneChar, dual_pairing, is_primitive
@@ -211,37 +211,31 @@ def svn_check(hctx):
     the offending datum otherwise."""
     if hctx.nG > 16:
         raise SizeExceeded("svn check is restricted to |G| <= 16")
-    tol = get_tol()
     view = hctx.view
     rep = heisenberg_rep(hctx)
-    bound = rep.check_homomorphism()
-    if not bound < tol:
-        raise VerificationFailed(f"canonical model not multiplicative: {bound}")
+    gate(rep.check_homomorphism(), "canonical model not multiplicative")
     chi = rep_character(rep)
     ip = inner_product(chi, chi)
-    if abs(ip - 1) > tol:
-        raise VerificationFailed(f"canonical model reducible: <chi,chi> = {ip}")
+    gate(abs(ip - 1), f"canonical model reducible: <chi,chi> = {ip}")
 
     # central elements act by the tautological scalar
     z0 = int(hctx.encode(0, 0, 1))
     zeta = np.exp(2j * np.pi / hctx.m)
-    if np.max(np.abs(rep.images[z0] - zeta * np.eye(hctx.nG))) > tol:
-        raise VerificationFailed("center does not act tautologically")
+    gate(np.max(np.abs(rep.images[z0] - zeta * np.eye(hctx.nG))),
+         "center does not act tautologically")
 
     table = character_table_bruteforce(view)
     idc = int(view.class_of[view.identity])
     zc = int(view.class_of[z0])
     hits = []
     for r in range(table.shape[0]):
-        if abs(table[r, zc] / table[r, idc] - zeta) < tol:
+        if abs(table[r, zc] / table[r, idc] - zeta) < get_tol():
             hits.append(r)
     if len(hits) != 1:
         raise VerificationFailed(
             f"{len(hits)} irreducibles with tautological central character")
-    got = table[hits[0]]
-    want = chi.values
-    if np.max(np.abs(got - want)) > tol:
-        raise VerificationFailed("tautological irreducible != canonical model")
+    gate(np.max(np.abs(table[hits[0]] - chi.values)),
+         "tautological irreducible != canonical model")
     return True
 
 
@@ -284,9 +278,9 @@ def fourier_intertwines(hctx):
     step = _CHUNK_BYTES // w.itemsize
     for lo in range(0, len(codes), step):
         a, b, c, d = (codes[lo:lo + step] // m ** k % m for k in (3, 2, 1, 0))
-        worst = max(worst, float(np.max(np.abs(wbar[a] * w[b]
-                                                - wbar[c] * wbar[d]))))
-    return worst
+        worst = np.maximum(worst, np.max(np.abs(wbar[a] * w[b]
+                                                - wbar[c] * wbar[d])))
+    return float(worst)
 
 
 # --- the normalized SL2 operators on L^2(F_{q^2}) ---
@@ -390,7 +384,7 @@ def verify_ordinary(ectx):
     word_worst = 0.0
     for g in range(n):
         acc = reduce(np.matmul, images[_word_for(ctx, ctx.mat_of(g))])
-        word_worst = max(word_worst, float(np.max(np.abs(acc - images[g]))))
+        word_worst = np.maximum(word_worst, np.max(np.abs(acc - images[g])))
 
     # normalization: rho~(sigma) delta_0 at 0 is -1/q whenever b != 0
     norm_worst = 0.0
@@ -403,9 +397,9 @@ def verify_ordinary(ectx):
         if b == 0:
             continue
         out = images[g] @ delta0
-        norm_worst = max(norm_worst, abs(out[0] - (-1.0 / q)))
+        norm_worst = np.maximum(norm_worst, abs(out[0] - (-1.0 / q)))
         pred = (-1.0 / q) * psi[base.mul(base.mul(d, base.inv(b)), ectx.norm)]
-        norm_worst = max(norm_worst, float(np.max(np.abs(out - pred))))
+        norm_worst = np.maximum(norm_worst, np.max(np.abs(out - pred)))
 
     return {"pairs": n * len(ctx.view.gens),
             "word_length": ctx.view.word_length, "bound": bound,
@@ -497,12 +491,13 @@ def averaging_check(ectx):
     for lo in range(0, ctx.n, step):
         mats = ctx.elems[lo:lo + step]
         inv_mats = ctx.elems[ctx.view.inv[lo:lo + step]]
-        worst_nu = max(worst_nu, float(np.max(np.abs(
-            _nu_stack(ectx, mats) - _rho_stack(ectx, inv_mats)))))
+        worst_nu = np.maximum(worst_nu, np.max(np.abs(
+            _nu_stack(ectx, mats) - _rho_stack(ectx, inv_mats))))
         scal = np.where(mats[:, 1] == 0, 1.0, -float(ectx.q))[:, None, None]
-        worst_scale = max(worst_scale, float(np.max(np.abs(
-            scal * _rho_stack(ectx, mats) - _weil_stack(ectx, mats)))))
-    return {"nu_vs_rho": worst_nu, "rho_vs_normalized": worst_scale}
+        worst_scale = np.maximum(worst_scale, np.max(np.abs(
+            scal * _rho_stack(ectx, mats) - _weil_stack(ectx, mats))))
+    return {"nu_vs_rho": float(worst_nu),
+            "rho_vs_normalized": float(worst_scale)}
 
 
 # --- cuspidal modules ---
@@ -580,20 +575,19 @@ def _restrict_all(fibres, values, M):
         # row F[r, j] of C: entry on[m, r, j] in column at[r, j]
         at, on = pos[fibres] // n_j, e[:, fibres]
         want = values * on[..., :1]
-        defect = float(max(np.max(np.where(
+        defect = np.maximum(np.max(np.where(
             at == at[:, :1], np.abs(on - want),
-            np.maximum(np.abs(on), np.abs(want)))), np.max(np.abs(e[:, 0]))))
+            np.maximum(np.abs(on), np.abs(want)))), np.max(np.abs(e[:, 0])))
         R = on[..., :1] * (at[:, :1] == np.arange(n_u))
     else:
         # Ct[m, u, x] = C[x, u], from M[x, F[u, j]] gathered once
         Ct = np.matmul(M[:, fibres].transpose(1, 0, 2), values[..., None])[..., 0]
         on_fibres = Ct[:, :, fibres]             # [m, u, r, j] = C[F[r, j], u]
         Rt = on_fibres[..., :1]                  # [m, u, r, 0] = R[r, u]
-        defect = float(max(np.max(np.abs(on_fibres - values[:, None] * Rt)),
-                           np.max(np.abs(Ct[:, :, 0]))))
+        defect = np.maximum(np.max(np.abs(on_fibres - values[:, None] * Rt)),
+                            np.max(np.abs(Ct[:, :, 0])))
         R = Rt[..., 0].transpose(0, 2, 1).copy()
-    if defect > get_tol():
-        raise VerificationFailed(f"W_omega is not preserved, defect {defect}")
+    gate(defect, "W_omega is not preserved")
     return R
 
 
@@ -663,18 +657,15 @@ def _restricted_class_images(modules, gctx):
     atils = fibres[gctx.mat_det(gctx.elems[reps]) - 1, 0]
     traces = np.trace(images, axis1=2, axis2=3)[inverse] * np.array(
         [module.omega.values[atils] for module in modules])
-    tol = get_tol()
     ident = gctx.class_index_of((1, 0, 0, 1))
-    if np.any(np.abs(traces[:, ident] - (q - 1)) > tol):
-        raise VerificationFailed("cuspidal degree != q - 1")
+    gate(np.max(np.abs(traces[:, ident] - (q - 1))), "cuspidal degree != q - 1")
     lowers = sum(_restrict_all(fibres, values,
                                _lower_cell(ectx, np.array([x]), np.array([1])))
                  for x in range(q))
     w = letter(gctx.w_id())
     n_fixed = letter(gctx.t_id(int(F.neg(1)))) @ w @ lowers @ w
     for i in inverse:
-        if float(np.max(np.abs(n_fixed[i] / q))) > tol:
-            raise VerificationFailed("nonzero N-fixed vectors in W_omega")
+        gate(np.max(np.abs(n_fixed[i] / q)), "nonzero N-fixed vectors in W_omega")
     return (images, inverse, [ClassFunction(gctx.view, tr) for tr in traces],
             image)
 
@@ -704,7 +695,6 @@ def gl2_cuspidal_family(ectx, glctx):
     ext = ectx.ext
     q = ectx.q
     Q1 = ext.q - 1
-    tol = get_tol()
     # omega_j is primitive iff j -> jq mod q^2 - 1 moves j, so iff its
     # Frobenius orbit {j, jq} has two members
     frob_orbits = [tuple(int(i) for i in block)
@@ -728,12 +718,11 @@ def gl2_cuspidal_family(ectx, glctx):
     out = []
     for (j, partner), f, f2 in zip(frob_orbits, chars[::2], chars[1::2]):
         om = MultChar(ext, j)
-        if float(np.max(np.abs(f.values - f2.values))) > tol:
-            raise VerificationFailed("omega and omega^q give different characters")
+        gate(np.max(np.abs(f.values - f2.values)),
+             "omega and omega^q give different characters")
         for ci, z in aniso.items():
             want = -(om.values[z] + om.values[int(ectx.frob[z])])
-            if abs(f.values[ci] - want) > tol:
-                raise VerificationFailed("anisotropic cuspidal value mismatch")
+            gate(abs(f.values[ci] - want), "anisotropic cuspidal value mismatch")
         out.append(((j, partner), f))
     if len(out) != (q * q - q) // 2:
         raise VerificationFailed("wrong number of cuspidal orbits")
@@ -752,7 +741,6 @@ def sl2_cuspidal_family(ectx, slctx):
     if slctx.kind != "sl2":
         raise GroupMismatch("need an sl2 context")
     q = ectx.q
-    tol = get_tol()
     js = range(1, (q + 1) // 2)
     oms = [NormOneChar(ectx, j) for j in js]
     module = CuspidalModule(ectx, NormOneChar(ectx, (q + 1) // 2))
@@ -761,11 +749,10 @@ def sl2_cuspidal_family(ectx, slctx):
         + [module], slctx)
     out = []
     for j, f, finv in zip(js, chars[::2], chars[1::2]):
-        if float(np.max(np.abs(f.values - finv.values))) > tol:
-            raise VerificationFailed("omega and omega^{-1} differ")
+        gate(np.max(np.abs(f.values - finv.values)),
+             "omega and omega^{-1} differ")
         ip = inner_product(f, f)
-        if abs(ip - 1) > tol:
-            raise VerificationFailed(f"pi_omega reducible: <chi,chi> = {ip}")
+        gate(abs(ip - 1), f"pi_omega reducible: <chi,chi> = {ip}")
         out.append((j, f))
     if len(out) != (q - 1) // 2:
         raise VerificationFailed("wrong number of sl2 cuspidal pairs")

@@ -22,7 +22,7 @@ from qrep import (
     get_tol,
     verify_table,
 )
-from qrep import chartab
+from qrep import chartab, cli, weil
 from qrep.chartab import expected_degrees, expected_family_counts
 from qrep.config import SNAP
 from qrep.errors import IoError
@@ -354,3 +354,46 @@ def test_verify_table_gates_fire_on_broken_tables():
     # one row dropped
     with pytest.raises(VerificationFailed, match="rows for"):
         verify_table(broken(rows[:-1]))
+
+
+def test_verify_table_refuses_a_nan_entry():
+    t = build_table("sl2", 5)
+    values = t.rows[-1].values.copy()
+    values[1] = np.nan
+    rows = t.rows[:-1] + [dataclasses.replace(t.rows[-1], values=values)]
+    with pytest.raises(VerificationFailed, match="row orthonormality"):
+        verify_table(dataclasses.replace(t, rows=rows))
+
+
+def _nan_in_the_weyl_operator(monkeypatch):
+    """Patch weil_matrix to put a NaN at an entry of rho~(w) that the
+    restriction reads: row and column on the norm fibres (column 0,
+    the point 0, is never read).  rho~(w) is the only weil_matrix call
+    on the table path."""
+    real = weil.weil_matrix
+    calls = []
+
+    def poisoned(ectx, sigma):
+        calls.append(tuple(int(t) for t in sigma))
+        out = real(ectx, sigma).copy()
+        fibres = ectx.norm_fibres
+        out[fibres[0, 0], fibres[1, 1]] = np.nan
+        return out
+
+    monkeypatch.setattr(weil, "weil_matrix", poisoned)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["gl2", "sl2"])
+def test_a_nan_in_the_weyl_operator_fails_the_build(monkeypatch, kind):
+    calls = _nan_in_the_weyl_operator(monkeypatch)
+    with pytest.raises(VerificationFailed, match="W_omega"):
+        build_table(kind, 5)
+    assert [(a, d) for a, _, _, d in calls] == [(0, 0)]
+
+
+def test_chartable_exits_1_on_a_nan_weyl_operator(monkeypatch, capsys):
+    _nan_in_the_weyl_operator(monkeypatch)
+    assert cli.run(["chartable", "--group", "gl2", "--q", "5"]) == 1
+    got = capsys.readouterr()
+    assert "W_omega" in got.err and got.out == ""

@@ -197,6 +197,7 @@ def test_classes_refuse_beyond_the_grid_bound(argv, capsys):
     ["classes", "--group", "gl2", "--q", "531441"],
     *(["verify", "--suite", suite, "--q", "531441"]
       for suite in ("classes", "bruhat", "parabolic", "weil", "cuspidal")),
+    ["weil", "--q", "531441"],
 ])
 def test_grid_refusal_comes_before_the_field(argv, capsys):
     # F_{3^12} takes seconds to build, and the q^4 bound needs q alone:

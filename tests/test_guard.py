@@ -5,8 +5,9 @@ nothing runs.
 Lazily derived data lives on the class that owns it, set in its
 constructor or as a cached property.  No module stores attributes on
 objects it did not create as `self`, and no function keeps state in a
-mutable default argument.  Comparisons read `get_tol()`, and the
-pivot and rounding thresholds are named constants in `config.py`.
+mutable default argument.  Comparisons read `get_tol()`, a tolerance
+check goes through `config.gate`, which no NaN passes, and the pivot
+and rounding thresholds are named constants in `config.py`.
 Every imported name is used, and every function, class and method the
 package defines is read by name inside it or traced by perfbench.
 """
@@ -79,6 +80,36 @@ def test_small_float_literals_live_only_in_config():
     assert found == []
 
 
+def _is_tol(node):
+    return (isinstance(node, ast.Name) and node.id == "tol") or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "get_tol")
+
+
+def _nan_blind_tol_comparisons(tree):
+    """Line of each comparison that passes a NaN defect: d > tol,
+    d >= tol, tol < d or tol <= d, which are all False for a NaN d."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [node.left, *node.comparators]
+        for op, left, right in zip(node.ops, sides, sides[1:]):
+            if isinstance(op, (ast.Gt, ast.GtE)) and _is_tol(right) or \
+                    isinstance(op, (ast.Lt, ast.LtE)) and _is_tol(left):
+                yield node.lineno
+
+
+def test_tolerance_gates_go_through_config_gate():
+    # config.gate passes a defect only when defect <= tol, so a NaN
+    # fails; d > tol is False for a NaN d, so a gate written that way
+    # lets it through.  Selections such as d < tol stay
+    found = [f"{path.name}:{line}"
+             for path in SOURCES if path.name != "config.py"
+             for line in _nan_blind_tol_comparisons(
+                 ast.parse(path.read_text()))]
+    assert found == []
+
+
 def _unused_imports(tree):
     """(line, name) of each imported name that no expression reads."""
     imported = {}
@@ -143,12 +174,26 @@ def _definitions(tree):
 
 
 def _names_read(tree):
+    """Each read as "name" for a bare name, "module.name" for an
+    attribute of a plain name, and ".name" for any attribute read."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute) and \
                 isinstance(node.ctx, ast.Load):
-            yield node.attr
+            yield "." + node.attr
+            if isinstance(node.value, ast.Name):
+                yield f"{node.value.id}.{node.attr}"
+
+
+def _is_read(modname, name, read):
+    # a method is read by any attribute read of its name; a top-level
+    # definition only by its bare name or as <its module>.<name>, so a
+    # method or builtin of the same name does not hide it
+    owner, _, attr = name.rpartition(".")
+    if owner:
+        return "." + attr in read
+    return name in read or f"{modname.rpartition('.')[2]}.{name}" in read
 
 
 def test_every_definition_is_read_by_the_package():
@@ -163,6 +208,6 @@ def test_every_definition_is_read_by_the_package():
     unread = [f"{modname}.{name}"
               for modname, tree in trees.items()
               for name in _definitions(tree)
-              if name.rpartition(".")[2] not in read
+              if not _is_read(modname, name, read)
               and f"{modname}.{name}" not in traced]
     assert unread == []

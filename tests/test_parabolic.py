@@ -409,6 +409,21 @@ def test_involution_halves_equal_the_commutant_svd_halves(q, monkeypatch):
         assert np.max(np.abs(f.values - g.values)) < get_tol()
 
 
+def test_a_nan_involution_is_not_a_splitting(monkeypatch):
+    ctx = make_group("sl2", make_field(5))
+    quad = BorelChar(ctx, (MultChar(ctx.field, 2),))
+    real = parabolic.hecke_involution
+
+    def poisoned(ctx, bchar):
+        T = real(ctx, bchar).copy()
+        T[0, 1] = np.nan
+        return T
+
+    monkeypatch.setattr(parabolic, "hecke_involution", poisoned)
+    with pytest.raises(NotSplitting, match="T is not an involution"):
+        split_rho_pm(ctx, quad)
+
+
 def test_involution_gates_fire():
     tol = get_tol()
     ctx, quad, rep, gen_mats = _quadratic_split_setup(5)

@@ -16,6 +16,7 @@ from qrep import (
     MatrixRep,
     MonomialImages,
     MultChar,
+    NonIntegral,
     NotInGroup,
     SubgroupEmbedding,
     build_induced_rep,
@@ -28,13 +29,20 @@ from qrep import (
     make_field,
     make_group,
     rep_character,
-    restrict,
     subgroup_view,
 )
 from qrep.errors import VerificationFailed
 from qrep.repcore import _CHUNK_BYTES, MixedRadix, generating_set, orbits
 
 RNG = np.random.default_rng(20070714)
+
+
+def restrict(f, emb):
+    """Restriction of a class function on G to H, by the class fusion
+    map: the Frobenius-reciprocity and Mackey reference for induce."""
+    if f.view is not emb.big:
+        raise GroupMismatch("function does not live on the big group")
+    return ClassFunction(emb.sub, f.values[emb.fusion])
 
 
 def _borel_embedding(ctx):
@@ -375,6 +383,23 @@ def test_homomorphism_check_sees_the_identity_and_unitarity():
             > 10 * MatrixRep(v, images).check_homomorphism() > 0)
 
 
+@pytest.mark.parametrize("dense", [False, True])
+def test_a_nan_image_gives_a_nan_bound(dense):
+    # delta is a running maximum over chunks and generators; one NaN
+    # image, outside pi(e) and the pi(s), must reach B on either branch
+    ctx = make_group("sl2", make_field(5))
+    rep = build_induced_rep(ctx, BorelChar(ctx, (MultChar(ctx.field, 1),)))
+    v = rep.view
+    assert rep.check_homomorphism() < 1e-10
+    g = max(set(range(v.n)) - set(v.gens.tolist()) - {v.identity})
+    vals = rep.images.vals.copy()
+    vals[g, 0] = np.nan
+    images = MonomialImages(rep.images.cols, vals)
+    if dense:
+        images = images[np.arange(v.n)]
+    assert np.isnan(MatrixRep(v, images).check_homomorphism())
+
+
 def test_heisenberg_rep_is_a_homomorphism_with_known_character():
     h = heisenberg_group((3,))
     rep = heisenberg_rep(h)
@@ -397,6 +422,14 @@ def test_hom_dim_counts_common_constituents():
             assert hom_dim(f, g) == (1 if i == j else 0)
     both = rows[0] + rows[1]
     assert hom_dim(both, both) == 2
+
+
+def test_hom_dim_refuses_a_nan_inner_product():
+    # gated before rounding: round(nan) would raise ValueError
+    v = make_group("sl2", make_field(3)).view
+    f = ClassFunction(v, np.full(len(v.classes), np.nan, dtype=complex))
+    with pytest.raises(NonIntegral, match="not a nonnegative integer"):
+        hom_dim(f, f)
 
 
 # ---------------------------------------------------------------------------

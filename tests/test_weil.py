@@ -856,6 +856,27 @@ def test_restriction_finds_a_bad_module_anywhere_in_the_batch(position):
         pi_omega_characters(mods, g)
 
 
+@pytest.mark.parametrize("monomial", [False, True])
+def test_a_nan_in_a_read_entry_fails_the_restriction(monomial):
+    # the residual is the larger of two maxima; a NaN in either part, on
+    # either branch, must reach the gate
+    E = make_ext(make_field(5))
+    mod = CuspidalModule(E, NormOneChar(E, 1))
+    fibres = E.norm_fibres
+    if monomial:
+        # f -> f(a x) for a norm-non-one a preserves every W_omega
+        cols = E.ext.mul(fibres[1, 0], np.arange(E.ext.q))
+        M = MonomialImages(cols[None], np.ones((1, E.ext.q), dtype=complex))
+        mod.restrict(M)
+        M.vals[0, fibres[1, 1]] = np.nan
+    else:
+        M = weil_matrix(E, (1, 1, 0, 1))
+        mod.restrict(M)
+        M[fibres[0, 0], fibres[1, 1]] = np.nan
+    with pytest.raises(VerificationFailed, match="W_omega"):
+        mod.restrict(M)
+
+
 def test_restriction_residual_covers_row_zero():
     # 1_0 lies outside every W_omega: an operator that also sends 1_u
     # onto it is not W_omega-invariant, though its rows u~ are unchanged
