@@ -276,20 +276,53 @@ def _formatted(table, fmt):
             for half in inverse.reshape(parts.shape).tolist()]
 
 
-def table_to_json_obj(table):
+class _Json(str):
+    """Text already written as JSON, which _render keeps as it is."""
+
+
+def _render(x, depth=0):
+    """The text of json.dumps(x, indent=2) for x nested depth levels
+    deep, written directly: indent makes json.dumps fall back to its
+    pure-Python encoder.  Every leaf but a _Json goes through
+    json.dumps."""
+    if isinstance(x, _Json):
+        return x
+    if isinstance(x, dict):
+        items = [f"{json.dumps(k)}: {_render(v, depth + 1)}"
+                 for k, v in x.items()]
+        opener, closer = "{}"
+    elif isinstance(x, (list, tuple)):
+        items = [_render(v, depth + 1) for v in x]
+        opener, closer = "[]"
+    else:
+        return json.dumps(x)
+    if not items:
+        return opener + closer
+    pad = "\n" + "  " * depth
+    return (opener + pad + "  " + ("," + pad + "  ").join(items) + pad
+            + closer)
+
+
+def _json_text(table):
+    """emit's json text: the table as one object, laid out as
+    json.dumps(..., indent=2) lays it out.  Each distinct float is
+    written once, and each (re, im) pair, which sits four levels deep,
+    fills one template."""
     classes = []
     for c in table.gctx.conj_classes:
         a, b, cc, d = c.rep
         classes.append({"tag": c.tag, "rep": [[a, b], [cc, d]],
                         "size": c.size, "centralizer": c.centralizer_order})
-    re, im = _formatted(table, _sig12)
+    re, im = _formatted(table, lambda x: json.dumps(_sig12(x)))
+    pair = _render([_Json("{0}"), _Json("{1}")], 4)
     irr = []
     for r, re_row, im_row in zip(table.rows, re, im):
         irr.append({"family": r.family, "params": list(r.params),
                     "degree": r.degree,
-                    "values": [list(z) for z in zip(re_row, im_row)]})
-    return {"group": table.kind, "q": table.q,
-            "classes": classes, "irreducibles": irr}
+                    "values": [_Json(pair.format(*z))
+                               for z in zip(re_row, im_row)]})
+    return _render({"group": table.kind, "q": table.q,
+                    "classes": classes, "irreducibles": irr}) + "\n"
 
 
 def emit(table, fmt, sink):
@@ -298,7 +331,7 @@ def emit(table, fmt, sink):
     table is impossible."""
     verify_table(table)
     if fmt == "json":
-        text = json.dumps(table_to_json_obj(table), indent=2) + "\n"
+        text = _json_text(table)
     elif fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")

@@ -145,12 +145,30 @@ class FieldCtx:
         if gen is None:  # q = 2 has trivial unit group
             gen = 1
         self.gen = gen
-        exp = np.empty(q - 1, dtype=np.int64)
-        cur = (1,)
-        gt = tup(gen)
-        for i in range(q - 1):
-            exp[i] = sum(int(c) * int(places[j]) for j, c in enumerate(cur))
-            cur = poly.mod(base, poly.mul(base, cur, gt), self.modulus)
+        # digit rows of g^0 .. g^(q-2), doubled each round: multiplying
+        # by g^k is the deg x deg base-field matrix M, column j the
+        # digits of g^k t^j, and it maps rows 0..k-1 to rows k..2k-1
+        rows = np.zeros((q - 1, deg), dtype=np.int64)
+        rows[0, 0] = 1
+        k, gk = 1, tup(gen)
+        while k < q - 1:
+            M = np.zeros((deg, deg), dtype=np.int64)
+            for j in range(deg):
+                col = poly.mod(base, poly.mul(base, gk, (0,) * j + (1,)),
+                               self.modulus)
+                M[:len(col), j] = col
+            block = rows[:min(k, q - 1 - k)]
+            if base.base is None:
+                # digits < p, so each sum of deg products fits int64
+                rows[k:k + len(block)] = block @ M.T % base.p
+            else:
+                for i in range(deg):
+                    acc = np.zeros(len(block), dtype=np.int64)
+                    for j in range(deg):
+                        acc = base.add(acc, base.mul(M[i, j], block[:, j]))
+                    rows[k:k + len(block), i] = acc
+            k, gk = 2 * k, poly.mod(base, poly.mul(base, gk, gk), self.modulus)
+        exp = rows @ places
         self.exp = exp
         self.log = np.full(q, -1, dtype=np.int64)
         self.log[exp] = np.arange(q - 1)

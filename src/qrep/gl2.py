@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (EvenQ, NotInGroup, SizeExceeded, Singular,
                      VerificationFailed)
-from .repcore import FiniteGroupView, orbits, subgroup_view
+from .repcore import FiniteGroupView, perm_orbits, subgroup_view
 
 TAG_RANK = {"central": 0, "nonsemisimple": 1, "split_regular": 2, "anisotropic": 3}
 # GroupCtx enumerates all q^4 matrices over F_q at once: q <= 61 fits
@@ -152,9 +152,6 @@ class GroupCtx:
         """diag(a, a^-1), the standard torus of SL2."""
         return self.id_of((a, 0, 0, int(self.field.inv(a))))
 
-    def upper_id(self, x):
-        return self.id_of((1, x, 0, 1))
-
     def lower_id(self, c):
         return self.id_of((1, 0, c, 1))
 
@@ -175,9 +172,13 @@ class GroupCtx:
     @cached_property
     def borel_cosets(self):
         """Right cosets B\\G: canonical (minimal id) representatives and
-        the coset index of every element."""
-        bids = self.borel_ids()
-        cosets = orbits(self.n, lambda g: self.view.mul(bids, g))
+        the coset index of every element.  The cosets Bg are the orbits
+        of left multiplication by the Borel view's certified generators,
+        one whole-group product each."""
+        bview, bemb = self.borel
+        x = np.arange(self.n)
+        left = [self.view.mul(b, x) for b in bemb.injection[bview.gens]]
+        cosets = perm_orbits(self.n, np.array(left).reshape(-1, self.n))
         coset_of = np.empty(self.n, dtype=np.int64)
         for i, (_, members) in enumerate(cosets):
             coset_of[members] = i

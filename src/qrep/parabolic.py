@@ -21,7 +21,7 @@ from .errors import (CharMismatch, EvenQ, GroupMismatch, NotSplitting,
                      VerificationFailed)
 from .gl2 import bruhat
 from .repcore import (ClassFunction, MatrixRep, MonomialImages,
-                      generating_set, hom_dim, induce, inner_product)
+                      hom_dim, induce, inner_product)
 
 
 class BorelChar:
@@ -163,17 +163,6 @@ def build_induced_rep(ctx, bchar):
     return rep
 
 
-def sl2_generators(ctx):
-    """A small generating set of SL2(F_q), verified to generate."""
-    F = ctx.field
-    gens = [ctx.t_id(F.gen), ctx.w_id(), ctx.upper_id(1), ctx.lower_id(1)]
-    if F.k > 1:
-        gens += [ctx.upper_id(F.gen), ctx.lower_id(F.gen)]
-    gens = sorted(set(gens))
-    generating_set(ctx.n, ctx.view.mul, ctx.identity, gens)
-    return gens
-
-
 def two_dim_commutant_projectors(T, gen_mats):
     """The projectors (I + T)/2 and (I - T)/2 of an involution T in the
     commutant of a set of unitary matrices.  Once the character has
@@ -201,10 +190,10 @@ def split_in_two(ctx, T, gen_mats, class_mats, whole):
     """Split an SL2 representation with character whole, <whole, whole>
     = 2, into two irreducible halves of half its degree by the
     eigenspaces of the involution T in its commutant; gen_mats are its
-    images of sl2_generators and class_mats those of the class
-    representatives.  Returns (plus, minus) as ClassFunctions; plus has
-    the larger value at the class of (1 1; 0 1), by imaginary and then
-    real part, each rounded to 9 places."""
+    images of the certified generators ctx.view.gens and class_mats
+    those of the class representatives.  Returns (plus, minus) as
+    ClassFunctions; plus has the larger value at the class of (1 1; 0 1),
+    by imaginary and then real part, each rounded to 9 places."""
     ip = inner_product(whole, whole)
     gate(abs(ip - 2), f"<chi,chi> = {ip}, expected 2")
     halves = [ClassFunction(ctx.view, np.einsum("ij,nji->n", P, class_mats))
@@ -246,7 +235,7 @@ def split_rho_pm(ctx, bchar):
     if not chi.is_quadratic:
         raise CharMismatch("splitting needs the quadratic character")
     rep = build_induced_rep(ctx, bchar)
-    gen_mats = [rep.images[g] for g in sl2_generators(ctx)]
+    gen_mats = rep.images[ctx.view.gens]
     return split_in_two(ctx, hecke_involution(ctx, bchar), gen_mats,
                         rep.images[ctx.view.reps],
                         induced_character(ctx, bchar))

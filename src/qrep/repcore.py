@@ -7,9 +7,10 @@ GL2 over F_11 alike.  Every orbit enumeration (conjugacy classes, cosets,
 matrix similarity orbits, Frobenius orbits of characters) goes through
 orbits, which checks that its blocks partition the set.
 Each view certifies a generating set once, by a search that reaches
-every element; conjugacy classes are the orbits of conjugation by those
-generators alone, and a subgroup embedding is checked on (element,
-generator) pairs.
+every element, and keeps the generators' right multiplication table;
+conjugacy classes are the orbits of conjugation by those generators
+alone, read from the table by gathers, and a subgroup embedding is
+checked on (element, generator) pairs.
 Induction reads only an embedding's class fusion map, never group
 elements.
 """
@@ -28,12 +29,14 @@ DIXON_TRIES = 8
 class FiniteGroupView:
     """n, mul(a, b) vectorized over int arrays, inv array, identity,
     a greedily chosen certified generating set gens with its word length
-    bound word_length (generating_set), classes as a list of
-    (representative, members) pairs, class_of map.
+    bound word_length and its right multiplication table right
+    (generating_set), classes as a list of (representative, members)
+    pairs, class_of map.
 
-    Classes are flooded through the generators, in increasing order of
-    their smallest member, which makes the ordering deterministic;
-    with_classes relabels them.
+    inv is checked against mul at every element.  Classes are flooded
+    through the generators, in increasing order of their smallest
+    member, which makes the ordering deterministic; with_classes
+    relabels them.
     """
 
     def __init__(self, n, mul, inv, identity=0):
@@ -41,9 +44,14 @@ class FiniteGroupView:
         self.mul = mul
         self.identity = int(identity)
         self.inv = np.asarray(inv, dtype=np.int64)
-        self.gens, self.word_length = generating_set(self.n, mul,
-                                                     self.identity)
-        self._set_classes(flood_classes(self.n, mul, self.inv, self.gens))
+        x = np.arange(self.n)
+        bad = np.count_nonzero(mul(x, self.inv) != self.identity)
+        if bad:
+            raise VerificationFailed(f"{bad} elements times their inverse "
+                                     "are not the identity")
+        self.gens, self.word_length, self.right = generating_set(
+            self.n, mul, self.identity)
+        self._set_classes(flood_classes(self.inv, self.right))
 
     def with_classes(self, classes):
         """The same group, generators included, with its classes given
@@ -70,40 +78,63 @@ def generating_set(n, mul, identity, gens=None):
     search from the identity, multiplying on the right by S, reaches all
     n elements, or VerificationFailed.  Without gens, S is chosen
     greedily, the smallest unreached element each time the search
-    stalls, and the reached set is multiplied by each new generator once.
-    Either way every element meets every generator exactly once (n |S|
-    products).  Positive words in S reach every element, and in a finite
-    group they are all of <S>, so the search also proves the set closed
-    when mul refuses products outside it.
+    stalls.  Each generator s takes one whole-group call mul(0..n-1, s),
+    checked to be a permutation, and the search reads these rows by
+    gathers alone, so every element meets every generator exactly once
+    (n |S| products).  Positive words in S reach every element, and in
+    a finite group they are all of <S>, so the search also proves the
+    set closed when mul refuses products outside it.
 
-    Returns (S, L): S as an int64 array, and L a bound on the length of
-    the shortest positive word in S for every element.  L counts the
-    search rounds that reach a new element, plus one for each greedy
-    generator: an element first reached by a round or by a new generator
-    is one letter longer than the reached element it came from."""
+    Returns (S, L, R): S as an int64 array, L a bound on the length of
+    the shortest positive word in S for every element, and R the
+    (|S|, n) right multiplication table, R[j, x] = x S[j].  L counts
+    the search rounds that reach a new element, plus one for each
+    greedy generator: an element first reached by a round or by a new
+    generator is one letter longer than the reached element it came
+    from."""
     greedy = gens is None
-    S = np.array([] if greedy else gens, dtype=np.int64)
+    x = np.arange(n)
+
+    def right(s):
+        row = np.asarray(mul(x, s), dtype=np.int64)
+        hit = np.zeros(n, dtype=bool)
+        hit[row] = True
+        if not hit.all():
+            raise VerificationFailed(f"right multiplication by {s} is not "
+                                     "a permutation")
+        return row
+
+    S = [] if greedy else [int(s) for s in gens]
+    R = [right(s) for s in S]
     L = 0
     reached = np.zeros(n, dtype=bool)
     reached[identity] = True
+
+    def step(rows, sources):
+        """Mark the unreached images of sources under rows; return them."""
+        fresh = np.zeros(n, dtype=bool)
+        for row in rows:
+            fresh[row[sources]] = True
+        fresh &= ~reached
+        reached[fresh] = True
+        return np.flatnonzero(fresh)
+
     frontier = np.array([identity], dtype=np.int64)
     while True:
-        while len(frontier) and len(S):
-            nxt = np.unique(mul(frontier[:, None], S[None, :]))
-            frontier = nxt[~reached[nxt]]
-            reached[frontier] = True
+        while len(frontier) and S:
+            frontier = step(R, frontier)
             L += bool(len(frontier))
         if reached.all() or not greedy:
             break
         s = int(np.argmin(reached))
-        nxt = np.unique(mul(np.flatnonzero(reached), s))
-        S = np.append(S, s)
+        S.append(s)
+        R.append(right(s))
         L += 1
-        frontier = nxt[~reached[nxt]]
-        reached[frontier] = True
+        frontier = step(R[-1:], np.flatnonzero(reached))
     if not reached.all():
         raise VerificationFailed("generator set does not generate")
-    return S, L
+    return (np.array(S, dtype=np.int64), L,
+            np.array(R, dtype=np.int64).reshape(len(S), n))
 
 
 def orbits(n, orbit):
@@ -127,21 +158,17 @@ def orbits(n, orbit):
     return out
 
 
-def flood_classes(n, mul, inv, gens):
-    """Conjugacy classes of a group given by its vectorized mul, its
-    inverse array and a certified generating set, as (smallest member,
-    members) pairs in increasing order of the smallest member.
+def perm_orbits(n, perms):
+    """Orbits of 0..n-1 under the group generated by the rows of perms,
+    an (m, n) array of permutations, as orbits returns them.
 
-    The classes are the orbits of the |S| permutations x -> s x s^-1,
-    since <S> is the whole group: every element takes the smallest label
-    of its images under the permutations, with pointer jumping, until no
-    label moves.  A permutation's inverse is a power of it, so following
-    images alone reaches the whole orbit."""
-    x = np.arange(n)
-    conj = mul(mul(gens[:, None], x[None, :]), inv[gens][:, None])
-    label = x
+    Every element takes the smallest label of its images under the
+    permutations, with pointer jumping, until no label moves.  A
+    permutation's inverse is a power of it, so following images alone
+    reaches the whole orbit."""
+    label = np.arange(n)
     while True:
-        new = np.minimum(label, label[conj].min(axis=0, initial=n))
+        new = np.minimum(label, label[perms].min(axis=0, initial=n))
         new = new[new]
         if np.array_equal(new, label):
             break
@@ -150,6 +177,20 @@ def flood_classes(n, mul, inv, gens):
     cuts = np.flatnonzero(np.diff(label[order])) + 1
     blocks = {int(label[b[0]]): b for b in np.split(order, cuts)}
     return orbits(n, lambda y: blocks[int(label[y])])
+
+
+def flood_classes(inv, right):
+    """Conjugacy classes of a group given by its inverse array and the
+    right multiplication table of a certified generating set
+    (generating_set), as (smallest member, members) pairs in increasing
+    order of the smallest member.
+
+    The classes are the orbits of the |S| permutations
+    x -> s^-1 x s = inv[R_s[inv[R_s[x]]]], read by gathers alone, since
+    <S> is the whole group; these are the inverses of x -> s x s^-1,
+    which have the same orbits."""
+    conj = inv[np.take_along_axis(right, inv[right], axis=1)]
+    return perm_orbits(len(inv), conj)
 
 
 class MixedRadix:
@@ -220,7 +261,8 @@ class SubgroupEmbedding:
     phi(e) = e, and phi(h s) = phi(h) phi(s) for every h in H and every
     s in H's certified generators.  By induction on the length of a
     positive word in those generators (the empty word being e) this
-    gives phi(g h) = phi(g) phi(h) for every pair.  fusion[c] is the
+    gives phi(g h) = phi(g) phi(h) for every pair.  The products h s
+    are read from H's right multiplication table.  fusion[c] is the
     G-class of the H-class c."""
 
     def __init__(self, sub, big, injection):
@@ -235,7 +277,7 @@ class SubgroupEmbedding:
         if injection[sub.identity] != big.identity:
             raise NotInGroup("injection does not fix the identity")
         h = np.arange(sub.n)
-        lhs = injection[sub.mul(h[:, None], sub.gens[None, :])]
+        lhs = injection[sub.right.T]
         rhs = big.mul(injection[:, None], injection[sub.gens][None, :])
         if not np.array_equal(lhs, rhs):
             raise NotInGroup("injection is not a homomorphism")
@@ -364,7 +406,9 @@ class MatrixRep:
     def product_defect(self):
         """delta of check_homomorphism: the largest entry of
         |pi(e) - I| and of every |pi(g) pi(s) - pi(gs)|, g in G, s in S,
-        with g read in chunks of at most _CHUNK_BYTES.
+        with g read in chunks of at most _CHUNK_BYTES.  The products gs
+        are read from the view's right multiplication table, so no group
+        product is formed here.
 
         A dense stack takes one GEMM per chunk and generator.  A
         MonomialImages store is never made dense beyond pi(e) and the
@@ -375,7 +419,7 @@ class MatrixRep:
         agree and max(|pv|, |tv|) where they differ, which is the
         largest entry of that row of the dense difference."""
         v, d, images = self.view, self.dim, self.images
-        gs = v.mul(np.arange(v.n)[:, None], v.gens[None, :])
+        gs = v.right.T
         delta = np.max(np.abs(images[v.identity] - np.eye(d)))
         if isinstance(images, MonomialImages):
             C, V = images.cols, images.vals

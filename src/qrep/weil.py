@@ -36,7 +36,7 @@ from .errors import (EvenExponent, EvenQ, GroupMismatch, NotPrimitive,
                      NotSL2, SizeExceeded, VerificationFailed)
 from .ff import MultChar, NormOneChar, dual_pairing, is_primitive
 from .gl2 import GroupCtx
-from .parabolic import sl2_generators, split_in_two
+from .parabolic import split_in_two
 from .repcore import (_CHUNK_BYTES, ClassFunction, FiniteGroupView,
                       MatrixRep, MixedRadix, MonomialImages,
                       character_table_bruteforce, inner_product, orbits,
@@ -609,8 +609,9 @@ def _restricted_class_images(modules, gctx):
     Per module this also checks that the degree is q - 1, and the
     N-fixed gate: w l(c) w = (-1 c; 0 -1), so the upper unipotent u(x)
     is t(-1) w l(-x) w and sum_x R(u(x)) =
-    R(t(-1)) R(w) (sum_x R(l(x))) R(w), with the q lower unipotents l(x)
-    restricted but not kept.  R(w) is invertible, so the gate certifies
+    R(t(-1)) R(w) (sum_x R(l(x))) R(w).  Each l(x) that a class word
+    has already restricted is read from the letter cache; the others are
+    restricted here and not kept.  R(w) is invertible, so the gate certifies
     sum_x R(l(x)) = 0, a property of the lower letters alone:
     sum_x rho~(l(x)) is q times the projection onto the point 0, which
     lies outside every W_omega, so only a wrong lower letter fires it.
@@ -659,9 +660,14 @@ def _restricted_class_images(modules, gctx):
         [module.omega.values[atils] for module in modules])
     ident = gctx.class_index_of((1, 0, 0, 1))
     gate(np.max(np.abs(traces[:, ident] - (q - 1))), "cuspidal degree != q - 1")
-    lowers = sum(_restrict_all(fibres, values,
-                               _lower_cell(ectx, np.array([x]), np.array([1])))
-                 for x in range(q))
+    def lower(x):
+        lid = gctx.lower_id(x)
+        if lid in letters:
+            return letters[lid]
+        return _restrict_all(fibres, values,
+                             _lower_cell(ectx, np.array([x]), np.array([1])))
+
+    lowers = sum(map(lower, range(q)))
     w = letter(gctx.w_id())
     n_fixed = letter(gctx.t_id(int(F.neg(1)))) @ w @ lowers @ w
     for i in inverse:
@@ -757,7 +763,7 @@ def sl2_cuspidal_family(ectx, slctx):
     if len(out) != (q - 1) // 2:
         raise VerificationFailed("wrong number of sl2 cuspidal pairs")
 
-    gen_mats = [image(g)[inverse[-1]] for g in sl2_generators(slctx)]
+    gen_mats = [image(g)[inverse[-1]] for g in slctx.view.gens]
     # f -> f o frob preserves W_omega0, as omega0(y^q) = omega0(y^-1) =
     # omega0(y) for norm-one y, and its square is the identity
     frob = module.restrict(MonomialImages([ectx.frob], [np.ones(ectx.ext.q)]))

@@ -23,6 +23,7 @@ from qrep import (
     make_field,
     make_group,
 )
+from qrep import poly
 from qrep.ff import prime_power
 
 RNG = np.random.default_rng(20070714)
@@ -248,6 +249,31 @@ def test_one_nonsquare_serves_field_extension_and_groups():
         assert F.eps == make_ext(F).eps == make_group("sl2", F).eps_of_field()
         assert not F.is_square_unit(F.eps)
         assert all(F.is_square_unit(a) for a in range(1, F.eps))
+
+
+def _exp_by_steps(F):
+    """Reference: the indices of g^0 .. g^(q-2), one polynomial product
+    over the base at a time, reduced mod the modulus."""
+    base, places = F.base, F.base.q ** np.arange(F.deg)
+    g = poly.trim(int(d) for d in (F.gen // places) % base.q)
+    cur, out = (1,), []
+    for _ in range(F.q - 1):
+        out.append(sum(int(c) * int(places[j]) for j, c in enumerate(cur)))
+        cur = poly.mod(base, poly.mul(base, cur, g), F.modulus)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("p,k", ZECH_FIELDS + [(3, 8)])
+def test_exp_table_equals_the_stepwise_powers(p, k):
+    F = make_field(p, k)
+    assert np.array_equal(F.exp, _exp_by_steps(F))
+
+
+def test_extension_of_extension_exp_equals_the_stepwise_powers():
+    # F_81 over F_9: the doubling runs in base-field arithmetic
+    F = make_ext(make_field(3, 2)).ext
+    assert (F.q, F.base.q) == (81, 9)
+    assert np.array_equal(F.exp, _exp_by_steps(F))
 
 
 def test_extension_of_extension_f81():

@@ -35,8 +35,8 @@ from qrep import (
 )
 from qrep import parabolic
 from qrep.config import SEED
-from qrep.parabolic import (convolve, hecke_involution, sl2_generators,
-                            split_in_two, two_dim_commutant_projectors)
+from qrep.parabolic import (convolve, hecke_involution, split_in_two,
+                            two_dim_commutant_projectors)
 
 
 def _svd_commutant_projectors(gen_mats):
@@ -75,7 +75,7 @@ def _quadratic_split_setup(q):
     ctx = make_group("sl2", make_field(3, 2) if q == 9 else make_field(q))
     quad = BorelChar(ctx, (MultChar(ctx.field, (q - 1) // 2),))
     rep = build_induced_rep(ctx, quad)
-    gen_mats = [rep.images[g] for g in sl2_generators(ctx)]
+    gen_mats = [rep.images[g] for g in ctx.view.gens]
     return ctx, quad, rep, gen_mats
 
 
@@ -387,7 +387,7 @@ def test_irreducible_principal_series_has_no_splitting():
     ctx = make_group("sl2", make_field(5))
     chi = MultChar(ctx.field, 1)
     rep = build_induced_rep(ctx, BorelChar(ctx, (chi,)))
-    gens = sl2_generators(ctx)
+    gens = ctx.view.gens
     with pytest.raises(NotSplitting, match="commutant dimension 1"):
         _svd_commutant_projectors([rep.images[g] for g in gens])
 
@@ -463,7 +463,7 @@ def test_hecke_involution_is_the_normalized_delta_w():
 def test_split_in_two_gates_fire():
     ctx, quad, rep, gen_mats = _quadratic_split_setup(5)
     F = ctx.field
-    gens = sl2_generators(ctx)
+    gens = ctx.view.gens
     T = hecke_involution(ctx, quad)
     class_mats = rep.images[ctx.view.reps]
     whole = induced_character(ctx, quad)
@@ -490,22 +490,3 @@ def test_split_in_two_gates_fire():
     with pytest.raises(NotSplitting, match="T does not commute"):
         split_in_two(ctx, T, [irr_rep.images[g] for g in gens],
                      irr_rep.images[ctx.view.reps], whole)
-
-
-def test_sl2_generators_list_order_and_refusal(monkeypatch):
-    # the sorted ids of t(gen), w, u(1) and l(1), plus u(gen) and l(gen)
-    # over a proper extension; a torus alone does not generate
-    for p, k in ((5, 1), (3, 2)):
-        ctx = make_group("sl2", make_field(p, k))
-        F = ctx.field
-        want = {ctx.t_id(F.gen), ctx.w_id(), ctx.upper_id(1),
-                ctx.lower_id(1)}
-        if k > 1:
-            want |= {ctx.upper_id(F.gen), ctx.lower_id(F.gen)}
-        assert sl2_generators(ctx) == sorted(want)
-    torus = ctx.t_id(ctx.field.gen)
-    for name in ("w_id", "upper_id", "lower_id"):
-        monkeypatch.setattr(ctx, name, lambda *_: torus)
-    with pytest.raises(VerificationFailed,
-                       match="^generator set does not generate$"):
-        sl2_generators(ctx)

@@ -3,6 +3,7 @@ restriction (against the Mackey formula), brute-force character tables,
 certified generators and matrix models."""
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -31,8 +32,12 @@ from qrep import (
     rep_character,
     subgroup_view,
 )
+from qrep import repcore
+from qrep.chartab import SUPPORTED, build_table
 from qrep.errors import VerificationFailed
-from qrep.repcore import _CHUNK_BYTES, MixedRadix, generating_set, orbits
+from qrep.ff import prime_power
+from qrep.repcore import (_CHUNK_BYTES, MixedRadix, flood_classes,
+                          generating_set, orbits)
 
 RNG = np.random.default_rng(20070714)
 
@@ -328,14 +333,9 @@ def test_monomial_homomorphism_check_gathers_every_pair(all_pairs_defect):
     # values and moves every column, the phase the other way round
     for g in (0, 1500, v.n - 1):
         for step, want in ((1, 1.0), (64, abs(1 - np.exp(2j * np.pi / 48)))):
-            def faulty(x, y, g=g, step=step):
-                out = v.mul(x, y)
-                if np.shape(out) == (v.n, 2):
-                    out[g, 1] = v.mul(out[g, 1], step)
-                return out
-
             bad = copy.copy(v)
-            bad.mul = faulty
+            bad.right = v.right.copy()
+            bad.right[1, g] = v.mul(v.right[1, g], step)
             rep = MatrixRep(bad, Recorded(cols, vals))
             assert rep.product_defect() == pytest.approx(want, rel=1e-12)
             assert rep.check_homomorphism() > 1.0
@@ -485,10 +485,11 @@ def test_generating_set_is_greedy_and_certified():
     v = _abelian_view((4, 6))
     assert v.gens.tolist() == [1, 4]
     assert v.word_length == 8
-    S, L = generating_set(v.n, v.mul, 0, [4, 1])
+    S, L, R = generating_set(v.n, v.mul, 0, [4, 1])
     assert (S.tolist(), L) == ([4, 1], 8)
-    S, L = generating_set(1, v.mul, 0)
-    assert (S.tolist(), L) == ([], 0)
+    assert np.array_equal(R, v.right[::-1])
+    S, L, R = generating_set(1, v.mul, 0)
+    assert (S.tolist(), L, R.shape) == ([], 0, (0, 1))
 
 
 def _word_depth(v, gens):
@@ -524,8 +525,90 @@ def test_word_length_bounds_the_depth_of_every_element():
         assert v.word_length >= _word_depth(v, v.gens), name
         # with the generators given, L is the exact depth
         given = v.gens[::-1]
-        _, L = generating_set(v.n, v.mul, v.identity, given)
+        _, L, _ = generating_set(v.n, v.mul, v.identity, given)
         assert L == _word_depth(v, given), name
+
+
+def _flood_by_mul(n, mul, inv, gens):
+    """Reference: classes by the permutations x -> s x s^-1, each formed
+    with mul, with the same pointer jumping flood_classes uses."""
+    x = np.arange(n)
+    conj = mul(mul(gens[:, None], x[None, :]), inv[gens][:, None])
+    label = x
+    while True:
+        new = np.minimum(label, label[conj].min(axis=0, initial=n))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    return orbits(n, lambda y: np.flatnonzero(label == label[y]))
+
+
+def _supported_views():
+    for kind, qs in SUPPORTED.items():
+        for q in qs:
+            yield f"{kind} {q}", make_group(kind, make_field(*prime_power(q))).view
+
+
+def test_right_table_is_the_whole_group_product():
+    for name, v in _certified_views():
+        assert v.right.shape == (len(v.gens), v.n), name
+        for s, row in zip(v.gens, v.right):
+            assert np.array_equal(row, v.mul(np.arange(v.n), s)), name
+
+
+def test_permutation_flood_equals_the_mul_flood():
+    # the GroupCtx views are relabelled, so both floods start from the
+    # raw inverse array and generators
+    for name, v in itertools.chain(_certified_views(), _supported_views()):
+        got = flood_classes(v.inv, v.right)
+        want = _flood_by_mul(v.n, v.mul, v.inv, v.gens)
+        assert _same_classes(got, want), name
+
+
+def test_a_corrupted_inverse_is_refused():
+    r = MixedRadix([12])
+
+    def mul(a, b):
+        return r.index(r.digits(a) + r.digits(b))
+
+    inv = r.index(-r.digits(np.arange(r.n)))
+    FiniteGroupView(r.n, mul, inv=inv)
+    for x in (0, 5, 11):
+        bad = inv.copy()
+        bad[x] = (bad[x] + 1) % r.n
+        with pytest.raises(VerificationFailed,
+                           match="^1 elements times their inverse"):
+            FiniteGroupView(r.n, mul, inv=bad)
+
+
+def test_a_right_multiplication_that_is_not_a_permutation_is_refused():
+    # Z/6 with 5 * 1 sent to 1: the search from 0 still reaches every
+    # element, but nothing is sent to 0
+    v = _abelian_view((6,))
+
+    def bent(a, b):
+        out = np.array(v.mul(a, b))
+        out[(np.asarray(a) == 5) & (np.asarray(b) == 1)] = 1
+        return out
+
+    with pytest.raises(VerificationFailed, match="not a permutation"):
+        generating_set(v.n, bent, 0, [1])
+
+
+def test_an_sl2_table_certifies_two_generating_sets(monkeypatch):
+    # the SL2 view and its Borel view; the splitting gates read the SL2
+    # view's generators, certified once
+    real = repcore.generating_set
+    calls = []
+
+    def counting(n, *args, **kwargs):
+        calls.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(repcore, "generating_set", counting)
+    build_table("sl2", 5)
+    assert calls == [120, 20]
 
 
 def test_a_set_that_does_not_generate_is_refused():
@@ -535,9 +618,16 @@ def test_a_set_that_does_not_generate_is_refused():
     with pytest.raises(VerificationFailed, match="does not generate"):
         generating_set(v.n, v.mul, 0, [3, 0])
     ctx = make_group("sl2", make_field(5))
-    upper = [ctx.upper_id(x) for x in range(1, 5)]
+    upper = [ctx.id_of((1, x, 0, 1)) for x in range(1, 5)]
     with pytest.raises(VerificationFailed, match="does not generate"):
         generating_set(ctx.n, ctx.view.mul, ctx.identity, upper)
+    # a torus alone does not generate, over a prime field or F_9
+    for p, k in ((5, 1), (3, 2)):
+        ctx = make_group("sl2", make_field(p, k))
+        with pytest.raises(VerificationFailed,
+                           match="^generator set does not generate$"):
+            generating_set(ctx.n, ctx.view.mul, ctx.identity,
+                           [ctx.t_id(ctx.field.gen)])
 
 
 def test_an_injective_non_homomorphism_is_refused():

@@ -642,21 +642,28 @@ def test_degree_and_n_fixed_gates_read_every_module(monkeypatch, gate):
     # unipotent l(x), which the N-fixed sum reads (N-fixed gate): every
     # W_omega stays invariant, and only that module and its twin, which
     # shares the subspace, see the change; the first, a middle and the
-    # last module are each the target once
+    # last module are each the target once.  At q = 3 every l(x) is a
+    # letter of some class word, so the N-fixed sum reads each bent l(x)
+    # from the letter cache: each is restricted once
     E, g, mods = _all_modules("gl2", 3)
     real = weil._lower_cell
     for target in (mods[0], mods[len(mods) // 2], mods[-1]):
         P = target.basis @ np.linalg.pinv(target.basis)
+        bent_at = []
 
         def bent(ectx, c, d):
             out = real(ectx, c, d)
             hit = (len(c) == 1 and int(d[0]) == 1
                    and (int(c[0]) == 0) == (gate == "cuspidal degree"))
+            if hit:
+                bent_at.append(int(c[0]))
             return out[0] + P if hit else out
 
         monkeypatch.setattr(weil, "_lower_cell", bent)
         with pytest.raises(VerificationFailed, match=gate):
             pi_omega_characters(mods, g)
+        if gate == "N-fixed":
+            assert sorted(bent_at) == [1, 2]
         others = [m for m in mods if not np.array_equal(m.basis, target.basis)]
         assert len(others) == len(mods) - 2
         pi_omega_characters(others, g)
