@@ -141,9 +141,22 @@ def _multiset_sums(d, order):
     """The sum of every multiset of exactly d roots of unity of the given
     order, in itertools.combinations_with_replacement order."""
     roots = np.exp(2j * np.pi * np.arange(order) / order)
-    combos = np.array(list(
-        itertools.combinations_with_replacement(range(order), d)))
-    return roots[combos].sum(axis=1)
+    return roots[_multisets(d, order)].sum(axis=1)
+
+
+def _multisets(d, order):
+    """Every nondecreasing d-tuple over range(order) as the rows of an
+    array, in lexicographic order: each row of d - 1 entries is followed
+    by every value from its last entry up, which keeps the order."""
+    combos = np.zeros((1, 0), dtype=np.int64)
+    low = np.zeros(1, dtype=np.int64)
+    for _ in range(d):
+        counts = order - low
+        starts = np.cumsum(counts) - counts
+        rows = np.repeat(np.arange(len(combos)), counts)
+        low = np.arange(counts.sum()) - np.repeat(starts - low, counts)
+        combos = np.column_stack([combos[rows], low])
+    return combos
 
 
 def _first_multiset(z, sums):

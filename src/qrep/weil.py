@@ -251,35 +251,55 @@ def fourier_intertwines(hctx):
       |FT[c, x + x'] chi_c'(x) - FT[c - c', x] FT[c, x']|.
     Every entry of FT and chi is w[e] = exp(2 pi i e / m) at a pair_exp
     value e, so the defect is fixed by the exponent tuple
-    (P[c, x + x'], P[c', x], P[c - c', x], P[c, x']).  Every tuple that
-    occurs for some (x', c', c, x) is marked, in chunks of at most
-    _CHUNK_BYTES of tuple codes, and the defect is read from the phase
-    table |conj(w_a) w_b - conj(w_c) conj(w_d)| at the marked tuples,
-    again in chunks.  The table takes the same float operations as the
-    dense products, so the result equals their maximum bit for bit."""
+    (P[c, x + x'], P[c', x], P[c - c', x], P[c, x']).
+
+    The tuples that occur are read without walking all nG^4 of them.
+    The pair (a, d) = (P[c, x + x'], P[c, x']) depends on (c, x, x')
+    and the pair (b, e) = (P[c', x], P[c - c', x]) on (c, x, c'); for
+    fixed (c, x), x' and c' vary independently, so the tuples that occur
+    are the union over (c, x) of A_{c,x} x B_{c,x}, with A_{c,x} the
+    pairs (a, d) over x' and B_{c,x} the pairs (b, e) over c'.  A and
+    B are marked as 0/1 rows indexed by (c, x), in chunks of c of at
+    most _CHUNK_BYTES, and (a, d, b, e) occurs iff the count
+    (A^T B)[(a, d), (b, e)] = sum_{c,x} A[(c, x), (a, d)] B[(c, x), (b, e)],
+    one matmul per chunk, is positive; the counts are at most nG^2, so
+    they are exact in floats.  That is O(nG^3 + nG^2 m^4) work against
+    the nG^4 of the walk: less when m^2 < nG, as for the trace form of
+    F_{q^2} with q = p^k, k > 1 (m = p), and more on a cyclic G, where
+    m = nG.  The defect is then read from the phase table
+    |conj(w_a) w_b - conj(w_e) conj(w_d)| at the marked tuples, in
+    chunks.  The table takes the same float operations as the dense
+    products, so the result equals their maximum bit for bit."""
     nG, m = hctx.nG, hctx.m
     xs = np.arange(nG)
     P = hctx.pair_exp(xs[:, None], xs)
     shift = hctx.g_add(xs[:, None], xs)                  # [x, x'] = x + x'
     diff = hctx.g_add(xs[:, None], hctx.g_neg(xs))       # [c, c'] = c - c'
-    seen = np.zeros(m ** 4, dtype=bool)
-    step = max(1, _CHUNK_BYTES // (nG * nG * P.itemsize))
+    counts = np.zeros((m * m, m * m))
+    step = max(1, _CHUNK_BYTES // (nG * max(nG, m * m) * counts.itemsize))
     for lo in range(0, nG, step):
         c1 = xs[lo:lo + step]
-        # [c', c, x] -> (P[c', x] m + P[c - c', x]) m
-        inner = (P[c1, None, :] * m + P[diff[:, c1].T]) * m
-        for x1 in range(nG):
-            # [c, x] -> P[c, x + x'] m^3 + P[c, x']
-            seen[inner + (P[:, shift[:, x1]] * m ** 3 + P[:, x1, None])] = True
-    codes = np.flatnonzero(seen)
+        rows = np.arange(len(c1) * nG)[:, None]
+        # [c, x, x'] -> P[c, x + x'] m + P[c, x']
+        ad = P[c1[:, None, None], shift] * m + P[c1, None, :]
+        # [c, x, c'] -> P[c', x] m + P[c - c', x]
+        be = P.T * m + P[diff[c1]].transpose(0, 2, 1)
+        A = np.zeros((len(rows), m * m))
+        B = np.zeros((len(rows), m * m))
+        A[rows, ad.reshape(len(rows), nG)] = 1
+        B[rows, be.reshape(len(rows), nG)] = 1
+        counts += A.T @ B
+    # [a, d, b, e] -> the code ((a m + b) m + e) m + d
+    seen = (counts > 0).reshape((m,) * 4)
+    codes = np.flatnonzero(seen.transpose(0, 2, 3, 1))
     w = np.exp(2j * np.pi * np.arange(m) / m)
     wbar = w.conj()
     worst = 0.0
     step = _CHUNK_BYTES // w.itemsize
     for lo in range(0, len(codes), step):
-        a, b, c, d = (codes[lo:lo + step] // m ** k % m for k in (3, 2, 1, 0))
+        a, b, e, d = (codes[lo:lo + step] // m ** k % m for k in (3, 2, 1, 0))
         worst = np.maximum(worst, np.max(np.abs(wbar[a] * w[b]
-                                                - wbar[c] * wbar[d])))
+                                                - wbar[e] * wbar[d])))
     return float(worst)
 
 
@@ -670,8 +690,8 @@ def _restricted_class_images(modules, gctx):
     lowers = sum(map(lower, range(q)))
     w = letter(gctx.w_id())
     n_fixed = letter(gctx.t_id(int(F.neg(1)))) @ w @ lowers @ w
-    for i in inverse:
-        gate(np.max(np.abs(n_fixed[i] / q)), "nonzero N-fixed vectors in W_omega")
+    # every distinct W_omega is some module's: inverse reaches each row
+    gate(np.max(np.abs(n_fixed / q)), "nonzero N-fixed vectors in W_omega")
     return (images, inverse, [ClassFunction(gctx.view, tr) for tr in traces],
             image)
 
@@ -721,15 +741,15 @@ def gl2_cuspidal_family(ectx, glctx):
         if len(roots) != 2:
             raise VerificationFailed("anisotropic class has no ext roots")
         aniso[ci] = int(roots[0])
-    out = []
-    for (j, partner), f, f2 in zip(frob_orbits, chars[::2], chars[1::2]):
-        om = MultChar(ext, j)
-        gate(np.max(np.abs(f.values - f2.values)),
-             "omega and omega^q give different characters")
-        for ci, z in aniso.items():
-            want = -(om.values[z] + om.values[int(ectx.frob[z])])
-            gate(abs(f.values[ci] - want), "anisotropic cuspidal value mismatch")
-        out.append(((j, partner), f))
+    firsts = np.array([f.values for f in chars[::2]])
+    gate(np.max(np.abs(firsts - [f2.values for f2 in chars[1::2]])),
+         "omega and omega^q give different characters")
+    oms = np.array([MultChar(ext, j).values for j, _ in frob_orbits])
+    z = np.array(list(aniso.values()))
+    want = -(oms[:, z] + oms[:, ectx.frob[z]])
+    gate(np.max(np.abs(firsts[:, list(aniso)] - want)),
+         "anisotropic cuspidal value mismatch")
+    out = list(zip(frob_orbits, chars[::2]))
     if len(out) != (q * q - q) // 2:
         raise VerificationFailed("wrong number of cuspidal orbits")
     return out

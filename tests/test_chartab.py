@@ -285,6 +285,18 @@ def _first_multiset_by_loop(z, d, order):
     return None
 
 
+def test_multisets_follow_the_itertools_order():
+    # _first_multiset returns the first hit, so the row order is part of
+    # the contract
+    for order in (1, 2, 5, 24):
+        for d in range(5):
+            want = list(itertools.combinations_with_replacement(
+                range(order), d))
+            got = chartab._multisets(d, order)
+            assert got.shape == (len(want), d)
+            assert [tuple(row) for row in got.tolist()] == want
+
+
 @pytest.mark.parametrize("kind", ["gl2", "sl2"])
 def test_root_of_unity_search_equals_the_multiset_loop(kind):
     t = build_table(kind, 3)

@@ -364,8 +364,30 @@ def test_trivial_character_convolution_has_the_extra_term():
     ctx = make_group("sl2", make_field(3))
     chi = MultChar(ctx.field, 0)
     d1, dw = delta_kernels(ctx, BorelChar(ctx, (chi,)))
-    got = convolve(ctx, dw, dw)
+    got, = convolve(ctx, [(dw, dw)])
     assert np.max(np.abs(got - (18 * d1 + 12 * dw))) < 1e-9
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_batched_convolution_equals_the_sum_over_g(q):
+    # every pair of one batch against sum_g k1(x g^-1) k2(g) read one
+    # product at a time, and bit for bit against a batch of one
+    ctx = make_group("sl2", make_field(q))
+    chi = MultChar(ctx.field, (q - 1) // 2)
+    d1, dw = delta_kernels(ctx, BorelChar(ctx, (chi,)))
+    rng = np.random.default_rng(SEED)
+    rand = rng.standard_normal(ctx.n) + 1j * rng.standard_normal(ctx.n)
+    pairs = [(d1, dw), (dw, dw), (rand, d1), (dw, rand)]
+    got = convolve(ctx, pairs)
+    assert len(got) == len(pairs)
+    gs = np.arange(ctx.n)
+    for (k1, k2), out in zip(pairs, got):
+        want = np.zeros(ctx.n, dtype=complex)
+        for g in gs:
+            want += k1[ctx.view.mul(gs, ctx.view.inv[g])] * k2[g]
+        assert np.max(np.abs(out - want)) < 1e-9
+        alone, = convolve(ctx, [(k1, k2)])
+        assert np.array_equal(out, alone)
 
 
 def test_idempotents_of_the_rank_two_hecke_algebra():

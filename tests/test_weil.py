@@ -169,7 +169,8 @@ def _fourier_by_dense_loop(hctx):
 def test_fourier_phase_table_equals_the_dense_loop():
     groups = [heisenberg_group(orders)
               for orders in ((2,), (3,), (4,), (2, 2))]
-    groups.append(heisenberg_from_ext(make_ext(make_field(3, 2))))
+    groups += [heisenberg_from_ext(make_ext(make_field(p, k)))
+               for p, k in ((3, 2), (5, 1), (7, 1))]
     for h in groups:
         assert fourier_intertwines(h) == _fourier_by_dense_loop(h)
 
@@ -178,6 +179,17 @@ def test_fourier_check_fires_on_a_shifted_pairing_entry():
     h = heisenberg_group((3,))
     assert fourier_intertwines(h) < get_tol()
     h._pair[1, 2] = (h._pair[1, 2] + 1) % h.m
+    defect = fourier_intertwines(h)
+    assert defect > get_tol()
+    assert defect == _fourier_by_dense_loop(h)
+
+
+def test_fourier_check_fires_on_a_shifted_pairing_entry_of_f81():
+    # m = 3 < nG = 81: the marked (a, d) and (b, e) pairs repeat across
+    # (c, x), and one shifted entry must still reach the defect
+    h = heisenberg_from_ext(make_ext(make_field(3, 2)))
+    assert h.m < h.nG
+    h._pair[40, 7] = (h._pair[40, 7] + 1) % h.m
     defect = fourier_intertwines(h)
     assert defect > get_tol()
     assert defect == _fourier_by_dense_loop(h)
@@ -668,6 +680,30 @@ def test_degree_and_n_fixed_gates_read_every_module(monkeypatch, gate):
         assert len(others) == len(mods) - 2
         pi_omega_characters(others, g)
         monkeypatch.setattr(weil, "_lower_cell", real)
+
+
+@pytest.mark.parametrize("gate", ["different characters",
+                                  "anisotropic cuspidal value mismatch"])
+def test_gl2_family_gates_read_every_orbit(monkeypatch, gate):
+    # nudge one anisotropic value of the last orbit's omega^q character
+    # (the pair gate fires) or of both its characters (only the
+    # cross-check fires): each family gate is one maximum over every orbit
+    E = make_ext(make_field(3))
+    g = make_group("gl2", E.base)
+    real = weil.pi_omega_characters
+    aniso = [ci for ci, cls in enumerate(g.conj_classes)
+             if cls.tag == "anisotropic"]
+
+    def nudged(modules, gctx):
+        chars = real(modules, gctx)
+        hits = chars[-1:] if gate == "different characters" else chars[-2:]
+        for f in hits:
+            f.values[aniso[-1]] += 1e-3
+        return chars
+
+    monkeypatch.setattr(weil, "pi_omega_characters", nudged)
+    with pytest.raises(VerificationFailed, match=gate):
+        gl2_cuspidal_family(E, g)
 
 
 @pytest.mark.parametrize("kind,q,gate", [
