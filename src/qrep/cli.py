@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import chartab, ff, gl2, parabolic, poly, repcore, simclass, weil
-from .config import SEED, get_tol
+from .config import SEED, get_tol, within_tol
 from .errors import NonPrime, QrepError, SizeExceeded
 
 ODD_SUITES = {"classes", "parabolic", "weil", "svn", "cuspidal", "chartable"}
@@ -56,6 +56,9 @@ def _group_field_for(q):
 # check recorder
 
 class Recorder:
+    """One line per check: it passes iff config.within_tol(defect), the
+    rule config.gate applies, and exact checks pass a mismatch count."""
+
     def __init__(self, suite):
         self.suite = suite
         self.checks = 0
@@ -63,13 +66,11 @@ class Recorder:
         self.max_defect = 0.0
         self.lines = []
 
-    def check(self, label, cond, defect=None, datum=None):
+    def check(self, label, defect, datum=None):
         self.checks += 1
-        tail = ""
-        if defect is not None:
-            self.max_defect = float(np.maximum(self.max_defect, defect))
-            tail = f"  defect={_fmt(defect)}"
-        if cond:
+        self.max_defect = float(np.maximum(self.max_defect, defect))
+        tail = f"  defect={_fmt(defect)}"
+        if within_tol(defect):
             self.lines.append(f"ok   {self.suite}: {label}{tail}")
         else:
             msg = f"{self.suite}: {label}" + (f" [{datum}]" if datum else "") + tail
@@ -90,32 +91,30 @@ class Recorder:
 # ---------------------------------------------------------------------------
 # verify suites
 
-def _suite_fields(rec, q, seed, tol):
+def _suite_fields(rec, q, seed):
     F = _field_for(q)
     rng = np.random.default_rng(seed)
     units = np.arange(1, q)
     rec.check("exp/log round trip on units",
-              np.array_equal(F.exp[F.log[units]], units))
+              np.count_nonzero(F.exp[F.log[units]] != units))
     rec.check("x * inv(x) = 1 on units",
-              np.array_equal(F.mul(units, F.inv(units)), np.ones(q - 1, dtype=np.int64)))
+              np.count_nonzero(F.mul(units, F.inv(units)) != 1))
     xs, ys, zs = (rng.integers(0, q, 256) for _ in range(3))
     rec.check("distributivity on 256 random triples",
-              np.array_equal(F.mul(xs, F.add(ys, zs)),
-                             F.add(F.mul(xs, ys), F.mul(xs, zs))))
+              np.count_nonzero(F.mul(xs, F.add(ys, zs))
+                               != F.add(F.mul(xs, ys), F.mul(xs, zs))))
     E = ff.make_ext(F)
-    Q = E.ext.q
+    idx = np.arange(E.ext.q)
     rec.check("frobenius is an involution",
-              np.array_equal(E.frob[E.frob], np.arange(Q)))
-    fixed = np.nonzero(E.frob == np.arange(Q))[0]
+              np.count_nonzero(E.frob[E.frob] != idx))
     rec.check("frobenius fixes exactly the base subfield",
-              len(fixed) == q and bool(np.all(fixed < q)),
-              datum=f"{len(fixed)} fixed points")
+              np.count_nonzero((E.frob == idx) != (idx < q)))
     fiber = np.bincount(E.norm[1:], minlength=q)
     rec.check("norm fibers over base units have size q+1",
-              fiber[0] == 0 and bool(np.all(fiber[1:] == q + 1)))
+              int(fiber[0] != 0) + np.count_nonzero(fiber[1:] != q + 1))
     psi = ff.AddChar(F)
-    s = abs(psi.values.sum())
-    rec.check("nontrivial additive character sums to zero", s < tol, defect=s)
+    rec.check("nontrivial additive character sums to zero",
+              abs(psi.values.sum()))
     # mixed-radix Fourier transform against the direct double sum
     orders = (3, 4)
     n = 12
@@ -127,45 +126,42 @@ def _suite_fields(rec, q, seed, tol):
         for xx in range(n):
             x0, x1 = xx % 3, xx // 3
             direct[kk] += f[xx] * np.exp(-2j * np.pi * (k0 * x0 / 3 + k1 * x1 / 4))
-    d = float(np.max(np.abs(ft - direct)))
     rec.check("fourier transform matches the direct sum on Z/3 x Z/4",
-              d < tol, defect=d)
+              np.max(np.abs(ft - direct)))
 
 
-def _suite_classes(rec, q, seed, tol):
+def _suite_classes(rec, q, seed):
     F = _group_field_for(q)
     rng = np.random.default_rng(seed)
     S = gl2.make_group("sl2", F)
     for G in (S.gl2_ctx, S):
         kind = G.kind
         order = (q * q - 1) * (q * q - q) if kind == "gl2" else q ** 3 - q
-        rec.check(f"{kind}: group order", G.n == order, datum=str(G.n))
+        rec.check(f"{kind}: group order", abs(G.n - order), datum=str(G.n))
         want = q * q - 1 if kind == "gl2" else q + 4
-        rec.check(f"{kind}: class count", len(G.conj_classes) == want,
+        rec.check(f"{kind}: class count", abs(len(G.conj_classes) - want),
                   datum=str(len(G.conj_classes)))
         rec.check(f"{kind}: class sizes partition the group",
-                  sum(c.size for c in G.conj_classes) == G.n)
+                  abs(sum(c.size for c in G.conj_classes) - G.n))
         rec.check(f"{kind}: size * centralizer = group order",
-                  all(c.size * c.centralizer_order == G.n
+                  sum(c.size * c.centralizer_order != G.n
                       for c in G.conj_classes))
-        ids = rng.integers(0, G.n, 200)
-        ok = True
-        for g in ids:
+        bad = 0
+        for g in rng.integers(0, G.n, 200):
             tag, params, rep = G.classify(G.mat_of(int(g)))
             ci = int(G.view.class_of[g])
             cl = G.conj_classes[ci]
-            if (tag, params) != (cl.tag, cl.params) or \
-                    int(G.view.class_of[G.id_of(rep)]) != ci:
-                ok = False
+            bad += (tag, params) != (cl.tag, cl.params) or \
+                int(G.view.class_of[G.id_of(rep)]) != ci
         rec.check(f"{kind}: classification agrees with orbit flooding "
-                  "on 200 random elements", ok)
+                  "on 200 random elements", bad)
     split = sum(1 for c in S.conj_classes if c.tag == "nonsemisimple"
                 and gl2.sl2_split_test(S, c.rep_id)[0])
     rec.check("sl2: every non-semisimple class splits from its gl2 class",
-              split == 4, datum=f"{split} of 4")
+              abs(split - 4), datum=f"{split} of 4")
 
 
-def _suite_bruhat(rec, q, seed, tol):
+def _suite_bruhat(rec, q, seed):
     F = _group_field_for(q)
     kinds = ("gl2", "sl2") if q % 2 else ("gl2",)
     one, w = (1, 0, 0, 1), (0, 1, int(F.neg(1)), 0)
@@ -174,16 +170,15 @@ def _suite_bruhat(rec, q, seed, tol):
         big, b1, b2 = gl2.bruhat(G, G.elems)
         # every word as a triple product: b1 w b2, or g 1 1 for the B cell
         back = G.mat_mul(G.mat_mul(b1, np.where(big[:, None], w, one)), b2)
-        bad = int(np.sum(np.any(back != G.elems, axis=-1)))
         rec.check(f"{kind}: bruhat words re-multiply exactly ({G.n} elements)",
-                  bad == 0, defect=bad, datum=f"{bad} mismatches")
+                  np.count_nonzero(np.any(back != G.elems, axis=-1)))
         cell_b = int(np.count_nonzero(~big))
         nb = len(G.borel_ids())
-        rec.check(f"{kind}: big cell has size |G| - |B|",
-                  cell_b == nb, datum=f"|B-cell| = {cell_b}, |B| = {nb}")
+        rec.check(f"{kind}: big cell has size |G| - |B|", abs(cell_b - nb),
+                  datum=f"|B-cell| = {cell_b}, |B| = {nb}")
 
 
-def _suite_parabolic(rec, q, seed, tol):
+def _suite_parabolic(rec, q, seed):
     F = _group_field_for(q)
     S = gl2.make_group("sl2", F)
     chars = [ff.MultChar(F, j) for j in range(q - 1)]
@@ -192,24 +187,21 @@ def _suite_parabolic(rec, q, seed, tol):
         for j2 in range(q - 1):
             b1 = parabolic.BorelChar(S, (chars[j1],))
             b2 = parabolic.BorelChar(S, (chars[j2],))
-            if parabolic.intertwiner_dim(S, b1, b2) != \
-                    parabolic.predicted_intertwiner_dim(b1, b2):
-                bad += 1
+            bad += parabolic.intertwiner_dim(S, b1, b2) != \
+                parabolic.predicted_intertwiner_dim(b1, b2)
     rec.check(f"intertwiner dimension matches e1 + ew on all {(q-1)**2} "
-              "sl2 pairs", bad == 0, datum=f"{bad} mismatches")
+              "sl2 pairs", bad)
     bq = parabolic.BorelChar(S, (chars[(q - 1) // 2],))
-    worst = parabolic.delta_relation_defect(S, bq)
     rec.check("hecke kernel convolution relations at the quadratic "
-              "character", worst < tol, defect=worst)
+              "character", parabolic.delta_relation_defect(S, bq))
     _, _, kappa, defect = parabolic.intertwiner_idempotents(S, bq)
     rec.check(f"idempotents of the rank-two hecke algebra (kappa={kappa})",
-              defect < tol, defect=defect)
+              defect)
     plus, minus = parabolic.split_rho_pm(S, bq)
-    d = np.max([abs(f.values[0] - (q + 1) / 2) for f in (plus, minus)])
-    rec.check("split principal series halves have degree (q+1)/2", d < tol,
-              defect=d)
-    d = parabolic.epsilon_swap_defect(S, plus, minus)
-    rec.check("conjugation by diag(eps, 1) swaps the halves", d < tol, defect=d)
+    rec.check("split principal series halves have degree (q+1)/2",
+              np.max([abs(f.values[0] - (q + 1) / 2) for f in (plus, minus)]))
+    rec.check("conjugation by diag(eps, 1) swaps the halves",
+              parabolic.epsilon_swap_defect(S, plus, minus))
     if q <= 5:
         G = gl2.make_group("gl2", F)
         bad = 0
@@ -221,66 +213,59 @@ def _suite_parabolic(rec, q, seed, tol):
                         b1 = parabolic.BorelChar(G, (chars[j1], chars[j2]))
                         b2 = parabolic.BorelChar(G, (chars[j3], chars[j4]))
                         pairs += 1
-                        if parabolic.intertwiner_dim(G, b1, b2) != \
-                                parabolic.predicted_intertwiner_dim(b1, b2):
-                            bad += 1
+                        bad += parabolic.intertwiner_dim(G, b1, b2) != \
+                            parabolic.predicted_intertwiner_dim(b1, b2)
         rec.check(f"intertwiner dimension matches e1 + ew on all {pairs} "
-                  "gl2 pairs", bad == 0, datum=f"{bad} mismatches")
+                  "gl2 pairs", bad)
 
 
-def _suite_weil(rec, q, seed, tol):
+def _suite_weil(rec, q, seed):
     F = _group_field_for(q)
     E = ff.make_ext(F)
     res = weil.verify_ordinary(E)
     rec.check(f"multiplicativity of the lifted action from {res['pairs']} "
               f"(element, generator) products, word length "
-              f"{res['word_length']}", res["bound"] < tol,
-              defect=res["bound"])
+              f"{res['word_length']}", res["bound"])
     rec.check("generator word decomposition reproduces every image",
-              res["word_defect"] < tol, defect=res["word_defect"])
+              res["word_defect"])
     rec.check("normalization at the Weyl element and the big cell",
-              res["norm_defect"] < tol, defect=res["norm_defect"])
+              res["norm_defect"])
     h = weil.heisenberg_from_ext(E)
     bad, pairs = weil.symplectic_defect(h, sample=200000, seed=seed)
     rec.check(f"symplectic coordinates carry the group law on {pairs} of "
-              f"{h.nH ** 2} pairs (defect counts violations)", bad == 0,
-              defect=bad)
+              f"{h.nH ** 2} pairs (defect counts violations)", bad)
     if q <= 5:
         avg = weil.averaging_check(E)
         rec.check("averaging operators specialize the Heisenberg action",
-                  avg["nu_vs_rho"] < tol, defect=avg["nu_vs_rho"])
+                  avg["nu_vs_rho"])
         rec.check("closed form is the normalized averaging operator",
-                  avg["rho_vs_normalized"] < tol,
-                  defect=avg["rho_vs_normalized"])
+                  avg["rho_vs_normalized"])
 
 
-def _suite_svn(rec, q, seed, tol):
+def _suite_svn(rec, q, seed):
     for orders in ((2,), (3,), (4,), (2, 2)):
         h = weil.heisenberg_group(orders)
         try:
-            ok = weil.svn_check(h)
+            d = weil.svn_check(h)
         except QrepError as e:
             rec.error(e)
             continue
-        rec.check(f"uniqueness of the central-character rep for G={orders}", ok)
-        d = weil.fourier_intertwines(h)
+        rec.check(f"uniqueness of the central-character rep for G={orders}", d)
         rec.check(f"fourier transform swaps translation and modulation "
-                  f"for G={orders}", d < tol, defect=d)
+                  f"for G={orders}", weil.fourier_intertwines(h))
     E9 = ff.make_ext(ff.make_field(3, 2))
-    h81 = weil.heisenberg_from_ext(E9)
-    d = weil.fourier_intertwines(h81)
     rec.check("fourier transform intertwines on the Heisenberg group of "
-              "F_81/F_9", d < tol, defect=d)
+              "F_81/F_9", weil.fourier_intertwines(weil.heisenberg_from_ext(E9)))
 
 
-def _suite_cuspidal(rec, q, seed, tol):
+def _suite_cuspidal(rec, q, seed):
     F = _group_field_for(q)
     E = ff.make_ext(F)
     S = gl2.make_group("sl2", F)
     G = gl2.make_group("gl2", F)
     fam = weil.gl2_cuspidal_family(E, G)
     rec.check(f"gl2 cuspidal family has (q^2-q)/2 members",
-              len(fam) == (q * q - q) // 2, datum=str(len(fam)))
+              abs(len(fam) - (q * q - q) // 2), datum=str(len(fam)))
     worst = 0.0
     for (j, _), f in fam:
         omega = ff.MultChar(E.ext, j)
@@ -290,24 +275,22 @@ def _suite_cuspidal(rec, q, seed, tol):
             a = c.params[0]
             val = f.values[G.view.class_of[c.rep_id]]
             worst = np.maximum(worst, abs(val + omega.values[a]))
-    rec.check("gl2 trace at (a,1;0,a) equals -omega(a)", worst < tol,
-              defect=worst)
+    rec.check("gl2 trace at (a,1;0,a) equals -omega(a)", worst)
     sl = weil.sl2_cuspidal_family(E, S)
     rec.check("sl2 primitive cuspidal count is (q-1)/2",
-              len(sl["cuspidal"]) == (q - 1) // 2,
+              abs(len(sl["cuspidal"]) - (q - 1) // 2),
               datum=str(len(sl["cuspidal"])))
     worst = 0.0
     for j, f in sl["cuspidal"]:
         ip = repcore.inner_product(f, f)
         worst = np.maximum(worst, abs(ip - 1))
-    rec.check("primitive sl2 cuspidal characters are irreducible",
-              worst < tol, defect=worst)
+    rec.check("primitive sl2 cuspidal characters are irreducible", worst)
     om = sl["omega0"]
     ip = repcore.inner_product(om["character"], om["character"])
-    rec.check("quadratic-character module splits in two",
-              abs(ip - 2) < tol, defect=abs(ip - 2))
-    d = np.max([abs(om[h].values[0] - (q - 1) / 2) for h in ("plus", "minus")])
-    rec.check("split cuspidal halves have degree (q-1)/2", d < tol, defect=d)
+    rec.check("quadratic-character module splits in two", abs(ip - 2))
+    rec.check("split cuspidal halves have degree (q-1)/2",
+              np.max([abs(om[h].values[0] - (q - 1) / 2)
+                      for h in ("plus", "minus")]))
     worst = 0.0
     for j, f in sl["cuspidal"]:
         for c in S.conj_classes:
@@ -317,29 +300,29 @@ def _suite_cuspidal(rec, q, seed, tol):
             elif c.tag == "nonsemisimple" and c.params[0] == 1:
                 worst = np.maximum(worst, abs(f.values[i] + 1))
     rec.check("sl2 cuspidal values: 0 on split regular, -1 on unipotent",
-              worst < tol, defect=worst)
+              worst)
 
 
-def _suite_chartable(rec, q, seed, tol):
+def _suite_chartable(rec, q, seed):
     ran = 0
     for kind in ("gl2", "sl2"):
         if q not in chartab.SUPPORTED[kind]:
             continue
         ran += 1
         t = chartab.build_table(kind, q)
-        defect = np.max(list(chartab.verify_table(t).values()))
         rec.check(f"{kind}: table of {len(t.rows)} irreducibles verifies "
-                  "(orthogonality, degrees, families)", defect < tol,
-                  defect=defect)
+                  "(orthogonality, degrees, families)",
+                  np.max(list(chartab.verify_table(t).values())))
         text1 = chartab.emit(t, "json", sink=io.StringIO())
         text2 = chartab.emit(t, "json", sink=io.StringIO())
-        rec.check(f"{kind}: serialization is deterministic", text1 == text2)
+        rec.check(f"{kind}: serialization is deterministic",
+                  int(text1 != text2))
     if ran == 0:
         raise InputError(f"no character table support at q = {q}; "
                          f"supported: {chartab.SUPPORTED}")
 
 
-def _suite_simclass(rec, q, seed, tol):
+def _suite_simclass(rec, q, seed):
     F = _field_for(q)
     rng = np.random.default_rng(seed)
     # conjugation invariance of the similarity type
@@ -352,19 +335,15 @@ def _suite_simclass(rec, q, seed, tol):
                 break
         B = simclass.mat_mul(F, simclass.mat_mul(F, X, A),
                              simclass.mat_inv(F, X))
-        if simclass.similarity_type(F, A) != simclass.similarity_type(F, B):
-            bad += 1
-    rec.check("similarity type is conjugation invariant (100 random 3x3)",
-              bad == 0, datum=f"{bad} mismatches")
+        bad += simclass.similarity_type(F, A) != simclass.similarity_type(F, B)
+    rec.check("similarity type is conjugation invariant (100 random 3x3)", bad)
     # jordan round trip (also checked inside jordan_form)
     bad = 0
     for _ in range(50):
         A = simclass.random_matrix(F, 4, rng)
         st = simclass.similarity_type(F, A)
-        J = simclass.jordan_form(F, st)
-        if simclass.similarity_type(F, J) != st:
-            bad += 1
-    rec.check("jordan form round trip (50 random 4x4)", bad == 0)
+        bad += simclass.similarity_type(F, simclass.jordan_form(F, st)) != st
+    rec.check("jordan form round trip (50 random 4x4)", bad)
     if q <= 3:
         orbit_of = simclass.conjugation_orbits(F, 2)
         types = {simclass.similarity_type(
@@ -372,10 +351,10 @@ def _suite_simclass(rec, q, seed, tol):
                  for A in orbit_of}
         orbits = len(set(orbit_of.values()))
         rec.check("similarity types = brute conjugation orbits on all of "
-                  f"M2(F_{q})", orbits == len(types),
+                  f"M2(F_{q})", abs(orbits - len(types)),
                   datum=f"{orbits} orbits, {len(types)} types")
         rec.check("class count formula matches the enumeration",
-                  simclass.count_similarity_classes(q, 2) == orbits,
+                  abs(simclass.count_similarity_classes(q, 2) - orbits),
                   datum=str(orbits))
     # centralizer units on canonical 2x2 representatives
     expected = [
@@ -386,12 +365,9 @@ def _suite_simclass(rec, q, seed, tol):
         expected.append((np.array([[int(F.exp[1]), 0], [0, 1]]), (q - 1) ** 2))
     f2 = poly.smallest_irreducible(F, 2)
     expected.append((simclass.companion(F, f2), q * q - 1))
-    ok = True
-    for A, want in expected:
-        _, units = simclass.centralizer(F, A.astype(np.int64))
-        if units != want:
-            ok = False
-    rec.check("centralizer unit counts match the four 2x2 class shapes", ok)
+    rec.check("centralizer unit counts match the four 2x2 class shapes",
+              sum(simclass.centralizer(F, A.astype(np.int64))[1] != want
+                  for A, want in expected))
     # hensel lifting on the smallest irreducible quadratic: recompute
     # f(q_r) mod f^3 and (q_r - t) mod f; the defect counts their
     # nonzero coefficients
@@ -399,25 +375,24 @@ def _suite_simclass(rec, q, seed, tol):
     f3 = poly.mul(F, poly.mul(F, f2, f2), f2)
     residues = (poly.mod(F, poly.compose(F, f2, root), f3),
                 poly.mod(F, poly.sub(F, root, (0, 1)), f2))
-    nonzero = sum(1 for r in residues for c in r if c)
-    rec.check("hensel lift of t against f^3 verifies", nonzero == 0,
-              defect=nonzero)
+    rec.check("hensel lift of t against f^3 verifies",
+              sum(1 for r in residues for c in r if c))
 
 
-def _suite_counting(rec, q, seed, tol):
+def _suite_counting(rec, q, seed):
     F = _field_for(q)
     for d in (1, 2, 3):
         if q ** d <= 4096:
             enum = len(poly.irreducibles(F, d))
             formula = simclass.count_irreducible_monics(q, d)
             rec.check(f"necklace count matches enumeration at degree {d}",
-                      enum == formula, datum=f"{enum} vs {formula}")
+                      abs(enum - formula), datum=f"{enum} vs {formula}")
     rec.check("similarity class count at n = 2 is q^2 + q",
-              simclass.count_similarity_classes(q, 2) == q * q + q)
+              abs(simclass.count_similarity_classes(q, 2) - (q * q + q)))
     for n in (2, 3):
-        orb, mon, eq = simclass.cuspidal_count_identity(q, n)
+        orb, mon, _ = simclass.cuspidal_count_identity(q, n)
         rec.check(f"primitive character orbits = irreducible monics at "
-                  f"degree {n}", eq, datum=f"{orb} vs {mon}")
+                  f"degree {n}", abs(orb - mon), datum=f"{orb} vs {mon}")
 
 
 SUITES = {
@@ -505,9 +480,8 @@ def _cmd_weil(args):
     F = _group_field_for(args.q)
     E = ff.make_ext(F)
     res = weil.verify_ordinary(E)
-    tol = get_tol()
-    ok = (res["bound"] < tol and res["word_defect"] < tol
-          and res["norm_defect"] < tol)
+    ok = all(within_tol(res[k]) for k in ("bound", "word_defect",
+                                          "norm_defect"))
     print(f"q = {args.q}: certified {res['pairs']} (element, generator) "
           f"products, word length {res['word_length']}, "
           f"bound {_fmt(res['bound'])}, "
@@ -599,15 +573,14 @@ def _cmd_verify(args):
     _parse_q(args.q)
     if args.q % 2 == 0 and any(n in ODD_SUITES for n in names):
         raise InputError("q must be odd")
-    tol = get_tol()
     out = sys.stderr if args.json else sys.stdout
-    print(f"seed: {args.seed}  tol: {_fmt(tol)}", file=out)
+    print(f"seed: {args.seed}  tol: {_fmt(get_tol())}", file=out)
     summaries = []
     worst_fail = 0
     for name in names:
         rec = Recorder(name)
         try:
-            SUITES[name](rec, args.q, args.seed, tol)
+            SUITES[name](rec, args.q, args.seed)
         except InputError:
             raise
         except QrepError as e:

@@ -1,9 +1,10 @@
 """Numerical tolerance handling.
 
 All floating-point identity checks in this package compare a residual
-against a single tolerance, through gate: a defect passes only when
-defect <= tol, so a NaN defect never passes, and every running maximum
-behind a defect is taken with numpy so that a NaN reaches the gate.
+against a single tolerance, through within_tol, or gate, which raises
+on its verdict: a defect passes only when defect <= tol, so a NaN
+defect never passes, and every running maximum behind a defect is
+taken with numpy so that a NaN reaches the rule.
 The default is 1e-8; it can be overridden with the QREP_TOL environment
 variable, which must parse to a float in (0, 1e-3].  The named
 thresholds below pivot and round Dixon's eigenvectors or snap float
@@ -42,10 +43,14 @@ def get_tol():
     return val
 
 
+def within_tol(defect):
+    """The one pass rule: float(defect) <= get_tol(), so a NaN fails."""
+    return float(defect) <= get_tol()
+
+
 def gate(defect, what, error=VerificationFailed):
-    """float(defect) if defect <= get_tol(); raises error, with what,
+    """float(defect) if within_tol(defect); raises error, with what,
     the defect and the tol as its message, otherwise, NaN included."""
-    defect, tol = float(defect), get_tol()
-    if not defect <= tol:
-        raise error(f"{what}: defect {defect}, tol {tol}")
-    return defect
+    if not within_tol(defect):
+        raise error(f"{what}: defect {float(defect)}, tol {get_tol()}")
+    return float(defect)

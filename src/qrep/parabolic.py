@@ -16,11 +16,11 @@ these identities are re-verified numerically on every construction.
 
 import numpy as np
 
-from .config import gate, get_tol
+from .config import gate
 from .errors import (CharMismatch, EvenQ, GroupMismatch, NotSplitting,
                      VerificationFailed)
 from .gl2 import bruhat
-from .repcore import (ClassFunction, MatrixRep, MonomialImages,
+from .repcore import (_CHUNK_BYTES, ClassFunction, MatrixRep, MonomialImages,
                       hom_dim, induce, inner_product)
 
 
@@ -287,12 +287,13 @@ def _kernels_at(ctx, bchar, mats):
 def convolve(ctx, pairs):
     """[k1 * k2 for (k1, k2) in pairs], with
     (k1 * k2)(x) = sum_g k1(x g^-1) k2(g).  Each chunk of x forms its
-    block of the product table x g^-1 once, for every pair."""
+    block of the product table x g^-1 once, for every pair, and its
+    gather k1[x g^-1] takes at most _CHUNK_BYTES."""
     view = ctx.view
     inv = view.inv
     outs = [np.empty(ctx.n, dtype=complex) for _ in pairs]
     allg = np.arange(ctx.n)
-    chunk = max(1, (1 << 22) // ctx.n)
+    chunk = max(1, _CHUNK_BYTES // (ctx.n * np.dtype(complex).itemsize))
     for lo in range(0, ctx.n, chunk):
         hi = min(ctx.n, lo + chunk)
         idx = view.mul(allg[lo:hi, None], inv[None, :])
@@ -342,8 +343,8 @@ def intertwiner_idempotents(ctx, bchar):
         raise CharMismatch("inducing character must be the nontrivial "
                            "quadratic character")
     q = ctx.q
-    sign = chi.values[int(ctx.field.neg(1))]
-    kappa = 0 if abs(sign - 1) < get_tol() else 1
+    # chi(-1) = 1 iff its exponent at -1 is 0
+    kappa = 0 if chi.exponents[int(ctx.field.neg(1))] == 0 else 1
     d1, dw = delta_kernels(ctx, bchar)
     c1 = 1.0 / (2 * q * (q - 1))
     cw = (1j ** kappa) * c1 / np.sqrt(q)

@@ -19,7 +19,7 @@ import copy
 
 import numpy as np
 
-from .config import DEGREE_INTEGRAL, DIXON_PIVOT, SEED, gate, get_tol
+from .config import DEGREE_INTEGRAL, DIXON_PIVOT, SEED, gate, within_tol
 from .errors import GroupMismatch, NonIntegral, NotInGroup, VerificationFailed
 
 # random combinations Dixon's method tries before giving up
@@ -471,7 +471,6 @@ def character_table_bruteforce(view):
         for l in range(k):
             a[i, :, l] = np.bincount(t[:, l], minlength=k)
 
-    tol = get_tol()
     rng = np.random.default_rng(SEED)
     for _ in range(DIXON_TRIES):
         coeff = rng.standard_normal(k)
@@ -499,7 +498,7 @@ def character_table_bruteforce(view):
             continue
         table = np.array(rows)
         gram = (table * sizes) @ table.conj().T / n
-        if not np.max(np.abs(gram - np.eye(k))) <= tol:
+        if not within_tol(np.max(np.abs(gram - np.eye(k)))):
             continue
         if int(np.round(np.sum(np.abs(table[:, ident_class]) ** 2))) != n:
             continue

@@ -31,7 +31,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .config import SEED, gate, get_tol
+from .config import SEED, gate, within_tol
 from .errors import (EvenExponent, EvenQ, GroupMismatch, NotPrimitive,
                      NotSL2, SizeExceeded, VerificationFailed)
 from .ff import MultChar, NormOneChar, dual_pairing, is_primitive
@@ -207,100 +207,76 @@ def svn_check(hctx):
     contains exactly one irreducible whose central character is the
     tautological z -> z, namely the canonical model's.
 
-    Only for |G| <= 16.  Returns True; raises VerificationFailed with
-    the offending datum otherwise."""
+    Only for |G| <= 16.  Returns the largest defect its gates measured;
+    raises VerificationFailed with the offending datum otherwise."""
     if hctx.nG > 16:
         raise SizeExceeded("svn check is restricted to |G| <= 16")
     view = hctx.view
     rep = heisenberg_rep(hctx)
-    gate(rep.check_homomorphism(), "canonical model not multiplicative")
+    hom = gate(rep.check_homomorphism(), "canonical model not multiplicative")
     chi = rep_character(rep)
     ip = inner_product(chi, chi)
-    gate(abs(ip - 1), f"canonical model reducible: <chi,chi> = {ip}")
+    irr = gate(abs(ip - 1), f"canonical model reducible: <chi,chi> = {ip}")
 
     # central elements act by the tautological scalar
     z0 = int(hctx.encode(0, 0, 1))
     zeta = np.exp(2j * np.pi / hctx.m)
-    gate(np.max(np.abs(rep.images[z0] - zeta * np.eye(hctx.nG))),
-         "center does not act tautologically")
+    center = gate(np.max(np.abs(rep.images[z0] - zeta * np.eye(hctx.nG))),
+                  "center does not act tautologically")
 
     table = character_table_bruteforce(view)
     idc = int(view.class_of[view.identity])
     zc = int(view.class_of[z0])
     hits = []
     for r in range(table.shape[0]):
-        if abs(table[r, zc] / table[r, idc] - zeta) < get_tol():
+        if within_tol(abs(table[r, zc] / table[r, idc] - zeta)):
             hits.append(r)
     if len(hits) != 1:
         raise VerificationFailed(
             f"{len(hits)} irreducibles with tautological central character")
-    gate(np.max(np.abs(table[hits[0]] - chi.values)),
-         "tautological irreducible != canonical model")
-    return True
+    same = gate(np.max(np.abs(table[hits[0]] - chi.values)),
+                "tautological irreducible != canonical model")
+    return max(hom, irr, center, same)
 
 
 def fourier_intertwines(hctx):
-    """Max defect of FT o eta(h) = eta^(h) o FT over every h in H, where
-    eta^ is the dual-model action
+    """Number of tuples (x', c', c, x) at which FT o eta(h) = eta^(h) o FT
+    fails, over every h in H, where eta^ is the dual-model action
     (eta^(x', c', z') F)(c) = zeta^z' chi_c(x')^{-1} F(c - c').
 
     The center scales both sides by the same literal zeta^z' prefactor,
     so checking every (x', c') at z' = 0 covers all of H.
 
-    With FT[c, x] = conj(chi_c(x)), the defect at (x', c', c, x) is
-      |FT[c, x + x'] chi_c'(x) - FT[c - c', x] FT[c, x']|.
-    Every entry of FT and chi is w[e] = exp(2 pi i e / m) at a pair_exp
-    value e, so the defect is fixed by the exponent tuple
-    (P[c, x + x'], P[c', x], P[c - c', x], P[c, x']).
-
-    The tuples that occur are read without walking all nG^4 of them.
-    The pair (a, d) = (P[c, x + x'], P[c, x']) depends on (c, x, x')
-    and the pair (b, e) = (P[c', x], P[c - c', x]) on (c, x, c'); for
-    fixed (c, x), x' and c' vary independently, so the tuples that occur
-    are the union over (c, x) of A_{c,x} x B_{c,x}, with A_{c,x} the
-    pairs (a, d) over x' and B_{c,x} the pairs (b, e) over c'.  A and
-    B are marked as 0/1 rows indexed by (c, x), in chunks of c of at
-    most _CHUNK_BYTES, and (a, d, b, e) occurs iff the count
-    (A^T B)[(a, d), (b, e)] = sum_{c,x} A[(c, x), (a, d)] B[(c, x), (b, e)],
-    one matmul per chunk, is positive; the counts are at most nG^2, so
-    they are exact in floats.  That is O(nG^3 + nG^2 m^4) work against
-    the nG^4 of the walk: less when m^2 < nG, as for the trace form of
-    F_{q^2} with q = p^k, k > 1 (m = p), and more on a cyclic G, where
-    m = nG.  The defect is then read from the phase table
-    |conj(w_a) w_b - conj(w_e) conj(w_d)| at the marked tuples, in
-    chunks.  The table takes the same float operations as the dense
-    products, so the result equals their maximum bit for bit."""
+    With FT[c, x] = conj(chi_c(x)), entry (c, x) of the identity at
+    (x', c') reads FT[c, x + x'] chi_c'(x) = FT[c - c', x] FT[c, x'].
+    Every factor is an m-th root of unity zeta^P at a pair_exp value P,
+    and such roots are equal iff their exponents agree mod m, so the
+    identity fails iff
+      L = P[c', x] + P[c - c', x]  !=  R = P[c, x + x'] - P[c, x']  (mod m).
+    For fixed (c, x), L varies with c' alone and R with x' alone, so
+    (c, x) contributes nG^2 - sum_e #{c': L = e} #{x': R = e}
+    violations.  Both counts are one bincount per chunk of c, each
+    chunk's (c, x, .) array at most _CHUNK_BYTES: O(nG^3) integer work,
+    and the count is exact."""
     nG, m = hctx.nG, hctx.m
     xs = np.arange(nG)
     P = hctx.pair_exp(xs[:, None], xs)
     shift = hctx.g_add(xs[:, None], xs)                  # [x, x'] = x + x'
     diff = hctx.g_add(xs[:, None], hctx.g_neg(xs))       # [c, c'] = c - c'
-    counts = np.zeros((m * m, m * m))
-    step = max(1, _CHUNK_BYTES // (nG * max(nG, m * m) * counts.itemsize))
+    bad = 0
+    step = max(1, _CHUNK_BYTES // (nG * nG * P.itemsize))
     for lo in range(0, nG, step):
         c1 = xs[lo:lo + step]
-        rows = np.arange(len(c1) * nG)[:, None]
-        # [c, x, x'] -> P[c, x + x'] m + P[c, x']
-        ad = P[c1[:, None, None], shift] * m + P[c1, None, :]
-        # [c, x, c'] -> P[c', x] m + P[c - c', x]
-        be = P.T * m + P[diff[c1]].transpose(0, 2, 1)
-        A = np.zeros((len(rows), m * m))
-        B = np.zeros((len(rows), m * m))
-        A[rows, ad.reshape(len(rows), nG)] = 1
-        B[rows, be.reshape(len(rows), nG)] = 1
-        counts += A.T @ B
-    # [a, d, b, e] -> the code ((a m + b) m + e) m + d
-    seen = (counts > 0).reshape((m,) * 4)
-    codes = np.flatnonzero(seen.transpose(0, 2, 3, 1))
-    w = np.exp(2j * np.pi * np.arange(m) / m)
-    wbar = w.conj()
-    worst = 0.0
-    step = _CHUNK_BYTES // w.itemsize
-    for lo in range(0, len(codes), step):
-        a, b, e, d = (codes[lo:lo + step] // m ** k % m for k in (3, 2, 1, 0))
-        worst = np.maximum(worst, np.max(np.abs(wbar[a] * w[b]
-                                                - wbar[e] * wbar[d])))
-    return float(worst)
+        # one block of m codes per (c, x)
+        base = m * np.arange(len(c1) * nG).reshape(len(c1), nG, 1)
+        # [c, x, c'] -> P[c', x] + P[c - c', x]
+        left = (P.T + P[diff[c1]].transpose(0, 2, 1)) % m + base
+        # [c, x, x'] -> P[c, x + x'] - P[c, x']
+        right = (P[c1[:, None, None], shift] - P[c1, None, :]) % m + base
+        U = np.bincount(left.ravel(), minlength=base.size * m)
+        V = np.bincount(right.ravel(), minlength=base.size * m)
+        bad += len(c1) * nG ** 3 - int(U @ V)
+    return bad
 
 
 # --- the normalized SL2 operators on L^2(F_{q^2}) ---

@@ -129,7 +129,7 @@ def test_criterion_03_weil_product_relations(all_pairs_defect):
 
 def test_criterion_04_stone_von_neumann_and_fourier():
     for orders in ((2,), (3,), (4,), (2, 2)):
-        assert svn_check(heisenberg_group(orders)) is True
+        assert svn_check(heisenberg_group(orders)) <= TAU
         assert fourier_intertwines(heisenberg_group(orders)) < TAU
     h81 = heisenberg_from_ext(make_ext(make_field(3, 2)))
     assert fourier_intertwines(h81) < TAU

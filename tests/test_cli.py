@@ -4,12 +4,13 @@ import csv
 import io
 import json
 import os
+import re
 import time
 
 import numpy as np
 import pytest
 
-from qrep import chartab, cli, gl2, simclass
+from qrep import chartab, cli, get_tol, gl2, simclass
 
 
 def _json_out(capsys):
@@ -242,14 +243,41 @@ def test_verify_rejects_non_prime_power(capsys):
 
 
 def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
-    def sabotaged(rec, q, seed, tol):
-        rec.check("deliberate failure", False, defect=1.0)
+    def sabotaged(rec, q, seed):
+        rec.check("deliberate failure", 1.0)
     monkeypatch.setitem(cli.SUITES, "counting", sabotaged)
     assert cli.run(["verify", "--suite", "counting", "--q", "3",
                     "--json"]) == 1
     obj = _json_out(capsys)
     assert len(obj["failures"]) == 1
     assert obj["max_defect"] == 1.0
+
+
+def _verify_one_defect(defect, monkeypatch):
+    monkeypatch.setitem(cli.SUITES, "counting",
+                        lambda rec, q, seed: rec.check("reported", defect))
+    return cli.run(["verify", "--suite", "counting", "--q", "3"])
+
+
+def test_verify_passes_a_defect_equal_to_the_tolerance(capsys, monkeypatch):
+    # the rule of config.gate: defect <= tol passes
+    assert _verify_one_defect(get_tol(), monkeypatch) == 0
+    assert "ok   counting: reported  defect=1e-08" in capsys.readouterr().out
+
+
+def test_verify_fails_a_nan_defect(capsys, monkeypatch):
+    assert _verify_one_defect(float("nan"), monkeypatch) == 1
+    out = capsys.readouterr().out
+    assert "FAIL counting: reported  defect=nan" in out
+    assert "1 failures" in out
+
+
+def test_every_verify_line_carries_a_defect(capsys):
+    assert cli.run(["verify", "--suite", "all", "--q", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    checks = [line for line in lines if line.startswith(("ok ", "FAIL "))]
+    assert len(checks) == 67
+    assert all(re.search(r"  defect=\S+$", line) for line in checks)
 
 
 def test_verify_bruhat_counts_words_that_do_not_re_multiply(capsys,

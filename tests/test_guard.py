@@ -7,7 +7,8 @@ constructor or as a cached property.  No module stores attributes on
 objects it did not create as `self`, and no function keeps state in a
 mutable default argument.  Comparisons read `get_tol()`, a tolerance
 check goes through `config.gate`, which no NaN passes, and the pivot
-and rounding thresholds are named constants in `config.py`.
+and rounding thresholds are named constants in `config.py`; `cli.py`
+compares nothing to the tolerance.
 Every imported name is used, and every function, class and method the
 package defines is read by name inside it or traced by perfbench.
 """
@@ -107,6 +108,16 @@ def test_tolerance_gates_go_through_config_gate():
              for path in SOURCES if path.name != "config.py"
              for line in _nan_blind_tol_comparisons(
                  ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_the_cli_compares_nothing_to_the_tolerance():
+    # verify decides pass or fail by config.within_tol alone, the rule
+    # config.gate applies, so cli.py holds no comparison with tol
+    cli = ast.parse((TESTS.parent / "src" / "qrep" / "cli.py").read_text())
+    found = [node.lineno for node in ast.walk(cli)
+             if isinstance(node, ast.Compare)
+             and any(_is_tol(side) for side in [node.left, *node.comparators])]
     assert found == []
 
 
