@@ -32,10 +32,10 @@ from .weil import (CuspidalModule, HeisenbergCtx, averaging_check,
                    sl2_cuspidal_family, svn_check, symplectic_defect,
                    verify_ordinary, weil_matrix)
 from .chartab import CharacterTable, SUPPORTED, build_table, emit, verify_table
-from .simclass import (SimilarityType, centralizer, companion,
+from .simclass import (SimilarityType, centralizer, charpoly, companion,
                        count_irreducible_monics, count_similarity_classes,
-                       cuspidal_count_identity, hensel_lift, invariant_factors,
-                       jordan_form, similarity_type)
+                       cuspidal_count_identity, hensel_lift, jordan_form,
+                       similarity_type)
 
 __version__ = "0.1.0"
 

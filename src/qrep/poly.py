@@ -178,21 +178,45 @@ def smallest_irreducible(ctx, d):
     raise NotIrreducible(f"no irreducible monic of degree {d} over F_{ctx.q}")
 
 
+def evaluate(ctx, f, x):
+    """f(x) by Horner, for one field index x."""
+    plus, times = ctx.scalar.add, ctx.scalar.mul
+    acc = 0
+    for c in reversed(f):
+        acc = plus(times(acc, x), c)
+    return acc
+
+
 def factor(ctx, f):
     """Factor a nonzero polynomial into monic irreducibles.
 
     Returns (unit_index, [(g, multiplicity), ...]) with the factors
-    sorted by (degree, coefficient tuple).  Trial division in order of
-    increasing degree, so any monic that divides the remaining cofactor
-    is automatically irreducible; intended for degree <= 8 over small
-    fields.
+    sorted by (degree, coefficient tuple).  Linear factors t - r come
+    from the roots r, found by evaluating f at every field element;
+    then trial division in order of increasing degree from 2, so any
+    monic that divides the remaining cofactor is automatically
+    irreducible; intended for degree <= 8 over small fields.
     """
     if not f:
         raise Singular("cannot factor the zero polynomial")
     unit = f[-1]
     f = monic(ctx, f)
     found = {}
-    d = 1
+    for r in range(ctx.q):
+        if deg(f) < 2:
+            break
+        if evaluate(ctx, f, r):
+            continue
+        g = (ctx.scalar.neg(r), 1)
+        m = 0
+        while True:
+            q, rem = divmod_poly(ctx, f, g)
+            if rem:
+                break
+            f = q
+            m += 1
+        found[g] = m
+    d = 2
     while 2 * d <= deg(f):
         for g in monics(ctx, d):
             m = 0

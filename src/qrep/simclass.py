@@ -5,13 +5,17 @@ FieldCtx.  The classification data for a matrix A is the multiset of
 elementary divisors of tI - A, organized as a list of
 (irreducible polynomial, partition) pairs: for each irreducible p(t)
 dividing the characteristic polynomial, the partition records the
-exponents of p in the invariant-factor chain.  Two matrices are
+exponents of p in the invariant-factor chain, which are the sizes of
+the p-blocks of the generalized Jordan form.  Two matrices are
 conjugate under GL_n(F_q) iff this data agrees, and every similarity
 type is realized by a block-diagonal generalized Jordan form built
-from companion matrices.
+from companion matrices.  The data is read off the factored
+characteristic polynomial and the ranks of p(A)^k, with no Smith form
+over F_q[t].
 """
 
 import itertools
+from functools import reduce
 
 import numpy as np
 
@@ -115,98 +119,79 @@ def fq_nullspace(ctx, M):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form of tI - A over F_q[t]
+# characteristic polynomial and similarity types
 
-def char_matrix(ctx, A):
-    """tI - A as a nested list of polynomials (low-degree-first tuples)."""
-    n = A.shape[0]
-    neg = ctx.scalar.neg
-    S = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c = neg(int(A[i, j]))
-            const = (c,) if c else ()
-            if i == j:
-                row.append(poly.add(ctx, const, (0, 1)))
-            else:
-                row.append(const)
-        S.append(row)
-    return S
+def charpoly(ctx, a):
+    """det(tI - A) of the square list-of-lists a, low degree first.
 
-
-def _smith_diagonal(ctx, S):
-    """Diagonalize a square polynomial matrix in place; return the diagonal.
-
-    Row/column operations only, so the diagonal entries are the invariant
-    factors up to units once the divisibility fix-up has run.
+    Berkowitz's division-free recursion over the leading blocks:
+    for A_k = [[A_{k-1}, col], [row, x]], the coefficients of chi_{A_k},
+    high degree first, are T chi_{A_{k-1}}, with T lower triangular
+    Toeplitz of first column (1, -x, -row col, -row A_{k-1} col, ...,
+    -row A_{k-1}^{k-2} col).  Every step runs on ctx.scalar.
     """
-    n = len(S)
-    for k in range(n):
-        while True:
-            best = None
-            for i in range(k, n):
-                for j in range(k, n):
-                    if S[i][j] and (best is None or
-                                    poly.deg(S[i][j]) < poly.deg(S[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            i0, j0 = best
-            if i0 != k:
-                S[k], S[i0] = S[i0], S[k]
-            if j0 != k:
-                for row in S:
-                    row[k], row[j0] = row[j0], row[k]
-            piv = S[k][k]
-            dirty = False
-            for i in range(k + 1, n):
-                if S[i][k]:
-                    qq, rr = poly.divmod_poly(ctx, S[i][k], piv)
-                    S[i] = [poly.sub(ctx, S[i][j], poly.mul(ctx, qq, S[k][j]))
-                            for j in range(n)]
-                    if rr:
-                        dirty = True
-            for j in range(k + 1, n):
-                if S[k][j]:
-                    qq, rr = poly.divmod_poly(ctx, S[k][j], piv)
-                    for i in range(n):
-                        S[i][j] = poly.sub(ctx, S[i][j], poly.mul(ctx, qq, S[i][k]))
-                    if rr:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot now alone in its row and column; enforce divisibility
-            offender = None
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    if S[i][j] and poly.divmod_poly(ctx, S[i][j], piv)[1]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            S[k] = [poly.add(ctx, S[k][j], S[offender][j]) for j in range(n)]
-    return [poly.monic(ctx, S[k][k]) for k in range(n)]
-
-
-def invariant_factors(ctx, A):
-    """Nonconstant invariant factors of tI - A, in divisibility order."""
-    n = A.shape[0]
-    if A.shape != (n, n):
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise SizeMismatch("square matrix required")
-    diag = _smith_diagonal(ctx, char_matrix(ctx, A))
-    for d in diag:
-        if not d:
-            raise VerificationFailed("tI - A must be nonsingular over F_q[t]")
-    facs = [d for d in diag if poly.deg(d) >= 1]
-    if sum(poly.deg(d) for d in diag) != n:
-        raise VerificationFailed("invariant factor degrees do not sum to n")
-    for a, b in zip(facs, facs[1:]):
-        if poly.mod(ctx, b, a):
-            raise VerificationFailed("invariant factor chain not a chain")
-    return facs
+    plus, times, neg = ctx.scalar.add, ctx.scalar.mul, ctx.scalar.neg
+
+    def dot(u, v):
+        acc = 0
+        for x, y in zip(u, v):
+            acc = plus(acc, times(x, y))
+        return acc
+
+    C = [1]
+    for k in range(n):
+        row = a[k][:k]
+        col = [a[i][k] for i in range(k)]
+        T = [1, neg(a[k][k])]
+        for j in range(k):
+            T.append(neg(dot(row, col)))
+            if j < k - 1:
+                col = [dot(a[i][:k], col) for i in range(k)]
+        C = [reduce(plus, (times(T[i - j], C[j])
+                           for j in range(min(i, k) + 1)))
+             for i in range(k + 2)]
+    return tuple(reversed(C))
+
+
+def _poly_at(ctx, f, A):
+    """f(A) by Horner, with mat_mul."""
+    out = mat_eye(ctx, A.shape[0])
+    diag = np.diag_indices(A.shape[0])
+    for c in reversed(f[:-1]):
+        out = mat_mul(ctx, out, A)
+        out[diag] = ctx.add(out[diag], c)
+    return out
+
+
+def _partition(ctx, A, f, e):
+    """Partition of the f-primary part of A, f irreducible of
+    multiplicity e in chi_A.
+
+    For e = 1 that part has dimension deg f, so it is one block.
+    Otherwise r_k = rank f(A)^k falls to n - e deg f, and
+    (r_{k-1} - r_k) / deg f blocks have size >= k.
+    """
+    if e == 1:
+        return [1]
+    n, d = A.shape[0], poly.deg(f)
+    fA = _poly_at(ctx, f, A)
+    power = fA
+    ranks = [n]
+    while ranks[-1] > n - e * d:
+        if len(ranks) > 1:
+            power = mat_mul(ctx, power, fA)
+        ranks.append(len(_row_reduce(ctx, power)[1]))
+        drop = ranks[-2] - ranks[-1]
+        if drop <= 0 or drop % d:
+            raise VerificationFailed(
+                f"rank of f(A)^k falls by {drop}, not a positive multiple "
+                f"of deg f = {d}")
+    at_least = [(r0 - r1) // d for r0, r1 in zip(ranks, ranks[1:])] + [0]
+    return [k for k in range(1, len(at_least))
+            for _ in range(at_least[k - 1] - at_least[k])]
 
 
 class SimilarityType:
@@ -236,15 +221,15 @@ class SimilarityType:
 
 
 def similarity_type(ctx, A):
-    facs = invariant_factors(ctx, A)
-    by_irr = {}
-    for f in facs:
-        unit, decomposition = poly.factor(ctx, f)
-        assert unit == 1
-        for g, mult in decomposition:
-            by_irr.setdefault(g, []).append(mult)
-    st = SimilarityType(by_irr.items())
-    if st.dim != A.shape[0]:
+    """Similarity type of A: chi_A factored, and for each repeated
+    irreducible factor the partition read off kernel ranks."""
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise SizeMismatch("square matrix required")
+    unit, factors = poly.factor(ctx, charpoly(ctx, A.tolist()))
+    assert unit == 1
+    st = SimilarityType((f, _partition(ctx, A, f, e)) for f, e in factors)
+    if st.dim != n:
         raise VerificationFailed("similarity type dimension mismatch")
     return st
 

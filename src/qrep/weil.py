@@ -35,7 +35,7 @@ from .config import SEED, gate, within_tol
 from .errors import (EvenExponent, EvenQ, GroupMismatch, NotPrimitive,
                      NotSL2, SizeExceeded, VerificationFailed)
 from .ff import MultChar, NormOneChar, dual_pairing, is_primitive
-from .gl2 import GroupCtx
+from .gl2 import GroupCtx, _pack
 from .parabolic import split_in_two
 from .repcore import (_CHUNK_BYTES, ClassFunction, FiniteGroupView,
                       MatrixRep, MixedRadix, MonomialImages,
@@ -157,10 +157,11 @@ def symplectic_defect(hctx, sample=None, seed=SEED):
     """(violations, pairs checked): the number of pairs (h, h') violating
     phi(h h') = phi(h) *_symp phi(h'), and how many pairs were read.
 
-    All n^2 pairs are checked, one row at a time, when n^2 <= MAX_PAIRS;
-    otherwise only `sample` seeded random pairs are, so the count is exact
-    over the sample alone, or SizeExceeded is raised when no sample size
-    was given."""
+    All n^2 pairs are checked, in chunks of rows with each (rows, n)
+    array at most _CHUNK_BYTES, when n^2 <= MAX_PAIRS; otherwise only
+    `sample` seeded random pairs are, so the count is exact over the
+    sample alone, or SizeExceeded is raised when no sample size was
+    given."""
     n = hctx.nH
     if n * n > MAX_PAIRS:
         if sample is None:
@@ -173,12 +174,14 @@ def symplectic_defect(hctx, sample=None, seed=SEED):
                                   hctx.to_symplectic(h2))
         return int(np.sum(lhs != rhs)), sample
     allh = np.arange(n)
+    right = hctx.to_symplectic(allh)
+    step = max(1, _CHUNK_BYTES // (n * allh.itemsize))
     bad = 0
-    for h in allh:
+    for lo in range(0, n, step):
+        h = allh[lo:lo + step, None]
         lhs = hctx.to_symplectic(hctx.h_mul(h, allh))
-        rhs = hctx.symplectic_mul(hctx.to_symplectic(h),
-                                  hctx.to_symplectic(allh))
-        bad += int(np.sum(lhs != rhs))
+        rhs = hctx.symplectic_mul(hctx.to_symplectic(h), right)
+        bad += int(np.count_nonzero(lhs != rhs))
     return bad, n * n
 
 
@@ -359,43 +362,53 @@ def verify_ordinary(ectx):
     Multiplicativity is MatrixRep.check_homomorphism on SL2's view: its
     |G| |S| (element, generator) products bound the defect of every pair.
     Also checks, for every single element, that rho~ equals the
-    product of rho~ over a generator word, and pins the normalization:
+    product of rho~ over its _word_for word, and pins the normalization:
     rho~(w) 1_0 evaluated at 0 equals -1/q, and
     (rho~(sigma) 1_0)(x) = -(1/q) psi(d b^{-1} N(x)) for b != 0.
+
+    The images are filled from _weil_stack, and the words multiplied as
+    batched products, over chunks of elements whose stacks are at most
+    repcore._CHUNK_BYTES each; a b = 0 word t(a) l(ac) is padded with
+    two identities to the length of l(d/b) w l(ab) t(1/b).
 
     Returns {"pairs", "word_length", "bound", "word_defect",
     "norm_defect"}: the products checked, the view's word length bound L
     and the certificate's bound B.
     """
     ctx = GroupCtx("sl2", ectx.base)
-    n = ctx.n
-    q = ectx.q
-
-    # every image built straight into one preallocated stack
-    images = np.empty((n, ectx.ext.q, ectx.ext.q), dtype=complex)
-    for g in range(n):
-        images[g] = weil_matrix(ectx, ctx.mat_of(g))
+    n, q, Q = ctx.n, ectx.q, ectx.ext.q
+    step = max(1, _CHUNK_BYTES // (Q * Q * np.dtype(complex).itemsize))
+    images = np.empty((n, Q, Q), dtype=complex)
+    for lo in range(0, n, step):
+        images[lo:lo + step] = _weil_stack(ectx, ctx.elems[lo:lo + step])
     bound = MatrixRep(ctx.view, images).check_homomorphism()
 
+    # every element's word as four columns of element ids
+    F = ctx.field
+    a, b, c, d = ctx.elems.T
+    lower = b == 0
+    binv = F.inv(np.where(lower, 1, b))
+    o, e = np.zeros_like(a), np.ones_like(a)
+    letters = np.where(
+        lower,
+        [[a, o, o, d], [e, o, F.mul(a, c), e], [e, o, o, e], [e, o, o, e]],
+        [[e, o, F.mul(d, binv), e], [o, e, F.neg(e), o],
+         [e, o, F.mul(a, b), e], [binv, o, o, b]])
+    words = ctx.lookup[_pack(q, letters.transpose(2, 0, 1))]
     word_worst = 0.0
-    for g in range(n):
-        acc = reduce(np.matmul, images[_word_for(ctx, ctx.mat_of(g))])
-        word_worst = np.maximum(word_worst, np.max(np.abs(acc - images[g])))
+    for lo in range(0, n, step):
+        chunk = words[lo:lo + step]
+        acc = reduce(np.matmul, (images[chunk[:, j]] for j in range(4)))
+        word_worst = np.maximum(word_worst, np.max(np.abs(
+            acc - images[lo:lo + step])))
 
-    # normalization: rho~(sigma) delta_0 at 0 is -1/q whenever b != 0
-    norm_worst = 0.0
-    delta0 = np.zeros(ectx.ext.q)
-    delta0[0] = 1.0
-    psi = ectx.psi.values
+    # normalization: rho~(sigma) 1_0 is column 0 of rho~(sigma)
     base = ectx.base
-    for g in range(n):
-        a, b, c, d = ctx.mat_of(g)
-        if b == 0:
-            continue
-        out = images[g] @ delta0
-        norm_worst = np.maximum(norm_worst, abs(out[0] - (-1.0 / q)))
-        pred = (-1.0 / q) * psi[base.mul(base.mul(d, base.inv(b)), ectx.norm)]
-        norm_worst = np.maximum(norm_worst, np.max(np.abs(out - pred)))
+    col0 = images[~lower, :, 0]
+    pred = (-1.0 / q) * ectx.psi.values[base.mul(
+        base.mul(d[~lower], binv[~lower])[:, None], ectx.norm)]
+    norm_worst = np.maximum(np.max(np.abs(col0[:, 0] - (-1.0 / q))),
+                            np.max(np.abs(col0 - pred)))
 
     return {"pairs": n * len(ctx.view.gens),
             "word_length": ctx.view.word_length, "bound": bound,

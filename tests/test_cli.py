@@ -127,6 +127,48 @@ def test_simclass_matrix_report(capsys):
     assert obj["centralizer_units"] == 6
 
 
+# (q, n, matrix, the report as json.dump(indent=2) printed it when
+# similarity types came from a Smith form over F_q[t])
+SIMCLASS_PANEL = [
+    ("5", "4", "2,1,0,0;0,2,0,0;0,0,2,0;0,0,1,3",
+     {"q": 5, "n": 4,
+      "type": [{"poly": [2, 1], "partition": [1]},
+               {"poly": [3, 1], "partition": [1, 2]}],
+      "jordan": [[3, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 1, 2]],
+      "centralizer_dim": 6, "centralizer_units": 8000}),
+    ("9", "3", "1,2,3;4,5,6;7,8,0",
+     {"q": 9, "n": 3,
+      "type": [{"poly": [0, 1], "partition": [2]},
+               {"poly": [6, 1], "partition": [1]}],
+      "jordan": [[0, 0, 0], [1, 0, 0], [0, 0, 3]],
+      "centralizer_dim": 3, "centralizer_units": 576}),
+    ("3", "4", "0,2,0,0;1,0,0,0;0,1,0,2;0,0,1,0",
+     {"q": 3, "n": 4,
+      "type": [{"poly": [1, 0, 1], "partition": [2]}],
+      "jordan": [[0, 2, 0, 0], [1, 0, 0, 0], [1, 0, 0, 2], [0, 1, 1, 0]],
+      "centralizer_dim": 4, "centralizer_units": 72}),
+    ("7", "3", "3,1,0;0,3,0;0,0,3",
+     {"q": 7, "n": 3,
+      "type": [{"poly": [4, 1], "partition": [1, 2]}],
+      "jordan": [[3, 0, 0], [0, 3, 0], [0, 1, 3]],
+      "centralizer_dim": 5, "centralizer_units": 12348}),
+    ("5", "2", "0,2;1,0",
+     {"q": 5, "n": 2,
+      "type": [{"poly": [3, 0, 1], "partition": [1]}],
+      "jordan": [[0, 2], [1, 0]],
+      "centralizer_dim": 2, "centralizer_units": 24}),
+]
+
+
+@pytest.mark.parametrize("q,n,matrix,report", SIMCLASS_PANEL,
+                         ids=[f"q{row[0]}n{row[1]}" for row in SIMCLASS_PANEL])
+def test_simclass_matrix_report_is_byte_identical(capsys, q, n, matrix,
+                                                  report):
+    # repeated factors (the kernel-rank path) at q = 3, 5, 7, 9
+    assert cli.run(["simclass", "--q", q, "--n", n, "--matrix", matrix]) == 0
+    assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+
 def test_simclass_count(capsys):
     assert cli.run(["simclass", "--q", "2", "--n", "2", "--count"]) == 0
     assert _json_out(capsys)["count"] == 6

@@ -1,5 +1,6 @@
-"""Similarity classes: invariant factors, canonical forms, centralizers,
-counting identities, Hensel lifting, and the polynomial layer under it."""
+"""Similarity classes: similarity types against a Smith-form reference,
+canonical forms, centralizers, counting identities, Hensel lifting, and
+the polynomial layer under it."""
 
 import itertools
 import time
@@ -12,13 +13,15 @@ from qrep import (
     Singular,
     SizeExceeded,
     SizeMismatch,
+    SimilarityType,
+    VerificationFailed,
     centralizer,
+    charpoly,
     companion,
     count_irreducible_monics,
     count_similarity_classes,
     cuspidal_count_identity,
     hensel_lift,
-    invariant_factors,
     jordan_form,
     make_field,
     similarity_type,
@@ -33,6 +36,8 @@ RNG = np.random.default_rng(20070714)
 F2 = make_field(2)
 F3 = make_field(3)
 F5 = make_field(5)
+F7 = make_field(7)
+F9 = make_field(3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +53,44 @@ def test_poly_factor_recovers_the_product():
             back = poly.mul(F5, back, g)
     assert poly.trim(back) == poly.trim(f)
     assert all(poly.is_irreducible(F5, g) for g, _ in facs)
+
+
+def _factor_by_trial_division(ctx, f):
+    """poly.factor as first written: trial division by every monic from
+    degree 1 up, so each monic that divides the cofactor is irreducible."""
+    unit = f[-1]
+    f = poly.monic(ctx, f)
+    found = {}
+    d = 1
+    while 2 * d <= poly.deg(f):
+        for g in poly.monics(ctx, d):
+            while poly.deg(f) >= d:
+                quo, rem = poly.divmod_poly(ctx, f, g)
+                if rem:
+                    break
+                f = quo
+                found[g] = found.get(g, 0) + 1
+        d += 1
+    if poly.deg(f) > 0:
+        found[f] = found.get(f, 0) + 1
+    return unit, sorted(found.items(), key=lambda kv: (poly.deg(kv[0]), kv[0]))
+
+
+@pytest.mark.parametrize("F", [F3, F5, F7, F9], ids=lambda F: f"q{F.q}")
+def test_poly_factor_with_repeated_roots_equals_trial_division(F):
+    # products of linear factors with multiplicities up to 3, times an
+    # irreducible quadratic or a unit: the root step must count every
+    # multiplicity and leave the trial division the same cofactor
+    rng = np.random.default_rng(F.q)
+    quadratics = poly.irreducibles(F, 2)
+    for _ in range(40):
+        f = (int(rng.integers(1, F.q)),)
+        for r in rng.integers(0, F.q, size=int(rng.integers(0, 4))):
+            for _ in range(int(rng.integers(1, 4))):
+                f = poly.mul(F, f, (int(F.neg(r)), 1))
+        if rng.integers(2):
+            f = poly.mul(F, f, quadratics[int(rng.integers(len(quadratics)))])
+        assert poly.factor(F, f) == _factor_by_trial_division(F, f)
 
 
 def _array_path(F):
@@ -91,9 +134,10 @@ def test_scalar_arithmetic_reproduces_the_array_path(monkeypatch):
 
 @pytest.mark.parametrize("p,k", [(7, 1), (3, 2)])
 def test_similarity_type_makes_no_array_field_calls(monkeypatch, p, k):
-    # the Smith diagonalization and the factorization run on
-    # FieldCtx.scalar; a numpy call per coefficient made about 160k
-    # array-method calls in one verify --suite simclass pass
+    # chi_A and its factorization run on FieldCtx.scalar (A's chi_A is
+    # squarefree at both q, so no kernel rank is taken); a numpy call per
+    # coefficient made about 160k array-method calls in one
+    # verify --suite simclass pass
     F = make_field(p, k)
     A = np.array([[1, 2, 0, 3], [0, 1, 4, 0], [5, 0, 1, 2], [1, 1, 0, 6]]) % F.q
     calls = []
@@ -195,23 +239,195 @@ def test_nullspace_dimension_is_columns_minus_rank():
                 assert not mat_mul(ctx, M, v[:, None]).any()
 
 
+def _char_matrix(ctx, A):
+    """tI - A as a nested list of polynomials (low-degree-first tuples)."""
+    n = A.shape[0]
+    S = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            c = ctx.scalar.neg(int(A[i, j]))
+            const = (c,) if c else ()
+            row.append(poly.add(ctx, const, (0, 1)) if i == j else const)
+        S.append(row)
+    return S
+
+
+def _smith_diagonal(ctx, S):
+    """Diagonalize a square polynomial matrix in place by row and column
+    operations, with the divisibility fix-up; return the monic diagonal,
+    the invariant factors of S."""
+    n = len(S)
+    for k in range(n):
+        while True:
+            best = None
+            for i in range(k, n):
+                for j in range(k, n):
+                    if S[i][j] and (best is None or poly.deg(S[i][j]) <
+                                    poly.deg(S[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                break
+            i0, j0 = best
+            S[k], S[i0] = S[i0], S[k]
+            for row in S:
+                row[k], row[j0] = row[j0], row[k]
+            piv = S[k][k]
+            dirty = False
+            for i in range(k + 1, n):
+                if S[i][k]:
+                    qq, rr = poly.divmod_poly(ctx, S[i][k], piv)
+                    S[i] = [poly.sub(ctx, S[i][j], poly.mul(ctx, qq, S[k][j]))
+                            for j in range(n)]
+                    dirty = dirty or bool(rr)
+            for j in range(k + 1, n):
+                if S[k][j]:
+                    qq, rr = poly.divmod_poly(ctx, S[k][j], piv)
+                    for i in range(n):
+                        S[i][j] = poly.sub(ctx, S[i][j],
+                                           poly.mul(ctx, qq, S[i][k]))
+                    dirty = dirty or bool(rr)
+            if dirty:
+                continue
+            # pivot now alone in its row and column; enforce divisibility
+            offender = next((i for i in range(k + 1, n)
+                             for j in range(k + 1, n)
+                             if S[i][j] and
+                             poly.divmod_poly(ctx, S[i][j], piv)[1]), None)
+            if offender is None:
+                break
+            S[k] = [poly.add(ctx, S[k][j], S[offender][j]) for j in range(n)]
+    return [poly.monic(ctx, S[k][k]) for k in range(n)]
+
+
+def _invariant_factors_by_smith(ctx, A):
+    """Nonconstant invariant factors of tI - A from its Smith form, in
+    divisibility order: the reference for similarity_type."""
+    diag = _smith_diagonal(ctx, _char_matrix(ctx, A))
+    assert all(diag) and sum(poly.deg(d) for d in diag) == A.shape[0]
+    return [d for d in diag if poly.deg(d) >= 1]
+
+
+def _type_by_smith(ctx, A):
+    """The similarity type read off the Smith form: each invariant
+    factor contributes its multiplicity of every irreducible."""
+    by_irr = {}
+    for f in _invariant_factors_by_smith(ctx, A):
+        for g, mult in poly.factor(ctx, f)[1]:
+            by_irr.setdefault(g, []).append(mult)
+    return SimilarityType(by_irr.items())
+
+
 def test_invariant_factors_of_scalar_and_companion():
     A = np.array([[2, 0], [0, 2]], dtype=np.int64)
-    facs = invariant_factors(F3, A)
+    facs = _invariant_factors_by_smith(F3, A)
     assert facs == [(1, 1), (1, 1)]  # t - 2 = t + 1 twice
     f = (1, 0, 1)  # t^2 + 1, irreducible over F_3
     C = companion(F3, f)
     assert np.array_equal(C, np.array([[0, 2], [1, 0]]))
-    assert invariant_factors(F3, C) == [f]
+    assert _invariant_factors_by_smith(F3, C) == [f]
 
 
 def test_invariant_factor_chain_divides():
     for _ in range(30):
         A = random_matrix(F5, 4, RNG)
-        facs = invariant_factors(F5, A)
+        facs = _invariant_factors_by_smith(F5, A)
         assert sum(poly.deg(f) for f in facs) == 4
         for a, b in zip(facs, facs[1:]):
             assert not poly.mod(F5, b, a)  # a | b
+        assert similarity_type(F5, A) == _type_by_smith(F5, A)
+
+
+def _random_type(ctx, n, rng):
+    """A random similarity type of dimension n: irreducibles of degree
+    <= 2 with random partitions, until the dimension is used up."""
+    entries = {}
+    left = n
+    while left:
+        d = int(rng.integers(1, min(2, left) + 1))
+        irr = poly.irreducibles(ctx, d)
+        f = irr[int(rng.integers(len(irr)))]
+        part = []
+        size = int(rng.integers(1, left // d + 1))
+        while size:
+            r = int(rng.integers(1, size + 1))
+            part.append(r)
+            size -= r
+        entries.setdefault(f, []).extend(part)
+        left -= d * sum(part)
+    return SimilarityType(entries.items())
+
+
+def _conjugate(ctx, A, rng):
+    n = A.shape[0]
+    while True:
+        X = random_matrix(ctx, n, rng)
+        if mat_det(ctx, X) != 0:
+            return mat_mul(ctx, mat_mul(ctx, X, A), mat_inv(ctx, X))
+
+
+@pytest.mark.parametrize("F", [F3, F5, F7, F9], ids=lambda F: f"q{F.q}")
+def test_similarity_type_equals_the_smith_reference(F):
+    # random matrices, Jordan forms of random types (every repeated
+    # factor reaches the kernel ranks) and their conjugates, zero and
+    # the identity, n = 1..5
+    rng = np.random.default_rng(20070714 + F.q)
+    for n in range(1, 6):
+        mats = [np.zeros((n, n), dtype=np.int64), mat_eye(F, n)]
+        mats += [random_matrix(F, n, rng) for _ in range(8)]
+        for _ in range(4):
+            st = _random_type(F, n, rng)
+            J = jordan_form(F, st)
+            assert similarity_type(F, J) == st
+            mats += [J, _conjugate(F, J, rng)]
+        for A in mats:
+            assert similarity_type(F, A) == _type_by_smith(F, A)
+
+
+@pytest.mark.parametrize("F", [F3, F5, F7, F9], ids=lambda F: f"q{F.q}")
+def test_charpoly_equals_the_determinant_at_every_point(F):
+    rng = np.random.default_rng(F.q)
+    assert charpoly(F, []) == (1,)
+    for n in range(1, 6):
+        for A in (random_matrix(F, n, rng), mat_eye(F, n)):
+            chi = charpoly(F, A.tolist())
+            assert len(chi) == n + 1 and poly.is_monic(chi)
+            for x in range(F.q):
+                xI = np.where(mat_eye(F, n) == 1, x, 0)
+                assert poly.evaluate(F, chi, x) == \
+                    int(mat_det(F, F.sub(xI, A)))
+    with pytest.raises(SizeMismatch):
+        charpoly(F, [[1, 2], [3]])
+
+
+def test_rank_gate_fires_when_a_pivot_is_dropped(monkeypatch):
+    # (t^2 + 1)^2 over F_3 as one 4 x 4 block: rank f(A) is 2, so
+    # dropping a pivot makes it fall by 3, not a multiple of deg f = 2
+    f = (1, 0, 1)
+    J = jordan_form(F3, SimilarityType([(f, [2])]))
+    real = simclass._row_reduce
+
+    def dropping(ctx, M):
+        R, pivots = real(ctx, M)
+        return R, pivots[:-1]
+
+    monkeypatch.setattr(simclass, "_row_reduce", dropping)
+    with pytest.raises(VerificationFailed, match="rank of f"):
+        similarity_type(F3, J)
+
+
+def test_similarity_type_of_empty_scalar_and_nilpotent_matrices():
+    assert similarity_type(F5, np.zeros((0, 0), dtype=np.int64)) == \
+        SimilarityType([])
+    assert similarity_type(F5, np.array([[3]])) == \
+        SimilarityType([((2, 1), [1])])  # t - 3 = t + 2
+    N = np.zeros((5, 5), dtype=np.int64)
+    N[1, 0] = N[3, 2] = 1  # blocks of sizes 2, 2, 1 at eigenvalue 0
+    st = similarity_type(F5, N)
+    assert st == SimilarityType([((0, 1), [2, 2, 1])])
+    assert st.entries == (((0, 1), (1, 2, 2)),)
+    with pytest.raises(SizeMismatch):
+        similarity_type(F5, np.zeros((2, 3), dtype=np.int64))
 
 
 def test_similarity_type_is_conjugation_invariant():

@@ -87,6 +87,36 @@ def test_symplectic_presentation_is_isomorphic():
     assert symplectic_defect(small) == (0, small.nH ** 2)  # exhaustive
 
 
+def _symplectic_by_row(h):
+    """Violations of phi(h h') = phi(h) *_symp phi(h') over H x H, one
+    left factor at a time: the reference for symplectic_defect."""
+    allh = np.arange(h.nH)
+    return sum(int(np.sum(h.to_symplectic(h.h_mul(g, allh)) !=
+                          h.symplectic_mul(h.to_symplectic(g),
+                                           h.to_symplectic(allh))))
+               for g in allh)
+
+
+def test_symplectic_defect_counts_a_shifted_pairing_entry_by_chunks(
+        monkeypatch):
+    # |H| = 729 rows in 5 chunks: the count must equal the per-row
+    # loop's, with one h_mul per chunk instead of one per row
+    h = heisenberg_group((9,))
+    h._pair[3, 5] = (h._pair[3, 5] + 1) % h.m
+    want = _symplectic_by_row(h)
+    calls = []
+    real = type(h).h_mul
+
+    def counting(self, h1, h2):
+        calls.append(1)
+        return real(self, h1, h2)
+
+    monkeypatch.setattr(type(h), "h_mul", counting)
+    assert symplectic_defect(h) == (want, h.nH ** 2)
+    assert want > 0
+    assert 0 < len(calls) <= 8 < h.nH
+
+
 def test_symplectic_needs_odd_exponent():
     h = heisenberg_group((2,))
     with pytest.raises(EvenExponent):
@@ -278,19 +308,39 @@ def test_ordinary_relations_certified_q7():
 def test_a_perturbed_weil_image_fails_verification(monkeypatch, capsys):
     # one element's image off in one entry: the product check must see
     # it, and the weil verify suite must exit 1
-    real = weil.weil_matrix
+    real = weil._weil_stack
 
-    def perturbed(ectx, sigma):
-        M = real(ectx, sigma)
-        if tuple(int(t) for t in sigma) == (1, 1, 0, 1):
-            M[0, 0] += 100 * get_tol()
-        return M
+    def perturbed(ectx, mats):
+        out = real(ectx, mats)
+        hit = np.flatnonzero(np.all(np.asarray(mats) == (1, 1, 0, 1), axis=1))
+        out[hit, 0, 0] += 100 * get_tol()
+        return out
 
-    monkeypatch.setattr(weil, "weil_matrix", perturbed)
+    monkeypatch.setattr(weil, "_weil_stack", perturbed)
     out = verify_ordinary(make_ext(make_field(3)))
     assert out["bound"] > get_tol()
     assert cli.run(["verify", "--suite", "weil", "--q", "3"]) == 1
     assert "FAIL weil: multiplicativity" in capsys.readouterr().out
+
+
+def test_ordinary_field_calls_do_not_grow_with_the_group(monkeypatch):
+    # images and words are built over chunks of elements (two at q = 5);
+    # one weil_matrix and one word per element made 3,002 calls here.
+    # The group context is built outside the count.
+    E = make_ext(make_field(5))
+    ctx = make_group("sl2", E.base)
+    monkeypatch.setattr(weil, "GroupCtx", lambda kind, field: ctx)
+    calls = []
+    for name in ("add", "sub", "mul", "neg", "inv"):
+        real = getattr(FieldCtx, name)
+
+        def counting(self, *args, real=real):
+            calls.append(1)
+            return real(self, *args)
+        monkeypatch.setattr(FieldCtx, name, counting)
+    verify_ordinary(E)
+    assert ctx.n == 120
+    assert 0 < len(calls) <= 64
 
 
 def test_averaging_recovers_the_special_apportionment():
