@@ -20,8 +20,8 @@ from .config import gate
 from .errors import (CharMismatch, EvenQ, GroupMismatch, NotSplitting,
                      VerificationFailed)
 from .gl2 import bruhat
-from .repcore import (_CHUNK_BYTES, ClassFunction, MatrixRep, MonomialImages,
-                      hom_dim, induce, inner_product)
+from .repcore import (ClassFunction, MatrixRep, MonomialImages, hom_dim,
+                      induce, inner_product, row_chunks)
 
 
 class BorelChar:
@@ -293,12 +293,10 @@ def convolve(ctx, pairs):
     inv = view.inv
     outs = [np.empty(ctx.n, dtype=complex) for _ in pairs]
     allg = np.arange(ctx.n)
-    chunk = max(1, _CHUNK_BYTES // (ctx.n * np.dtype(complex).itemsize))
-    for lo in range(0, ctx.n, chunk):
-        hi = min(ctx.n, lo + chunk)
-        idx = view.mul(allg[lo:hi, None], inv[None, :])
+    for rows in row_chunks(ctx.n, ctx.n * np.dtype(complex).itemsize):
+        idx = view.mul(allg[rows, None], inv[None, :])
         for out, (k1, k2) in zip(outs, pairs):
-            out[lo:hi] = k1[idx] @ k2
+            out[rows] = k1[idx] @ k2
     return outs
 
 

@@ -330,6 +330,13 @@ def induce(f, emb):
 _CHUNK_BYTES = 1 << 20
 
 
+def row_chunks(n, row_bytes):
+    """Slices covering rows 0..n-1 in order, each of the most rows of
+    row_bytes bytes that fit in _CHUNK_BYTES, and at least one row."""
+    step = max(1, _CHUNK_BYTES // row_bytes)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
 class MonomialImages:
     """The images of a monomial model, one nonzero entry per row:
     image g has entry [j, cols[g, j]] = vals[g, j] and zeros elsewhere.
@@ -423,24 +430,22 @@ class MatrixRep:
         delta = np.max(np.abs(images[v.identity] - np.eye(d)))
         if isinstance(images, MonomialImages):
             C, V = images.cols, images.vals
-            step = max(1, _CHUNK_BYTES // (d * V.itemsize))
-            for lo in range(0, v.n, step):
-                c, val = C[lo:lo + step], V[lo:lo + step]
+            for rows in row_chunks(v.n, d * V.itemsize):
+                c, val = C[rows], V[rows]
                 for j, s in enumerate(v.gens):
                     pc, pv = C[s][c], val * V[s][c]
-                    t = gs[lo:lo + step, j]
+                    t = gs[rows, j]
                     tc, tv = C[t], V[t]
                     err = np.where(pc == tc, np.abs(pv - tv),
                                    np.maximum(np.abs(pv), np.abs(tv)))
                     delta = np.maximum(delta, np.max(err))
             return float(delta)
         gen = images[v.gens]
-        step = max(1, _CHUNK_BYTES // (d * d * gen.itemsize))
-        for lo in range(0, v.n, step):
-            block = images[lo:lo + step].reshape(-1, d)
+        for rows in row_chunks(v.n, d * d * gen.itemsize):
+            block = images[rows].reshape(-1, d)
             for j in range(len(v.gens)):
                 err = block @ gen[j]
-                err -= images[gs[lo:lo + step, j]].reshape(-1, d)
+                err -= images[gs[rows, j]].reshape(-1, d)
                 delta = np.maximum(delta, np.max(np.abs(err)))
         return float(delta)
 

@@ -15,6 +15,7 @@ over F_q[t].
 """
 
 import itertools
+import math
 from functools import reduce
 
 import numpy as np
@@ -76,30 +77,30 @@ def mat_inv(ctx, A):
     R, pivots = _row_reduce(ctx, np.concatenate([A, mat_eye(ctx, n)], axis=1))
     if pivots != list(range(n)):
         raise Singular("matrix is not invertible")
-    return R[:, n:]
+    return np.array(R, dtype=np.int64).reshape(n, 2 * n)[:, n:]
 
 
 # ---------------------------------------------------------------------------
 # linear algebra over F_q: Gaussian elimination on indices
 
 def _row_reduce(ctx, M):
-    """Reduced row echelon form of M over the field and its pivot columns."""
-    R = np.array(M, dtype=np.int64)
-    rows, cols = R.shape
+    """Reduced row echelon form of the matrix M over the field, as a
+    list of lists of Python ints, and its pivot columns.  Every step
+    runs on ctx.scalar."""
+    s = ctx.scalar
+    R = np.asarray(M, dtype=np.int64).tolist()
     pivots = []
-    for c in range(cols):
+    for c in range(np.shape(M)[1]):
         r = len(pivots)
-        if r == rows:
-            break
-        nonzero = np.flatnonzero(R[r:, c])
-        if not len(nonzero):
+        piv = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if piv is None:
             continue
-        piv = r + int(nonzero[0])
-        R[[r, piv]] = R[[piv, r]]
-        R[r] = ctx.mul(R[r], ctx.scalar.inv(int(R[r, c])))
-        for i in range(rows):
-            if i != r and R[i, c] != 0:
-                R[i] = ctx.sub(R[i], ctx.mul(R[r], int(R[i, c])))
+        R[r], R[piv] = R[piv], R[r]
+        inv = s.inv(R[r][c])
+        R[r] = [s.mul(x, inv) for x in R[r]]
+        for i, row in enumerate(R):
+            if i != r and row[c]:
+                R[i] = [s.sub(x, s.mul(y, row[c])) for x, y in zip(row, R[r])]
         pivots.append(c)
     return R, pivots
 
@@ -107,13 +108,13 @@ def _row_reduce(ctx, M):
 def fq_nullspace(ctx, M):
     """Basis (list of 1-d arrays) of the right kernel of M over the field."""
     R, pivots = _row_reduce(ctx, M)
-    cols = R.shape[1]
+    cols = np.shape(M)[1]
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
         v = np.zeros(cols, dtype=np.int64)
         v[fc] = 1
         for i, pc in enumerate(pivots):
-            v[pc] = ctx.scalar.neg(int(R[i, fc]))
+            v[pc] = ctx.scalar.neg(R[i][fc])
         basis.append(v)
     return basis
 
@@ -156,19 +157,27 @@ def charpoly(ctx, a):
     return tuple(reversed(C))
 
 
-def _poly_at(ctx, f, A):
-    """f(A) by Horner, with mat_mul."""
-    out = mat_eye(ctx, A.shape[0])
-    diag = np.diag_indices(A.shape[0])
+def _list_mul(s, a, b):
+    """The product of the lists of lists a and b on the ScalarOps s."""
+    cols = list(zip(*b))
+    return [[reduce(s.add, map(s.mul, row, col), 0) for col in cols]
+            for row in a]
+
+
+def _poly_at(s, f, a):
+    """f(A) by Horner on the list of lists a, on the ScalarOps s."""
+    out = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
     for c in reversed(f[:-1]):
-        out = mat_mul(ctx, out, A)
-        out[diag] = ctx.add(out[diag], c)
+        out = _list_mul(s, out, a)
+        for i in range(len(a)):
+            out[i][i] = s.add(out[i][i], c)
     return out
 
 
-def _partition(ctx, A, f, e):
-    """Partition of the f-primary part of A, f irreducible of
-    multiplicity e in chi_A.
+def _partition(ctx, a, f, e):
+    """Partition of the f-primary part of the list of lists a, f
+    irreducible of multiplicity e in chi_A; every step runs on
+    ctx.scalar.
 
     For e = 1 that part has dimension deg f, so it is one block.
     Otherwise r_k = rank f(A)^k falls to n - e deg f, and
@@ -176,13 +185,13 @@ def _partition(ctx, A, f, e):
     """
     if e == 1:
         return [1]
-    n, d = A.shape[0], poly.deg(f)
-    fA = _poly_at(ctx, f, A)
+    n, d = len(a), poly.deg(f)
+    fA = _poly_at(ctx.scalar, f, a)
     power = fA
     ranks = [n]
     while ranks[-1] > n - e * d:
         if len(ranks) > 1:
-            power = mat_mul(ctx, power, fA)
+            power = _list_mul(ctx.scalar, power, fA)
         ranks.append(len(_row_reduce(ctx, power)[1]))
         drop = ranks[-2] - ranks[-1]
         if drop <= 0 or drop % d:
@@ -226,9 +235,10 @@ def similarity_type(ctx, A):
     n = A.shape[0]
     if A.shape != (n, n):
         raise SizeMismatch("square matrix required")
-    unit, factors = poly.factor(ctx, charpoly(ctx, A.tolist()))
+    a = A.tolist()
+    unit, factors = poly.factor(ctx, charpoly(ctx, a))
     assert unit == 1
-    st = SimilarityType((f, _partition(ctx, A, f, e)) for f, e in factors)
+    st = SimilarityType((f, _partition(ctx, a, f, e)) for f, e in factors)
     if st.dim != n:
         raise VerificationFailed("similarity type dimension mismatch")
     return st
@@ -308,41 +318,29 @@ def jordan_form(ctx, st):
 def centralizer(ctx, A):
     """(dimension, unit count) of the commutant algebra of A in M_n(F_q).
 
-    The dimension comes from the kernel of X -> AX - XA; the unit count
-    enumerates that kernel and counts invertible members, so q^dim must
-    stay within the enumeration bound.
+    The dimension is that of the kernel of X -> AX - XA, gated against
+    sum_f deg f sum_i lambda'_i^2 over the similarity type, lambda' the
+    conjugate of f's partition lambda.  The units are prod_f a_lambda(Q),
+    Q = q^deg f, with a_lambda(Q) the order of the automorphism group of
+    the f-primary part (Macdonald, ch. II (1.6)):
+    a_lambda(Q) = Q^(sum lambda'_i^2 - sum_i m_i (m_i + 1) / 2)
+                  prod_i prod_{k <= m_i} (Q^k - 1),
+    m_i the number of parts of lambda equal to i.
     """
-    n = A.shape[0]
-    plus, minus = ctx.scalar.add, ctx.scalar.sub
-    a = A.tolist()
-    L = np.zeros((n * n, n * n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    val = 0
-                    if l == j:
-                        val = plus(val, a[i][k])
-                    if k == i:
-                        val = minus(val, a[l][j])
-                    L[i * n + j, k * n + l] = val
-    basis = fq_nullspace(ctx, L)
-    dim = len(basis)
-    total = ctx.q ** dim
-    if total > MAX_ENUM:
-        raise SizeExceeded(f"{total} commuting matrices exceed enumeration bound")
-    B = np.stack(basis).reshape(dim, n, n)
-    units = 0
-    chunk = 1 << 14
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        X = np.zeros((len(idx), n, n), dtype=np.int64)
-        rem = idx.copy()
-        for b in range(dim):
-            c = rem % ctx.q
-            rem //= ctx.q
-            X = ctx.add(X, ctx.mul(c[:, None, None], B[b][None]))
-        units += int(np.count_nonzero(mat_det(ctx, X)))
+    eye = np.eye(A.shape[0], dtype=np.int64)
+    # L[i n + j, k n + l] = [j = l] A[i, k] - [i = k] A[l, j]
+    dim = len(fq_nullspace(ctx, ctx.sub(np.kron(A, eye), np.kron(eye, A.T))))
+    want, units = 0, 1
+    for f, part in similarity_type(ctx, A).entries:
+        Q = ctx.q ** poly.deg(f)
+        squares = sum(sum(r > i for r in part) ** 2 for i in range(max(part)))
+        mults = [part.count(i) for i in set(part)]
+        want += poly.deg(f) * squares
+        units *= Q ** (squares - sum(m * (m + 1) // 2 for m in mults))
+        for m in mults:
+            units *= math.prod(Q ** k - 1 for k in range(1, m + 1))
+    if dim != want:
+        raise VerificationFailed(f"commutant dimension {dim} != {want}")
     return dim, units
 
 

@@ -21,9 +21,10 @@ which is multiplicative on the nose.  Cuspidal representations are cut
 out of this model by a character omega of the norm-one subgroup (SL2)
 or of the full F_{q^2}^* (GL2, after extending by an operator for
 diag(1, a)).  Every element of SL2 is a word in l(c) = (1 0; c 1),
-t(a) = diag(a, 1/a) and w = (0 1; -1 0), and rho~ is monomial on the
-lower cell, so a cuspidal image is a product of restricted letters with
-rho~(w) the one dense operator.
+t(a) = diag(a, 1/a) and w = (0 1; -1 0), built for many elements at
+once by _words.  rho~ is monomial on the lower cell, so each letter is
+restricted once, rho~(w) the one dense operator, and a cuspidal
+character is read off the traces of products of restricted letters.
 """
 
 import math
@@ -32,15 +33,14 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .config import SEED, gate, within_tol
-from .errors import (EvenExponent, EvenQ, GroupMismatch, NotPrimitive,
-                     NotSL2, SizeExceeded, VerificationFailed)
+from .errors import (EvenExponent, EvenQ, GroupMismatch, NotInGroup,
+                     NotPrimitive, NotSL2, SizeExceeded, VerificationFailed)
 from .ff import MultChar, NormOneChar, dual_pairing, is_primitive
 from .gl2 import GroupCtx, _pack
 from .parabolic import split_in_two
-from .repcore import (_CHUNK_BYTES, ClassFunction, FiniteGroupView,
-                      MatrixRep, MixedRadix, MonomialImages,
-                      character_table_bruteforce, inner_product, orbits,
-                      rep_character)
+from .repcore import (ClassFunction, FiniteGroupView, MatrixRep, MixedRadix,
+                      MonomialImages, character_table_bruteforce,
+                      inner_product, orbits, rep_character, row_chunks)
 
 MAX_H = 1 << 18
 # symplectic_defect exhausts H x H up to this many pairs
@@ -175,10 +175,9 @@ def symplectic_defect(hctx, sample=None, seed=SEED):
         return int(np.sum(lhs != rhs)), sample
     allh = np.arange(n)
     right = hctx.to_symplectic(allh)
-    step = max(1, _CHUNK_BYTES // (n * allh.itemsize))
     bad = 0
-    for lo in range(0, n, step):
-        h = allh[lo:lo + step, None]
+    for rows in row_chunks(n, n * allh.itemsize):
+        h = allh[rows, None]
         lhs = hctx.to_symplectic(hctx.h_mul(h, allh))
         rhs = hctx.symplectic_mul(hctx.to_symplectic(h), right)
         bad += int(np.count_nonzero(lhs != rhs))
@@ -267,9 +266,8 @@ def fourier_intertwines(hctx):
     shift = hctx.g_add(xs[:, None], xs)                  # [x, x'] = x + x'
     diff = hctx.g_add(xs[:, None], hctx.g_neg(xs))       # [c, c'] = c - c'
     bad = 0
-    step = max(1, _CHUNK_BYTES // (nG * nG * P.itemsize))
-    for lo in range(0, nG, step):
-        c1 = xs[lo:lo + step]
+    for rows in row_chunks(nG, nG * nG * P.itemsize):
+        c1 = xs[rows]
         # one block of m codes per (c, x)
         base = m * np.arange(len(c1) * nG).reshape(len(c1), nG, 1)
         # [c, x, c'] -> P[c', x] + P[c - c', x]
@@ -340,20 +338,40 @@ def _big_cell(ectx, a, b, d):
     return (-1.0 / base.q) * ectx.psi.values[arg]
 
 
-def _word_for(ctx, mat):
-    """Generator word for an SL2 element: t(a) l(ac) when b = 0, else
-    l(d/b) w l(ab) t(1/b), with l lower triangular; for a GL2 element g
-    of det g != 1, diag(1, det g) then the word of diag(1, 1/det g) g."""
-    F = ctx.field
-    a, b, c, d = (int(t) for t in mat)
-    det = int(F.sub(F.mul(a, d), F.mul(b, c)))
-    if det != 1:
-        sigma = ctx.mat_mul((1, 0, 0, int(F.inv(det))), (a, b, c, d))
-        return [ctx.id_of((1, 0, 0, det))] + _word_for(ctx, sigma)
-    if b == 0:
-        return [ctx.t_id(a), ctx.lower_id(int(F.mul(a, c)))]
-    return [ctx.lower_id(int(F.mul(d, F.inv(b)))), ctx.w_id(),
-            ctx.lower_id(int(F.mul(a, b))), ctx.t_id(int(F.inv(b)))]
+def _words(gctx, mats):
+    """Letter ids of every row g of the (n, 4) array mats, as an (n, 5)
+    array: diag(1, det g), then the word of sigma = diag(1, 1/det g) g,
+    padded with the identity e.  For sigma = (a b; c d) that word is
+    t(a) l(ac) e e when b = 0 and l(d/b) w l(ab) t(1/b) otherwise, with
+    l(c) = (1 0; c 1), t(a) = diag(a, 1/a) and w = (0 1; -1 0).
+
+    One field call per step over all rows.  NotInGroup if a letter lies
+    outside gctx; every word is multiplied back from gctx.elems of its
+    ids and compared exactly with its row, as in gl2.bruhat."""
+    F = gctx.field
+    g = np.asarray(mats, dtype=np.int64)
+    a, b, c, d = g.T
+    det = gctx.mat_det(g)
+    lower = b == 0
+    u, binv = F.inv(np.stack([det, np.where(lower, 1, b)]))
+    c, d = F.mul(np.stack([c, d]), u)
+    ac, dbinv, ab = F.mul(np.stack([a, d, a]), np.stack([c, binv, b]))
+    o, e = np.zeros_like(a), np.ones_like(a)
+    w = [o, e, int(F.neg(1)) * e, o]
+    letters = np.stack([
+        [e, o, o, det],
+        np.where(lower, [a, o, o, d], [e, o, dbinv, e]),
+        np.where(lower, [e, o, ac, e], w),
+        np.where(lower, [e, o, o, e], [e, o, ab, e]),
+        np.where(lower, [e, o, o, e], [binv, o, o, b])]).transpose(2, 0, 1)
+    ids = gctx.lookup[_pack(gctx.q, letters)]
+    if np.any(ids < 0):
+        raise NotInGroup(f"a word letter lies outside {gctx.kind}")
+    back = reduce(gctx.mat_mul, gctx.elems[ids].transpose(1, 0, 2))
+    bad = int(np.count_nonzero(np.any(back != g, axis=-1)))
+    if bad:
+        raise VerificationFailed(f"{bad} words do not re-multiply")
+    return ids
 
 
 def verify_ordinary(ectx):
@@ -362,14 +380,14 @@ def verify_ordinary(ectx):
     Multiplicativity is MatrixRep.check_homomorphism on SL2's view: its
     |G| |S| (element, generator) products bound the defect of every pair.
     Also checks, for every single element, that rho~ equals the
-    product of rho~ over its _word_for word, and pins the normalization:
+    product of rho~ over its _words word, and pins the normalization:
     rho~(w) 1_0 evaluated at 0 equals -1/q, and
-    (rho~(sigma) 1_0)(x) = -(1/q) psi(d b^{-1} N(x)) for b != 0.
+    (rho~(sigma) 1_0)(x) = -(1/q) psi(d b^{-1} N(x)) for b != 0, with
+    d b^{-1} read off the word's letter l(d/b).
 
     The images are filled from _weil_stack, and the words multiplied as
     batched products, over chunks of elements whose stacks are at most
-    repcore._CHUNK_BYTES each; a b = 0 word t(a) l(ac) is padded with
-    two identities to the length of l(d/b) w l(ab) t(1/b).
+    repcore._CHUNK_BYTES each.
 
     Returns {"pairs", "word_length", "bound", "word_defect",
     "norm_defect"}: the products checked, the view's word length bound L
@@ -377,36 +395,24 @@ def verify_ordinary(ectx):
     """
     ctx = GroupCtx("sl2", ectx.base)
     n, q, Q = ctx.n, ectx.q, ectx.ext.q
-    step = max(1, _CHUNK_BYTES // (Q * Q * np.dtype(complex).itemsize))
+    chunks = list(row_chunks(n, Q * Q * np.dtype(complex).itemsize))
     images = np.empty((n, Q, Q), dtype=complex)
-    for lo in range(0, n, step):
-        images[lo:lo + step] = _weil_stack(ectx, ctx.elems[lo:lo + step])
+    for rows in chunks:
+        images[rows] = _weil_stack(ectx, ctx.elems[rows])
     bound = MatrixRep(ctx.view, images).check_homomorphism()
 
-    # every element's word as four columns of element ids
-    F = ctx.field
-    a, b, c, d = ctx.elems.T
-    lower = b == 0
-    binv = F.inv(np.where(lower, 1, b))
-    o, e = np.zeros_like(a), np.ones_like(a)
-    letters = np.where(
-        lower,
-        [[a, o, o, d], [e, o, F.mul(a, c), e], [e, o, o, e], [e, o, o, e]],
-        [[e, o, F.mul(d, binv), e], [o, e, F.neg(e), o],
-         [e, o, F.mul(a, b), e], [binv, o, o, b]])
-    words = ctx.lookup[_pack(q, letters.transpose(2, 0, 1))]
+    # columns 1-4: det = 1 on SL2, so column 0 is the identity
+    words = _words(ctx, ctx.elems)[:, 1:]
     word_worst = 0.0
-    for lo in range(0, n, step):
-        chunk = words[lo:lo + step]
-        acc = reduce(np.matmul, (images[chunk[:, j]] for j in range(4)))
-        word_worst = np.maximum(word_worst, np.max(np.abs(
-            acc - images[lo:lo + step])))
+    for rows in chunks:
+        acc = reduce(np.matmul, (images[words[rows, j]] for j in range(4)))
+        word_worst = np.maximum(word_worst, np.max(np.abs(acc - images[rows])))
 
     # normalization: rho~(sigma) 1_0 is column 0 of rho~(sigma)
-    base = ectx.base
-    col0 = images[~lower, :, 0]
-    pred = (-1.0 / q) * ectx.psi.values[base.mul(
-        base.mul(d[~lower], binv[~lower])[:, None], ectx.norm)]
+    big = ctx.elems[:, 1] != 0
+    col0 = images[big, :, 0]
+    dbinv = ctx.elems[words[big, 0], 2][:, None]
+    pred = (-1.0 / q) * ectx.psi.values[ectx.base.mul(dbinv, ectx.norm)]
     norm_worst = np.maximum(np.max(np.abs(col0[:, 0] - (-1.0 / q))),
                             np.max(np.abs(col0 - pred)))
 
@@ -494,12 +500,11 @@ def averaging_check(ectx):
     defects."""
     ctx = GroupCtx("sl2", ectx.base)
     Q = ectx.ext.q
-    step = max(1, _CHUNK_BYTES // (Q * Q * np.dtype(complex).itemsize))
     worst_nu = 0.0
     worst_scale = 0.0
-    for lo in range(0, ctx.n, step):
-        mats = ctx.elems[lo:lo + step]
-        inv_mats = ctx.elems[ctx.view.inv[lo:lo + step]]
+    for rows in row_chunks(ctx.n, Q * Q * np.dtype(complex).itemsize):
+        mats = ctx.elems[rows]
+        inv_mats = ctx.elems[ctx.view.inv[rows]]
         worst_nu = np.maximum(worst_nu, np.max(np.abs(
             _nu_stack(ectx, mats) - _rho_stack(ectx, inv_mats))))
         scal = np.where(mats[:, 1] == 0, 1.0, -float(ectx.q))[:, None, None]
@@ -600,32 +605,47 @@ def _restrict_all(fibres, values, M):
     return R
 
 
+def _letter_op(ectx, gctx, lid):
+    """The full-space operator of the word letter lid of gctx: rho~(w)
+    dense, rho~ of t(a) or l(c) monomial, and for diag(1, a) the
+    monomial E f(x) = f(a~ x), a~ the smallest point over a."""
+    a, b, c, d = gctx.mat_of(lid)
+    if b:
+        return weil_matrix(ectx, (a, b, c, d))
+    if int(gctx.field.mul(a, d)) == 1:
+        return _lower_cell(ectx, np.array([c]), np.array([d]))
+    cols = ectx.ext.mul(ectx.norm_fibres[d - 1, 0], np.arange(ectx.ext.q))
+    return MonomialImages(cols[None], np.ones((1, ectx.ext.q)))
+
+
 def _restricted_class_images(modules, gctx):
-    """Every module's restricted images of the class representatives of
-    gctx, in class order, and its character, as (images, inverse,
-    characters, image): images[:, ci] = image(reps[ci]), module m's
-    image of g is image(g)[inverse[m]] times omega_m(a~), and
-    characters[m] is its trace as a ClassFunction.
+    """Every module's character from one table of restricted letters,
+    as (characters, table, inverse): characters[m] is a ClassFunction,
+    table maps a letter id to its (distinct modules, q-1, q-1)
+    restrictions, and module m reads row inverse[m] of each.
 
     For g = diag(1, det g) sigma, pi_omega(g) = omega(a~) E rho~(sigma)
-    with E f(x) = f(a~ x), a~ the smallest point over det g (1 for SL2).
-    image(g) is the product of the restricted letters of _word_for(g),
-    each restricted once by _restrict_all to the distinct _fibre_values
-    rows (the q^2 - q primitive GL2 characters give q distinct W_omega)
-    with every (module, letter) residual checked; W_omega is invariant
-    under a product once it is under each factor, and R(AB) = R(A) R(B).
+    with E f(x) = f(a~ x), a~ the smallest point over det g (1 for SL2),
+    and the restriction of E rho~(sigma) is the product of the table's
+    letters over the _words word of g.  The table holds every letter of
+    the words of the class representatives and of the certified
+    generators, every l(x), t(-1) and w, each restricted once by
+    _restrict_all to the distinct _fibre_values rows (the q^2 - q
+    primitive GL2 characters give q distinct W_omega) with every
+    (module, letter) residual checked; W_omega is invariant under a
+    product once it is under each factor, and R(AB) = R(A) R(B).  A
+    character value is omega(a~) times the trace of its class word's
+    product, formed one class at a time and not kept.
 
     Per module this also checks that the degree is q - 1, and the
     N-fixed gate: w l(c) w = (-1 c; 0 -1), so the upper unipotent u(x)
     is t(-1) w l(-x) w and sum_x R(u(x)) =
-    R(t(-1)) R(w) (sum_x R(l(x))) R(w).  Each l(x) that a class word
-    has already restricted is read from the letter cache; the others are
-    restricted here and not kept.  R(w) is invertible, so the gate certifies
-    sum_x R(l(x)) = 0, a property of the lower letters alone:
-    sum_x rho~(l(x)) is q times the projection onto the point 0, which
-    lies outside every W_omega, so only a wrong lower letter fires it.
-    A wrong R(w) is not seen here (a sign cancels between its two
-    factors); gl2_cuspidal_family's anisotropic cross-check and
+    R(t(-1)) R(w) (sum_x R(l(x))) R(w).  R(w) is invertible, so the
+    gate certifies sum_x R(l(x)) = 0, a property of the lower letters
+    alone: sum_x rho~(l(x)) is q times the projection onto the point 0,
+    which lies outside every W_omega, so only a wrong lower letter
+    fires it.  A wrong R(w) is not seen here (a sign cancels between its
+    two factors); gl2_cuspidal_family's anisotropic cross-check and
     chartab.verify_table's row orthonormality catch it."""
     ectx = modules[0].ectx
     for module in modules:
@@ -635,54 +655,33 @@ def _restricted_class_images(modules, gctx):
             raise GroupMismatch("group field != module base field")
         if module.ectx is not ectx:
             raise GroupMismatch("modules live on different extensions")
-    q, F, ext = ectx.q, gctx.field, ectx.ext
-    reps = gctx.view.reps
+    q, F, reps = ectx.q, gctx.field, gctx.view.reps
     fibres = ectx.norm_fibres
     values = _fibre_values(modules)
     keys = {}
     inverse = np.array([keys.setdefault(row.tobytes(), len(keys))
                         for row in values])
     values = values[np.unique(inverse, return_index=True)[1]]
-    letters = {}
+    words = _words(gctx, gctx.elems[np.concatenate([reps, gctx.view.gens])])
+    needed = set(words.flat) | {gctx.lower_id(x) for x in range(q)}
+    needed |= {gctx.t_id(int(F.neg(1))), gctx.w_id()}
+    table = {lid: _restrict_all(fibres, values, _letter_op(ectx, gctx, lid))
+             for lid in sorted(map(int, needed))}
 
-    def letter(lid):
-        if lid not in letters:
-            a, b, c, d = gctx.mat_of(lid)
-            if b:
-                op = weil_matrix(ectx, (a, b, c, d))
-            elif int(F.mul(a, d)) == 1:
-                op = _lower_cell(ectx, np.array([c]), np.array([d]))
-            else:
-                cols = ext.mul(fibres[d - 1, 0], np.arange(ext.q))
-                op = MonomialImages(cols[None], np.ones((1, ext.q)))
-            letters[lid] = _restrict_all(fibres, values, op)
-        return letters[lid]
-
-    def image(g):
-        return reduce(np.matmul, map(letter, _word_for(gctx, gctx.mat_of(g))))
-
-    images = np.empty((len(values), len(reps), q - 1, q - 1), dtype=complex)
-    for ci, rid in enumerate(reps):
-        images[:, ci] = image(int(rid))
+    traces = np.array([np.trace(reduce(np.matmul, map(table.get, word)),
+                                axis1=1, axis2=2)
+                       for word in words[:len(reps)].tolist()])
     atils = fibres[gctx.mat_det(gctx.elems[reps]) - 1, 0]
-    traces = np.trace(images, axis1=2, axis2=3)[inverse] * np.array(
+    traces = traces.T[inverse] * np.array(
         [module.omega.values[atils] for module in modules])
     ident = gctx.class_index_of((1, 0, 0, 1))
     gate(np.max(np.abs(traces[:, ident] - (q - 1))), "cuspidal degree != q - 1")
-    def lower(x):
-        lid = gctx.lower_id(x)
-        if lid in letters:
-            return letters[lid]
-        return _restrict_all(fibres, values,
-                             _lower_cell(ectx, np.array([x]), np.array([1])))
-
-    lowers = sum(map(lower, range(q)))
-    w = letter(gctx.w_id())
-    n_fixed = letter(gctx.t_id(int(F.neg(1)))) @ w @ lowers @ w
+    lowers = sum(table[gctx.lower_id(x)] for x in range(q))
+    w = table[gctx.w_id()]
+    n_fixed = table[gctx.t_id(int(F.neg(1)))] @ w @ lowers @ w
     # every distinct W_omega is some module's: inverse reaches each row
     gate(np.max(np.abs(n_fixed / q)), "nonzero N-fixed vectors in W_omega")
-    return (images, inverse, [ClassFunction(gctx.view, tr) for tr in traces],
-            image)
+    return ([ClassFunction(gctx.view, tr) for tr in traces], table, inverse)
 
 
 def pi_omega_characters(modules, gctx):
@@ -690,7 +689,7 @@ def pi_omega_characters(modules, gctx):
     with the construction-time checks of _restricted_class_images."""
     if not modules:
         return []
-    return _restricted_class_images(modules, gctx)[2]
+    return _restricted_class_images(modules, gctx)[0]
 
 
 def pi_omega_character(module, gctx):
@@ -759,7 +758,7 @@ def sl2_cuspidal_family(ectx, slctx):
     js = range(1, (q + 1) // 2)
     oms = [NormOneChar(ectx, j) for j in js]
     module = CuspidalModule(ectx, NormOneChar(ectx, (q + 1) // 2))
-    images, inverse, (*chars, chi0), image = _restricted_class_images(
+    (*chars, chi0), table, inverse = _restricted_class_images(
         [CuspidalModule(ectx, w) for om in oms for w in (om, om.conj())]
         + [module], slctx)
     out = []
@@ -772,12 +771,17 @@ def sl2_cuspidal_family(ectx, slctx):
     if len(out) != (q - 1) // 2:
         raise VerificationFailed("wrong number of sl2 cuspidal pairs")
 
-    gen_mats = [image(g)[inverse[-1]] for g in slctx.view.gens]
+    # omega_0's images of the class representatives, then the generators
+    view = slctx.view
+    words = _words(slctx, slctx.elems[np.concatenate([view.reps, view.gens])])
+    at = inverse[-1]
+    mats = np.array([reduce(np.matmul, (table[lid][at] for lid in word))
+                     for word in words.tolist()])
     # f -> f o frob preserves W_omega0, as omega0(y^q) = omega0(y^-1) =
     # omega0(y) for norm-one y, and its square is the identity
     frob = module.restrict(MonomialImages([ectx.frob], [np.ones(ectx.ext.q)]))
-    plus, minus = split_in_two(slctx, frob, gen_mats, images[inverse[-1]],
-                               chi0)
+    k = len(view.reps)
+    plus, minus = split_in_two(slctx, frob, mats[k:], mats[:k], chi0)
 
     sizes = slctx.view.sizes
     sum_traces = complex(np.sum(sizes * chi0.values))

@@ -127,6 +127,17 @@ def test_simclass_matrix_report(capsys):
     assert obj["centralizer_units"] == 6
 
 
+def test_simclass_reports_a_centralizer_too_large_to_enumerate(capsys):
+    # the scalar 3 x 3 at q = 7 commutes with all 7^9 matrices; its units
+    # are |GL_3(F_7)|, read off the similarity type
+    assert cli.run(["simclass", "--q", "7", "--n", "3",
+                    "--matrix", "3,0,0;0,3,0;0,0,3"]) == 0
+    obj = _json_out(capsys)
+    assert obj["type"] == [{"poly": [4, 1], "partition": [1, 1, 1]}]
+    assert obj["centralizer_dim"] == 9
+    assert obj["centralizer_units"] == 33784128
+
+
 # (q, n, matrix, the report as json.dump(indent=2) printed it when
 # similarity types came from a Smith form over F_q[t])
 SIMCLASS_PANEL = [

@@ -3,6 +3,7 @@ canonical forms, centralizers, counting identities, Hensel lifting, and
 the polynomial layer under it."""
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -11,7 +12,6 @@ import pytest
 from qrep import (
     DerivativeVanishes,
     Singular,
-    SizeExceeded,
     SizeMismatch,
     SimilarityType,
     VerificationFailed,
@@ -134,12 +134,14 @@ def test_scalar_arithmetic_reproduces_the_array_path(monkeypatch):
 
 @pytest.mark.parametrize("p,k", [(7, 1), (3, 2)])
 def test_similarity_type_makes_no_array_field_calls(monkeypatch, p, k):
-    # chi_A and its factorization run on FieldCtx.scalar (A's chi_A is
-    # squarefree at both q, so no kernel rank is taken); a numpy call per
-    # coefficient made about 160k array-method calls in one
-    # verify --suite simclass pass
+    # chi_A, its factorization and the kernel ranks run on
+    # FieldCtx.scalar: A's chi_A is squarefree at both q, and 2I + E_21
+    # has the repeated factor (t - 2)^3, whose partition (2, 1) is read
+    # off ranks; a numpy call per coefficient made about 160k
+    # array-method calls in one verify --suite simclass pass
     F = make_field(p, k)
     A = np.array([[1, 2, 0, 3], [0, 1, 4, 0], [5, 0, 1, 2], [1, 1, 0, 6]]) % F.q
+    B = np.array([[2, 0, 0], [1, 2, 0], [0, 0, 2]])
     calls = []
 
     def counting(name):
@@ -154,6 +156,9 @@ def test_similarity_type_makes_no_array_field_calls(monkeypatch, p, k):
         monkeypatch.setattr(FieldCtx, name, counting(name))
     st = similarity_type(F, A)
     assert st.dim == 4 and calls == []
+    minus2 = F.scalar.neg(2)
+    assert similarity_type(F, B) == SimilarityType([((minus2, 1), [2, 1])])
+    assert calls == []
 
 
 def _derivative_by_repeated_addition(F, f):
@@ -567,9 +572,72 @@ def test_centralizer_of_full_nilpotent_block():
     assert units == 2 * 9  # (q-1) q^(n-1)
 
 
-def test_centralizer_enumeration_bound():
-    with pytest.raises(SizeExceeded):
-        centralizer(F5, np.eye(5, dtype=np.int64) * 2)  # 5^25 members
+def _units_by_enumeration(ctx, A):
+    """(dimension, unit count) of the commutant of A, its units counted
+    by enumerating all q^dim members from a kernel basis of
+    X -> AX - XA: the reference for centralizer's closed form while
+    q^dim <= 2^20."""
+    n = A.shape[0]
+    eye = np.eye(n, dtype=np.int64)
+    basis = fq_nullspace(ctx, ctx.sub(np.kron(A, eye), np.kron(eye, A.T)))
+    dim = len(basis)
+    total = ctx.q ** dim
+    assert total <= 1 << 20
+    B = np.stack(basis).reshape(dim, n, n)
+    units = 0
+    chunk = 1 << 14
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        X = np.zeros((len(idx), n, n), dtype=np.int64)
+        rem = idx.copy()
+        for b in range(dim):
+            c = rem % ctx.q
+            rem //= ctx.q
+            X = ctx.add(X, ctx.mul(c[:, None, None], B[b][None]))
+        units += int(np.count_nonzero(mat_det(ctx, X)))
+    return dim, units
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+def test_centralizer_units_equal_the_enumeration(p, k):
+    # random matrices, scalars and a I + E_21 up to n = 4, wherever the
+    # q^dim members can be enumerated
+    F = make_field(p, k)
+    rng = np.random.default_rng(20070714 + F.q)
+    mats = [random_matrix(F, n, rng) for n in (1, 2, 3, 4) for _ in range(5)]
+    for n in (2, 3, 4):
+        a = int(rng.integers(1, F.q))
+        scalar = a * np.eye(n, dtype=np.int64)
+        mats += [scalar, scalar + np.eye(n, k=-1, dtype=np.int64)]
+    checked = 0
+    for A in mats:
+        dim, units = centralizer(F, A)
+        if F.q ** dim <= 1 << 20:
+            assert (dim, units) == _units_by_enumeration(F, A)
+            checked += 1
+    assert checked >= 20
+
+
+def test_centralizer_units_in_closed_form_beyond_enumeration():
+    # 2I + E_21 at q = 5: lambda = (2, 1) gives 5^3 (5 - 1)^2; the scalar
+    # 3 x 3 at q = 7 and 2I at n = 5, q = 5 are all of GL_n, far past the
+    # 2^20 members an enumeration could count
+    A = 2 * np.eye(3, dtype=np.int64)
+    A[1, 0] = 1
+    assert centralizer(F5, A) == (5, 2000)
+    assert centralizer(F7, 3 * np.eye(3, dtype=np.int64)) == (9, 33784128)
+    gl5 = math.prod(5 ** 5 - 5 ** i for i in range(5))
+    assert centralizer(F5, 2 * np.eye(5, dtype=np.int64)) == (25, gl5)
+
+
+def test_centralizer_dimension_gate_fires_on_a_short_kernel(monkeypatch):
+    # the commutant of I_2 has dimension 4; a kernel basis one short
+    # must not pass
+    real = simclass.fq_nullspace
+    monkeypatch.setattr(simclass, "fq_nullspace",
+                        lambda ctx, M: real(ctx, M)[1:])
+    with pytest.raises(VerificationFailed, match="commutant dimension"):
+        centralizer(F3, np.eye(2, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Heisenberg groups, Stone-von-Neumann, the Weil representation, and
 cuspidal character extraction."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from qrep import (
     MonomialImages,
     MultChar,
     NormOneChar,
+    NotInGroup,
     NotPrimitive,
     SizeExceeded,
     VerificationFailed,
@@ -37,6 +40,7 @@ from qrep import (
 )
 from qrep import cli, weil
 from qrep.ff import FieldCtx
+from qrep.gl2 import _pack
 
 RNG = np.random.default_rng(20070714)
 
@@ -341,6 +345,60 @@ def test_ordinary_field_calls_do_not_grow_with_the_group(monkeypatch):
     verify_ordinary(E)
     assert ctx.n == 120
     assert 0 < len(calls) <= 64
+
+
+def _word_for(ctx, mat):
+    """Generator word for one element, letter by letter on scalars:
+    t(a) l(ac) when b = 0, else l(d/b) w l(ab) t(1/b), with l lower
+    triangular; for a GL2 element g of det g != 1, diag(1, det g) then
+    the word of diag(1, 1/det g) g.  The reference for weil._words."""
+    F = ctx.field
+    a, b, c, d = (int(t) for t in mat)
+    det = int(F.sub(F.mul(a, d), F.mul(b, c)))
+    if det != 1:
+        sigma = ctx.mat_mul((1, 0, 0, int(F.inv(det))), (a, b, c, d))
+        return [ctx.id_of((1, 0, 0, det))] + _word_for(ctx, sigma)
+    if b == 0:
+        return [ctx.t_id(a), ctx.lower_id(int(F.mul(a, c)))]
+    return [ctx.lower_id(int(F.mul(d, F.inv(b)))), ctx.w_id(),
+            ctx.lower_id(int(F.mul(a, b))), ctx.t_id(int(F.inv(b)))]
+
+
+def _padded_word(ctx, mat):
+    """_word_for in the five columns of weil._words: an identity in
+    place of diag(1, det g) when det g = 1, identities at the end."""
+    word = _word_for(ctx, mat)
+    if len(word) % 2 == 0:
+        word = [ctx.identity] + word
+    return word + [ctx.identity] * (5 - len(word))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("kind", ["gl2", "sl2"])
+def test_words_equal_the_scalar_reference(kind, q):
+    ctx = make_group(kind, make_field(*_field(q)))
+    words = weil._words(ctx, ctx.elems)
+    assert words.shape == (ctx.n, 5)
+    for g in range(ctx.n):
+        assert words[g].tolist() == _padded_word(ctx, ctx.mat_of(g))
+
+
+@pytest.mark.parametrize("kind", ["gl2", "sl2"])
+def test_words_refuse_a_corrupted_letter(kind):
+    # l(1) looked up as l(2): every word that reads l(1) stops
+    # re-multiplying to its element, and the gate counts them; looked up
+    # as no element at all, the word is refused outright
+    ctx = make_group(kind, make_field(5))
+    uses = sum(ctx.lower_id(1) in _padded_word(ctx, ctx.mat_of(g))
+               for g in range(ctx.n))
+    assert uses > 0
+    l1 = _pack(5, (1, 0, 1, 1))
+    ctx.lookup[l1] = ctx.lower_id(2)
+    with pytest.raises(VerificationFailed, match=f"^{uses} words do not"):
+        weil._words(ctx, ctx.elems)
+    ctx.lookup[l1] = -1
+    with pytest.raises(NotInGroup, match="word letter"):
+        weil._words(ctx, ctx.elems)
 
 
 def test_averaging_recovers_the_special_apportionment():
@@ -710,9 +768,9 @@ def test_degree_and_n_fixed_gates_read_every_module(monkeypatch, gate):
     # unipotent l(x), which the N-fixed sum reads (N-fixed gate): every
     # W_omega stays invariant, and only that module and its twin, which
     # shares the subspace, see the change; the first, a middle and the
-    # last module are each the target once.  At q = 3 every l(x) is a
-    # letter of some class word, so the N-fixed sum reads each bent l(x)
-    # from the letter cache: each is restricted once
+    # last module are each the target once.  The class words and the
+    # N-fixed sum read each bent l(x) from the one letter table: each is
+    # restricted once
     E, g, mods = _all_modules("gl2", 3)
     real = weil._lower_cell
     for target in (mods[0], mods[len(mods) // 2], mods[-1]):
@@ -862,7 +920,8 @@ def _dense_class_operators(ectx, gctx):
     sigma, and the operator is rho~(sigma) with its rows permuted by
     x -> a~ x, a~ the smallest point over det g (1 for SL2).  Each
     module's restriction of it times omega(a~) is pi_omega(g).  The
-    reference for the factored images of _restricted_class_images."""
+    reference for the images rebuilt from _restricted_class_images's
+    letter table."""
     ext = ectx.ext
     F = gctx.field
     for rid in gctx.view.reps:
@@ -878,17 +937,23 @@ def _dense_class_operators(ectx, gctx):
                                     ("gl2", 9), ("sl2", 3), ("sl2", 5),
                                     ("sl2", 7), ("sl2", 9)])
 def test_restriction_matches_the_dense_products(kind, q):
-    # every module's scaled factored image against the dense per-class
-    # restriction, at every supported size and at gl2 q = 9
+    # every module's scaled image, rebuilt from the letter table over its
+    # class word, against the dense per-class restriction, at every
+    # supported size and at gl2 q = 9; the table holds letters alone, at
+    # most 3q of them (diag(1, a), t(a), l(c) and w, e counted once)
     E, g, mods = _all_modules(kind, q)
-    images, inverse, chars, _ = weil._restricted_class_images(mods, g)
+    chars, table, inverse = weil._restricted_class_images(mods, g)
     assert len(inverse) == len(mods)
+    assert {g.lower_id(x) for x in range(q)} | {g.w_id()} <= set(table)
+    assert len(table) <= 3 * q
+    words = weil._words(g, g.elems[g.view.reps])
     for ci, (rows, atil) in enumerate(_dense_class_operators(E, g)):
+        images = reduce(np.matmul, (table[lid] for lid in words[ci]))
         for module, i, f in zip(mods, inverse, chars):
             scale = complex(module.omega.values[atil])
             want, defect = _dense_restrict(module, scale * rows)
             assert defect < 1e-12
-            assert np.max(np.abs(scale * images[i, ci] - want)) < 1e-12
+            assert np.max(np.abs(scale * images[i] - want)) < 1e-12
             assert np.max(np.abs(module.restrict(scale * rows) - want)) < 1e-12
             assert abs(f.values[ci] - np.trace(want)) < get_tol()
 
