@@ -16,7 +16,7 @@ import numpy as np
 
 from . import chartab, ff, gl2, parabolic, poly, repcore, simclass, weil
 from .config import SEED, get_tol, within_tol
-from .errors import NonPrime, QrepError, SizeExceeded
+from .errors import IoError, NonPrime, QrepError, SizeExceeded
 
 ODD_SUITES = {"classes", "parabolic", "weil", "svn", "cuspidal", "chartable"}
 SUITE_NAMES = ("fields", "classes", "bruhat", "parabolic", "weil", "svn",
@@ -304,11 +304,9 @@ def _suite_cuspidal(rec, q, seed):
 
 
 def _suite_chartable(rec, q, seed):
-    ran = 0
     for kind in ("gl2", "sl2"):
         if q not in chartab.SUPPORTED[kind]:
             continue
-        ran += 1
         t = chartab.build_table(kind, q)
         rec.check(f"{kind}: table of {len(t.rows)} irreducibles verifies "
                   "(orthogonality, degrees, families)",
@@ -317,9 +315,6 @@ def _suite_chartable(rec, q, seed):
         text2 = chartab.emit(t, "json", sink=io.StringIO())
         rec.check(f"{kind}: serialization is deterministic",
                   int(text1 != text2))
-    if ran == 0:
-        raise InputError(f"no character table support at q = {q}; "
-                         f"supported: {chartab.SUPPORTED}")
 
 
 def _suite_simclass(rec, q, seed):
@@ -479,6 +474,12 @@ def _cmd_weil(args):
         raise InputError("q must be odd")
     F = _group_field_for(args.q)
     E = ff.make_ext(F)
+    dump = args.dump_matrices
+    if dump:
+        try:
+            os.makedirs(dump, exist_ok=True)
+        except OSError as e:
+            raise IoError(str(e))
     res = weil.verify_ordinary(E)
     ok = all(within_tol(res[k]) for k in ("bound", "word_defect",
                                           "norm_defect"))
@@ -487,15 +488,17 @@ def _cmd_weil(args):
           f"bound {_fmt(res['bound'])}, "
           f"word defect {_fmt(res['word_defect'])}, "
           f"normalization defect {_fmt(res['norm_defect'])}")
-    if args.dump_matrices:
-        os.makedirs(args.dump_matrices, exist_ok=True)
+    if dump:
         S = gl2.make_group("sl2", F)
         for g in range(S.n):
             M = weil.weil_matrix(E, S.mat_of(g))
             flat = [[float(z.real), float(z.imag)] for z in M.ravel()]
-            with open(os.path.join(args.dump_matrices, f"{g}.json"), "w") as fh:
-                json.dump(flat, fh)
-        print(f"wrote {S.n} matrices to {args.dump_matrices}")
+            try:
+                with open(os.path.join(dump, f"{g}.json"), "w") as fh:
+                    json.dump(flat, fh)
+            except OSError as e:
+                raise IoError(str(e))
+        print(f"wrote {S.n} matrices to {dump}")
     return 0 if ok else 1
 
 
@@ -573,6 +576,10 @@ def _cmd_verify(args):
     _parse_q(args.q)
     if args.q % 2 == 0 and any(n in ODD_SUITES for n in names):
         raise InputError("q must be odd")
+    if "chartable" in names and not any(
+            args.q in qs for qs in chartab.SUPPORTED.values()):
+        raise InputError(f"no character table support at q = {args.q}; "
+                         f"supported: {chartab.SUPPORTED}")
     out = sys.stderr if args.json else sys.stdout
     print(f"seed: {args.seed}  tol: {_fmt(get_tol())}", file=out)
     summaries = []

@@ -519,8 +519,9 @@ def averaging_check(ectx):
 class CuspidalModule:
     """The omega-isotypic model W_omega inside L^2(F_{q^2}): functions
     with f(y x) = omega(y)^{-1} f(x) for norm-one y, spanned by the
-    indicators 1_u of the norm fibers, normalized by 1_u(u~) = 1 at the
-    smallest-index point u~ of the fiber over u."""
+    indicators 1_u of the norm fibres, normalized by 1_u(u~) = 1 at the
+    smallest-index point u~ of the fibre over u.  Held as their nonzero
+    entries values[u-1, j] = 1_u(F[u-1, j]), F = ExtCtx.norm_fibres."""
 
     def __init__(self, ectx, omega):
         if ectx.q % 2 == 0:
@@ -541,38 +542,24 @@ class CuspidalModule:
             raise GroupMismatch("omega must be MultChar or NormOneChar")
         self.ectx = ectx
         self.omega = omega
-        q = ectx.q
-        ext = ectx.ext
         fibres = ectx.norm_fibres
-        self.u_tilde = fibres[:, 0]
-        zx = ext.mul(fibres, ext.inv_table[self.u_tilde][:, None])
-        self.basis = np.zeros((ext.q, q - 1), dtype=complex)
-        self.basis[fibres, np.arange(q - 1)[:, None]] = np.conj(omega.values[zx])
-        self.dim = q - 1
+        zx = ectx.ext.mul(fibres, ectx.ext.inv_table[fibres[:, :1]])
+        self.values = np.conj(omega.values[zx])
 
     def restrict(self, M):
         """Compress a full-space operator that preserves W_omega, dense
         or a one-image MonomialImages, to the 1_u basis; the invariance
         is verified to tolerance.  The one-module case of _restrict_all."""
-        return _restrict_all(self.ectx.norm_fibres, _fibre_values([self]), M)[0]
-
-
-def _fibre_values(modules):
-    """(modules, q-1, q+1): each module's basis entries basis[F[r, j], r]
-    on the norm fibres F = ExtCtx.norm_fibres, read from its basis.
-    They are the only nonzero entries of the 1_u basis."""
-    fibres = modules[0].ectx.norm_fibres
-    cols = np.arange(len(fibres))[:, None]
-    return np.stack([module.basis[fibres, cols] for module in modules])
+        return _restrict_all(self.ectx.norm_fibres, self.values[None], M)[0]
 
 
 def _restrict_all(fibres, values, M):
     """Every module's restriction of one full-space operator M, dense
     Q x Q or a one-image MonomialImages, as a (modules, q-1, q-1) array
-    that owns its data; fibres is ExtCtx.norm_fibres and values is
-    _fibre_values(modules).
+    that owns its data; fibres is ExtCtx.norm_fibres and values stacks
+    the modules' CuspidalModule.values.
 
-    For a module with v = values[m], C = M @ basis has
+    For v = values[m], so that basis[F[r, j], r] = v[r, j], C = M @ basis has
     C[x, u] = sum_j M[x, F[u, j]] v[u, j], and R is C at the rows
     u~ = F[:, 0].  The residual C - basis @ R is checked on every entry:
     row 0 of C must vanish, and C[F[r, j], u] must equal v[r, j] R[r, u].
@@ -620,9 +607,10 @@ def _letter_op(ectx, gctx, lid):
 
 def _restricted_class_images(modules, gctx):
     """Every module's character from one table of restricted letters,
-    as (characters, table, inverse): characters[m] is a ClassFunction,
-    table maps a letter id to its (distinct modules, q-1, q-1)
-    restrictions, and module m reads row inverse[m] of each.
+    as (characters, table, inverse, words): characters[m] is a
+    ClassFunction, table maps a letter id to its (distinct modules, q-1,
+    q-1) restrictions, module m reads row inverse[m] of each, and words
+    are the _words of the class representatives, then the generators.
 
     For g = diag(1, det g) sigma, pi_omega(g) = omega(a~) E rho~(sigma)
     with E f(x) = f(a~ x), a~ the smallest point over det g (1 for SL2),
@@ -630,7 +618,7 @@ def _restricted_class_images(modules, gctx):
     letters over the _words word of g.  The table holds every letter of
     the words of the class representatives and of the certified
     generators, every l(x), t(-1) and w, each restricted once by
-    _restrict_all to the distinct _fibre_values rows (the q^2 - q
+    _restrict_all to the distinct CuspidalModule.values (the q^2 - q
     primitive GL2 characters give q distinct W_omega) with every
     (module, letter) residual checked; W_omega is invariant under a
     product once it is under each factor, and R(AB) = R(A) R(B).  A
@@ -657,7 +645,7 @@ def _restricted_class_images(modules, gctx):
             raise GroupMismatch("modules live on different extensions")
     q, F, reps = ectx.q, gctx.field, gctx.view.reps
     fibres = ectx.norm_fibres
-    values = _fibre_values(modules)
+    values = np.stack([module.values for module in modules])
     keys = {}
     inverse = np.array([keys.setdefault(row.tobytes(), len(keys))
                         for row in values])
@@ -681,7 +669,8 @@ def _restricted_class_images(modules, gctx):
     n_fixed = table[gctx.t_id(int(F.neg(1)))] @ w @ lowers @ w
     # every distinct W_omega is some module's: inverse reaches each row
     gate(np.max(np.abs(n_fixed / q)), "nonzero N-fixed vectors in W_omega")
-    return ([ClassFunction(gctx.view, tr) for tr in traces], table, inverse)
+    return ([ClassFunction(gctx.view, tr) for tr in traces], table, inverse,
+            words)
 
 
 def pi_omega_characters(modules, gctx):
@@ -758,7 +747,7 @@ def sl2_cuspidal_family(ectx, slctx):
     js = range(1, (q + 1) // 2)
     oms = [NormOneChar(ectx, j) for j in js]
     module = CuspidalModule(ectx, NormOneChar(ectx, (q + 1) // 2))
-    (*chars, chi0), table, inverse = _restricted_class_images(
+    (*chars, chi0), table, inverse, words = _restricted_class_images(
         [CuspidalModule(ectx, w) for om in oms for w in (om, om.conj())]
         + [module], slctx)
     out = []
@@ -772,15 +761,13 @@ def sl2_cuspidal_family(ectx, slctx):
         raise VerificationFailed("wrong number of sl2 cuspidal pairs")
 
     # omega_0's images of the class representatives, then the generators
-    view = slctx.view
-    words = _words(slctx, slctx.elems[np.concatenate([view.reps, view.gens])])
     at = inverse[-1]
     mats = np.array([reduce(np.matmul, (table[lid][at] for lid in word))
                      for word in words.tolist()])
     # f -> f o frob preserves W_omega0, as omega0(y^q) = omega0(y^-1) =
     # omega0(y) for norm-one y, and its square is the identity
     frob = module.restrict(MonomialImages([ectx.frob], [np.ones(ectx.ext.q)]))
-    k = len(view.reps)
+    k = len(slctx.view.reps)
     plus, minus = split_in_two(slctx, frob, mats[k:], mats[:k], chi0)
 
     sizes = slctx.view.sizes

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from qrep import chartab, cli, get_tol, gl2, simclass
+from qrep import chartab, cli, get_tol, gl2, simclass, weil
 
 
 def _json_out(capsys):
@@ -108,6 +108,23 @@ def test_weil_check_and_dump(tmp_path, capsys):
     flat = json.loads((d / "0.json").read_text())
     assert len(flat) == 81  # 9 x 9 entries as [re, im]
     assert all(len(z) == 2 for z in flat)
+
+
+@pytest.mark.parametrize("where", ["an existing file", "below a file"])
+def test_weil_refuses_an_unusable_dump_path_before_the_certificate(
+        tmp_path, capsys, monkeypatch, where):
+    # os.makedirs raises FileExistsError on a file and NotADirectoryError
+    # below one: either is an IoError, exit 1 with no traceback, before
+    # verify_ordinary builds a single image
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = taken if where == "an existing file" else taken / "x"
+    calls = []
+    monkeypatch.setattr(weil, "verify_ordinary", calls.append)
+    assert cli.run(["weil", "--q", "3", "--dump-matrices", str(path)]) == 1
+    got = capsys.readouterr()
+    assert got.out == "" and calls == []
+    assert "IoError" in got.err and "Traceback" not in got.err
 
 
 def test_weil_has_no_check_option():
@@ -288,6 +305,17 @@ def test_verify_rejects_even_q_before_any_output(capsys):
     got = capsys.readouterr()
     assert got.out == ""
     assert "odd" in got.err
+
+
+@pytest.mark.parametrize("suite", ["all", "chartable"])
+def test_verify_refuses_a_q_without_a_table_before_any_suite(capsys, suite):
+    # q = 11 lies in no SUPPORTED tuple: refused before the seed line and
+    # before any suite runs
+    assert cli.run(["verify", "--suite", suite, "--q", "11"]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == (f"error: no character table support at q = 11; "
+                       f"supported: {chartab.SUPPORTED}\n")
 
 
 def test_verify_rejects_non_prime_power(capsys):

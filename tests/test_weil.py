@@ -1,6 +1,7 @@
 """Heisenberg groups, Stone-von-Neumann, the Weil representation, and
 cuspidal character extraction."""
 
+import itertools
 from functools import reduce
 
 import numpy as np
@@ -518,14 +519,28 @@ def test_a_perturbed_normalized_stack_fails_the_averaging_check(
 
 
 def test_cuspidal_module_dimension_and_equivariance():
-    E = make_ext(make_field(5))
-    om = NormOneChar(E, 1)
-    mod = CuspidalModule(E, om)
-    assert mod.dim == 4
-    assert mod.basis.shape == (25, 4)
-    # columns are supported on disjoint norm fibers
-    support = mod.basis != 0
-    assert np.all(support.sum(axis=1) <= 1)
+    # f(zeta x) = conj(omega(zeta)) f(x) for every norm-one zeta and every
+    # fibre point x, with f(u~) = 1: q - 1 fibre rows of q + 1 values each,
+    # and no array over all Q points of L^2(F_{q^2}); every GL2 and SL2
+    # module at each supported size
+    for kind, q in itertools.product(("gl2", "sl2"), (3, 5, 7, 9)):
+        E, _, mods = _all_modules(kind, q)
+        fibres = E.norm_fibres
+        # column of each fibre point in its row: F[r, at[y]] = y
+        at = np.empty(E.ext.q, dtype=np.intp)
+        at[fibres] = np.arange(q + 1)
+        rows = np.arange(q - 1)[:, None]
+        for module in mods:
+            arrays = [a for a in vars(module).values()
+                      if isinstance(a, np.ndarray)]
+            assert arrays and all(a.shape[0] != E.ext.q for a in arrays)
+            v = module.values
+            assert v.shape == (q - 1, q + 1)
+            assert np.array_equal(v[:, 0], np.ones(q - 1))
+            for zeta in E.norm_one:
+                moved = v[rows, at[E.ext.mul(int(zeta), fibres)]]
+                want = np.conj(module.omega.values[zeta]) * v
+                assert np.max(np.abs(moved - want)) < 1e-12
 
 
 def test_cuspidal_module_rejects_bad_data():
@@ -755,8 +770,7 @@ def test_batched_characters_check_the_last_module():
     E, g, mods = _all_modules("gl2", 3)
     pi_omega_characters(mods, g)  # the clean modules pass
     bad = mods[-1]
-    fiber = np.flatnonzero(bad.basis[:, 0])
-    bad.basis[fiber, 0] *= np.exp(2j * np.pi * RNG.random(len(fiber)))
+    bad.values[0] *= np.exp(2j * np.pi * RNG.random(bad.values.shape[1]))
     with pytest.raises(VerificationFailed, match="W_omega"):
         pi_omega_characters(mods, g)
 
@@ -774,7 +788,8 @@ def test_degree_and_n_fixed_gates_read_every_module(monkeypatch, gate):
     E, g, mods = _all_modules("gl2", 3)
     real = weil._lower_cell
     for target in (mods[0], mods[len(mods) // 2], mods[-1]):
-        P = target.basis @ np.linalg.pinv(target.basis)
+        basis = _dense_basis(target)
+        P = basis @ np.linalg.pinv(basis)
         bent_at = []
 
         def bent(ectx, c, d):
@@ -790,7 +805,8 @@ def test_degree_and_n_fixed_gates_read_every_module(monkeypatch, gate):
             pi_omega_characters(mods, g)
         if gate == "N-fixed":
             assert sorted(bent_at) == [1, 2]
-        others = [m for m in mods if not np.array_equal(m.basis, target.basis)]
+        others = [m for m in mods
+                  if not np.array_equal(m.values, target.values)]
         assert len(others) == len(mods) - 2
         pi_omega_characters(others, g)
         monkeypatch.setattr(weil, "_lower_cell", real)
@@ -848,7 +864,7 @@ def test_a_negated_weyl_letter_is_caught_downstream(monkeypatch, kind, q,
 
 def _corrupt(letter, fault, v, fibres):
     """A copy of a one-image MonomialImages letter with one fault in row
-    x = F[1, 1], for the module whose _fibre_values row is v: x sent
+    x = F[1, 1], for the module whose values are v: x sent
     onto the smallest point of another fibre, with the very entry the
     residual expects in its own column (leaves its fibre), one phase of
     x bent, or row 0 sent onto the point F[1, 0]."""
@@ -873,14 +889,14 @@ def test_a_bad_monomial_letter_fails_on_every_module(monkeypatch, fault):
     fibres = E.norm_fibres
     # the letter (3 0; 1 2): x -> 2 x moves every norm fibre
     letter = weil._lower_cell(E, np.array([1]), np.array([2]))
-    R = weil._restrict_all(fibres, weil._fibre_values(mods), letter)
+    R = weil._restrict_all(fibres, np.stack([m.values for m in mods]), letter)
     for module, Rm in zip(mods, R):
         want, defect = _dense_restrict(module, letter[0])
         assert defect < 1e-12
         assert np.max(np.abs(Rm - want)) < 1e-14
     real = weil._lower_cell
     for module in mods:
-        v = weil._fibre_values([module])
+        v = module.values[None]
         with pytest.raises(VerificationFailed, match="W_omega"):
             weil._restrict_all(fibres, v, _corrupt(letter, fault, v[0], fibres))
 
@@ -900,18 +916,28 @@ def test_restrictions_own_their_data():
     # a kept restriction must not hold the (m, q-1, q-1, q+1) residual
     # array it was read from alive
     E, g, mods = _all_modules("sl2", 5)
-    values = weil._fibre_values(mods)
+    values = np.stack([m.values for m in mods])
     for op in (weil_matrix(E, (0, 1, 4, 0)),
                weil._lower_cell(E, np.array([1]), np.array([2]))):
         assert weil._restrict_all(E.norm_fibres, values, op).base is None
 
 
+def _dense_basis(module):
+    """The module's 1_u basis as a dense Q x (q-1) array: column r holds
+    values[r] on the fibre F[r], F = ExtCtx.norm_fibres, and 0 elsewhere."""
+    fibres = module.ectx.norm_fibres
+    basis = np.zeros((module.ectx.ext.q, len(fibres)), dtype=complex)
+    basis[fibres, np.arange(len(fibres))[:, None]] = module.values
+    return basis
+
+
 def _dense_restrict(module, M):
     """The dense restriction: C = M @ basis, R = C at the rows u~, and
     the largest entry of C - basis @ R."""
-    C = M @ module.basis
-    R = C[module.u_tilde, :]
-    return R, float(np.max(np.abs(C - module.basis @ R)))
+    basis = _dense_basis(module)
+    C = M @ basis
+    R = C[module.ectx.norm_fibres[:, 0], :]
+    return R, float(np.max(np.abs(C - basis @ R)))
 
 
 def _dense_class_operators(ectx, gctx):
@@ -942,11 +968,11 @@ def test_restriction_matches_the_dense_products(kind, q):
     # supported size and at gl2 q = 9; the table holds letters alone, at
     # most 3q of them (diag(1, a), t(a), l(c) and w, e counted once)
     E, g, mods = _all_modules(kind, q)
-    chars, table, inverse = weil._restricted_class_images(mods, g)
+    chars, table, inverse, words = weil._restricted_class_images(mods, g)
     assert len(inverse) == len(mods)
     assert {g.lower_id(x) for x in range(q)} | {g.w_id()} <= set(table)
     assert len(table) <= 3 * q
-    words = weil._words(g, g.elems[g.view.reps])
+    assert len(words) == len(g.view.reps) + len(g.view.gens)
     for ci, (rows, atil) in enumerate(_dense_class_operators(E, g)):
         images = reduce(np.matmul, (table[lid] for lid in words[ci]))
         for module, i, f in zip(mods, inverse, chars):
@@ -993,14 +1019,14 @@ def test_gl2_restricts_once_per_distinct_w_omega(monkeypatch):
 
 def test_a_corrupt_module_is_not_merged_with_its_healthy_twin():
     # omega_1 and omega_5 agree on the norm-one torus of F_9^*, so their
-    # bases are equal; corrupting the first must not let the later,
+    # fibre values are equal; corrupting the first must not let the later,
     # healthy twin's restriction stand in for it
     E, g, mods = _all_modules("gl2", 3)
     first = mods[0]
-    twins = [i for i, m in enumerate(mods) if np.array_equal(m.basis, first.basis)]
+    twins = [i for i, m in enumerate(mods)
+             if np.array_equal(m.values, first.values)]
     assert twins == [0, 3]
-    fiber = np.flatnonzero(first.basis[:, 0])
-    first.basis[fiber, 0] *= np.exp(2j * np.pi * RNG.random(len(fiber)))
+    first.values[0] *= np.exp(2j * np.pi * RNG.random(first.values.shape[1]))
     with pytest.raises(VerificationFailed, match="W_omega"):
         pi_omega_characters(mods, g)
 
@@ -1009,13 +1035,14 @@ def test_a_corrupt_module_is_not_merged_with_its_healthy_twin():
 def test_restriction_finds_a_bad_module_anywhere_in_the_batch(position):
     E, g, mods = _all_modules("sl2", 5)
     U = weil_matrix(E, (1, 1, 0, 1))
-    weil._restrict_all(E.norm_fibres, weil._fibre_values(mods), U)
+    weil._restrict_all(E.norm_fibres, np.stack([m.values for m in mods]), U)
     i = {"first": 0, "middle": len(mods) // 2, "last": len(mods) - 1}[position]
-    # column 1 of another module's basis: still zero at 0 and on the other
-    # fibres, so only the residual on the fibre rows can see the change
-    mods[i].basis[:, 1] = mods[i - 1].basis[:, 1]
+    # fibre 1 of another module's values: its basis column is still zero at
+    # 0 and on the other fibres, so only the residual on the fibre rows can
+    # see the change
+    mods[i].values[1] = mods[i - 1].values[1]
     with pytest.raises(VerificationFailed, match="W_omega"):
-        weil._restrict_all(E.norm_fibres, weil._fibre_values(mods), U)
+        weil._restrict_all(E.norm_fibres, np.stack([m.values for m in mods]), U)
     with pytest.raises(VerificationFailed, match="W_omega"):
         pi_omega_characters(mods, g)
 
@@ -1048,6 +1075,6 @@ def test_restriction_residual_covers_row_zero():
     mod = CuspidalModule(E, NormOneChar(E, 1))
     M = weil_matrix(E, (1, 1, 0, 1))
     mod.restrict(M)
-    M[0, mod.u_tilde[2]] += 1.0
+    M[0, E.norm_fibres[2, 0]] += 1.0
     with pytest.raises(VerificationFailed, match="W_omega"):
         mod.restrict(M)
