@@ -3,7 +3,8 @@
 Construction commands (field, classes, chartable, weil, simclass,
 cuspidal-count) emit tables and matrices; the verify command runs named
 check suites and reports one line per check.  Exit codes: 0 success,
-1 verification failure, 2 invalid input.
+1 verification failure or an unusable output path (each with its own
+stderr message), 2 invalid input.
 """
 
 import argparse
@@ -677,6 +678,9 @@ def run(argv=None):
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except IoError as e:
+        print(f"i/o failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
     except QrepError as e:
         print(f"verification failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

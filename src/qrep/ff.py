@@ -320,9 +320,10 @@ class ExtCtx:
 
     norm and trace land in the base subfield, so their tables store base
     indices (< q).  eps is the smallest-index non-square unit of the
-    base field (only defined for odd q).  The norm fibres, the trace
-    pairing and psi, the field data behind the cuspidal modules and the
-    Weil operators, are computed on first use.
+    base field (only defined for odd q).  The norm fibres and psi, the
+    field data behind the cuspidal modules and the Weil operators, are
+    computed on first use; norm_one lists the norm-one subgroup as the
+    powers of its generator norm_one[1].
     """
 
     def __init__(self, base):
@@ -357,12 +358,6 @@ class ExtCtx:
         ascending order, so column 0 holds the smallest point over u."""
         order = np.argsort(self.norm, kind="stable")
         return order[1:].reshape(self.q - 1, self.q + 1)
-
-    @cached_property
-    def trace_pairing(self):
-        """TP[x, y] = tr(conj(y) x), a base-field index."""
-        idx = np.arange(self.ext.q)
-        return self.trace[self.ext.mul(idx[:, None], self.frob[idx][None, :])]
 
     @cached_property
     def psi(self):

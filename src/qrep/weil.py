@@ -22,9 +22,11 @@ out of this model by a character omega of the norm-one subgroup (SL2)
 or of the full F_{q^2}^* (GL2, after extending by an operator for
 diag(1, a)).  Every element of SL2 is a word in l(c) = (1 0; c 1),
 t(a) = diag(a, 1/a) and w = (0 1; -1 0), built for many elements at
-once by _words.  rho~ is monomial on the lower cell, so each letter is
-restricted once, rho~(w) the one dense operator, and a cuspidal
-character is read off the traces of products of restricted letters.
+once by _words.  rho~ is monomial on the lower cell, so every letter but
+w is restricted to W_omega as a monomial operator, R(w) is read off the
+kernel of rho~(w) on the norm fibres (the Bessel function of the
+Kirillov model) with no Q x Q operator, and a cuspidal character is
+read off the traces of products of restricted letters.
 """
 
 import math
@@ -45,6 +47,8 @@ from .repcore import (ClassFunction, FiniteGroupView, MatrixRep, MixedRadix,
 MAX_H = 1 << 18
 # symplectic_defect exhausts H x H up to this many pairs
 MAX_PAIRS = 1 << 22
+# about eight int64 temporaries per pair: 16,384 pairs per chunk
+_PAIR_BYTES = 8 * np.dtype(np.int64).itemsize
 
 
 class HeisenbergCtx:
@@ -157,31 +161,35 @@ def symplectic_defect(hctx, sample=None, seed=SEED):
     """(violations, pairs checked): the number of pairs (h, h') violating
     phi(h h') = phi(h) *_symp phi(h'), and how many pairs were read.
 
-    All n^2 pairs are checked, in chunks of rows with each (rows, n)
-    array at most _CHUNK_BYTES, when n^2 <= MAX_PAIRS; otherwise only
+    All n^2 pairs are checked when n^2 <= MAX_PAIRS; otherwise only
     `sample` seeded random pairs are, so the count is exact over the
     sample alone, or SizeExceeded is raised when no sample size was
-    given."""
+    given.  Either pair set runs through one loop, in chunks of at most
+    _CHUNK_BYTES / _PAIR_BYTES pairs."""
     n = hctx.nH
-    if n * n > MAX_PAIRS:
-        if sample is None:
-            raise SizeExceeded("too many pairs for the symplectic check")
+    if n * n <= MAX_PAIRS:
+        total = n * n
+
+        def pairs(rows):
+            return np.divmod(np.arange(rows.start, min(rows.stop, total)), n)
+    elif sample is None:
+        raise SizeExceeded("too many pairs for the symplectic check")
+    else:
         rng = np.random.default_rng(seed)
-        h1 = rng.integers(0, n, sample)
-        h2 = rng.integers(0, n, sample)
+        drawn = np.stack([rng.integers(0, n, sample),
+                          rng.integers(0, n, sample)])
+        total = sample
+
+        def pairs(rows):
+            return drawn[:, rows]
+    bad = 0
+    for rows in row_chunks(total, _PAIR_BYTES):
+        h1, h2 = pairs(rows)
         lhs = hctx.to_symplectic(hctx.h_mul(h1, h2))
         rhs = hctx.symplectic_mul(hctx.to_symplectic(h1),
                                   hctx.to_symplectic(h2))
-        return int(np.sum(lhs != rhs)), sample
-    allh = np.arange(n)
-    right = hctx.to_symplectic(allh)
-    bad = 0
-    for rows in row_chunks(n, n * allh.itemsize):
-        h = allh[rows, None]
-        lhs = hctx.to_symplectic(hctx.h_mul(h, allh))
-        rhs = hctx.symplectic_mul(hctx.to_symplectic(h), right)
         bad += int(np.count_nonzero(lhs != rhs))
-    return bad, n * n
+    return bad, total
 
 
 def heisenberg_rep(hctx):
@@ -286,11 +294,7 @@ def weil_matrix(ectx, sigma):
     """The operator rho~(sigma) on L^2(F_{q^2}) as a q^2 x q^2 matrix,
     rows indexed by the argument x.  sigma = (a, b, c, d) base-field
     indices with determinant 1."""
-    a, b, c, d = (np.array([int(t)]) for t in sigma)
-    _check_sl2(ectx, a, b, c, d)
-    if b[0] == 0:
-        return _lower_cell(ectx, c, d)[0]
-    return _big_cell(ectx, a, b, d)[0]
+    return _weil_stack(ectx, np.array([sigma]))[0]
 
 
 def _weil_stack(ectx, mats):
@@ -330,11 +334,14 @@ def _big_cell(ectx, a, b, d):
     -(1/q) psi((d N(x) - tr(conj(y) x) + a N(y)) / b)."""
     base = ectx.base
     Nx = ectx.norm
+    idx = np.arange(ectx.ext.q)
+    # [x, y] -> tr(conj(y) x)
+    pairing = ectx.trace[ectx.ext.mul(idx[:, None], ectx.frob[idx])]
     binv = base.inv(b)[:, None, None]
     arg = base.mul(binv, base.sub(
         base.add(base.mul(d[:, None], Nx)[:, :, None],
                  base.mul(a[:, None], Nx)[:, None, :]),
-        ectx.trace_pairing))
+        pairing))
     return (-1.0 / base.q) * ectx.psi.values[arg]
 
 
@@ -547,58 +554,112 @@ class CuspidalModule:
         self.values = np.conj(omega.values[zx])
 
     def restrict(self, M):
-        """Compress a full-space operator that preserves W_omega, dense
-        or a one-image MonomialImages, to the 1_u basis; the invariance
-        is verified to tolerance.  The one-module case of _restrict_all."""
+        """Compress a one-image MonomialImages operator that preserves
+        W_omega to the 1_u basis; the invariance is verified to
+        tolerance.  The one-module case of _restrict_all."""
         return _restrict_all(self.ectx.norm_fibres, self.values[None], M)[0]
 
 
 def _restrict_all(fibres, values, M):
-    """Every module's restriction of one full-space operator M, dense
-    Q x Q or a one-image MonomialImages, as a (modules, q-1, q-1) array
-    that owns its data; fibres is ExtCtx.norm_fibres and values stacks
-    the modules' CuspidalModule.values.
+    """Every module's restriction of one full-space operator M, a
+    one-image MonomialImages, as a (modules, q-1, q-1) array that owns
+    its data; fibres is ExtCtx.norm_fibres and values stacks the
+    modules' CuspidalModule.values.  Any other M is refused.
 
     For v = values[m], so that basis[F[r, j], r] = v[r, j], C = M @ basis has
     C[x, u] = sum_j M[x, F[u, j]] v[u, j], and R is C at the rows
     u~ = F[:, 0].  The residual C - basis @ R is checked on every entry:
     row 0 of C must vanish, and C[F[r, j], u] must equal v[r, j] R[r, u].
-    Each module's R is one fixed-shape product per u.  For a monomial M,
-    row x of C is zero but for one entry, so the residual is read in
+    Row x of C is zero but for one entry, so the residual is read in
     O(Q) per module."""
-    if isinstance(M, MonomialImages):
-        m, n_u, n_j = values.shape
-        # pos[y] = r (q+1) + j for y = F[r, j]; y = 0 reads a zero after v
-        pos = np.full(M.shape[1], n_u * n_j)
-        pos[fibres] = np.arange(n_u * n_j).reshape(fibres.shape)
-        pos = pos[M.cols[0]]
-        e = M.vals[0] * np.pad(values.reshape(m, -1), ((0, 0), (0, 1)))[:, pos]
-        # row F[r, j] of C: entry on[m, r, j] in column at[r, j]
-        at, on = pos[fibres] // n_j, e[:, fibres]
-        want = values * on[..., :1]
-        defect = np.maximum(np.max(np.where(
-            at == at[:, :1], np.abs(on - want),
-            np.maximum(np.abs(on), np.abs(want)))), np.max(np.abs(e[:, 0])))
-        R = on[..., :1] * (at[:, :1] == np.arange(n_u))
-    else:
-        # Ct[m, u, x] = C[x, u], from M[x, F[u, j]] gathered once
-        Ct = np.matmul(M[:, fibres].transpose(1, 0, 2), values[..., None])[..., 0]
-        on_fibres = Ct[:, :, fibres]             # [m, u, r, j] = C[F[r, j], u]
-        Rt = on_fibres[..., :1]                  # [m, u, r, 0] = R[r, u]
-        defect = np.maximum(np.max(np.abs(on_fibres - values[:, None] * Rt)),
-                            np.max(np.abs(Ct[:, :, 0])))
-        R = Rt[..., 0].transpose(0, 2, 1).copy()
+    if (not isinstance(M, MonomialImages)
+            or M.shape[:2] != (1, fibres.size + 1)):
+        raise GroupMismatch("restriction takes a one-image MonomialImages "
+                            "on L^2(F_{q^2})")
+    m, n_u, n_j = values.shape
+    # pos[y] = r (q+1) + j for y = F[r, j]; y = 0 reads a zero after v
+    pos = np.full(M.shape[1], n_u * n_j)
+    pos[fibres] = np.arange(n_u * n_j).reshape(fibres.shape)
+    pos = pos[M.cols[0]]
+    e = M.vals[0] * np.pad(values.reshape(m, -1), ((0, 0), (0, 1)))[:, pos]
+    # row F[r, j] of C: entry on[m, r, j] in column at[r, j]
+    at, on = pos[fibres] // n_j, e[:, fibres]
+    want = values * on[..., :1]
+    defect = np.maximum(np.max(np.where(
+        at == at[:, :1], np.abs(on - want),
+        np.maximum(np.abs(on), np.abs(want)))), np.max(np.abs(e[:, 0])))
     gate(defect, "W_omega is not preserved")
-    return R
+    return on[..., :1] * (at[:, :1] == np.arange(n_u))
+
+
+def _restrict_weyl(ectx, values):
+    """R(w), w = (0 1; -1 0), on every module whose fibre values values
+    stacks, as a (modules, q-1, q-1) array that owns its data.  It is
+    read off the kernel K(x, y) = -(1/q) psi(-tr(conj(y) x)) of rho~(w),
+    the Bessel function of the Kirillov model, on the norm fibres
+    F = ExtCtx.norm_fibres:
+      R[m, r, u] = sum_j K(F[r, 0], F[u, j]) v[m, u, j],
+    the rows u~ = F[:, 0] of C = rho~(w) basis, as in _restrict_all.
+    That is O(q^3) kernel entries and no Q x Q array.  The product keeps
+    the layout of the dense restriction's matmul, so with OpenBLAS's
+    gemv R equals it bit for bit (an einsum over the same operands
+    moves emitted bytes).
+
+    Certificate that W_omega is invariant, so that these rows determine
+    all Q rows of C.  Let zeta_0 = norm_one[1], T f(x) = f(zeta_0 x), and
+    f_u the basis function with values v[u, j] on the fibre F[u].  Gates:
+      (a) norm[F[r, j]] = r + 1, and row r of F is the set
+          F[r, 0] norm_one; exact;
+      (b) norm_one[t] = zeta_0^t cyclically, N(zeta_0) =
+          zeta_0 frob(zeta_0) = 1 and frob(zeta_0 x) = frob(zeta_0) frob(x)
+          for every x; exact;
+      (c) _restrict_all of T, with its full monomial residual, is a
+          scalar c per module, so T f_u = c f_u; its residual also pins
+          v[u, 0] = 1;
+      (d) sum_j v[m, u, j] = 0 for every module and fibre.
+    By (b), conj(zeta_0 y) zeta_0 x = N(zeta_0) conj(y) x, so
+    K(zeta_0 x, zeta_0 y) = K(x, y) and K commutes with T.  With (c),
+    T (K f_u) = c K f_u, so C[zeta_0^t x, u] = c^t C[x, u].  By (a) and
+    (b), each F[r, j] is zeta_0^t F[r, 0] for some t, where f_r takes
+    the value c^t v[r, 0] = c^t: so C[F[r, j], u] = v[r, j] R[r, u] on
+    every fibre row.  Row 0 is C[0, u] = -(1/q) sum_j v[u, j], zero by
+    (d).  So K f_u = sum_r R[r, u] f_r on all Q rows, each of which the
+    dense residual read: W_omega is invariant and R is rho~(w) on it."""
+    base, ext, q = ectx.base, ectx.ext, ectx.q
+    F = ectx.norm_fibres
+    zeta, frob = ectx.norm_one, ectx.frob
+    z0 = zeta[1]
+    orbits = np.sort(ext.mul(F[:, :1], zeta), axis=1)
+    gate(np.count_nonzero(ectx.norm[F] != np.arange(1, q)[:, None])
+         + np.count_nonzero(orbits != F),
+         "norm fibres are not the norm-one orbits")
+    idx = np.arange(ext.q)
+    gate(np.count_nonzero(ext.mul(z0, zeta) != np.roll(zeta, -1))
+         + int(zeta[0] != 1) + int(ext.mul(z0, frob[z0]) != 1)
+         + np.count_nonzero(frob[ext.mul(z0, idx)]
+                            != ext.mul(frob[z0], frob)),
+         "norm_one[1] is not a norm-one generator that frob respects")
+    T = MonomialImages(ext.mul(z0, idx)[None], np.ones((1, ext.q)))
+    R = _restrict_all(F, values, T)
+    gate(np.max(np.abs(R - R[:, :1, :1] * np.eye(q - 1))),
+         "norm_one[1] does not act on W_omega by a scalar")
+    gate(np.max(np.abs(values.sum(axis=2))),
+         "rho~(w) sends W_omega onto the point 0")
+    # [u, j, r] -> K(F[r, 0], F[u, j]): rows fastest, as in the dense
+    # rho~(w)[:, F], and padded to whole blocks of 4 rows, where each u~
+    # sat in that product, so that BLAS rounds every entry alike
+    rows = np.pad(F[:, 0], (0, -(q - 1) % 4), mode="edge")
+    arg = base.neg(ectx.trace[ext.mul(rows, frob[F][..., None])])
+    K = (-1.0 / q) * ectx.psi.values[arg]
+    Rt = np.matmul(K.transpose(0, 2, 1), values[..., None])[..., :q - 1, 0]
+    return Rt.transpose(0, 2, 1).copy()
 
 
 def _letter_op(ectx, gctx, lid):
-    """The full-space operator of the word letter lid of gctx: rho~(w)
-    dense, rho~ of t(a) or l(c) monomial, and for diag(1, a) the
-    monomial E f(x) = f(a~ x), a~ the smallest point over a."""
-    a, b, c, d = gctx.mat_of(lid)
-    if b:
-        return weil_matrix(ectx, (a, b, c, d))
+    """The full-space operator of the word letter lid of gctx, any
+    letter but w, as a one-image MonomialImages: rho~ of t(a) or l(c),
+    and for diag(1, a) E f(x) = f(a~ x), a~ the smallest point over a."""
+    a, _, c, d = gctx.mat_of(lid)
     if int(gctx.field.mul(a, d)) == 1:
         return _lower_cell(ectx, np.array([c]), np.array([d]))
     cols = ectx.ext.mul(ectx.norm_fibres[d - 1, 0], np.arange(ectx.ext.q))
@@ -617,10 +678,12 @@ def _restricted_class_images(modules, gctx):
     and the restriction of E rho~(sigma) is the product of the table's
     letters over the _words word of g.  The table holds every letter of
     the words of the class representatives and of the certified
-    generators, every l(x), t(-1) and w, each restricted once by
-    _restrict_all to the distinct CuspidalModule.values (the q^2 - q
-    primitive GL2 characters give q distinct W_omega) with every
-    (module, letter) residual checked; W_omega is invariant under a
+    generators, every l(x), t(-1) and w, each restricted once to the
+    distinct CuspidalModule.values (the q^2 - q primitive GL2
+    characters give q distinct W_omega) with its invariance certified
+    on every module: the monomial letters by _restrict_all's residual,
+    w by _restrict_weyl from its kernel on the fibres, so the table
+    build forms no Q x Q operator.  W_omega is invariant under a
     product once it is under each factor, and R(AB) = R(A) R(B).  A
     character value is omega(a~) times the trace of its class word's
     product, formed one class at a time and not kept.
@@ -652,9 +715,11 @@ def _restricted_class_images(modules, gctx):
     values = values[np.unique(inverse, return_index=True)[1]]
     words = _words(gctx, gctx.elems[np.concatenate([reps, gctx.view.gens])])
     needed = set(words.flat) | {gctx.lower_id(x) for x in range(q)}
-    needed |= {gctx.t_id(int(F.neg(1))), gctx.w_id()}
+    needed |= {gctx.t_id(int(F.neg(1)))}
+    w_id = gctx.w_id()
     table = {lid: _restrict_all(fibres, values, _letter_op(ectx, gctx, lid))
-             for lid in sorted(map(int, needed))}
+             for lid in sorted(map(int, needed - {w_id}))}
+    table[w_id] = _restrict_weyl(ectx, values)
 
     traces = np.array([np.trace(reduce(np.matmul, map(table.get, word)),
                                 axis1=1, axis2=2)
@@ -665,7 +730,7 @@ def _restricted_class_images(modules, gctx):
     ident = gctx.class_index_of((1, 0, 0, 1))
     gate(np.max(np.abs(traces[:, ident] - (q - 1))), "cuspidal degree != q - 1")
     lowers = sum(table[gctx.lower_id(x)] for x in range(q))
-    w = table[gctx.w_id()]
+    w = table[w_id]
     n_fixed = table[gctx.t_id(int(F.neg(1)))] @ w @ lowers @ w
     # every distinct W_omega is some module's: inverse reaches each row
     gate(np.max(np.abs(n_fixed / q)), "nonzero N-fixed vectors in W_omega")

@@ -127,6 +127,21 @@ def test_weil_refuses_an_unusable_dump_path_before_the_certificate(
     assert "IoError" in got.err and "Traceback" not in got.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["chartable", "--group", "gl2", "--q", "3", "--out", "{dir}"],
+    ["weil", "--q", "3", "--dump-matrices", "{file}"]])
+def test_an_unusable_output_path_is_not_a_verification_failure(
+        tmp_path, capsys, argv):
+    # an I/O error keeps exit 1, with its own message
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = [a.format(dir=tmp_path, file=taken) for a in argv]
+    assert cli.run(argv) == 1
+    got = capsys.readouterr()
+    assert got.err.startswith("i/o failure: IoError: ")
+    assert "verification failure" not in got.err
+
+
 def test_weil_has_no_check_option():
     assert cli.run(["weil", "--q", "3"]) == 0
     with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,9 @@ from qrep import (
     NormOneChar,
     NotInGroup,
     NotPrimitive,
+    QrepError,
     SizeExceeded,
+    SUPPORTED,
     VerificationFailed,
     averaging_check,
     build_table,
@@ -39,9 +41,10 @@ from qrep import (
     verify_ordinary,
     weil_matrix,
 )
-from qrep import cli, weil
+from qrep import chartab, cli, repcore, weil
 from qrep.ff import FieldCtx
 from qrep.gl2 import _pack
+from qrep.repcore import row_chunks
 
 RNG = np.random.default_rng(20070714)
 
@@ -104,8 +107,8 @@ def _symplectic_by_row(h):
 
 def test_symplectic_defect_counts_a_shifted_pairing_entry_by_chunks(
         monkeypatch):
-    # |H| = 729 rows in 5 chunks: the count must equal the per-row
-    # loop's, with one h_mul per chunk instead of one per row
+    # |H|^2 = 531,441 pairs in 33 chunks: the count must equal the
+    # per-row loop's, with one h_mul per chunk instead of one per row
     h = heisenberg_group((9,))
     h._pair[3, 5] = (h._pair[3, 5] + 1) % h.m
     want = _symplectic_by_row(h)
@@ -119,7 +122,35 @@ def test_symplectic_defect_counts_a_shifted_pairing_entry_by_chunks(
     monkeypatch.setattr(type(h), "h_mul", counting)
     assert symplectic_defect(h) == (want, h.nH ** 2)
     assert want > 0
-    assert 0 < len(calls) <= 8 < h.nH
+    assert len(calls) == len(list(row_chunks(h.nH ** 2, weil._PAIR_BYTES)))
+    assert len(calls) < h.nH
+
+
+def test_sampled_symplectic_defect_counts_every_chunk(monkeypatch):
+    # the sampled path draws its pairs as before and runs them through
+    # the same chunked loop: with the chunk shrunk to 300 pairs, 2,000
+    # draws span 7 chunks, and the count must equal a per-pair loop's
+    # over the same draws
+    h = heisenberg_group((9,))
+    h._pair[3, 5] = (h._pair[3, 5] + 1) % h.m
+    monkeypatch.setattr(weil, "MAX_PAIRS", h.nH)
+    monkeypatch.setattr(repcore, "_CHUNK_BYTES", 300 * weil._PAIR_BYTES)
+    rng = np.random.default_rng(4)
+    h1, h2 = rng.integers(0, h.nH, 2000), rng.integers(0, h.nH, 2000)
+    want = sum(int(h.to_symplectic(h.h_mul(a, b))
+                   != h.symplectic_mul(h.to_symplectic(a), h.to_symplectic(b)))
+               for a, b in zip(h1, h2))
+    calls = []
+    real = type(h).h_mul
+
+    def counting(self, a, b):
+        calls.append(np.size(a))
+        return real(self, a, b)
+
+    monkeypatch.setattr(type(h), "h_mul", counting)
+    assert symplectic_defect(h, sample=2000, seed=4) == (want, 2000)
+    assert want > 0
+    assert calls == [300] * 6 + [200]
 
 
 def test_symplectic_needs_odd_exponent():
@@ -607,15 +638,14 @@ def test_gl2_cuspidal_operator_independent_of_fiber_choice():
     ext = E.ext
     om = MultChar(ext, 1)
     mod = CuspidalModule(E, om)
-    eye = np.eye(ext.q, dtype=complex)
     for a in range(1, 3):
         fiber = np.flatnonzero(np.asarray(E.norm) == a)
         assert len(fiber) == 4  # q + 1 preimages
         restricted = []
         for atil in fiber:
             perm = np.asarray(ext.mul(int(atil), np.arange(ext.q)))
-            op = complex(om.values[int(atil)]) * eye[perm]
-            restricted.append(mod.restrict(op))
+            scale = np.full(ext.q, om.values[int(atil)])
+            restricted.append(mod.restrict(MonomialImages([perm], [scale])))
         for other in restricted[1:]:
             assert np.max(np.abs(other - restricted[0])) < 1e-12
 
@@ -654,11 +684,19 @@ def test_omega0_halves_frozen_at_q3():
 def test_a_no_op_frobenius_splits_nothing(monkeypatch):
     # with the identity in place of the Frobenius permutation, the
     # restricted operator is I: an involution that commutes with
-    # everything, so only the degree of its +1 half shows the fault
+    # everything, so only the degree of its +1 half shows the fault.
+    # The identity lands once the letter table is built, whose R(w)
+    # gate (b) would refuse it first
     E = make_ext(make_field(5))
     sl = make_group("sl2", E.base)
-    E.trace_pairing  # built from the true frob before it is replaced
-    monkeypatch.setattr(E, "frob", np.arange(E.ext.q))
+    real = weil._restricted_class_images
+
+    def then_no_op(modules, gctx):
+        out = real(modules, gctx)
+        monkeypatch.setattr(E, "frob", np.arange(E.ext.q))
+        return out
+
+    monkeypatch.setattr(weil, "_restricted_class_images", then_no_op)
     with pytest.raises(VerificationFailed, match="wrong degree"):
         sl2_cuspidal_family(E, sl)
 
@@ -733,28 +771,37 @@ def test_batched_characters_equal_the_one_module_characters(kind, q):
 
 
 def test_sl2_family_builds_each_weil_operator_once(monkeypatch):
-    # the table path, for either kind, builds one dense operator, rho~(w),
-    # per _restricted_class_images call, however many classes and modules
-    # share it; every other letter is monomial
-    built, calls = [], []
-    real_matrix, real_images = weil.weil_matrix, weil._restricted_class_images
+    # the table path, for either kind, forms no Q x Q operator: neither
+    # weil_matrix nor the big-cell kernel runs, and R(w) is read off the
+    # fibres once per _restricted_class_images call, however many
+    # classes and modules share it; every other letter is monomial.
+    # Every supported size, and gl2 q = 9 and sl2 q = 17 and 19 beyond it
+    calls = []
+    real_weyl, real_images = weil._restrict_weyl, weil._restricted_class_images
 
-    def counting_matrix(ectx, sigma):
-        built.append(tuple(int(t) for t in sigma))
-        return real_matrix(ectx, sigma)
+    def refuse(*args):
+        raise AssertionError("a dense rho~ on the table path")
+
+    def counting_weyl(ectx, values):
+        calls.append(("weyl", ectx.q))
+        return real_weyl(ectx, values)
 
     def counting_images(modules, gctx):
-        calls.append(gctx.kind)
+        calls.append((gctx.kind, gctx.q))
         return real_images(modules, gctx)
 
-    monkeypatch.setattr(weil, "weil_matrix", counting_matrix)
+    monkeypatch.setattr(weil, "weil_matrix", refuse)
+    monkeypatch.setattr(weil, "_big_cell", refuse)
+    monkeypatch.setattr(weil, "_restrict_weyl", counting_weyl)
     monkeypatch.setattr(weil, "_restricted_class_images", counting_images)
-    for kind, q in (("gl2", 5), ("sl2", 7)):
-        built.clear()
-        calls.clear()
-        build_table(kind, q)
-        assert calls == [kind]
-        assert built == [(0, 1, q - 1, 0)]
+    sizes = {"gl2": SUPPORTED["gl2"] + (9,),
+             "sl2": SUPPORTED["sl2"] + (17, 19)}
+    monkeypatch.setattr(chartab, "SUPPORTED", sizes)
+    for kind, qs in sizes.items():
+        for q in qs:
+            calls.clear()
+            build_table(kind, q)
+            assert calls == [(kind, q), ("weyl", q)]
 
 
 def test_restrict_rejects_a_non_invariant_operator():
@@ -763,7 +810,20 @@ def test_restrict_rejects_a_non_invariant_operator():
     Q = E.ext.q
     perm = np.random.default_rng(7).permutation(Q)
     with pytest.raises(VerificationFailed, match="W_omega"):
-        mod.restrict(np.eye(Q, dtype=complex)[perm])
+        mod.restrict(MonomialImages([perm], [np.ones(Q)]))
+
+
+def test_restrict_takes_only_a_one_image_monomial_operator():
+    # the dense residual is gone: a dense operator, or a store of two
+    # images, is refused before any restriction
+    E = make_ext(make_field(5))
+    mod = CuspidalModule(E, NormOneChar(E, 1))
+    Q = E.ext.q
+    two = weil._lower_cell(E, np.array([1, 2]), np.array([1, 1]))
+    for op in (np.eye(Q, dtype=complex), two,
+               MonomialImages([np.arange(9)], [np.ones(9)])):
+        with pytest.raises(QrepError, match="one-image MonomialImages"):
+            mod.restrict(op)
 
 
 def test_batched_characters_check_the_last_module():
@@ -784,12 +844,16 @@ def test_degree_and_n_fixed_gates_read_every_module(monkeypatch, gate):
     # shares the subspace, see the change; the first, a middle and the
     # last module are each the target once.  The class words and the
     # N-fixed sum read each bent l(x) from the one letter table: each is
-    # restricted once
+    # restricted once.  The projector is added to the letter's
+    # restriction, where it is I on the target's W_omega and 0 on every
+    # other, orthogonal, one
     E, g, mods = _all_modules("gl2", 3)
-    real = weil._lower_cell
+    real, real_restrict = weil._lower_cell, weil._restrict_all
+
+    class Bent(MonomialImages):
+        pass
+
     for target in (mods[0], mods[len(mods) // 2], mods[-1]):
-        basis = _dense_basis(target)
-        P = basis @ np.linalg.pinv(basis)
         bent_at = []
 
         def bent(ectx, c, d):
@@ -798,9 +862,18 @@ def test_degree_and_n_fixed_gates_read_every_module(monkeypatch, gate):
                    and (int(c[0]) == 0) == (gate == "cuspidal degree"))
             if hit:
                 bent_at.append(int(c[0]))
-            return out[0] + P if hit else out
+                return Bent(out.cols, out.vals)
+            return out
+
+        def plus_projector(fibres, values, M):
+            R = real_restrict(fibres, values, M)
+            if isinstance(M, Bent):
+                on = np.all(values == target.values, axis=(1, 2))
+                R = R + on[:, None, None] * np.eye(len(fibres))
+            return R
 
         monkeypatch.setattr(weil, "_lower_cell", bent)
+        monkeypatch.setattr(weil, "_restrict_all", plus_projector)
         with pytest.raises(VerificationFailed, match=gate):
             pi_omega_characters(mods, g)
         if gate == "N-fixed":
@@ -846,20 +919,17 @@ def test_a_negated_weyl_letter_is_caught_downstream(monkeypatch, kind, q,
     # -R(w) keeps every W_omega invariant, and its sign cancels in the
     # N-fixed sum R(t(-1)) R(w) (sum_x R(l(x))) R(w), so that gate passes;
     # the class images of the big cell change sign, and a later gate fires
-    real = weil._restrict_all
-    dense = []
+    real = weil._restrict_weyl
+    calls = []
 
-    def negated(fibres, values, M):
-        R = real(fibres, values, M)
-        if isinstance(M, MonomialImages):
-            return R
-        dense.append(M.shape)
-        return -R
+    def negated(ectx, values):
+        calls.append(ectx.q)
+        return -real(ectx, values)
 
-    monkeypatch.setattr(weil, "_restrict_all", negated)
+    monkeypatch.setattr(weil, "_restrict_weyl", negated)
     with pytest.raises(VerificationFailed, match=gate):
         build_table(kind, q)
-    assert dense == [(q * q, q * q)]
+    assert calls == [q]
 
 
 def _corrupt(letter, fault, v, fibres):
@@ -917,9 +987,9 @@ def test_restrictions_own_their_data():
     # array it was read from alive
     E, g, mods = _all_modules("sl2", 5)
     values = np.stack([m.values for m in mods])
-    for op in (weil_matrix(E, (0, 1, 4, 0)),
-               weil._lower_cell(E, np.array([1]), np.array([2]))):
-        assert weil._restrict_all(E.norm_fibres, values, op).base is None
+    assert weil._restrict_weyl(E, values).base is None
+    op = weil._lower_cell(E, np.array([1]), np.array([2]))
+    assert weil._restrict_all(E.norm_fibres, values, op).base is None
 
 
 def _dense_basis(module):
@@ -980,8 +1050,96 @@ def test_restriction_matches_the_dense_products(kind, q):
             want, defect = _dense_restrict(module, scale * rows)
             assert defect < 1e-12
             assert np.max(np.abs(scale * images[i] - want)) < 1e-12
-            assert np.max(np.abs(module.restrict(scale * rows) - want)) < 1e-12
             assert abs(f.values[ci] - np.trace(want)) < get_tol()
+
+
+@pytest.mark.parametrize("kind,q", [("gl2", 3), ("gl2", 5), ("gl2", 7),
+                                    ("gl2", 9), ("sl2", 3), ("sl2", 5),
+                                    ("sl2", 7), ("sl2", 9)])
+def test_weyl_kernel_matches_the_dense_restriction(kind, q):
+    # R(w) read off the fibres against the dense weil_matrix(w) reference
+    # on every distinct module, and bit for bit against the product the
+    # dense restriction formed, C^T = rho~(w)[:, F] v read at the rows u~
+    E, g, mods = _all_modules(kind, q)
+    values = np.unique(np.stack([m.values for m in mods]), axis=0)
+    R = weil._restrict_weyl(E, values)
+    M = weil_matrix(E, g.mat_of(g.w_id()))
+    for Rm, v in zip(R, values):
+        module = CuspidalModule(E, mods[0].omega)
+        module.values = v
+        want, defect = _dense_restrict(module, M)
+        assert defect < 1e-12
+        assert np.max(np.abs(Rm - want)) < 1e-12
+    F = E.norm_fibres
+    Ct = np.matmul(M[:, F].transpose(1, 0, 2), values[..., None])[..., 0]
+    assert np.array_equal(R, Ct[:, :, F[:, 0]].transpose(0, 2, 1))
+
+
+def _weyl_inputs():
+    E, _, mods = _all_modules("sl2", 5)
+    return E, np.stack([m.values for m in mods])
+
+
+@pytest.mark.parametrize("fault", ["norms", "orbit"])
+def test_weyl_gate_a_reads_the_fibres(monkeypatch, fault):
+    # (a): two points swapped between fibres 0 and 1 change their norms;
+    # fibre 1 listed in descending order keeps every norm but is no longer
+    # the orbit F[1, 0] norm_one
+    E, values = _weyl_inputs()
+    weil._restrict_weyl(E, values)
+    F = E.norm_fibres.copy()
+    if fault == "norms":
+        F[0, 1], F[1, 1] = F[1, 1], F[0, 1]
+    else:
+        F[1] = F[1, ::-1]
+    monkeypatch.setitem(E.__dict__, "norm_fibres", F)
+    with pytest.raises(VerificationFailed, match="norm-one orbits"):
+        weil._restrict_weyl(E, values)
+
+
+@pytest.mark.parametrize("fault", ["no-op frob", "swapped frob", "norm_one"])
+def test_weyl_gate_b_reads_zeta0_and_frob(monkeypatch, fault):
+    # (b): the identity for frob breaks N(zeta_0) = 1; frob swapped at two
+    # points breaks frob(zeta_0 x) = frob(zeta_0) frob(x); norm_one with
+    # two entries swapped is no longer the powers of zeta_0
+    E, values = _weyl_inputs()
+    if fault == "no-op frob":
+        monkeypatch.setattr(E, "frob", np.arange(E.ext.q))
+    elif fault == "swapped frob":
+        frob = E.frob.copy()
+        frob[[2, 3]] = frob[[3, 2]]
+        monkeypatch.setattr(E, "frob", frob)
+    else:
+        zeta = E.norm_one.copy()
+        zeta[[2, 3]] = zeta[[3, 2]]
+        monkeypatch.setattr(E, "norm_one", zeta)
+    with pytest.raises(VerificationFailed, match="norm-one generator"):
+        weil._restrict_weyl(E, values)
+
+
+@pytest.mark.parametrize("fault", ["bent phase", "mixed characters"])
+def test_weyl_gate_c_reads_the_module_values(fault):
+    # (c): one bent phase breaks T f_u = c f_u (the monomial residual);
+    # fibre 1 of another character keeps T invariant, acting by another
+    # scalar there, which only the scalar gate sees
+    E, values = _weyl_inputs()
+    values = values.copy()
+    if fault == "bent phase":
+        values[-1, 1, 2] *= np.exp(2j * np.pi / 7)
+        match = "W_omega is not preserved"
+    else:
+        values[-1, 1] = values[0, 1]
+        match = "by a scalar"
+    with pytest.raises(VerificationFailed, match=match):
+        weil._restrict_weyl(E, values)
+
+
+def test_weyl_gate_d_reads_the_point_zero():
+    # (d): the trivial norm-one character's fibre values pass (a)-(c),
+    # T acting by 1, but rho~(w) sends them onto 1_0, outside W_omega
+    E, values = _weyl_inputs()
+    with pytest.raises(VerificationFailed, match="onto the point 0"):
+        weil._restrict_weyl(E, np.ones_like(values[:1]))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
@@ -1033,8 +1191,9 @@ def test_a_corrupt_module_is_not_merged_with_its_healthy_twin():
 
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
 def test_restriction_finds_a_bad_module_anywhere_in_the_batch(position):
+    # the letter (3 0; 1 2): x -> 2 x moves every norm fibre
     E, g, mods = _all_modules("sl2", 5)
-    U = weil_matrix(E, (1, 1, 0, 1))
+    U = weil._lower_cell(E, np.array([1]), np.array([2]))
     weil._restrict_all(E.norm_fibres, np.stack([m.values for m in mods]), U)
     i = {"first": 0, "middle": len(mods) // 2, "last": len(mods) - 1}[position]
     # fibre 1 of another module's values: its basis column is still zero at
@@ -1049,8 +1208,9 @@ def test_restriction_finds_a_bad_module_anywhere_in_the_batch(position):
 
 @pytest.mark.parametrize("monomial", [False, True])
 def test_a_nan_in_a_read_entry_fails_the_restriction(monomial):
-    # the residual is the larger of two maxima; a NaN in either part, on
-    # either branch, must reach the gate
+    # the residual is the larger of two maxima; a NaN in either part must
+    # reach the gate, on a monomial letter and on the R(w) kernel path,
+    # which reads the module values and not the operator
     E = make_ext(make_field(5))
     mod = CuspidalModule(E, NormOneChar(E, 1))
     fibres = E.norm_fibres
@@ -1060,12 +1220,14 @@ def test_a_nan_in_a_read_entry_fails_the_restriction(monomial):
         M = MonomialImages(cols[None], np.ones((1, E.ext.q), dtype=complex))
         mod.restrict(M)
         M.vals[0, fibres[1, 1]] = np.nan
+        with pytest.raises(VerificationFailed, match="W_omega"):
+            mod.restrict(M)
     else:
-        M = weil_matrix(E, (1, 1, 0, 1))
-        mod.restrict(M)
-        M[fibres[0, 0], fibres[1, 1]] = np.nan
-    with pytest.raises(VerificationFailed, match="W_omega"):
-        mod.restrict(M)
+        values = mod.values[None].copy()
+        weil._restrict_weyl(E, values)
+        values[0, 1, 1] = np.nan
+        with pytest.raises(VerificationFailed, match="W_omega"):
+            weil._restrict_weyl(E, values)
 
 
 def test_restriction_residual_covers_row_zero():
@@ -1073,8 +1235,8 @@ def test_restriction_residual_covers_row_zero():
     # onto it is not W_omega-invariant, though its rows u~ are unchanged
     E = make_ext(make_field(5))
     mod = CuspidalModule(E, NormOneChar(E, 1))
-    M = weil_matrix(E, (1, 1, 0, 1))
+    M = weil._lower_cell(E, np.array([1]), np.array([2]))
     mod.restrict(M)
-    M[0, E.norm_fibres[2, 0]] += 1.0
+    M.cols[0, 0] = E.norm_fibres[2, 0]
     with pytest.raises(VerificationFailed, match="W_omega"):
         mod.restrict(M)
