@@ -11,7 +11,9 @@ Every table is verified before it can be emitted: row count, exact
 degree bookkeeping, both orthogonality relations, family counts and
 degree multisets, positive integer degrees, and (at q = 3) a
 root-of-unity decomposition of every entry.  A table that fails any
-check raises VerificationFailed and is never serialized.
+check raises VerificationFailed and is never serialized.  emit lets
+json.dumps(..., indent=2) lay out the json and csv.writer the csv, both
+filled from one array of entry texts.
 """
 
 import csv
@@ -276,88 +278,82 @@ def _row_label(r):
     return f"{r.family}({','.join(str(p) for p in r.params)})"
 
 
-def _formatted(table, fmt):
-    """fmt of the real and of the imaginary part of every entry of
-    table.matrix, as two nested lists (re, im) in row order.  Each
-    distinct float is formatted once; -0.0 and 0.0 share one, which
-    _snap sends to 0.0 either way."""
+def _entry_texts(table, pair, fmt, im_fmt=None):
+    """The text of every entry of table.matrix as a (rows, classes)
+    object array: pair.format(fmt(re), im_fmt(im)), im_fmt defaulting
+    to fmt.  Each format runs once per distinct float, where -0.0 and
+    0.0 share one, which _snap sends to 0.0 either way.  Each entry's
+    pair is keyed by its two float indices as one integer,
+    re_index * n_floats + im_index, so pair fills once per distinct
+    (re, im), and (re, im) and (im, re) get keys of their own."""
     A = table.matrix
-    parts = np.stack([A.real, A.imag])
-    distinct, inverse = np.unique(parts, return_inverse=True)
-    done = [fmt(x) for x in distinct.tolist()]
-    return [[[done[i] for i in row] for row in half]
-            for half in inverse.reshape(parts.shape).tolist()]
+    distinct, inverse = np.unique(np.stack([A.real, A.imag]),
+                                  return_inverse=True)
+    floats = distinct.tolist()
+    re_done = [fmt(x) for x in floats]
+    im_done = re_done if im_fmt is None else [im_fmt(x) for x in floats]
+    n = len(floats)
+    re_at, im_at = inverse.reshape((2,) + A.shape)
+    keys, where = np.unique(re_at * n + im_at, return_inverse=True)
+    texts = np.array([pair.format(re_done[k // n], im_done[k % n])
+                      for k in keys.tolist()], dtype=object)
+    return texts[where.reshape(A.shape)]
 
 
-class _Json(str):
-    """Text already written as JSON, which _render keeps as it is."""
-
-
-def _render(x, depth=0):
-    """The text of json.dumps(x, indent=2) for x nested depth levels
-    deep, written directly: indent makes json.dumps fall back to its
-    pure-Python encoder.  Every leaf but a _Json goes through
-    json.dumps."""
-    if isinstance(x, _Json):
-        return x
-    if isinstance(x, dict):
-        items = [f"{json.dumps(k)}: {_render(v, depth + 1)}"
-                 for k, v in x.items()]
-        opener, closer = "{}"
-    elif isinstance(x, (list, tuple)):
-        items = [_render(v, depth + 1) for v in x]
-        opener, closer = "[]"
-    else:
-        return json.dumps(x)
-    if not items:
-        return opener + closer
-    pad = "\n" + "  " * depth
-    return (opener + pad + "  " + ("," + pad + "  ").join(items) + pad
-            + closer)
+# json.dumps(..., indent=2) lays out a row's values list, three levels
+# deep (document, irreducibles, row), with its entries after eight spaces
+# and its closing bracket after six; each entry, a pair four levels deep,
+# has its two floats after ten spaces and its closing bracket after eight
+_VALUE_PAD = "\n" + " " * 8
+_JSON_PAIR = "[\n          {0},\n          {1}\n        ]"
 
 
 def _json_text(table):
-    """emit's json text: the table as one object, laid out as
-    json.dumps(..., indent=2) lays it out.  Each distinct float is
-    written once, and each (re, im) pair, which sits four levels deep,
-    fills one template."""
-    classes = []
-    for c in table.gctx.conj_classes:
-        a, b, cc, d = c.rep
-        classes.append({"tag": c.tag, "rep": [[a, b], [cc, d]],
-                        "size": c.size, "centralizer": c.centralizer_order})
-    re, im = _formatted(table, lambda x: json.dumps(_sig12(x)))
-    pair = _render([_Json("{0}"), _Json("{1}")], 4)
-    irr = []
-    for r, re_row, im_row in zip(table.rows, re, im):
-        irr.append({"family": r.family, "params": list(r.params),
-                    "degree": r.degree,
-                    "values": [_Json(pair.format(*z))
-                               for z in zip(re_row, im_row)]})
-    return _render({"group": table.kind, "q": table.q,
-                    "classes": classes, "irreducibles": irr}) + "\n"
+    """emit's json text.  One json.dumps(..., indent=2) lays out the
+    whole table with "values": [] in every row, and each row's value
+    pairs go in at its placeholder, laid out as json.dumps lays them
+    out.  json.dumps escapes every '"' inside a string, so the literal
+    '"values": []' occurs only at the placeholders."""
+    classes = [{"tag": c.tag, "rep": [list(c.rep[:2]), list(c.rep[2:])],
+                "size": c.size, "centralizer": c.centralizer_order}
+               for c in table.gctx.conj_classes]
+    irr = [{"family": r.family, "params": list(r.params),
+            "degree": r.degree, "values": []} for r in table.rows]
+    skeleton = json.dumps({"group": table.kind, "q": table.q,
+                           "classes": classes, "irreducibles": irr},
+                          indent=2)
+    texts = _entry_texts(table, _JSON_PAIR,
+                         lambda x: json.dumps(_sig12(x)))
+    parts = skeleton.split('"values": []')
+    out = [parts[0]]
+    for row, rest in zip(texts.tolist(), parts[1:]):
+        out += ['"values": [' + _VALUE_PAD, ("," + _VALUE_PAD).join(row),
+                "\n      ]", rest]
+    return "".join(out + ["\n"])
+
+
+def _csv_text(table):
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["irreducible"] +
+               [_class_label(c) for c in table.gctx.conj_classes])
+    texts = _entry_texts(table, "{0}{1}j", lambda x: f"{_snap(x):.12g}",
+                         lambda x: f"{_snap(x):+.12g}")
+    w.writerows([_row_label(r)] + row
+                for r, row in zip(table.rows, texts.tolist()))
+    return buf.getvalue()
 
 
 def emit(table, fmt, sink):
     """Serialize a verified table as json or csv to a path or file
-    object.  The table is re-verified first; emitting an unverifiable
-    table is impossible."""
-    verify_table(table)
-    if fmt == "json":
-        text = _json_text(table)
-    elif fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["irreducible"] +
-                   [_class_label(c) for c in table.gctx.conj_classes])
-        re, im = _formatted(table, lambda x: (f"{_snap(x):.12g}",
-                                              f"{_snap(x):+.12g}"))
-        for r, re_row, im_row in zip(table.rows, re, im):
-            w.writerow([_row_label(r)] +
-                       [a + b + "j" for (a, _), (_, b) in zip(re_row, im_row)])
-        text = buf.getvalue()
-    else:
+    object.  An unknown fmt is refused before any work; the table is
+    then re-verified, so emitting an unverifiable table is
+    impossible."""
+    write = {"json": _json_text, "csv": _csv_text}.get(fmt)
+    if write is None:
         raise IoError(f"unknown format {fmt!r}")
+    verify_table(table)
+    text = write(table)
     if hasattr(sink, "write"):
         sink.write(text)
     else:

@@ -3,8 +3,8 @@
 Construction commands (field, classes, chartable, weil, simclass,
 cuspidal-count) emit tables and matrices; the verify command runs named
 check suites and reports one line per check.  Exit codes: 0 success,
-1 verification failure or an unusable output path (each with its own
-stderr message), 2 invalid input.
+1 verification failure, an unusable output path or a size beyond a
+supported bound (each with its own stderr message), 2 invalid input.
 """
 
 import argparse
@@ -680,6 +680,9 @@ def run(argv=None):
         return 2
     except IoError as e:
         print(f"i/o failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
+    except SizeExceeded as e:
+        print(f"size limit: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except QrepError as e:
         print(f"verification failure: {type(e).__name__}: {e}", file=sys.stderr)

@@ -181,6 +181,17 @@ def test_emit_rejects_unknown_format_and_bad_path(tmp_path):
     assert json.loads(target.read_text())["q"] == 3
 
 
+def test_emit_refuses_an_unknown_format_before_verifying(monkeypatch):
+    t = build_table("sl2", 3)
+    calls = []
+    monkeypatch.setattr(chartab, "verify_table", calls.append)
+    with pytest.raises(IoError, match="unknown format 'xml'"):
+        emit(t, "xml", io.StringIO())
+    assert calls == []
+    emit(t, "json", io.StringIO())
+    assert calls == [t]
+
+
 def test_serialized_values_have_no_float_dust():
     # -1 must serialize as -1, not -1+1.2e-16j
     t = build_table("sl2", 3)
@@ -223,8 +234,9 @@ def _per_value_text(table, fmt):
 
 def _awkward_table():
     """The sl2 q = 3 table moved within tolerance so that it holds -0.0,
-    values within SNAP of an integer and just outside it, and distinct
-    floats that agree to 12 significant digits."""
+    values within SNAP of an integer and just outside it, distinct
+    floats that agree to 12 significant digits, a pair (x, 0) next to
+    its swap (0, x), and a pair that holds x in the other slot."""
     t = build_table("sl2", 3)
     vals = [r.values.copy() for r in t.rows]
     vals[1][2] = complex(-0.0, -0.0)
@@ -234,6 +246,10 @@ def _awkward_table():
     vals[3][3] -= 2e-14
     a, b = vals[2][2].real, vals[3][3].real
     assert a != b and f"{a:.12g}" == f"{b:.12g}"
+    x = 1.5 * SNAP                            # written as 1.5e-09
+    vals[1][3] = complex(x, 0.0)
+    vals[1][4] = complex(0.0, x)              # (x, 0) swapped
+    vals[0][3] = complex(1.0, x)              # x in the imaginary slot
     return dataclasses.replace(t, rows=[dataclasses.replace(r, values=v)
                                         for r, v in zip(t.rows, vals)])
 
@@ -247,6 +263,9 @@ def test_emit_equals_the_per_value_renderer():
     awkward = emit(tables[-1], "csv", io.StringIO())
     assert "1.0000000015" in awkward
     assert "-0+" not in awkward and "-0j" not in awkward
+    rows = list(csv.reader(io.StringIO(awkward)))
+    assert rows[2][4:6] == ["1.5e-09+0j", "0+1.5e-09j"]
+    assert rows[1][4] == "1+1.5e-09j"
 
 
 def test_verify_table_reports_measured_defects():

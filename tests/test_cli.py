@@ -142,6 +142,18 @@ def test_an_unusable_output_path_is_not_a_verification_failure(
     assert "verification failure" not in got.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classes", "--group", "gl2", "--q", "67"],
+    ["field", "--p", "2", "--k", "21"]])
+def test_a_size_refusal_is_not_a_verification_failure(capsys, argv):
+    # nothing is verified before a size bound refuses: exit 1 stays, with
+    # its own message
+    assert cli.run(argv) == 1
+    got = capsys.readouterr()
+    assert got.err.startswith("size limit: SizeExceeded: ")
+    assert "verification failure" not in got.err
+
+
 def test_weil_has_no_check_option():
     assert cli.run(["weil", "--q", "3"]) == 0
     with pytest.raises(SystemExit) as exc:

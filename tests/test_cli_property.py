@@ -1,8 +1,9 @@
 """Property tests of the CLI contract for `qrep simclass`, `qrep classes`,
 `qrep chartable`, `qrep field`, `qrep cuspidal-count` and `qrep weil`: any
-q, n and matrix string ends in exit 0 (ok), 1 (verification failure) or 2
-(bad input), with no traceback.  For field, cuspidal-count and weil the
-test also predicts which of the three codes it is."""
+q, n and matrix string ends in exit 0 (ok), 1 (verification failure or
+size limit) or 2 (bad input), with no traceback.  For field,
+cuspidal-count and weil the test also predicts which of the three codes
+it is."""
 
 import contextlib
 import io
