@@ -23,7 +23,7 @@ from .gl2 import ConjClass, GroupCtx, bruhat, make_group, sl2_split_test
 from .parabolic import (BorelChar, build_induced_rep, decompose_gl2,
                         delta_kernels, delta_relation_defect,
                         epsilon_swap_defect, induced_character,
-                        intertwiner_dim, intertwiner_idempotents,
+                        intertwiner_idempotents, intertwiner_mismatches,
                         predicted_intertwiner_dim, split_rho_pm)
 from .weil import (CuspidalModule, HeisenbergCtx, averaging_check,
                    fourier_intertwines, gl2_cuspidal_family,

@@ -183,13 +183,8 @@ def _suite_parabolic(rec, q, seed):
     F = _group_field_for(q)
     S = gl2.make_group("sl2", F)
     chars = [ff.MultChar(F, j) for j in range(q - 1)]
-    bad = 0
-    for j1 in range(q - 1):
-        for j2 in range(q - 1):
-            b1 = parabolic.BorelChar(S, (chars[j1],))
-            b2 = parabolic.BorelChar(S, (chars[j2],))
-            bad += parabolic.intertwiner_dim(S, b1, b2) != \
-                parabolic.predicted_intertwiner_dim(b1, b2)
+    bad = parabolic.intertwiner_mismatches(
+        S, [parabolic.BorelChar(S, (c,)) for c in chars])
     rec.check(f"intertwiner dimension matches e1 + ew on all {(q-1)**2} "
               "sl2 pairs", bad)
     bq = parabolic.BorelChar(S, (chars[(q - 1) // 2],))
@@ -205,25 +200,18 @@ def _suite_parabolic(rec, q, seed):
               parabolic.epsilon_swap_defect(S, plus, minus))
     if q <= 5:
         G = gl2.make_group("gl2", F)
-        bad = 0
-        pairs = 0
-        for j1 in range(q - 1):
-            for j2 in range(q - 1):
-                for j3 in range(q - 1):
-                    for j4 in range(q - 1):
-                        b1 = parabolic.BorelChar(G, (chars[j1], chars[j2]))
-                        b2 = parabolic.BorelChar(G, (chars[j3], chars[j4]))
-                        pairs += 1
-                        bad += parabolic.intertwiner_dim(G, b1, b2) != \
-                            parabolic.predicted_intertwiner_dim(b1, b2)
-        rec.check(f"intertwiner dimension matches e1 + ew on all {pairs} "
-                  "gl2 pairs", bad)
+        bchars = [parabolic.BorelChar(G, (c1, c2))
+                  for c1 in chars for c2 in chars]
+        bad = parabolic.intertwiner_mismatches(G, bchars)
+        rec.check(f"intertwiner dimension matches e1 + ew on all "
+                  f"{len(bchars) ** 2} gl2 pairs", bad)
 
 
 def _suite_weil(rec, q, seed):
     F = _group_field_for(q)
     E = ff.make_ext(F)
-    res = weil.verify_ordinary(E)
+    S = gl2.make_group("sl2", F)
+    res = weil.verify_ordinary(E, S)
     rec.check(f"multiplicativity of the lifted action from {res['pairs']} "
               f"(element, generator) products, word length "
               f"{res['word_length']}", res["bound"])
@@ -236,7 +224,7 @@ def _suite_weil(rec, q, seed):
     rec.check(f"symplectic coordinates carry the group law on {pairs} of "
               f"{h.nH ** 2} pairs (defect counts violations)", bad)
     if q <= 5:
-        avg = weil.averaging_check(E)
+        avg = weil.averaging_check(E, S)
         rec.check("averaging operators specialize the Heisenberg action",
                   avg["nu_vs_rho"])
         rec.check("closed form is the normalized averaging operator",
@@ -254,9 +242,10 @@ def _suite_svn(rec, q, seed):
         rec.check(f"uniqueness of the central-character rep for G={orders}", d)
         rec.check(f"fourier transform swaps translation and modulation "
                   f"for G={orders}", weil.fourier_intertwines(h))
-    E9 = ff.make_ext(ff.make_field(3, 2))
+    E = ff.make_ext(_field_for(q))
     rec.check("fourier transform intertwines on the Heisenberg group of "
-              "F_81/F_9", weil.fourier_intertwines(weil.heisenberg_from_ext(E9)))
+              f"F_{q * q}/F_{q}",
+              weil.fourier_intertwines(weil.heisenberg_from_ext(E)))
 
 
 def _suite_cuspidal(rec, q, seed):
@@ -481,7 +470,8 @@ def _cmd_weil(args):
             os.makedirs(dump, exist_ok=True)
         except OSError as e:
             raise IoError(str(e))
-    res = weil.verify_ordinary(E)
+    S = gl2.make_group("sl2", F)
+    res = weil.verify_ordinary(E, S)
     ok = all(within_tol(res[k]) for k in ("bound", "word_defect",
                                           "norm_defect"))
     print(f"q = {args.q}: certified {res['pairs']} (element, generator) "
@@ -490,7 +480,6 @@ def _cmd_weil(args):
           f"word defect {_fmt(res['word_defect'])}, "
           f"normalization defect {_fmt(res['norm_defect'])}")
     if dump:
-        S = gl2.make_group("sl2", F)
         for g in range(S.n):
             M = weil.weil_matrix(E, S.mat_of(g))
             flat = [[float(z.real), float(z.imag)] for z in M.ravel()]
@@ -589,7 +578,7 @@ def _cmd_verify(args):
         rec = Recorder(name)
         try:
             SUITES[name](rec, args.q, args.seed)
-        except InputError:
+        except (InputError, SizeExceeded):
             raise
         except QrepError as e:
             rec.error(e)

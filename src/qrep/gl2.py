@@ -212,16 +212,12 @@ class GroupCtx:
             return "nonsemisimple", (lam,), (lam, 1, 0, lam)
         # SL2: the direction of the nilpotent part matters; the class of
         # (lam v; 0 lam) is detected by the square class of
-        # det[N u, u] for N = m - lam and any u outside ker N
-        a, b, c, d = m
-        na, nb = int(F.sub(a, lam)), b
-        nc, nd = c, int(F.sub(d, lam))
-        for u in ((1, 0), (0, 1)):
-            v = (int(F.add(F.mul(na, u[0]), F.mul(nb, u[1]))),
-                 int(F.add(F.mul(nc, u[0]), F.mul(nd, u[1]))))
-            if v != (0, 0):
-                break
-        delta = int(F.sub(F.mul(v[0], u[1]), F.mul(u[0], v[1])))
+        # delta = det[N u, u] for N = m - lam and any u outside ker N.
+        # N != 0 has N^2 = 0, so c = 0 forces N = (0 b; 0 0): u = (0, 1)
+        # gives delta = b.  Otherwise u = (1, 0) lies outside ker N and
+        # delta = det[(a - lam, c), (1, 0)] = -c
+        _, b, c, _ = m
+        delta = int(F.neg(c)) if c else b
         variant = 1 if self.field.is_square_unit(delta) else self.eps_of_field()
         return "nonsemisimple", (lam, variant), (lam, variant, 0, lam)
 

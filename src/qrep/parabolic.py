@@ -79,11 +79,15 @@ def predicted_intertwiner_dim(bchar1, bchar2):
     return int(a == b) + int(a == (-b) % qm1)
 
 
-def intertwiner_dim(ctx, bchar1, bchar2):
-    """dim Hom(I(bchar1), I(bchar2)) computed from the characters."""
-    f1 = induced_character(ctx, bchar1)
-    f2 = induced_character(ctx, bchar2)
-    return hom_dim(f1, f2)
+def intertwiner_mismatches(ctx, bchars):
+    """Number of ordered pairs (b1, b2) of bchars whose dim
+    Hom(I(b1), I(b2)), computed from the characters by hom_dim, differs
+    from predicted_intertwiner_dim.  Each character is induced once;
+    hom_dim raises NonIntegral on any pair."""
+    induced = [induced_character(ctx, b) for b in bchars]
+    return sum(hom_dim(f1, f2) != predicted_intertwiner_dim(b1, b2)
+               for b1, f1 in zip(bchars, induced)
+               for b2, f2 in zip(bchars, induced))
 
 
 def decompose_gl2(ctx, bchar):

@@ -38,13 +38,15 @@ from .config import SEED, gate, within_tol
 from .errors import (EvenExponent, EvenQ, GroupMismatch, NotInGroup,
                      NotPrimitive, NotSL2, SizeExceeded, VerificationFailed)
 from .ff import MultChar, NormOneChar, dual_pairing, is_primitive
-from .gl2 import GroupCtx, _pack
+from .gl2 import _pack
 from .parabolic import split_in_two
 from .repcore import (ClassFunction, FiniteGroupView, MatrixRep, MixedRadix,
                       MonomialImages, character_table_bruteforce,
                       inner_product, orbits, rep_character, row_chunks)
 
 MAX_H = 1 << 18
+# verify_ordinary holds rho~ of every SL2 element at once: q <= 13 fits
+MAX_STACK_BYTES = 1 << 30
 # symplectic_defect exhausts H x H up to this many pairs
 MAX_PAIRS = 1 << 22
 # about eight int64 temporaries per pair: 16,384 pairs per chunk
@@ -381,8 +383,9 @@ def _words(gctx, mats):
     return ids
 
 
-def verify_ordinary(ectx):
-    """Multiplicativity and normalization checks for rho~.
+def verify_ordinary(ectx, slctx):
+    """Multiplicativity and normalization checks for rho~ on the SL2
+    context slctx over ectx.base.
 
     Multiplicativity is MatrixRep.check_homomorphism on SL2's view: its
     |G| |S| (element, generator) products bound the defect of every pair.
@@ -398,33 +401,39 @@ def verify_ordinary(ectx):
 
     Returns {"pairs", "word_length", "bound", "word_defect",
     "norm_defect"}: the products checked, the view's word length bound L
-    and the certificate's bound B.
+    and the certificate's bound B.  SizeExceeded, before any image is
+    built, when the n Q^2 complex images exceed MAX_STACK_BYTES.
     """
-    ctx = GroupCtx("sl2", ectx.base)
-    n, q, Q = ctx.n, ectx.q, ectx.ext.q
-    chunks = list(row_chunks(n, Q * Q * np.dtype(complex).itemsize))
+    if slctx.kind != "sl2" or slctx.field is not ectx.base:
+        raise GroupMismatch("need an sl2 context over the extension's base")
+    n, q, Q = slctx.n, ectx.q, ectx.ext.q
+    item = np.dtype(complex).itemsize
+    if n * Q * Q * item > MAX_STACK_BYTES:
+        raise SizeExceeded(f"{n} images of {Q} x {Q} exceed "
+                           f"{MAX_STACK_BYTES} bytes")
+    chunks = list(row_chunks(n, Q * Q * item))
     images = np.empty((n, Q, Q), dtype=complex)
     for rows in chunks:
-        images[rows] = _weil_stack(ectx, ctx.elems[rows])
-    bound = MatrixRep(ctx.view, images).check_homomorphism()
+        images[rows] = _weil_stack(ectx, slctx.elems[rows])
+    bound = MatrixRep(slctx.view, images).check_homomorphism()
 
     # columns 1-4: det = 1 on SL2, so column 0 is the identity
-    words = _words(ctx, ctx.elems)[:, 1:]
+    words = _words(slctx, slctx.elems)[:, 1:]
     word_worst = 0.0
     for rows in chunks:
         acc = reduce(np.matmul, (images[words[rows, j]] for j in range(4)))
         word_worst = np.maximum(word_worst, np.max(np.abs(acc - images[rows])))
 
     # normalization: rho~(sigma) 1_0 is column 0 of rho~(sigma)
-    big = ctx.elems[:, 1] != 0
+    big = slctx.elems[:, 1] != 0
     col0 = images[big, :, 0]
-    dbinv = ctx.elems[words[big, 0], 2][:, None]
+    dbinv = slctx.elems[words[big, 0], 2][:, None]
     pred = (-1.0 / q) * ectx.psi.values[ectx.base.mul(dbinv, ectx.norm)]
     norm_worst = np.maximum(np.max(np.abs(col0[:, 0] - (-1.0 / q))),
                             np.max(np.abs(col0 - pred)))
 
-    return {"pairs": n * len(ctx.view.gens),
-            "word_length": ctx.view.word_length, "bound": bound,
+    return {"pairs": n * len(slctx.view.gens),
+            "word_length": slctx.view.word_length, "bound": bound,
             "word_defect": float(word_worst), "norm_defect": float(norm_worst)}
 
 
@@ -493,11 +502,11 @@ def _rho_stack(ectx, mats):
     return M / Q
 
 
-def averaging_check(ectx):
-    """Over every element g of SL2(F_q): nu built from the Heisenberg
-    action agrees with the closed-form rho at g^{-1}, and rho agrees
-    with the normalized rho~ up to the per-element scalar (1 for b = 0,
-    -q otherwise).  The weil verify suite runs it at q <= 5.
+def averaging_check(ectx, slctx):
+    """Over every element g of the SL2(F_q) context slctx: nu built from
+    the Heisenberg action agrees with the closed-form rho at g^{-1}, and
+    rho agrees with the normalized rho~ up to the per-element scalar (1
+    for b = 0, -q otherwise).  The weil verify suite runs it at q <= 5.
 
     nu(g), rho(g^-1), rho(g) and rho~(g) are built as (n, Q, Q) stacks
     over chunks of g, each stack no larger than repcore._CHUNK_BYTES.
@@ -505,13 +514,14 @@ def averaging_check(ectx):
     grid, with one np.add.at scatter per stack, so the number of field
     calls grows with the chunk count, not with |SL2|.  Returns the max
     defects."""
-    ctx = GroupCtx("sl2", ectx.base)
+    if slctx.kind != "sl2" or slctx.field is not ectx.base:
+        raise GroupMismatch("need an sl2 context over the extension's base")
     Q = ectx.ext.q
     worst_nu = 0.0
     worst_scale = 0.0
-    for rows in row_chunks(ctx.n, Q * Q * np.dtype(complex).itemsize):
-        mats = ctx.elems[rows]
-        inv_mats = ctx.elems[ctx.view.inv[rows]]
+    for rows in row_chunks(slctx.n, Q * Q * np.dtype(complex).itemsize):
+        mats = slctx.elems[rows]
+        inv_mats = slctx.elems[slctx.view.inv[rows]]
         worst_nu = np.maximum(worst_nu, np.max(np.abs(
             _nu_stack(ectx, mats) - _rho_stack(ectx, inv_mats))))
         scal = np.where(mats[:, 1] == 0, 1.0, -float(ectx.q))[:, None, None]
@@ -771,25 +781,22 @@ def gl2_cuspidal_family(ectx, glctx):
     chars = pi_omega_characters(
         [CuspidalModule(ectx, MultChar(ext, i))
          for orbit in frob_orbits for i in orbit], glctx)
-    # one root z of each anisotropic class's characteristic polynomial
-    lam = np.arange(ext.q)
-    aniso = {}
-    for ci, cls in enumerate(glctx.conj_classes):
-        if cls.tag != "anisotropic":
-            continue
-        det_i, tr_i = cls.params
-        vals = ext.add(ext.sub(ext.mul(lam, lam), ext.mul(tr_i, lam)), det_i)
-        roots = lam[np.asarray(vals) == 0]
-        if len(roots) != 2:
-            raise VerificationFailed("anisotropic class has no ext roots")
-        aniso[ci] = int(roots[0])
+    # the smallest root z of each anisotropic class's x^2 - tr x + det:
+    # its roots are the z of trace tr and norm det, two when irreducible
+    aniso = [ci for ci, cls in enumerate(glctx.conj_classes)
+             if cls.tag == "anisotropic"]
+    det, tr = np.array([glctx.conj_classes[ci].params for ci in aniso]).T
+    key = ectx.trace * q + ectx.norm
+    if np.any(np.bincount(key, minlength=q * q)[tr * q + det] != 2):
+        raise VerificationFailed("anisotropic class has no ext roots")
+    keys, first = np.unique(key, return_index=True)
+    z = first[np.searchsorted(keys, tr * q + det)]
     firsts = np.array([f.values for f in chars[::2]])
     gate(np.max(np.abs(firsts - [f2.values for f2 in chars[1::2]])),
          "omega and omega^q give different characters")
     oms = np.array([MultChar(ext, j).values for j, _ in frob_orbits])
-    z = np.array(list(aniso.values()))
     want = -(oms[:, z] + oms[:, ectx.frob[z]])
-    gate(np.max(np.abs(firsts[:, list(aniso)] - want)),
+    gate(np.max(np.abs(firsts[:, aniso] - want)),
          "anisotropic cuspidal value mismatch")
     out = list(zip(frob_orbits, chars[::2]))
     if len(out) != (q * q - q) // 2:

@@ -309,6 +309,15 @@ def test_grid_refusal_comes_before_the_field(argv, capsys):
     assert "Traceback" not in got.out + got.err
 
 
+def test_a_size_refusal_in_verify_is_not_a_failed_check(capsys):
+    # nothing was checked, so verify reports the refusal as every other
+    # command does, not as a FAIL line of the suite
+    assert cli.run(["verify", "--suite", "classes", "--q", "101"]) == 1
+    got = capsys.readouterr()
+    assert "FAIL" not in got.out
+    assert got.err.startswith("size limit: SizeExceeded: q^4 = ")
+
+
 def test_verify_counting_json(capsys):
     assert cli.run(["verify", "--suite", "counting", "--q", "3",
                     "--json"]) == 0

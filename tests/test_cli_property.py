@@ -1,9 +1,9 @@
 """Property tests of the CLI contract for `qrep simclass`, `qrep classes`,
-`qrep chartable`, `qrep field`, `qrep cuspidal-count` and `qrep weil`: any
-q, n and matrix string ends in exit 0 (ok), 1 (verification failure or
-size limit) or 2 (bad input), with no traceback.  For field,
-cuspidal-count and weil the test also predicts which of the three codes
-it is."""
+`qrep chartable`, `qrep field`, `qrep cuspidal-count`, `qrep weil` and
+`qrep verify`: any q, n and matrix string ends in exit 0 (ok), 1
+(verification failure or size limit) or 2 (bad input), with no
+traceback.  For field, cuspidal-count, weil and verify the test also
+predicts which of the three codes it is."""
 
 import contextlib
 import io
@@ -15,7 +15,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrep import cli
+from qrep import cli, gl2
 from qrep.ff import MAX_Q
 from qrep.simclass import MAX_ENUM
 
@@ -37,14 +37,14 @@ def _simclass_argv(draw):
 
 
 def _exits_zero_one_or_two_without_a_traceback(argv):
-    """(exit code, stdout) of one run, which must end in 0, 1 or 2 with
-    no traceback."""
+    """(exit code, stdout, stderr) of one run, which must end in 0, 1 or
+    2 with no traceback."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _prime_of(q):
@@ -92,7 +92,7 @@ def test_field_exits_by_the_contract(pk):
     # 2 unless p is prime and k positive; then 1 past MAX_Q, else 0 with
     # the tables of F_{p^k}
     p, k = pk
-    code, out = _exits_zero_one_or_two_without_a_traceback(
+    code, out, _ = _exits_zero_one_or_two_without_a_traceback(
         ["field", "--p", str(p), "--k", str(k)])
     if _prime_of(p) != p or k < 1:
         assert code == 2
@@ -118,7 +118,7 @@ def test_cuspidal_count_exits_by_the_contract(qn):
     # else 0, with the two counts equal exactly when n >= 2 (at n = 1 they
     # are q - 1 characters against q monics)
     q, n = qn
-    code, out = _exits_zero_one_or_two_without_a_traceback(
+    code, out, _ = _exits_zero_one_or_two_without_a_traceback(
         ["cuspidal-count", "--q", str(q), "--n", str(n)])
     if _prime_of(q) is None or n < 1:
         assert code == 2
@@ -149,10 +149,40 @@ def test_weil_exits_by_the_contract(q, dump):
             open(taken, "w").close()
             path = taken if dump == "an existing file" else os.path.join(taken, "x")
             argv += ["--dump-matrices", path]
-        code, _ = _exits_zero_one_or_two_without_a_traceback(argv)
+        code, _, _ = _exits_zero_one_or_two_without_a_traceback(argv)
     if _prime_of(q) in (None, 2):
         assert code == 2
     elif q >= 100 or dump is not None:
         assert code == 1
     else:
         assert code == 0
+
+
+# every cheap suite at small q; the group suites also far past the q^4
+# grid bound, which they refuse before building F_q (fields and counting
+# get slow there)
+_GROUP_SUITES = ["bruhat", "classes"]
+_VERIFY_SUITE_Q = st.one_of(
+    st.tuples(st.sampled_from(["fields", "counting", *_GROUP_SUITES]),
+              st.integers(-3, 16)),
+    st.tuples(st.sampled_from(_GROUP_SUITES),
+              st.sampled_from([67, 101, 128, 243, 531441])))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(_VERIFY_SUITE_Q, st.integers(0, 2 ** 32))
+def test_verify_exits_by_the_contract(suite_q, seed):
+    # 2 on stderr unless q is a prime power, odd for an odd-q suite; then
+    # 1 with a size limit on stderr past the grid bound, else 0 with every
+    # line on stdout
+    suite, q = suite_q
+    code, out, err = _exits_zero_one_or_two_without_a_traceback(
+        ["verify", "--suite", suite, "--q", str(q), "--seed", str(seed)])
+    if _prime_of(q) is None or q % 2 == 0 and suite in cli.ODD_SUITES:
+        assert (code, err[:7]) == (2, "error: ")
+    elif suite in _GROUP_SUITES and q ** 4 > gl2.MAX_GRID:
+        assert (code, err[:12]) == (1, "size limit: ")
+        assert "FAIL" not in out
+    else:
+        assert (code, err) == (0, "")
+        assert f"suite {suite}: " in out and "FAIL" not in out

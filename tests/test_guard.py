@@ -11,6 +11,8 @@ and rounding thresholds are named constants in `config.py`; `cli.py`
 compares nothing to the tolerance.
 Every imported name is used, and every function, class and method the
 package defines is read by name inside it or traced by perfbench.
+Groups are built by their callers: the command line, build_table, and
+gl2 itself.
 """
 
 import ast
@@ -222,3 +224,31 @@ def test_every_definition_is_read_by_the_package():
               if not _is_read(modname, name, read)
               and f"{modname}.{name}" not in traced]
     assert unread == []
+
+
+_GROUP_BUILDERS = ("GroupCtx", "make_group")
+
+
+def _group_builds(tree):
+    """(top-level definition, line) of each GroupCtx(...) or
+    make_group(...) call, by bare name or as an attribute."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            if name in _GROUP_BUILDERS:
+                yield getattr(top, "name", "<module>"), node.lineno
+
+
+def test_groups_are_built_only_by_their_owners():
+    # a library function takes its caller's context, as every SL2-level
+    # construction does, so one command builds each group once
+    allowed = {("chartab.py", "build_table")}
+    found = [f"{path.name}:{line} in {name}"
+             for path in SOURCES if path.name not in ("cli.py", "gl2.py")
+             for name, line in _group_builds(ast.parse(path.read_text()))
+             if (path.name, name) not in allowed]
+    assert found == []

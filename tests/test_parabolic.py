@@ -23,8 +23,8 @@ from qrep import (
     get_tol,
     induced_character,
     inner_product,
-    intertwiner_dim,
     intertwiner_idempotents,
+    intertwiner_mismatches,
     make_ext,
     make_field,
     make_group,
@@ -134,17 +134,48 @@ def test_sl2_principal_series_values_match_closed_form():
         assert np.max(np.abs(got.values - np.array(vals))) < 1e-9
 
 
+def _borel_chars(ctx):
+    """Every Borel character of ctx: chi for SL2, (chi1, chi2) for GL2."""
+    F = ctx.field
+    nchars = 1 if ctx.kind == "sl2" else 2
+    return [BorelChar(ctx, tuple(MultChar(F, j) for j in js))
+            for js in itertools.product(range(ctx.q - 1), repeat=nchars)]
+
+
 def test_intertwiner_dims_match_weyl_orbit_prediction():
     for kind, q in (("sl2", 5), ("gl2", 3)):
         ctx = make_group(kind, make_field(q))
-        F = ctx.field
-        nchars = 1 if kind == "sl2" else 2
-        for js in itertools.product(range(q - 1), repeat=nchars):
-            for ks in itertools.product(range(q - 1), repeat=nchars):
-                b1 = BorelChar(ctx, tuple(MultChar(F, j) for j in js))
-                b2 = BorelChar(ctx, tuple(MultChar(F, k) for k in ks))
-                assert intertwiner_dim(ctx, b1, b2) == \
-                    predicted_intertwiner_dim(b1, b2)
+        assert intertwiner_mismatches(ctx, _borel_chars(ctx)) == 0
+
+
+def test_the_intertwiner_sweep_induces_each_character_once(monkeypatch):
+    # 16 characters and 256 ordered pairs at gl2 q = 5: inducing both
+    # characters per pair made 512 induce calls
+    ctx = make_group("gl2", make_field(5))
+    bchars = _borel_chars(ctx)
+    calls = []
+    real = parabolic.induce
+
+    def counting(f, emb):
+        calls.append(1)
+        return real(f, emb)
+
+    monkeypatch.setattr(parabolic, "induce", counting)
+    assert intertwiner_mismatches(ctx, bchars) == 0
+    assert len(calls) == len(bchars) == 16
+
+
+def test_a_wrong_prediction_for_one_ordered_pair_is_counted(monkeypatch):
+    ctx = make_group("sl2", make_field(5))
+    bchars = _borel_chars(ctx)
+    real = parabolic.predicted_intertwiner_dim
+    b1, b2 = bchars[1], bchars[2]
+
+    def wrong(x, y):
+        return real(x, y) + int(x is b1 and y is b2)
+
+    monkeypatch.setattr(parabolic, "predicted_intertwiner_dim", wrong)
+    assert intertwiner_mismatches(ctx, bchars) == 1
 
 
 def test_predicted_dim_cases():

@@ -2,6 +2,7 @@
 cuspidal character extraction."""
 
 import itertools
+import time
 from functools import reduce
 
 import numpy as np
@@ -317,16 +318,16 @@ def test_weil_weyl_image_is_a_scaled_fourier_kernel():
     assert np.max(np.abs(M[:, 0] - M[0, 0])) < 1e-12
 
 
-def _weil_rep(E):
-    ctx = make_group("sl2", E.base)
+def _weil_rep(E, ctx):
     return MatrixRep(ctx.view, [weil_matrix(E, ctx.mat_of(g))
                                 for g in range(ctx.n)])
 
 
 def test_ordinary_relations_all_pairs_q3(all_pairs_defect):
     E = make_ext(make_field(3))
-    out = verify_ordinary(E)
-    rep = _weil_rep(E)
+    ctx = make_group("sl2", E.base)
+    out = verify_ordinary(E, ctx)
+    rep = _weil_rep(E, ctx)
     assert out["pairs"] == 24 * len(rep.view.gens)
     assert out["bound"] == rep.check_homomorphism()
     assert all_pairs_defect(rep) <= out["bound"] < 1e-10
@@ -335,9 +336,10 @@ def test_ordinary_relations_all_pairs_q3(all_pairs_defect):
 
 
 def test_ordinary_relations_certified_q7():
-    out = verify_ordinary(make_ext(make_field(7)))
-    view = make_group("sl2", make_field(7)).view
-    assert out["pairs"] == 336 * len(view.gens)
+    E = make_ext(make_field(7))
+    ctx = make_group("sl2", E.base)
+    out = verify_ordinary(E, ctx)
+    assert out["pairs"] == 336 * len(ctx.view.gens)
     assert out["bound"] < 1e-10
 
 
@@ -353,7 +355,8 @@ def test_a_perturbed_weil_image_fails_verification(monkeypatch, capsys):
         return out
 
     monkeypatch.setattr(weil, "_weil_stack", perturbed)
-    out = verify_ordinary(make_ext(make_field(3)))
+    E = make_ext(make_field(3))
+    out = verify_ordinary(E, make_group("sl2", E.base))
     assert out["bound"] > get_tol()
     assert cli.run(["verify", "--suite", "weil", "--q", "3"]) == 1
     assert "FAIL weil: multiplicativity" in capsys.readouterr().out
@@ -362,10 +365,9 @@ def test_a_perturbed_weil_image_fails_verification(monkeypatch, capsys):
 def test_ordinary_field_calls_do_not_grow_with_the_group(monkeypatch):
     # images and words are built over chunks of elements (two at q = 5);
     # one weil_matrix and one word per element made 3,002 calls here.
-    # The group context is built outside the count.
+    # The caller builds the group context, outside the count.
     E = make_ext(make_field(5))
     ctx = make_group("sl2", E.base)
-    monkeypatch.setattr(weil, "GroupCtx", lambda kind, field: ctx)
     calls = []
     for name in ("add", "sub", "mul", "neg", "inv"):
         real = getattr(FieldCtx, name)
@@ -374,7 +376,7 @@ def test_ordinary_field_calls_do_not_grow_with_the_group(monkeypatch):
             calls.append(1)
             return real(self, *args)
         monkeypatch.setattr(FieldCtx, name, counting)
-    verify_ordinary(E)
+    verify_ordinary(E, ctx)
     assert ctx.n == 120
     assert 0 < len(calls) <= 64
 
@@ -436,7 +438,7 @@ def test_words_refuse_a_corrupted_letter(kind):
 def test_averaging_recovers_the_special_apportionment():
     for p in (3, 5):
         E = make_ext(make_field(p))
-        out = averaging_check(E)
+        out = averaging_check(E, make_group("sl2", E.base))
         assert out["nu_vs_rho"] < 1e-10
         assert out["rho_vs_normalized"] < 1e-10
 
@@ -502,17 +504,17 @@ def test_averaging_stacks_equal_the_per_element_operators(p):
         scal = 1.0 if mat[1] == 0 else -float(E.q)
         worst_scale = max(worst_scale, float(np.max(np.abs(
             scal * rho_g - weil_matrix(E, mat)))))
-    out = averaging_check(E)
+    out = averaging_check(E, ctx)
     assert out == {"nu_vs_rho": worst_nu, "rho_vs_normalized": worst_scale}
 
 
 def test_averaging_field_calls_do_not_grow_with_the_group(monkeypatch):
     # the stacks make a fixed number of field calls per chunk of
     # elements (two chunks at q = 5); one call per element and row made
-    # 84,558 calls here.  The group context is built outside the count.
+    # 84,558 calls here.  The caller builds the group context, outside
+    # the count.
     E = make_ext(make_field(5))
     ctx = make_group("sl2", E.base)
-    monkeypatch.setattr(weil, "GroupCtx", lambda kind, field: ctx)
     calls = []
     real = FieldCtx.mul
 
@@ -521,7 +523,7 @@ def test_averaging_field_calls_do_not_grow_with_the_group(monkeypatch):
         return real(self, x, y)
 
     monkeypatch.setattr(FieldCtx, "mul", counting)
-    averaging_check(E)
+    averaging_check(E, ctx)
     assert 0 < len(calls) <= 64 < ctx.n
 
 
@@ -538,11 +540,46 @@ def test_a_perturbed_normalized_stack_fails_the_averaging_check(
         return out
 
     monkeypatch.setattr(weil, "_weil_stack", perturbed)
-    out = averaging_check(make_ext(make_field(3)))
+    E = make_ext(make_field(3))
+    out = averaging_check(E, make_group("sl2", E.base))
     assert out["rho_vs_normalized"] > get_tol()
     assert out["nu_vs_rho"] < get_tol()
     assert cli.run(["verify", "--suite", "weil", "--q", "3"]) == 1
     assert "FAIL weil: closed form" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("certificate", [verify_ordinary, averaging_check])
+@pytest.mark.parametrize("kind, q", [("gl2", 3), ("sl2", 5)])
+def test_the_weil_certificates_refuse_a_foreign_group(certificate, kind, q):
+    # the caller's context must be SL2 over the extension's own base field
+    E = make_ext(make_field(3))
+    ctx = make_group(kind, E.base if q == 3 else make_field(q))
+    with pytest.raises(GroupMismatch, match="need an sl2 context"):
+        certificate(E, ctx)
+
+
+def test_the_image_stack_is_bounded_before_it_is_allocated(monkeypatch,
+                                                           capsys):
+    # 120 images of 25 x 25 at q = 5 take 1,200,000 bytes: one byte less
+    # of room refuses them, before _weil_stack builds any image
+    E = make_ext(make_field(5))
+    ctx = make_group("sl2", E.base)
+    monkeypatch.setattr(weil, "MAX_STACK_BYTES", 120 * 25 * 25 * 16 - 1)
+    monkeypatch.setattr(weil, "_weil_stack", None)
+    with pytest.raises(SizeExceeded, match="120 images of 25 x 25"):
+        verify_ordinary(E, ctx)
+    assert cli.run(["weil", "--q", "5"]) == 1
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.startswith("size limit: SizeExceeded")
+
+
+def test_weil_refuses_q17_by_its_stack_size(capsys):
+    # rho~ of all 4,896 elements of SL2(F_17) would take 6.5 GB
+    t0 = time.perf_counter()
+    assert cli.run(["weil", "--q", "17"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    got = capsys.readouterr()
+    assert got.err.startswith("size limit: SizeExceeded: 4896 images")
 
 
 # ---------------------------------------------------------------------------
