@@ -322,8 +322,10 @@ def _json_text(table):
     skeleton = json.dumps({"group": table.kind, "q": table.q,
                            "classes": classes, "irreducibles": irr},
                           indent=2)
+    # json.dumps writes a finite float as float.__repr__, and
+    # verify_table has refused every NaN and infinity
     texts = _entry_texts(table, _JSON_PAIR,
-                         lambda x: json.dumps(_sig12(x)))
+                         lambda x: float.__repr__(_sig12(x)))
     parts = skeleton.split('"values": []')
     out = [parts[0]]
     for row, rest in zip(texts.tolist(), parts[1:]):

@@ -5,13 +5,28 @@ the index is the little-endian digit expansion over the base field, so
 the base field embeds as the indices 0..base.q-1 and the prime subfield
 always occupies 0..p-1.  All arithmetic is table driven and vectorized
 over numpy integer arrays (FieldCtx.scalar reads the same tables as
-Python lists, for one index at a time): multiplication reads the
-exp/log tables, and addition in an extension field reads the Zech
-logarithm table zech[n] = log(1 + g^n) (Lidl-Niederreiter, Finite
-Fields, 10.1), so x + y = g^(log x + zech[log y - log x]) costs a few
-lookups and never touches the digit expansion.  Both extension tables,
-zech and neg_table, are built once from digit-wise arithmetic over the
-base.
+Python lists, for one index at a time).
+
+A field with q <= MAX_TABLE_Q = 2^8 holds its whole addition and
+multiplication as two flat q x q Cayley tables, so x + y is
+add_table[x * q + y], one gather, and x * y likewise.  Both tables are
+filled once at construction by the routines below, and an extension's
+add table is checked on every pair against digit-wise addition over the
+base.  The bound keeps both tables within 1 MB and gives them to every
+base field up to F_256 (F_49 included) and to F_{q^2} up to q = 16.
+F_{q^2} for q >= 17 (F_289 and up) keeps the routines, which cost no
+q^2 memory: a bound of 2^12, tabling F_289 and F_361, raised the peak
+memory of the sl2 q = 17, 19 builds by about 2 MB.
+
+Fields above the bound keep the routines.  A prime field adds and
+multiplies mod p.  An extension multiplies through the exp/log tables
+and adds through the Zech logarithm table zech[n] = log(1 + g^n)
+(Lidl-Niederreiter, Finite Fields, 10.1), so x + y =
+g^(log x + zech[log y - log x]) costs a few lookups and never touches
+the digit expansion.  zech and the extension's neg_table are built once
+from digit-wise arithmetic over the base.  A gather wraps a negative
+index where mod p would reduce it, so every argument must be an index
+in 0..q-1.
 
 The modulus of an extension is the lexicographically smallest monic
 irreducible of the right degree (coefficients compared low degree
@@ -28,6 +43,9 @@ from . import poly
 from .errors import NonPrime, SizeExceeded, Singular, SizeMismatch
 
 MAX_Q = 1 << 20
+# fields up to this size add and multiply by one gather from a q x q
+# Cayley table; larger ones keep Zech logarithms or reduction mod p
+MAX_TABLE_Q = 1 << 8
 
 ScalarOps = namedtuple("ScalarOps", "add sub mul neg inv")
 
@@ -66,17 +84,22 @@ class FieldCtx:
     base, low degree first, monic; None for a prime field), gen, exp
     (length q-1), log (length q, log[0] = -1), inv_table (length q, junk
     at 0), trace_to_prime (length q, values < p), eps (computed on first
-    use).  An extension field also holds zech (length q-1, zech[n] =
-    log(1 + g^n), -1 where 1 + g^n = 0) and neg_table (length q), which
-    serve add, neg and sub; a prime field adds, negates and multiplies
-    mod p and holds None for both.  The digit expansion is used only to
-    build the tables: a base-field element is its own index here.
+    use), and neg_table (length q), which serves neg.  When q <=
+    MAX_TABLE_Q, add_table and mul_table (int64, length q * q, entry
+    x * q + y holding x + y and x * y) serve add and mul; above the
+    bound both are None.  An extension field also holds zech (length
+    q-1, zech[n] = log(1 + g^n), -1 where 1 + g^n = 0), which serves add
+    above the bound and fills add_table below it; a prime field holds
+    None there and adds and multiplies mod p above the bound.  The digit
+    expansion is used only to build the tables: a base-field element is
+    its own index here.
 
-    add, sub, mul, neg and inv take ints or int arrays and return numpy
-    values.  scalar (built on first use) holds the same five operations
-    on one Python-int index at a time, returning Python ints; it serves
-    the per-coefficient loops of poly and simclass, where a numpy call
-    per scalar would cost more than the arithmetic.
+    add, sub, mul, neg and inv take indices in 0..q-1, as ints or int
+    arrays, and return int64 numpy values.  scalar (built on first use)
+    holds the same five operations on one Python-int index at a time,
+    returning Python ints; it serves the per-coefficient loops of poly
+    and simclass, where a numpy call per scalar would cost more than the
+    arithmetic.
     """
 
     def __init__(self, p=None, base=None, deg=None):
@@ -101,7 +124,6 @@ class FieldCtx:
         self.deg = 1
         self.modulus = None
         self.zech = None
-        self.neg_table = None
         gen = 1
         if p > 2:
             facs = [ell for ell, _ in _factorize(p - 1)]
@@ -116,6 +138,8 @@ class FieldCtx:
         self.exp = exp
         self.log = np.full(p, -1, dtype=np.int64)
         self.log[exp] = np.arange(p - 1)
+        self.neg_table = -np.arange(p, dtype=np.int64) % p
+        self._fill_tables()
 
     def _init_ext(self, base, deg):
         q = base.q ** deg
@@ -176,6 +200,22 @@ class FieldCtx:
         # the addition tables, from digit-wise arithmetic over the base
         self.zech = self.log[base.add(digits[1], digits[exp]) @ places]
         self.neg_table = base.neg(digits) @ places
+        self._fill_tables()
+        if self.add_table is not None:
+            # every pair against digit-wise addition, which reads no zech
+            pairs = base._add(digits[:, None], digits[None, :]) @ places
+            bad = np.count_nonzero(pairs.ravel() != self.add_table)
+            if bad:
+                raise AssertionError(
+                    f"add table differs from digit-wise addition on {bad} pairs")
+
+    def _fill_tables(self):
+        # the Cayley tables, from the routines _add and _mul; above
+        # MAX_TABLE_Q they stay None and add and mul run the routines
+        self.add_table = self.mul_table = None
+        if self.q <= MAX_TABLE_Q:
+            x, y = np.divmod(np.arange(self.q * self.q), self.q)
+            self.add_table, self.mul_table = self._add(x, y), self._mul(x, y)
 
     def _pow_tup(self, tup, n):
         acc = (1,)
@@ -205,6 +245,12 @@ class FieldCtx:
     # --- arithmetic on indices (ints or int arrays) ---
 
     def add(self, x, y):
+        if self.add_table is not None:
+            return self.add_table[np.asarray(x) * self.q + y]
+        return self._add(x, y)
+
+    def _add(self, x, y):
+        # mod p, or by Zech logarithms in an extension
         x = np.asarray(x)
         y = np.asarray(y)
         if self.base is None:
@@ -216,14 +262,18 @@ class FieldCtx:
         return np.where(x == 0, y, np.where(y == 0, x, out))[()]
 
     def neg(self, x):
-        if self.base is None:
-            return (-np.asarray(x)) % self.p
         return self.neg_table[x]
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
     def mul(self, x, y):
+        if self.mul_table is not None:
+            return self.mul_table[np.asarray(x) * self.q + y]
+        return self._mul(x, y)
+
+    def _mul(self, x, y):
+        # mod p, or through exp/log in an extension
         x = np.asarray(x)
         y = np.asarray(y)
         if self.base is None:

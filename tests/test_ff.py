@@ -24,7 +24,7 @@ from qrep import (
     make_group,
 )
 from qrep import poly
-from qrep.ff import prime_power
+from qrep.ff import MAX_TABLE_Q, prime_power
 
 RNG = np.random.default_rng(20070714)
 
@@ -135,22 +135,100 @@ def test_extension_add_neg_sub_match_digitwise_arithmetic(p, k):
 
 
 def test_extension_arithmetic_reads_only_its_own_tables(monkeypatch):
-    # after construction, add/neg/sub are lookups in zech, exp, log and
-    # neg_table: no base-field arithmetic, and the digit expansion that
-    # built them is not kept
+    # after construction, add/neg/sub/mul are lookups: in add_table,
+    # mul_table and neg_table up to MAX_TABLE_Q, in zech, exp, log and
+    # neg_table above it.  No base-field arithmetic, and the digit
+    # expansion that built them is not kept
     def refuse(*args):
         raise AssertionError("base-field arithmetic called")
 
-    for p, k in [(2, 3), (3, 2), (5, 2), (3, 4)]:
+    for p, k in [(2, 3), (3, 2), (5, 2), (3, 4), (17, 2)]:
         F = make_field(p, k)
+        x, y = np.divmod(np.arange(F.q * F.q), F.q)
+        prods = F.mul(x, y)
         monkeypatch.setattr(F.base, "add", refuse)
         monkeypatch.setattr(F.base, "neg", refuse)
+        monkeypatch.setattr(F.base, "mul", refuse)
+        if F.q <= MAX_TABLE_Q:
+            for name in ("zech", "exp", "log"):
+                monkeypatch.setattr(F, name, None)
+        else:
+            assert F.add_table is None and F.mul_table is None
         assert not hasattr(F, "digits")
-        x, y = np.divmod(np.arange(F.q * F.q), F.q)
         assert np.array_equal(F.add(x, y), _digitwise(p, k, x, y, 1))
         assert np.array_equal(F.sub(x, y), _digitwise(p, k, x, y, -1))
+        assert np.array_equal(F.mul(x, y), prods)
         assert F.neg(1) == _digitwise(p, k, 0, 1, -1)
         assert F.add(1, 1) == _digitwise(p, k, 1, 1, 1)
+
+
+# every field of ZECH_FIELDS that holds Cayley tables, and the primes 3-19
+TABLE_FIELDS = ([(p, k) for p, k in ZECH_FIELDS if p ** k <= MAX_TABLE_Q]
+                + [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19)])
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+def test_cayley_tables_equal_the_routines_they_replace(p, k, monkeypatch):
+    F = make_field(p, k)
+    q = F.q
+    x, y = np.divmod(np.arange(q * q), q)  # all q^2 pairs
+    tables = F.add_table, F.mul_table
+    for t in tables + (F.neg_table,):
+        assert t.dtype == np.int64
+    assert tables[0].shape == tables[1].shape == (q * q,)
+    for got in (F.add(x, y), F.sub(x, y), F.mul(x, y), F.neg(x),
+                F.add(2, 1), F.mul(2, 1), F.neg(1)):
+        assert got.dtype == np.int64
+    # without the tables, add and mul run Zech/exp-log or mod p again
+    monkeypatch.setattr(F, "add_table", None)
+    monkeypatch.setattr(F, "mul_table", None)
+    assert np.array_equal(tables[0], F.add(x, y))
+    assert np.array_equal(tables[1], F.mul(x, y))
+    if k == 1:
+        assert np.array_equal(tables[0], (x + y) % p)
+        assert np.array_equal(tables[1], (x * y) % p)
+        assert np.array_equal(F.neg_table, -np.arange(p) % p)
+    else:
+        assert np.array_equal(tables[0], _digitwise(p, k, x, y, 1))
+
+
+@pytest.mark.parametrize("p", [17, 19])
+def test_fields_above_the_table_bound_keep_zech(p):
+    # F_289 and F_361 add by Zech logarithms; their base fields hold tables
+    F = make_field(p, 2)
+    assert F.q > MAX_TABLE_Q
+    assert F.add_table is None and F.mul_table is None
+    assert F.base.add_table is not None
+    x, y = np.divmod(np.arange(F.q * F.q), F.q)
+    got = F.add(x, y)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _digitwise(p, 2, x, y, 1))
+    assert np.array_equal(F.sub(x, y), _digitwise(p, 2, x, y, -1))
+
+
+def test_a_prime_field_above_the_table_bound_works_mod_p():
+    F = make_field(257)
+    assert F.add_table is None and F.mul_table is None
+    x = RNG.integers(0, 257, size=500)
+    y = RNG.integers(0, 257, size=500)
+    assert np.array_equal(F.add(x, y), (x + y) % 257)
+    assert np.array_equal(F.mul(x, y), (x * y) % 257)
+    assert np.array_equal(F.sub(x, y), (x - y) % 257)
+
+
+def test_a_corrupted_zech_entry_fails_the_add_table_gate(monkeypatch):
+    # zech[5] of F_9 serves the 8 pairs of units with log y - log x = 5;
+    # the gate compares every pair with digit-wise addition over F_3
+    fill = FieldCtx._fill_tables
+
+    def corrupt_then_fill(self):
+        if self.zech is not None:
+            self.zech[5] = (self.zech[5] + 1) % (self.q - 1)
+        fill(self)
+
+    monkeypatch.setattr(FieldCtx, "_fill_tables", corrupt_then_fill)
+    with pytest.raises(AssertionError, match="digit-wise addition on 8 pairs"):
+        make_field(3, 2)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 9, 25, 27, 49])

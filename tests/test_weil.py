@@ -582,6 +582,20 @@ def test_weil_refuses_q17_by_its_stack_size(capsys):
     assert got.err.startswith("size limit: SizeExceeded: 4896 images")
 
 
+def test_the_weil_suite_refuses_q13_before_the_image_stack(monkeypatch,
+                                                           capsys):
+    # |H(F_169)| = 13^4 * 13 exceeds MAX_H, and the suite builds H before
+    # verify_ordinary, whose 2184 images of 169 x 169 would take 998 MB
+    def refuse(*args):
+        raise AssertionError("verify_ordinary called at q = 13")
+
+    monkeypatch.setattr(weil, "verify_ordinary", refuse)
+    assert cli.run(["verify", "--suite", "weil", "--q", "13"]) == 1
+    got = capsys.readouterr()
+    assert "FAIL" not in got.out
+    assert got.err.startswith("size limit: SizeExceeded: |H| = ")
+
+
 # ---------------------------------------------------------------------------
 # cuspidal modules and characters
 
