@@ -45,9 +45,9 @@ def _field_for(q):
 
 
 def _group_field_for(q):
-    """_field_for where a group over F_q follows: the q^4 grid bound is
-    checked first, since an extension field near ff.MAX_Q takes seconds
-    to build."""
+    """_field_for where a group over F_q follows: gl2.check_grid, the
+    bound on the group's 8*q^4-byte id lookup, is checked first, since
+    an extension field near ff.MAX_Q takes seconds to build."""
     p, k = _parse_q(q)
     gl2.check_grid(q)
     return ff.make_field(p, k)

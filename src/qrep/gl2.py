@@ -3,8 +3,14 @@ decomposition, conjugacy classes with canonical representatives.
 
 A matrix (a b; c d) of field-element indices is packed into the single
 integer ((a q + b) q + c) q + d, and the group is enumerated in
-increasing packed order.  All matrix arithmetic is vectorized over
-index arrays; no |G| x |G| multiplication table is ever built.
+increasing packed order straight from the triples (a, b, c): for a != 0
+SL2 has the one entry d = (1 + bc)/a and GL2 every d but the root of
+ad = bc; on the line a = 0, SL2 needs c = -1/b and GL2 bc != 0, and d is
+free.  No q^4 array of matrices is built: an O(|G|) certificate (every
+determinant, strictly increasing keys, the group order) proves the list
+is the group in the order the ids rely on.  All matrix arithmetic is
+vectorized over index arrays; no |G| x |G| multiplication table is ever
+built.
 
 Class representatives follow the rational-canonical shapes: scalars,
 (lambda v; 0 lambda) with v = 1 (and v = eps for SL2, where the two
@@ -26,7 +32,8 @@ from .errors import (EvenQ, NotInGroup, SizeExceeded, Singular,
 from .repcore import FiniteGroupView, perm_orbits, subgroup_view
 
 TAG_RANK = {"central": 0, "nonsemisimple": 1, "split_regular": 2, "anisotropic": 3}
-# GroupCtx enumerates all q^4 matrices over F_q at once: q <= 61 fits
+# GroupCtx holds lookup, an int64 array over all q^4 packed keys
+# (8 q^4 bytes, 128 MiB at the bound): q <= 61 fits
 MAX_GRID = 1 << 24
 
 
@@ -41,15 +48,55 @@ class ConjClass:
 
 
 def check_grid(q):
-    """SizeExceeded unless the q^4 matrices over F_q fit MAX_GRID; the
-    bound needs q alone, so callers can check it before building F_q."""
+    """SizeExceeded unless GroupCtx's id lookup, one int64 per packed key
+    (8 q^4 bytes), fits MAX_GRID entries; the bound needs q alone, so
+    callers can check it before building F_q."""
     if q ** 4 > MAX_GRID:
-        raise SizeExceeded(f"q^4 = {q ** 4} matrices exceed {MAX_GRID}")
+        raise SizeExceeded(
+            f"q^4 = {q ** 4} entries of the 8*q^4-byte id lookup exceed "
+            f"{MAX_GRID}")
 
 
 def _pack(q, m):
     m = np.asarray(m, dtype=np.int64)
     return ((m[..., 0] * q + m[..., 1]) * q + m[..., 2]) * q + m[..., 3]
+
+
+def _fill(block, shape, *cols):
+    """Write the four entry columns of block, viewed as shape + (4,),
+    each broadcast over shape."""
+    view = block.reshape(shape + (4,))
+    for i, col in enumerate(cols):
+        view[..., i] = col
+
+
+def _enumerate(kind, F):
+    """Every matrix of kind over F, in increasing packed order, from the
+    triples (a, b, c).  The line a = 0 comes first: there det = -bc, so
+    SL2 takes c = -1/b and GL2 every b, c != 0, each with every d.  For
+    a != 0, SL2 takes the one d = (1 + bc)/a and GL2 every d but the
+    root r = bc/a of ad = bc, as k + (k >= r) for k = 0..q-2.  Blocks
+    and entries run in lexicographic (a, b, c, d) order."""
+    q = F.q
+    units, full = np.arange(1, q), np.arange(q)
+    a, b, c = units[:, None, None], full[:, None], full
+    if kind == "sl2":
+        elems = np.empty((q ** 3 - q, 4), dtype=np.int64)
+        head = (q - 1) * q
+        v = units[:, None]
+        _fill(elems[:head], (q - 1, q), 0, v, F.neg(F.inv(v)), full)
+        _fill(elems[head:], (q - 1, q, q), a, b, c,
+              F.mul(F.add(1, F.mul(b, c)), F.inv(a)))
+        return elems
+    elems = np.empty(((q * q - 1) * (q * q - q), 4), dtype=np.int64)
+    head = (q - 1) ** 2 * q
+    _fill(elems[:head], (q - 1, q - 1, q), 0, units[:, None, None],
+          units[:, None], full)
+    root = F.mul(F.mul(b, c), F.inv(a))[..., None]
+    k = np.arange(q - 1)
+    _fill(elems[head:], (q - 1, q, q, q - 1), a[..., None], b[..., None],
+          c[..., None], k + (k >= root))
+    return elems
 
 
 class GroupCtx:
@@ -70,13 +117,10 @@ class GroupCtx:
         self.q = q
         self.eps = field.eps
 
-        grid = np.indices((q, q, q, q)).reshape(4, -1).T.astype(np.int64)
-        det = self.mat_det(grid)
-        keep = det != 0 if kind == "gl2" else det == 1
-        self.elems = grid[keep]
+        self.elems = _enumerate(kind, field)
         self.n = len(self.elems)
         self.lookup = np.full(q ** 4, -1, dtype=np.int64)
-        self.lookup[_pack(q, self.elems)] = np.arange(self.n)
+        self.lookup[self._certify()] = np.arange(self.n)
 
         self.identity = self.id_of((1, 0, 0, 1))
         inv = self.lookup[_pack(q, self.mat_inv(self.elems))]
@@ -91,6 +135,31 @@ class GroupCtx:
                       rep_id=rep_id, size=len(orbit),
                       centralizer_order=self.n // len(orbit))
             for tag, params, rep_id, orbit in labels]
+
+    def _certify(self):
+        """The packed keys of elems, once elems is proved to be exactly
+        the group in increasing packed order: every entry lies in
+        0..q-1, every determinant is nonzero (gl2) or 1 (sl2), the keys
+        strictly increase, and there are |G| of them.  Keys in range are
+        distinct matrices, so |G| distinct members are the whole group,
+        and increasing keys fix the order of the ids."""
+        q, m = self.q, self.elems
+        order = (q * q - 1) * (q * q - q) if self.kind == "gl2" else q ** 3 - q
+        if self.n != order:
+            raise VerificationFailed(
+                f"{self.n} matrices enumerated, |{self.kind}| = {order}")
+        if m.min() < 0 or m.max() >= q:
+            raise VerificationFailed("an entry lies outside the field")
+        det = self.mat_det(m)
+        bad = np.count_nonzero(det == 0 if self.kind == "gl2" else det != 1)
+        if bad:
+            raise VerificationFailed(
+                f"{bad} enumerated matrices have a determinant outside "
+                f"{self.kind}")
+        keys = _pack(q, m)
+        if np.any(keys[1:] <= keys[:-1]):
+            raise VerificationFailed("packed keys do not strictly increase")
+        return keys
 
     # --- matrix arithmetic on (..., 4) index arrays ---
 
@@ -132,7 +201,12 @@ class GroupCtx:
     # --- element constructors ---
 
     def id_of(self, m):
-        i = int(self.lookup[int(_pack(self.q, np.asarray(m, dtype=np.int64)))])
+        m = np.asarray(m, dtype=np.int64)
+        # an entry outside 0..q-1 would pack onto another matrix's key
+        if m.min() < 0 or m.max() >= self.q:
+            raise NotInGroup(
+                f"{tuple(m.tolist())} has an entry outside F_{self.q}")
+        i = int(self.lookup[int(_pack(self.q, m))])
         if i < 0:
             raise NotInGroup(f"{tuple(m)} is not in {self.kind}")
         return i

@@ -325,9 +325,13 @@ def induce(f, emb):
     return ClassFunction(G, vals * G.n / (H.n * G.sizes))
 
 
-# bytes of one stacked operand in check_homomorphism and in the weil
-# averaging and Fourier checks, whatever the operator size is
+# bytes of one chunk, whatever the operator size is: of one stacked
+# operand in the dense branch of MatrixRep.product_defect and in the weil
+# averaging and Fourier checks, and of the whole working set in the
+# monomial branch, whose loop body holds about _MONOMIAL_TEMPS (rows, d)
+# temporaries the size of one complex operand at once
 _CHUNK_BYTES = 1 << 20
+_MONOMIAL_TEMPS = 8
 
 
 def row_chunks(n, row_bytes):
@@ -413,24 +417,26 @@ class MatrixRep:
     def product_defect(self):
         """delta of check_homomorphism: the largest entry of
         |pi(e) - I| and of every |pi(g) pi(s) - pi(gs)|, g in G, s in S,
-        with g read in chunks of at most _CHUNK_BYTES.  The products gs
-        are read from the view's right multiplication table, so no group
-        product is formed here.
+        with g read in chunks.  The products gs are read from the view's
+        right multiplication table, so no group product is formed here.
 
-        A dense stack takes one GEMM per chunk and generator.  A
-        MonomialImages store is never made dense beyond pi(e) and the
-        pi(s): row j of pi(g) pi(s) is its one entry vals[g, j] times
-        row cols[g, j] of pi(s), so the product has columns
-        cols[s][cols[g]] and values vals[g] vals[s][cols[g]].  Row j
-        of the difference with pi(gs) is |pv - tv| where the columns
-        agree and max(|pv|, |tv|) where they differ, which is the
-        largest entry of that row of the dense difference."""
+        A dense stack takes one GEMM per chunk and generator, each chunk
+        of pi(g) at most _CHUNK_BYTES.  A MonomialImages store is never
+        made dense beyond pi(e) and the pi(s): row j of pi(g) pi(s) is
+        its one entry vals[g, j] times row cols[g, j] of pi(s), so the
+        product has columns cols[s][cols[g]] and values
+        vals[g] vals[s][cols[g]].  Row j of the difference with pi(gs)
+        is |pv - tv| where the columns agree and max(|pv|, |tv|) where
+        they differ, which is the largest entry of that row of the dense
+        difference.  Its chunks are sized by the loop body's whole
+        working set, _MONOMIAL_TEMPS complex (rows, d) temporaries, so
+        they too take about _CHUNK_BYTES."""
         v, d, images = self.view, self.dim, self.images
         gs = v.right.T
         delta = np.max(np.abs(images[v.identity] - np.eye(d)))
         if isinstance(images, MonomialImages):
             C, V = images.cols, images.vals
-            for rows in row_chunks(v.n, d * V.itemsize):
+            for rows in row_chunks(v.n, _MONOMIAL_TEMPS * d * V.itemsize):
                 c, val = C[rows], V[rows]
                 for j, s in enumerate(v.gens):
                     pc, pv = C[s][c], val * V[s][c]

@@ -280,8 +280,8 @@ def test_cuspidal_count_refuses_beyond_the_enumeration_bound(capsys):
     ["verify", "--suite", "classes", "--q", "101"],
 ])
 def test_classes_refuse_beyond_the_grid_bound(argv, capsys):
-    # the 101^4 matrix grid would take 3.1 GiB: GroupCtx refuses it before
-    # allocating, while sl2 q = 37 stays admitted
+    # the id lookup over all 101^4 packed keys would take 794 MiB:
+    # GroupCtx refuses it before allocating, while sl2 q = 37 stays admitted
     assert 37 ** 4 <= gl2.MAX_GRID < 101 ** 4
     t0 = time.perf_counter()
     assert cli.run(argv) == 1
@@ -304,8 +304,8 @@ def test_grid_refusal_comes_before_the_field(argv, capsys):
     assert cli.run(argv) == 1
     assert time.perf_counter() - t0 < 1.0
     got = capsys.readouterr()
-    assert (f"SizeExceeded: q^4 = {531441 ** 4} matrices exceed "
-            f"{gl2.MAX_GRID}") in got.out + got.err
+    assert (f"SizeExceeded: q^4 = {531441 ** 4} entries of the "
+            f"8*q^4-byte id lookup exceed {gl2.MAX_GRID}") in got.out + got.err
     assert "Traceback" not in got.out + got.err
 
 

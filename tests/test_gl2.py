@@ -1,9 +1,12 @@
-"""Conjugacy-class structure and Bruhat decomposition of GL2/SL2."""
+"""Enumeration, conjugacy-class structure and Bruhat decomposition of
+GL2/SL2."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qrep import NotInGroup, bruhat, make_field, make_group, sl2_split_test
+from qrep import NotInGroup, bruhat, gl2, make_field, make_group, sl2_split_test
 from qrep.errors import Singular, VerificationFailed
 
 RNG = np.random.default_rng(20070714)
@@ -151,6 +154,99 @@ def test_membership_errors():
         g3.id_of((1, 1, 1, 1))  # singular
     with pytest.raises(Singular):
         g3.mat_inv(np.array([1, 1, 1, 1]))
+
+
+def test_id_of_refuses_entries_outside_the_field():
+    # over F_3, (1, 0, 0, 4) packs onto the key of (1, 0, 1, 1), and
+    # (1, 0, 0, -2) onto that of (0, 2, 2, 1) in GL2: an entry outside
+    # 0..q-1 must not alias another matrix, nor index past the lookup
+    for kind in ("gl2", "sl2"):
+        ctx = make_group(kind, make_field(3))
+        for m in ((1, 0, 0, 4), (1, 0, 0, -2), (3, 0, 0, 1), (1, -1, 0, 1)):
+            with pytest.raises(NotInGroup, match="outside F_3"):
+                ctx.id_of(m)
+
+
+# ---------------------------------------------------------------------------
+# enumeration
+
+
+def _filtered_grid(ctx):
+    """The reference enumeration: all q^4 matrices in increasing packed
+    order, kept by their determinant."""
+    q = ctx.q
+    grid = np.indices((q,) * 4).reshape(4, -1).T
+    det = ctx.mat_det(grid)
+    return grid[det != 0 if ctx.kind == "gl2" else det == 1]
+
+
+@pytest.mark.parametrize("kind,p,k", [
+    ("sl2", 3, 1), ("sl2", 5, 1), ("sl2", 7, 1), ("sl2", 3, 2), ("sl2", 5, 2),
+    ("gl2", 3, 1), ("gl2", 5, 1), ("gl2", 7, 1), ("gl2", 3, 2)])
+def test_enumeration_equals_the_filtered_grid(kind, p, k):
+    ctx = make_group(kind, make_field(p, k))
+    assert ctx.elems.dtype == np.int64
+    assert np.array_equal(ctx.elems, _filtered_grid(ctx))
+    assert np.array_equal(ctx.lookup[gl2._pack(ctx.q, ctx.elems)],
+                          np.arange(ctx.n))
+    assert np.count_nonzero(ctx.lookup >= 0) == ctx.n
+
+
+def _drop(m):
+    return np.delete(m, 5, axis=0)
+
+
+def _wrong_det(m):
+    # over F_5 the last matrix is (4, 4, 4, 3) in both groups; d = 4
+    # keeps its key the largest and makes it singular
+    m[-1, 3] = 4
+    return m
+
+
+def _duplicate(m):
+    m[6] = m[5]
+    return m
+
+
+def _swap(m):
+    m[[5, 6]] = m[[6, 5]]
+    return m
+
+
+def _outside(m):
+    m[5, 3] = 5
+    return m
+
+
+@pytest.mark.parametrize("kind", ["gl2", "sl2"])
+@pytest.mark.parametrize("edit,match", [
+    (_drop, "matrices enumerated"),
+    (_wrong_det, "determinant outside"),
+    (_duplicate, "strictly increase"),
+    (_swap, "strictly increase"),
+    (_outside, "outside the field"),
+])
+def test_each_enumeration_gate_fires(monkeypatch, kind, edit, match):
+    # one fault per gate of GroupCtx._certify; each message names its gate
+    enumerate_ = gl2._enumerate
+    monkeypatch.setattr(gl2, "_enumerate",
+                        lambda kind, F: edit(enumerate_(kind, F)))
+    with pytest.raises(VerificationFailed, match=match):
+        make_group(kind, make_field(5))
+
+
+def test_the_sl2_enumeration_builds_no_q4_grid():
+    # |SL2(F_25)| = 15,600 matrices and an 8 * 25^4-byte (3.1 MB) id
+    # lookup: the construction peaks at about 7 MB traced, where building
+    # and filtering all 25^4 matrices takes it to 27 MB
+    F = make_field(5, 2)
+    tracemalloc.start()
+    try:
+        make_group("sl2", F)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 # ---------------------------------------------------------------------------

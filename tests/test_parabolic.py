@@ -300,7 +300,7 @@ def test_a_wrong_coset_fails_the_proportionality_gate(where):
 
 
 def test_induced_model_stores_no_image_stack():
-    # at sl2 q=17 the model peaks at about 6 MB traced with its monomial
+    # at sl2 q=17 the model peaks at about 3 MB traced with its monomial
     # store and the chunked certificate, and at 30 MB with a dense
     # (|G|, q+1, q+1) image stack
     ctx = make_group("sl2", make_field(17))

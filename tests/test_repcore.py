@@ -4,6 +4,7 @@ certified generators and matrix models."""
 
 import copy
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,8 +37,8 @@ from qrep import repcore
 from qrep.chartab import SUPPORTED, build_table
 from qrep.errors import VerificationFailed
 from qrep.ff import prime_power
-from qrep.repcore import (_CHUNK_BYTES, MixedRadix, flood_classes,
-                          generating_set, orbits)
+from qrep.repcore import (_CHUNK_BYTES, _MONOMIAL_TEMPS, MixedRadix,
+                          flood_classes, generating_set, orbits)
 
 RNG = np.random.default_rng(20070714)
 
@@ -309,12 +310,13 @@ def test_homomorphism_check_reaches_every_chunk():
 
 def test_monomial_homomorphism_check_gathers_every_pair(all_pairs_defect):
     # Z/64 x Z/48 acting by the cyclic shift of 64 points times a phase:
-    # columns and values both move, and the 3,072 elements span three
-    # chunks of 1,024 rows
+    # columns and values both move, and the 3,072 elements span 24
+    # chunks of 128 rows, a chunk's working set being _MONOMIAL_TEMPS
+    # complex temporaries of d entries per row
     v = _abelian_view((64, 48))
     d = 64
     assert v.gens.tolist() == [1, 64]
-    assert _CHUNK_BYTES // (d * 16) == 1024
+    assert _CHUNK_BYTES // (_MONOMIAL_TEMPS * d * 16) == 128
     b, a = np.divmod(np.arange(v.n), 64)  # element a + 64 b
     cols = (np.arange(d) + a[:, None]) % d
     vals = np.repeat(np.exp(2j * np.pi * b / 48)[:, None], d, axis=1)
@@ -381,6 +383,23 @@ def test_homomorphism_check_sees_the_identity_and_unitarity():
     skew[2, 0, 0] += 1e-12
     assert (MatrixRep(v, skew).check_homomorphism()
             > 10 * MatrixRep(v, images).check_homomorphism() > 0)
+
+
+def test_the_monomial_certificate_stays_near_one_chunk():
+    # sl2 q=17's induced model, 4,896 images of degree 18: chunks sized
+    # by the loop's whole working set peak at about 0.8 MB traced, where
+    # chunks sized by one complex operand reached 5.6 MB
+    ctx = make_group("sl2", make_field(17))
+    rep = build_induced_rep(ctx, BorelChar(ctx, (MultChar(ctx.field, 1),)))
+    assert isinstance(rep.images, MonomialImages)
+    tracemalloc.start()
+    try:
+        bound = rep.check_homomorphism()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bound < 1e-10
+    assert peak <= 2 * _CHUNK_BYTES
 
 
 @pytest.mark.parametrize("dense", [False, True])
