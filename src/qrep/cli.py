@@ -222,9 +222,9 @@ def _suite_weil(rec, q, seed):
               res["word_defect"])
     rec.check("normalization at the Weyl element and the big cell",
               res["norm_defect"])
-    bad, pairs = weil.symplectic_defect(h, sample=200000, seed=seed)
-    rec.check(f"symplectic coordinates carry the group law on {pairs} of "
-              f"{h.nH ** 2} pairs (defect counts violations)", bad)
+    bad, pairs = weil.symplectic_defect(h)
+    rec.check(f"symplectic coordinates carry the group law on all {pairs} "
+              f"pairs (defect counts failed relations)", bad)
     if q <= 5:
         avg = weil.averaging_check(E, S)
         rec.check("averaging operators specialize the Heisenberg action",

@@ -40,7 +40,8 @@ from functools import cached_property
 import numpy as np
 
 from . import poly
-from .errors import NonPrime, SizeExceeded, Singular, SizeMismatch
+from .errors import (NonPrime, SizeExceeded, Singular, SizeMismatch,
+                     VerificationFailed)
 
 MAX_Q = 1 << 20
 # fields up to this size add and multiply by one gather from a q x q
@@ -206,7 +207,7 @@ class FieldCtx:
             pairs = base._add(digits[:, None], digits[None, :]) @ places
             bad = np.count_nonzero(pairs.ravel() != self.add_table)
             if bad:
-                raise AssertionError(
+                raise VerificationFailed(
                     f"add table differs from digit-wise addition on {bad} pairs")
 
     def _fill_tables(self):
@@ -239,7 +240,7 @@ class FieldCtx:
             cur = fp[cur]
             acc = self.add(acc, cur)
         if not (acc < p).all():
-            raise AssertionError("trace left the prime subfield")
+            raise VerificationFailed("trace left the prime subfield")
         self.trace_to_prime = acc
 
     # --- arithmetic on indices (ints or int arrays) ---
@@ -392,7 +393,7 @@ class ExtCtx:
         norm = ext.mul(idx, frob)
         trace = ext.add(idx, frob[idx])
         if not ((norm < base.q).all() and (trace < base.q).all()):
-            raise AssertionError("norm/trace left the base subfield")
+            raise VerificationFailed("norm/trace left the base subfield")
         self.norm = norm
         self.trace = trace
 

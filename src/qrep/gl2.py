@@ -208,7 +208,7 @@ class GroupCtx:
                 f"{tuple(m.tolist())} has an entry outside F_{self.q}")
         i = int(self.lookup[int(_pack(self.q, m))])
         if i < 0:
-            raise NotInGroup(f"{tuple(m)} is not in {self.kind}")
+            raise NotInGroup(f"{tuple(m.tolist())} is not in {self.kind}")
         return i
 
     def mat_of(self, i):

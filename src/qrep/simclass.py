@@ -237,7 +237,8 @@ def similarity_type(ctx, A):
         raise SizeMismatch("square matrix required")
     a = A.tolist()
     unit, factors = poly.factor(ctx, charpoly(ctx, a))
-    assert unit == 1
+    if unit != 1:
+        raise VerificationFailed(f"characteristic polynomial has unit {unit}")
     st = SimilarityType((f, _partition(ctx, a, f, e)) for f, e in factors)
     if st.dim != n:
         raise VerificationFailed("similarity type dimension mismatch")
@@ -372,7 +373,9 @@ def count_irreducible_monics(q, d):
     if d < 1:
         raise SizeMismatch("degree must be positive")
     total = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
-    assert total % d == 0
+    if total % d:
+        raise VerificationFailed(f"necklace sum {total} is not a multiple "
+                                 f"of {d}")
     return total // d
 
 

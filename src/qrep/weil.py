@@ -34,7 +34,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .config import SEED, gate, within_tol
+from .config import gate, within_tol
 from .errors import (EvenExponent, EvenQ, GroupMismatch, NotInGroup,
                      NotPrimitive, NotSL2, SizeExceeded, VerificationFailed)
 from .ff import MultChar, NormOneChar, dual_pairing, is_primitive
@@ -47,10 +47,6 @@ from .repcore import (ClassFunction, FiniteGroupView, MatrixRep, MixedRadix,
 MAX_H = 1 << 18
 # verify_ordinary holds rho~ of every SL2 element at once: q <= 13 fits
 MAX_STACK_BYTES = 1 << 30
-# symplectic_defect exhausts H x H up to this many pairs
-MAX_PAIRS = 1 << 22
-# about eight int64 temporaries per pair: 16,384 pairs per chunk
-_PAIR_BYTES = 8 * np.dtype(np.int64).itemsize
 
 
 class HeisenbergCtx:
@@ -61,8 +57,11 @@ class HeisenbergCtx:
 
     The addition (nG x nG), negation (nG) and pairing (nG x nG) tables
     of G are built once, so g_add, g_neg and pair_exp are one gather
-    each.  heisenberg_group takes the standard form diag(m / n_i);
-    heisenberg_from_ext takes the trace form of F_{q^2}."""
+    each; symplectic_defect certifies from the addition and pairing
+    tables alone that the symplectic presentation carries the group law
+    on every pair of H.  heisenberg_group takes the standard form
+    diag(m / n_i); heisenberg_from_ext takes the trace form of F_{q^2}.
+    SizeExceeded when |H| = nG^2 m exceeds MAX_H."""
 
     def __init__(self, orders, form):
         self.orders = [int(o) for o in orders]
@@ -116,30 +115,6 @@ class HeisenbergCtx:
         return FiniteGroupView(self.nH, self.h_mul, inv=self.h_inv_array(),
                                identity=0)
 
-    # --- symplectic presentation, for 2 invertible mod m ---
-
-    def _inv2(self):
-        if self.m % 2 == 0:
-            raise EvenExponent("2 is not invertible mod the exponent")
-        return (self.m + 1) // 2
-
-    def symplectic_mul(self, h1, h2):
-        """Multiplication with the antisymmetric cocycle
-        (1/2)(chi(x') - chi'(x))."""
-        i2 = self._inv2()
-        x1, c1, z1 = self.decode(h1)
-        x2, c2, z2 = self.decode(h2)
-        zz = (z1 + z2 + i2 * (self.pair_exp(c1, x2)
-                              - self.pair_exp(c2, x1))) % self.m
-        return self.encode(self.g_add(x1, x2), self.g_add(c1, c2), zz)
-
-    def to_symplectic(self, h):
-        """The bijection phi(x, c, z) = (x, c, z chi_c(-x/2)) carrying
-        standard multiplication to symplectic multiplication."""
-        i2 = self._inv2()
-        x, c, z = self.decode(h)
-        return self.encode(x, c, (z - i2 * self.pair_exp(c, x)) % self.m)
-
 
 def heisenberg_group(orders):
     """H(prod Z/n_i) with the standard pairing prod zeta_{n_i}^(c_i x_i)."""
@@ -159,39 +134,46 @@ def heisenberg_from_ext(ectx):
     return HeisenbergCtx([ectx.p] * ectx.ext.k, form)
 
 
-def symplectic_defect(hctx, sample=None, seed=SEED):
-    """(violations, pairs checked): the number of pairs (h, h') violating
-    phi(h h') = phi(h) *_symp phi(h'), and how many pairs were read.
+def symplectic_defect(hctx):
+    """(failed relations, nH^2): a certificate that the symplectic
+    presentation carries the group law on all nH^2 pairs of H.
 
-    All n^2 pairs are checked when n^2 <= MAX_PAIRS; otherwise only
-    `sample` seeded random pairs are, so the count is exact over the
-    sample alone, or SizeExceeded is raised when no sample size was
-    given.  Either pair set runs through one loop, in chunks of at most
-    _CHUNK_BYTES / _PAIR_BYTES pairs."""
-    n = hctx.nH
-    if n * n <= MAX_PAIRS:
-        total = n * n
-
-        def pairs(rows):
-            return np.divmod(np.arange(rows.start, min(rows.stop, total)), n)
-    elif sample is None:
-        raise SizeExceeded("too many pairs for the symplectic check")
-    else:
-        rng = np.random.default_rng(seed)
-        drawn = np.stack([rng.integers(0, n, sample),
-                          rng.integers(0, n, sample)])
-        total = sample
-
-        def pairs(rows):
-            return drawn[:, rows]
-    bad = 0
-    for rows in row_chunks(total, _PAIR_BYTES):
-        h1, h2 = pairs(rows)
-        lhs = hctx.to_symplectic(hctx.h_mul(h1, h2))
-        rhs = hctx.symplectic_mul(hctx.to_symplectic(h1),
-                                  hctx.to_symplectic(h2))
-        bad += int(np.count_nonzero(lhs != rhs))
-    return bad, total
+    With P = pair_exp, m odd and inv2 = (m + 1) / 2, the symplectic
+    law is (x1 + x2, c1 + c2, z1 + z2 + inv2 (P(c1, x2) - P(c2, x1))),
+    and the bijection phi(x, c, z) = (x, c, z - inv2 P(c, x)) is to
+    carry h_mul to it (Weil 1964).  Both sides of phi(h1 h2) =
+    phi(h1) phi(h2) take x and c from the same g_add, and their z
+    components differ by
+      (1 - 2 inv2) P(c1, x2) - inv2 B(c1, c2, x1, x2),
+      B = P(c1 + c2, x1 + x2) - P(c1, x1) - P(c1, x2) - P(c2, x1)
+          - P(c2, x2),
+    whatever z1 and z2 are.  2 inv2 = m + 1 is 1 mod m and inv2 is a
+    unit, so a pair holds iff B vanishes mod m at its (c1, c2, x1, x2):
+    every pair holds iff P is biadditive on the tables _add and _pair
+    the group law reads.  Two families of relations certify that, in
+    O(r nG^2) for r cyclic factors:
+      (a) _add[x, y] is MixedRadix.index of the digit sum, for every
+          pair, so _add is the group law of Z/n_1 x ... x Z/n_r;
+      (b) for each unit digit vector e_i and every c and x,
+          P(c + e_i, x) = P(c, x) + P(e_i, x) and
+          P(c, x + e_i) = P(c, x) + P(c, e_i)  (mod m).
+    For fixed x, the a with P(c + a, x) = P(c, x) + P(a, x) for every c
+    are closed under addition (for a and b among them, apply b's
+    relation at c + a and at a, and a's at c), so by (a) they form a
+    subgroup.  By (b) it holds every e_i, which generate G, so it is all
+    of G: P is additive in c, likewise in x, and so biadditive.  The
+    count is 0 iff every relation of (a) and (b) holds, and 0 certifies
+    every pair.  EvenExponent for even m, where 2 has no inverse."""
+    if hctx.m % 2 == 0:
+        raise EvenExponent("2 is not invertible mod the exponent")
+    radix, xs = MixedRadix(hctx.orders), np.arange(hctx.nG)
+    P, add = hctx.pair_exp(xs[:, None], xs), hctx.g_add(xs[:, None], xs)
+    digits = radix.digits(xs)
+    bad = np.count_nonzero(add != radix.index(digits[:, None] + digits))
+    for e in radix.places:
+        bad += np.count_nonzero((P[add[:, e]] - P - P[e]) % hctx.m)
+        bad += np.count_nonzero((P[:, add[:, e]] - P - P[:, e, None]) % hctx.m)
+    return int(bad), hctx.nH ** 2
 
 
 def heisenberg_rep(hctx):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qrep import chartab, cli, get_tol, gl2, simclass, weil
+from qrep.ff import FieldCtx
 
 
 def _json_out(capsys):
@@ -25,6 +26,23 @@ def test_field_dump(capsys):
     assert obj["gen"] == 4
     assert obj["trace_to_prime"] == [0, 2, 1, 0, 2, 1, 0, 2, 1]
     assert sorted(obj["exp"]) == list(range(1, 9))
+
+
+def test_field_exits_1_on_a_failed_construction_gate(capsys, monkeypatch):
+    # a corrupted zech entry of F_9 fails the add-table gate, which must
+    # reach the exit contract as a verification failure, not a traceback
+    fill = FieldCtx._fill_tables
+
+    def corrupt_then_fill(self):
+        if self.zech is not None:
+            self.zech[5] = (self.zech[5] + 1) % (self.q - 1)
+        fill(self)
+
+    monkeypatch.setattr(FieldCtx, "_fill_tables", corrupt_then_fill)
+    assert cli.run(["field", "--p", "3", "--k", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: VerificationFailed: ")
+    assert "Traceback" not in err
 
 
 def test_field_rejects_composite_characteristic(capsys):

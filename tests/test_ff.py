@@ -16,6 +16,7 @@ from qrep import (
     SizeExceeded,
     SizeMismatch,
     Singular,
+    VerificationFailed,
     dual_pairing,
     fourier_transform,
     is_primitive,
@@ -227,7 +228,8 @@ def test_a_corrupted_zech_entry_fails_the_add_table_gate(monkeypatch):
         fill(self)
 
     monkeypatch.setattr(FieldCtx, "_fill_tables", corrupt_then_fill)
-    with pytest.raises(AssertionError, match="digit-wise addition on 8 pairs"):
+    with pytest.raises(VerificationFailed,
+                       match="digit-wise addition on 8 pairs"):
         make_field(3, 2)
 
 

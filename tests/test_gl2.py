@@ -147,7 +147,7 @@ def test_borel_cosets_match_the_seen_loop():
 
 def test_membership_errors():
     ctx = make_group("sl2", make_field(3))
-    with pytest.raises(NotInGroup):
+    with pytest.raises(NotInGroup, match=r"^\(1, 0, 0, 2\) is not in sl2$"):
         ctx.id_of((1, 0, 0, 2))  # det 2 != 1
     g3 = make_group("gl2", make_field(3))
     with pytest.raises((NotInGroup, Singular)):

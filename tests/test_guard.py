@@ -12,7 +12,9 @@ compares nothing to the tolerance.
 Every imported name is used, and every function, class and method the
 package defines is read by name inside it or traced by perfbench.
 Groups are built by their callers: the command line, build_table, and
-gl2 itself.
+gl2 itself.  No check is an `assert`, which `python -O` strips, and no
+library check samples: randomness is drawn only by the command line and
+by Dixon's method, whose table the orthonormality gate decides.
 """
 
 import ast
@@ -250,5 +252,38 @@ def test_groups_are_built_only_by_their_owners():
     found = [f"{path.name}:{line} in {name}"
              for path in SOURCES if path.name not in ("cli.py", "gl2.py")
              for name, line in _group_builds(ast.parse(path.read_text()))
+             if (path.name, name) not in allowed]
+    assert found == []
+
+
+def test_no_check_is_an_assert():
+    # python -O strips assert statements, and a bare AssertionError
+    # escapes the command line's exit contract: a failed check raises a
+    # QrepError such as VerificationFailed
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert) or (
+                 isinstance(node, ast.Name) and node.id == "AssertionError")]
+    assert found == []
+
+
+def _random_draws(tree):
+    """(top-level definition, line) of each read of np.random."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "random" \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in ("np", "numpy"):
+                yield getattr(top, "name", "<module>"), node.lineno
+
+
+def test_randomness_only_in_the_cli_and_dixon():
+    # a library check that samples covers only its sample; Dixon's random
+    # combination is gated by the orthonormality of the table it yields
+    allowed = {("repcore.py", "character_table_bruteforce")}
+    found = [f"{path.name}:{line} in {name}"
+             for path in SOURCES if path.name != "cli.py"
+             for name, line in _random_draws(ast.parse(path.read_text()))
              if (path.name, name) not in allowed]
     assert found == []

@@ -42,10 +42,9 @@ from qrep import (
     verify_ordinary,
     weil_matrix,
 )
-from qrep import chartab, cli, repcore, weil
+from qrep import chartab, cli, weil
 from qrep.ff import FieldCtx
 from qrep.gl2 import _pack
-from qrep.repcore import row_chunks
 
 RNG = np.random.default_rng(20070714)
 
@@ -84,87 +83,70 @@ def test_heisenberg_inverses():
     assert np.all(h.h_mul(inv[hs], hs) == 0)
 
 
+def _to_symplectic(h, hs):
+    """The bijection phi(x, c, z) = (x, c, z chi_c(-x/2)), which carries
+    standard multiplication to symplectic multiplication (odd m)."""
+    x, c, z = h.decode(hs)
+    return h.encode(x, c, (z - (h.m + 1) // 2 * h.pair_exp(c, x)) % h.m)
+
+
+def _symplectic_mul(h, h1, h2):
+    """Multiplication with the antisymmetric cocycle
+    (1/2)(chi(x') - chi'(x))."""
+    x1, c1, z1 = h.decode(h1)
+    x2, c2, z2 = h.decode(h2)
+    z = z1 + z2 + (h.m + 1) // 2 * (h.pair_exp(c1, x2) - h.pair_exp(c2, x1))
+    return h.encode(h.g_add(x1, x2), h.g_add(c1, c2), z % h.m)
+
+
+def _symplectic_violations(h):
+    """Pairs (h, h') of H x H violating phi(h h') = phi(h) *_symp phi(h'),
+    read 256 left factors at a time: the all-pairs reference for
+    symplectic_defect."""
+    phi = _to_symplectic(h, np.arange(h.nH))
+    bad = 0
+    for start in range(0, h.nH, 256):
+        g = np.arange(start, min(start + 256, h.nH))[:, None]
+        bad += np.count_nonzero(phi[h.h_mul(g, np.arange(h.nH))]
+                                != _symplectic_mul(h, phi[g], phi))
+    return bad
+
+
 def test_symplectic_presentation_is_isomorphic():
-    # to_symplectic intertwines h_mul with symplectic_mul (odd exponent)
-    h = heisenberg_group((3, 9))
-    pairs = RNG.integers(h.nH, size=(200, 2))
-    a, b = pairs[:, 0], pairs[:, 1]
-    lhs = h.to_symplectic(h.h_mul(a, b))
-    rhs = h.symplectic_mul(h.to_symplectic(a), h.to_symplectic(b))
-    assert np.array_equal(np.asarray(lhs), np.asarray(rhs))
-    small = heisenberg_group((3, 3))
-    assert symplectic_defect(small) == (0, small.nH ** 2)  # exhaustive
+    # the certificate is 0 exactly where the all-pairs reference is
+    groups = [heisenberg_group(orders)
+              for orders in ((3,), (5,), (9,), (3, 3), (3, 9))]
+    groups += [heisenberg_from_ext(make_ext(make_field(q))) for q in (3, 5)]
+    for h in groups:
+        assert _symplectic_violations(h) == 0
+        assert symplectic_defect(h) == (0, h.nH ** 2)
 
 
-def _symplectic_by_row(h):
-    """Violations of phi(h h') = phi(h) *_symp phi(h') over H x H, one
-    left factor at a time: the reference for symplectic_defect."""
-    allh = np.arange(h.nH)
-    return sum(int(np.sum(h.to_symplectic(h.h_mul(g, allh)) !=
-                          h.symplectic_mul(h.to_symplectic(g),
-                                           h.to_symplectic(allh))))
-               for g in allh)
-
-
-def test_symplectic_defect_counts_a_shifted_pairing_entry_by_chunks(
-        monkeypatch):
-    # |H|^2 = 531,441 pairs in 33 chunks: the count must equal the
-    # per-row loop's, with one h_mul per chunk instead of one per row
+@pytest.mark.parametrize("table", ["_pair", "_add"])
+def test_symplectic_defect_fires_on_one_changed_table_entry(table):
+    # one wrong entry of a table the group law reads breaks pairs of
+    # H x H, and fails at least one relation of the certificate: at
+    # G = Z/9 the pairing entry (3, 5) sits in four unit-step relations,
+    # the addition entry in one comparison with digit-wise addition
     h = heisenberg_group((9,))
-    h._pair[3, 5] = (h._pair[3, 5] + 1) % h.m
-    want = _symplectic_by_row(h)
-    calls = []
-    real = type(h).h_mul
-
-    def counting(self, h1, h2):
-        calls.append(1)
-        return real(self, h1, h2)
-
-    monkeypatch.setattr(type(h), "h_mul", counting)
-    assert symplectic_defect(h) == (want, h.nH ** 2)
-    assert want > 0
-    assert len(calls) == len(list(row_chunks(h.nH ** 2, weil._PAIR_BYTES)))
-    assert len(calls) < h.nH
+    entries = getattr(h, table)
+    entries[3, 5] = (entries[3, 5] + 1) % 9  # nG = m = 9
+    assert _symplectic_violations(h) > 0
+    assert symplectic_defect(h) == ({"_pair": 4, "_add": 1}[table], h.nH ** 2)
 
 
-def test_sampled_symplectic_defect_counts_every_chunk(monkeypatch):
-    # the sampled path draws its pairs as before and runs them through
-    # the same chunked loop: with the chunk shrunk to 300 pairs, 2,000
-    # draws span 7 chunks, and the count must equal a per-pair loop's
-    # over the same draws
-    h = heisenberg_group((9,))
-    h._pair[3, 5] = (h._pair[3, 5] + 1) % h.m
-    monkeypatch.setattr(weil, "MAX_PAIRS", h.nH)
-    monkeypatch.setattr(repcore, "_CHUNK_BYTES", 300 * weil._PAIR_BYTES)
-    rng = np.random.default_rng(4)
-    h1, h2 = rng.integers(0, h.nH, 2000), rng.integers(0, h.nH, 2000)
-    want = sum(int(h.to_symplectic(h.h_mul(a, b))
-                   != h.symplectic_mul(h.to_symplectic(a), h.to_symplectic(b)))
-               for a, b in zip(h1, h2))
-    calls = []
-    real = type(h).h_mul
-
-    def counting(self, a, b):
-        calls.append(np.size(a))
-        return real(self, a, b)
-
-    monkeypatch.setattr(type(h), "h_mul", counting)
-    assert symplectic_defect(h, sample=2000, seed=4) == (want, 2000)
-    assert want > 0
-    assert calls == [300] * 6 + [200]
+def test_symplectic_defect_is_exact_at_q_7_9_11():
+    # past the all-pairs reference's reach (nH^2 up to 2.6e10 at q=11),
+    # the certificate still covers every pair
+    for p, k in ((7, 1), (3, 2), (11, 1)):
+        h = heisenberg_from_ext(make_ext(make_field(p, k)))
+        assert symplectic_defect(h) == (0, h.nH ** 2)
 
 
 def test_symplectic_needs_odd_exponent():
-    h = heisenberg_group((2,))
-    with pytest.raises(EvenExponent):
-        h.symplectic_mul(0, 1)
-
-
-def test_symplectic_defect_sampled_path():
-    h = heisenberg_from_ext(make_ext(make_field(7)))  # |H|^2 = 16807^2 > 2^22
-    assert symplectic_defect(h, sample=500, seed=1) == (0, 500)
-    with pytest.raises(SizeExceeded):
-        symplectic_defect(h)
+    for orders in ((2,), (3, 4)):
+        with pytest.raises(EvenExponent):
+            symplectic_defect(heisenberg_group(orders))
 
 
 def _field_product(E, h, h1, h2):
