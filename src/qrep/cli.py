@@ -44,12 +44,11 @@ def _field_for(q):
     return ff.make_field(p, k)
 
 
-def _group_field_for(q):
-    """_field_for where a group over F_q follows: gl2.check_grid, the
-    bound on the group's 8*q^4-byte id lookup, is checked first, since
-    an extension field near ff.MAX_Q takes seconds to build."""
+def _group_field_for(q, kind):
+    """_field_for where groups over F_q follow, kind the largest of them,
+    refused first from q alone: F_q near ff.MAX_Q takes seconds."""
     p, k = _parse_q(q)
-    gl2.check_grid(q)
+    gl2.check_order(kind, q)
     return ff.make_field(p, k)
 
 
@@ -132,7 +131,7 @@ def _suite_fields(rec, q, seed):
 
 
 def _suite_classes(rec, q, seed):
-    F = _group_field_for(q)
+    F = _group_field_for(q, "gl2")
     rng = np.random.default_rng(seed)
     S = gl2.make_group("sl2", F)
     for G in (S.gl2_ctx, S):
@@ -147,13 +146,14 @@ def _suite_classes(rec, q, seed):
         rec.check(f"{kind}: size * centralizer = group order",
                   sum(c.size * c.centralizer_order != G.n
                       for c in G.conj_classes))
+        gs = rng.integers(0, G.n, 200)
+        shapes = [G.classify(G.mat_of(int(g))) for g in gs]
+        rep_cis = G.view.class_of[G.ids_of([rep for _, _, rep in shapes])]
         bad = 0
-        for g in rng.integers(0, G.n, 200):
-            tag, params, rep = G.classify(G.mat_of(int(g)))
-            ci = int(G.view.class_of[g])
+        for ci, (tag, params, _), rep_ci in zip(
+                G.view.class_of[gs].tolist(), shapes, rep_cis.tolist()):
             cl = G.conj_classes[ci]
-            bad += (tag, params) != (cl.tag, cl.params) or \
-                int(G.view.class_of[G.id_of(rep)]) != ci
+            bad += (tag, params) != (cl.tag, cl.params) or rep_ci != ci
         rec.check(f"{kind}: classification agrees with orbit flooding "
                   "on 200 random elements", bad)
     split = sum(1 for c in S.conj_classes if c.tag == "nonsemisimple"
@@ -163,7 +163,7 @@ def _suite_classes(rec, q, seed):
 
 
 def _suite_bruhat(rec, q, seed):
-    F = _group_field_for(q)
+    F = _group_field_for(q, "gl2")
     kinds = ("gl2", "sl2") if q % 2 else ("gl2",)
     one, w = (1, 0, 0, 1), (0, 1, int(F.neg(1)), 0)
     for kind in kinds:
@@ -180,7 +180,8 @@ def _suite_bruhat(rec, q, seed):
 
 
 def _suite_parabolic(rec, q, seed):
-    F = _group_field_for(q)
+    # gl2's bound, for split_rho_pm's |SL2| (q + 1) entries of 24 bytes
+    F = _group_field_for(q, "gl2")
     S = gl2.make_group("sl2", F)
     chars = [ff.MultChar(F, j) for j in range(q - 1)]
     bad = parabolic.intertwiner_mismatches(
@@ -208,7 +209,8 @@ def _suite_parabolic(rec, q, seed):
 
 
 def _suite_weil(rec, q, seed):
-    F = _group_field_for(q)
+    F = _group_field_for(q, "sl2")
+    weil.check_stack(q)
     E = ff.make_ext(F)
     # H(F_{q^2}) refuses q >= 13 by its size; built first, it refuses
     # before verify_ordinary allocates its image stack
@@ -251,7 +253,7 @@ def _suite_svn(rec, q, seed):
 
 
 def _suite_cuspidal(rec, q, seed):
-    F = _group_field_for(q)
+    F = _group_field_for(q, "gl2")
     E = ff.make_ext(F)
     S = gl2.make_group("sl2", F)
     G = gl2.make_group("gl2", F)
@@ -425,7 +427,7 @@ def _cmd_field(args):
 def _cmd_classes(args):
     if args.q % 2 == 0:
         raise InputError("q must be odd")
-    F = _group_field_for(args.q)
+    F = _group_field_for(args.q, args.group)
     G = gl2.make_group(args.group, F)
     rows = [{"tag": c.tag, "params": list(c.params),
              "rep": [[int(c.rep[0]), int(c.rep[1])],
@@ -464,7 +466,8 @@ def _cmd_chartable(args):
 def _cmd_weil(args):
     if args.q % 2 == 0:
         raise InputError("q must be odd")
-    F = _group_field_for(args.q)
+    F = _group_field_for(args.q, "sl2")
+    weil.check_stack(args.q)
     E = ff.make_ext(F)
     dump = args.dump_matrices
     if dump:

@@ -1,14 +1,15 @@
 """GL2 and SL2 over a small finite field: enumeration, Bruhat
 decomposition, conjugacy classes with canonical representatives.
 
-A matrix (a b; c d) of field-element indices is packed into the single
-integer ((a q + b) q + c) q + d, and the group is enumerated in
-increasing packed order straight from the triples (a, b, c): for a != 0
-SL2 has the one entry d = (1 + bc)/a and GL2 every d but the root of
-ad = bc; on the line a = 0, SL2 needs c = -1/b and GL2 bc != 0, and d is
-free.  No q^4 array of matrices is built: an O(|G|) certificate (every
-determinant, strictly increasing keys, the group order) proves the list
-is the group in the order the ids rely on.  All matrix arithmetic is
+A matrix (a b; c d) of field-element indices is numbered by its rank in
+the lexicographic (a, b, c, d) order of the group's members, and the
+group is enumerated in that order straight from the triples (a, b, c):
+for a != 0 SL2 has the one entry d = (1 + bc)/a and GL2 every d but the
+root of ad = bc; on the line a = 0, SL2 needs c = -1/b and GL2 bc != 0,
+and d is free.  GroupCtx.ids_of reads that rank off (a, b, c, d) in
+closed form and refuses every non-member, so nothing of size q^4 is
+built: the enumeration is certified by |G| rows whose ids are 0..|G|-1.
+The only size bound, MAX_ORDER, is on |G|.  All matrix arithmetic is
 vectorized over index arrays; no |G| x |G| multiplication table is ever
 built.
 
@@ -29,12 +30,12 @@ import numpy as np
 
 from .errors import (EvenQ, NotInGroup, SizeExceeded, Singular,
                      VerificationFailed)
-from .repcore import FiniteGroupView, perm_orbits, subgroup_view
+from .repcore import FiniteGroupView, perm_orbits, row_chunks, subgroup_view
 
 TAG_RANK = {"central": 0, "nonsemisimple": 1, "split_regular": 2, "anisotropic": 3}
-# GroupCtx holds lookup, an int64 array over all q^4 packed keys
-# (8 q^4 bytes, 128 MiB at the bound): q <= 61 fits
-MAX_GRID = 1 << 24
+# bounds GroupCtx's (|G|, 4) int64 elems (512 MiB at the bound) and the
+# (|S|, |G|) right table of generators S: GL2 to q = 61, SL2 built to 127
+MAX_ORDER = 1 << 24
 
 
 @dataclass
@@ -47,19 +48,13 @@ class ConjClass:
     centralizer_order: int
 
 
-def check_grid(q):
-    """SizeExceeded unless GroupCtx's id lookup, one int64 per packed key
-    (8 q^4 bytes), fits MAX_GRID entries; the bound needs q alone, so
-    callers can check it before building F_q."""
-    if q ** 4 > MAX_GRID:
-        raise SizeExceeded(
-            f"q^4 = {q ** 4} entries of the 8*q^4-byte id lookup exceed "
-            f"{MAX_GRID}")
-
-
-def _pack(q, m):
-    m = np.asarray(m, dtype=np.int64)
-    return ((m[..., 0] * q + m[..., 1]) * q + m[..., 2]) * q + m[..., 3]
+def check_order(kind, q):
+    """|G| of kind over F_q, or SizeExceeded past MAX_ORDER; the bound
+    needs q alone, so callers can check it before building F_q."""
+    n = (q * q - 1) * (q * q - q) if kind == "gl2" else q ** 3 - q
+    if n > MAX_ORDER:
+        raise SizeExceeded(f"|{kind}(F_{q})| = {n} exceeds {MAX_ORDER}")
+    return n
 
 
 def _fill(block, shape, *cols):
@@ -71,12 +66,11 @@ def _fill(block, shape, *cols):
 
 
 def _enumerate(kind, F):
-    """Every matrix of kind over F, in increasing packed order, from the
-    triples (a, b, c).  The line a = 0 comes first: there det = -bc, so
-    SL2 takes c = -1/b and GL2 every b, c != 0, each with every d.  For
-    a != 0, SL2 takes the one d = (1 + bc)/a and GL2 every d but the
-    root r = bc/a of ad = bc, as k + (k >= r) for k = 0..q-2.  Blocks
-    and entries run in lexicographic (a, b, c, d) order."""
+    """Every matrix of kind over F, in lexicographic (a, b, c, d) order,
+    from the triples (a, b, c).  The line a = 0 comes first: there
+    det = -bc, so SL2 takes c = -1/b and GL2 every b, c != 0, each with
+    every d.  For a != 0, SL2 takes the one d = (1 + bc)/a and GL2 every
+    d but the root r = bc/a of ad = bc, as k + (k >= r) for k = 0..q-2."""
     q = F.q
     units, full = np.arange(1, q), np.arange(q)
     a, b, c = units[:, None, None], full[:, None], full
@@ -112,19 +106,16 @@ class GroupCtx:
             raise NotInGroup(f"unknown kind {kind!r}")
         self.kind = kind
         self.field = field
-        q = field.q
-        check_grid(q)
-        self.q = q
+        check_order(kind, field.q)
+        self.q = field.q
         self.eps = field.eps
 
         self.elems = _enumerate(kind, field)
         self.n = len(self.elems)
-        self.lookup = np.full(q ** 4, -1, dtype=np.int64)
-        self.lookup[self._certify()] = np.arange(self.n)
+        self._certify()
 
         self.identity = self.id_of((1, 0, 0, 1))
-        inv = self.lookup[_pack(q, self.mat_inv(self.elems))]
-        self._mul = self._make_mul()
+        inv = self.ids_of(self.mat_inv(self.elems))
         flooded = FiniteGroupView(self.n, self._mul, inv=inv,
                                   identity=self.identity)
         labels = self._canonical_classes(flooded.classes)
@@ -137,29 +128,24 @@ class GroupCtx:
             for tag, params, rep_id, orbit in labels]
 
     def _certify(self):
-        """The packed keys of elems, once elems is proved to be exactly
-        the group in increasing packed order: every entry lies in
-        0..q-1, every determinant is nonzero (gl2) or 1 (sl2), the keys
-        strictly increase, and there are |G| of them.  Keys in range are
-        distinct matrices, so |G| distinct members are the whole group,
-        and increasing keys fix the order of the ids."""
-        q, m = self.q, self.elems
-        order = (q * q - 1) * (q * q - q) if self.kind == "gl2" else q ** 3 - q
+        """Prove elems is exactly the group, row i the matrix of id i: there
+        are |G| rows, and ids_of(elems) is 0..|G|-1.  ids_of refuses every
+        non-member (an entry outside 0..q-1, or a determinant outside the
+        group), and on members its formula is injective, so |G| rows with
+        distinct ids are |G| distinct members, the whole group, and each
+        row carries its own id."""
+        order = check_order(self.kind, self.q)
         if self.n != order:
             raise VerificationFailed(
                 f"{self.n} matrices enumerated, |{self.kind}| = {order}")
-        if m.min() < 0 or m.max() >= q:
-            raise VerificationFailed("an entry lies outside the field")
-        det = self.mat_det(m)
-        bad = np.count_nonzero(det == 0 if self.kind == "gl2" else det != 1)
-        if bad:
+        try:
+            ids = self.ids_of(self.elems)
+        except NotInGroup as e:
+            raise VerificationFailed(f"enumeration: {e}") from e
+        if not np.array_equal(ids, np.arange(self.n)):
             raise VerificationFailed(
-                f"{bad} enumerated matrices have a determinant outside "
-                f"{self.kind}")
-        keys = _pack(q, m)
-        if np.any(keys[1:] <= keys[:-1]):
-            raise VerificationFailed("packed keys do not strictly increase")
-        return keys
+                f"enumerated ids do not strictly increase through "
+                f"0..{self.n - 1}")
 
     # --- matrix arithmetic on (..., 4) index arrays ---
 
@@ -190,53 +176,64 @@ class GroupCtx:
             F.mul(m[..., 0], di),
         ], axis=-1)
 
-    def _make_mul(self):
-        elems, lookup, q = self.elems, self.lookup, self.q
+    def _mul(self, ai, bi):
+        return self.ids_of(self.mat_mul(self.elems[ai], self.elems[bi]))
 
-        def mul(ai, bi):
-            prod = self.mat_mul(elems[ai], elems[bi])
-            return lookup[_pack(q, prod)]
-        return mul
+    # --- element ids ---
 
-    # --- element constructors ---
+    def ids_of(self, m):
+        """Ids of (..., 4) matrices: the rank of (a, b, c, d) among the
+        group's members in lexicographic order, the order of _enumerate.
+        With k = (a q + b) q + c - q, off the line a = 0 that rank is k
+        (SL2) or (q-1) k + d - [d > bc/a] (GL2), and on it k + d - c =
+        (b-1) q + d or (q-1) k + d - (q - c) = ((b-1)(q-1) + c-1) q + d.
+        NotInGroup names a row with an entry outside 0..q-1 (it would
+        alias another id), else one with a determinant outside the group."""
+        m = np.asarray(m, dtype=np.int64)
+        rows = m.reshape(-1, 4)
+        # 2^17 rows a chunk, 1 MiB per int64 temporary; one chunk goes
+        # uncopied (a copy raised peak RSS), and no rows give rows[:0, 0]
+        ids = [self._rank(rows[p]) for p in row_chunks(len(rows), 8)]
+        ids = ids[0] if len(ids) == 1 else np.concatenate([rows[:0, 0], *ids])
+        return ids.reshape(m.shape[:-1])
+
+    def _rank(self, m):
+        """ids_of on one (k, 4) chunk."""
+        F, q = self.field, self.q
+        if m.min() < 0 or m.max() >= q:
+            bad = np.any((m < 0) | (m >= q), axis=-1)
+            why = f"an entry outside the field F_{q}"
+        else:
+            a, b, c, d = (m[..., i].copy() for i in range(4))
+            ad, bc = F.mul(a, d), F.mul(b, c)
+            # det = ad - bc is nonzero (gl2) or 1 (sl2)
+            bad = ad == bc if self.kind == "gl2" else ad != F.add(bc, 1)
+            why = f"a determinant outside {self.kind}"
+        if bad.any():
+            row = m[np.flatnonzero(bad)[0]]
+            raise NotInGroup(f"{tuple(row.tolist())} has {why}")
+        line = a == 0
+        k = (a * q + b) * q + c - q
+        if self.kind == "sl2":
+            return k + np.where(line, d - c, 0)
+        root = F.mul(bc, F.inv_table[np.where(line, 1, a)])
+        return (q - 1) * k + d - np.where(line, q - c, d > root)
 
     def id_of(self, m):
-        m = np.asarray(m, dtype=np.int64)
-        # an entry outside 0..q-1 would pack onto another matrix's key
-        if m.min() < 0 or m.max() >= self.q:
-            raise NotInGroup(
-                f"{tuple(m.tolist())} has an entry outside F_{self.q}")
-        i = int(self.lookup[int(_pack(self.q, m))])
-        if i < 0:
-            raise NotInGroup(f"{tuple(m.tolist())} is not in {self.kind}")
-        return i
+        return int(self.ids_of(m))
 
     def mat_of(self, i):
         return tuple(int(x) for x in self.elems[i])
 
-    def w_id(self):
-        return self.id_of((0, 1, int(self.field.neg(1)), 0))
-
-    def t_id(self, a):
-        """diag(a, a^-1), the standard torus of SL2."""
-        return self.id_of((a, 0, 0, int(self.field.inv(a))))
-
-    def lower_id(self, c):
-        return self.id_of((1, 0, c, 1))
-
     # --- standard subgroups (element id lists) ---
 
     def borel_ids(self):
-        m = self.elems
-        return np.flatnonzero(m[:, 2] == 0)
-
-    def subview(self, members):
-        return subgroup_view(self.view, members)
+        return np.flatnonzero(self.elems[:, 2] == 0)
 
     @cached_property
     def borel(self):
         """(view, embedding) of the upper triangular Borel subgroup."""
-        return self.subview(self.borel_ids())
+        return subgroup_view(self.view, self.borel_ids())
 
     @cached_property
     def borel_cosets(self):
@@ -303,10 +300,11 @@ class GroupCtx:
     def _canonical_classes(self, flooded):
         """(tag, params, rep_id, members) of every flooded class, in
         TAG_RANK then params order."""
+        shapes = [self.classify(self.elems[orbit[0]]) for _, orbit in flooded]
+        rep_ids = self.ids_of([rep for _, _, rep in shapes]).tolist()
         labeled = []
-        for _, orbit in flooded:
-            tag, params, rep = self.classify(self.elems[orbit[0]])
-            rep_id = self.id_of(rep)
+        for (_, orbit), (tag, params, rep), rep_id in zip(flooded, shapes,
+                                                          rep_ids):
             if rep_id not in orbit:
                 raise VerificationFailed(
                     f"canonical representative {rep} escaped its class")
@@ -365,20 +363,15 @@ def sl2_split_test(slctx, g):
         g = slctx.mat_of(g)
     m = np.asarray(g, dtype=np.int64)
     E = gl.elems
-    left = gl.mat_mul(E, m)
-    right = gl.mat_mul(m, E)
-    cent = E[np.all(left == right, axis=-1)]
-    dets = np.unique(np.asarray(gl.mat_det(cent)))
-    image_size = len(dets)
-    q = slctx.q
-    n_classes = (q - 1) // image_size
+    cent = E[np.all(gl.mat_mul(E, m) == gl.mat_mul(m, E), axis=-1)]
+    image_size = len(np.unique(gl.mat_det(cent)))
+    n_classes = (slctx.q - 1) // image_size
     if n_classes not in (1, 2):
         raise VerificationFailed(f"centralizer determinant image size {image_size}")
     if n_classes == 1:
         return False, None
-    eps = slctx.eps
-    F = slctx.field
-    s = np.array([eps, 0, 0, 1], dtype=np.int64)
-    sinv = np.array([int(F.inv(eps)), 0, 0, 1], dtype=np.int64)
-    partner = slctx.mat_mul(slctx.mat_mul(s, m), sinv)
-    return True, slctx.id_of(tuple(int(x) for x in partner))
+    # diag(eps, 1) (a b; c d) diag(1/eps, 1) = (a eps*b; c/eps d)
+    F, eps = slctx.field, slctx.eps
+    a, b, c, d = m.tolist()
+    return True, slctx.id_of(
+        (a, int(F.mul(eps, b)), int(F.mul(c, F.inv(eps))), d))

@@ -250,14 +250,11 @@ def epsilon_swap_defect(ctx, f_plus, f_minus):
     conjugation by m is an outer automorphism of SL2 exchanging the two
     halves."""
     F = ctx.field
-    eps = ctx.eps
-    worst = 0.0
-    for ci, (rid, _) in enumerate(ctx.view.classes):
-        a, b, c, d = ctx.mat_of(rid)
-        conj = (a, int(F.mul(eps, b)), int(F.mul(c, F.inv(eps))), d)
-        cj = ctx.class_index_of(conj)
-        worst = np.maximum(worst, abs(f_plus.values[cj] - f_minus.values[ci]))
-    return float(worst)
+    conj = ctx.elems[ctx.view.reps]
+    conj[:, 1] = F.mul(ctx.eps, conj[:, 1])
+    conj[:, 2] = F.mul(conj[:, 2], F.inv(ctx.eps))
+    cj = ctx.view.class_of[ctx.ids_of(conj)]
+    return float(np.max(np.abs(f_plus.values[cj] - f_minus.values)))
 
 
 # --- Hecke kernels on the group ---

@@ -35,10 +35,9 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .config import gate, within_tol
-from .errors import (EvenExponent, EvenQ, GroupMismatch, NotInGroup,
-                     NotPrimitive, NotSL2, SizeExceeded, VerificationFailed)
+from .errors import (EvenExponent, EvenQ, GroupMismatch, NotPrimitive,
+                     NotSL2, SizeExceeded, VerificationFailed)
 from .ff import MultChar, NormOneChar, dual_pairing, is_primitive
-from .gl2 import _pack
 from .parabolic import split_in_two
 from .repcore import (ClassFunction, FiniteGroupView, MatrixRep, MixedRadix,
                       MonomialImages, character_table_bruteforce,
@@ -47,6 +46,15 @@ from .repcore import (ClassFunction, FiniteGroupView, MatrixRep, MixedRadix,
 MAX_H = 1 << 18
 # verify_ordinary holds rho~ of every SL2 element at once: q <= 13 fits
 MAX_STACK_BYTES = 1 << 30
+
+
+def check_stack(q):
+    """SizeExceeded, from q alone, unless verify_ordinary's complex q^2 x
+    q^2 images of all q^3 - q elements of SL2(F_q) fit MAX_STACK_BYTES."""
+    n, Q = q ** 3 - q, q * q
+    if n * Q * Q * np.dtype(complex).itemsize > MAX_STACK_BYTES:
+        raise SizeExceeded(f"{n} images of {Q} x {Q} exceed "
+                           f"{MAX_STACK_BYTES} bytes")
 
 
 class HeisenbergCtx:
@@ -336,9 +344,10 @@ def _words(gctx, mats):
     t(a) l(ac) e e when b = 0 and l(d/b) w l(ab) t(1/b) otherwise, with
     l(c) = (1 0; c 1), t(a) = diag(a, 1/a) and w = (0 1; -1 0).
 
-    One field call per step over all rows.  NotInGroup if a letter lies
-    outside gctx; every word is multiplied back from gctx.elems of its
-    ids and compared exactly with its row, as in gl2.bruhat."""
+    One field call per step over all rows.  gctx.ids_of reads the ids,
+    NotInGroup if a letter lies outside gctx; every word is multiplied
+    back from gctx.elems of its ids and compared exactly with its row,
+    as in gl2.bruhat."""
     F = gctx.field
     g = np.asarray(mats, dtype=np.int64)
     a, b, c, d = g.T
@@ -355,9 +364,7 @@ def _words(gctx, mats):
         np.where(lower, [e, o, ac, e], w),
         np.where(lower, [e, o, o, e], [e, o, ab, e]),
         np.where(lower, [e, o, o, e], [binv, o, o, b])]).transpose(2, 0, 1)
-    ids = gctx.lookup[_pack(gctx.q, letters)]
-    if np.any(ids < 0):
-        raise NotInGroup(f"a word letter lies outside {gctx.kind}")
+    ids = gctx.ids_of(letters)
     back = reduce(gctx.mat_mul, gctx.elems[ids].transpose(1, 0, 2))
     bad = int(np.count_nonzero(np.any(back != g, axis=-1)))
     if bad:
@@ -383,17 +390,14 @@ def verify_ordinary(ectx, slctx):
 
     Returns {"pairs", "word_length", "bound", "word_defect",
     "norm_defect"}: the products checked, the view's word length bound L
-    and the certificate's bound B.  SizeExceeded, before any image is
-    built, when the n Q^2 complex images exceed MAX_STACK_BYTES.
+    and the certificate's bound B.  SizeExceeded from check_stack, before
+    any image is built, when the images exceed MAX_STACK_BYTES.
     """
     if slctx.kind != "sl2" or slctx.field is not ectx.base:
         raise GroupMismatch("need an sl2 context over the extension's base")
     n, q, Q = slctx.n, ectx.q, ectx.ext.q
-    item = np.dtype(complex).itemsize
-    if n * Q * Q * item > MAX_STACK_BYTES:
-        raise SizeExceeded(f"{n} images of {Q} x {Q} exceed "
-                           f"{MAX_STACK_BYTES} bytes")
-    chunks = list(row_chunks(n, Q * Q * item))
+    check_stack(q)
+    chunks = list(row_chunks(n, Q * Q * np.dtype(complex).itemsize))
     images = np.empty((n, Q, Q), dtype=complex)
     for rows in chunks:
         images[rows] = _weil_stack(ectx, slctx.elems[rows])
@@ -706,9 +710,11 @@ def _restricted_class_images(modules, gctx):
                         for row in values])
     values = values[np.unique(inverse, return_index=True)[1]]
     words = _words(gctx, gctx.elems[np.concatenate([reps, gctx.view.gens])])
-    needed = set(words.flat) | {gctx.lower_id(x) for x in range(q)}
-    needed |= {gctx.t_id(int(F.neg(1)))}
-    w_id = gctx.w_id()
+    # every l(x) = (1 0; x 1), then t(-1) = -I and w = (0 1; -1 0)
+    m1 = int(F.neg(1))
+    *lower_ids, t_m1, w_id = gctx.ids_of([(1, 0, x, 1) for x in range(q)] + [
+        (m1, 0, 0, m1), (0, 1, m1, 0)]).tolist()
+    needed = set(words.flat) | set(lower_ids) | {t_m1}
     table = {lid: _restrict_all(fibres, values, _letter_op(ectx, gctx, lid))
              for lid in sorted(map(int, needed - {w_id}))}
     table[w_id] = _restrict_weyl(ectx, values)
@@ -721,9 +727,9 @@ def _restricted_class_images(modules, gctx):
         [module.omega.values[atils] for module in modules])
     ident = gctx.class_index_of((1, 0, 0, 1))
     gate(np.max(np.abs(traces[:, ident] - (q - 1))), "cuspidal degree != q - 1")
-    lowers = sum(table[gctx.lower_id(x)] for x in range(q))
+    lowers = sum(table[lid] for lid in lower_ids)
     w = table[w_id]
-    n_fixed = table[gctx.t_id(int(F.neg(1)))] @ w @ lowers @ w
+    n_fixed = table[t_m1] @ w @ lowers @ w
     # every distinct W_omega is some module's: inverse reaches each row
     gate(np.max(np.abs(n_fixed / q)), "nonzero N-fixed vectors in W_omega")
     return ([ClassFunction(gctx.view, tr) for tr in traces], table, inverse,

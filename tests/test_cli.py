@@ -14,6 +14,10 @@ from qrep import chartab, cli, get_tol, gl2, simclass, weil
 from qrep.ff import FieldCtx
 
 
+def _order(kind, q):
+    return (q * q - 1) * (q * q - q) if kind == "gl2" else q ** 3 - q
+
+
 def _json_out(capsys):
     return json.loads(capsys.readouterr().out)
 
@@ -296,11 +300,15 @@ def test_cuspidal_count_refuses_beyond_the_enumeration_bound(capsys):
 @pytest.mark.parametrize("argv", [
     ["classes", "--group", "gl2", "--q", "101"],
     ["verify", "--suite", "classes", "--q", "101"],
+    ["verify", "--suite", "parabolic", "--q", "101"],
 ])
 def test_classes_refuse_beyond_the_grid_bound(argv, capsys):
-    # the id lookup over all 101^4 packed keys would take 794 MiB:
-    # GroupCtx refuses it before allocating, while sl2 q = 37 stays admitted
-    assert 37 ** 4 <= gl2.MAX_GRID < 101 ** 4
+    # |GL2(F_101)| = 104,030,000 elements would take 3.3 GB of elems
+    # alone: the order bound refuses it before allocating, while GL2 up to
+    # q = 61 and SL2 at q = 101 stay admitted.  The parabolic suite takes
+    # the gl2 bound too, for the 2.5 GB induced model of SL2(F_101)
+    assert _order("gl2", 61) <= gl2.MAX_ORDER < _order("gl2", 67)
+    assert _order("sl2", 101) <= gl2.MAX_ORDER
     t0 = time.perf_counter()
     assert cli.run(argv) == 1
     assert time.perf_counter() - t0 < 1.0
@@ -316,15 +324,26 @@ def test_classes_refuse_beyond_the_grid_bound(argv, capsys):
     ["weil", "--q", "531441"],
 ])
 def test_grid_refusal_comes_before_the_field(argv, capsys):
-    # F_{3^12} takes seconds to build, and the q^4 bound needs q alone:
-    # the same refusal GroupCtx gives, before any field is built
+    # F_{3^12} takes seconds to build, and the order bound needs q alone:
+    # the same refusal GroupCtx gives for the largest group the command
+    # builds, before any field is built
+    kind = "sl2" if "weil" in argv else "gl2"
     t0 = time.perf_counter()
     assert cli.run(argv) == 1
     assert time.perf_counter() - t0 < 1.0
     got = capsys.readouterr()
-    assert (f"SizeExceeded: q^4 = {531441 ** 4} entries of the "
-            f"8*q^4-byte id lookup exceed {gl2.MAX_GRID}") in got.out + got.err
+    assert (f"SizeExceeded: |{kind}(F_531441)| = {_order(kind, 531441)} "
+            f"exceeds {gl2.MAX_ORDER}") in got.out + got.err
     assert "Traceback" not in got.out + got.err
+
+
+def test_classes_build_sl2_past_the_gl2_bound(capsys):
+    # |SL2(F_67)| = 300,696: the bound is on the group built, so SL2
+    # builds where GL2 over the same field is refused
+    assert cli.run(["classes", "--group", "sl2", "--q", "67"]) == 0
+    got = capsys.readouterr()
+    assert json.loads(got.out)["group"] == "sl2" and got.err == ""
+    assert len(json.loads(got.out)["classes"]) == 67 + 4
 
 
 def test_a_size_refusal_in_verify_is_not_a_failed_check(capsys):
@@ -333,7 +352,7 @@ def test_a_size_refusal_in_verify_is_not_a_failed_check(capsys):
     assert cli.run(["verify", "--suite", "classes", "--q", "101"]) == 1
     got = capsys.readouterr()
     assert "FAIL" not in got.out
-    assert got.err.startswith("size limit: SizeExceeded: q^4 = ")
+    assert got.err.startswith("size limit: SizeExceeded: |gl2(F_101)| = ")
 
 
 def test_verify_counting_json(capsys):

@@ -133,14 +133,15 @@ def test_cuspidal_count_exits_by_the_contract(qn):
 
 
 # weil holds an (n, Q, Q) stack of every image, so only q <= 9 is drawn
-# among the sizes that build; q >= 100 is refused by the q^4 grid bound
+# among the sizes that build; q >= 100 is refused by the image stack
+# bound, from q alone
 _WEIL_Q = st.one_of(st.integers(-5, 9), st.integers(100, 10 ** 6))
 
 
 @settings(max_examples=25, deadline=None, database=None)
 @given(_WEIL_Q, st.sampled_from([None, "an existing file", "below a file"]))
 def test_weil_exits_by_the_contract(q, dump):
-    # 2 unless q is an odd prime power, 1 past the grid bound or with a
+    # 2 unless q is an odd prime power, 1 past the stack bound or with a
     # dump path that cannot be a directory, else 0
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["weil", "--q", str(q)]
@@ -158,14 +159,15 @@ def test_weil_exits_by_the_contract(q, dump):
         assert code == 0
 
 
-# every cheap suite at small q; the group suites also far past the q^4
-# grid bound, which they refuse before building F_q (fields and counting
-# get slow there)
+# every cheap suite at small q; the group suites also past the order
+# bound on GL2, the largest group bruhat and classes build and the bound
+# parabolic takes, which they refuse before building F_q (fields and
+# counting get slow there)
 _GROUP_SUITES = ["bruhat", "classes"]
 _VERIFY_SUITE_Q = st.one_of(
     st.tuples(st.sampled_from(["fields", "counting", *_GROUP_SUITES]),
               st.integers(-3, 16)),
-    st.tuples(st.sampled_from(_GROUP_SUITES),
+    st.tuples(st.sampled_from([*_GROUP_SUITES, "parabolic"]),
               st.sampled_from([67, 101, 128, 243, 531441])))
 
 
@@ -173,14 +175,14 @@ _VERIFY_SUITE_Q = st.one_of(
 @given(_VERIFY_SUITE_Q, st.integers(0, 2 ** 32))
 def test_verify_exits_by_the_contract(suite_q, seed):
     # 2 on stderr unless q is a prime power, odd for an odd-q suite; then
-    # 1 with a size limit on stderr past the grid bound, else 0 with every
+    # 1 with a size limit on stderr past the order bound, else 0 with every
     # line on stdout
     suite, q = suite_q
     code, out, err = _exits_zero_one_or_two_without_a_traceback(
         ["verify", "--suite", suite, "--q", str(q), "--seed", str(seed)])
     if _prime_of(q) is None or q % 2 == 0 and suite in cli.ODD_SUITES:
         assert (code, err[:7]) == (2, "error: ")
-    elif suite in _GROUP_SUITES and q ** 4 > gl2.MAX_GRID:
+    elif (q * q - 1) * (q * q - q) > gl2.MAX_ORDER:
         assert (code, err[:12]) == (1, "size limit: ")
         assert "FAIL" not in out
     else:

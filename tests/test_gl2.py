@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qrep import NotInGroup, bruhat, gl2, make_field, make_group, sl2_split_test
-from qrep.errors import Singular, VerificationFailed
+from qrep.errors import SizeExceeded, Singular, VerificationFailed
 
 RNG = np.random.default_rng(20070714)
 
@@ -147,7 +147,9 @@ def test_borel_cosets_match_the_seen_loop():
 
 def test_membership_errors():
     ctx = make_group("sl2", make_field(3))
-    with pytest.raises(NotInGroup, match=r"^\(1, 0, 0, 2\) is not in sl2$"):
+    with pytest.raises(NotInGroup,
+                       match=r"^\(1, 0, 0, 2\) has a determinant outside "
+                             r"sl2$"):
         ctx.id_of((1, 0, 0, 2))  # det 2 != 1
     g3 = make_group("gl2", make_field(3))
     with pytest.raises((NotInGroup, Singular)):
@@ -159,37 +161,69 @@ def test_membership_errors():
 def test_id_of_refuses_entries_outside_the_field():
     # over F_3, (1, 0, 0, 4) packs onto the key of (1, 0, 1, 1), and
     # (1, 0, 0, -2) onto that of (0, 2, 2, 1) in GL2: an entry outside
-    # 0..q-1 must not alias another matrix, nor index past the lookup
+    # 0..q-1 must not alias another matrix's id, alone or in a batch
     for kind in ("gl2", "sl2"):
         ctx = make_group(kind, make_field(3))
         for m in ((1, 0, 0, 4), (1, 0, 0, -2), (3, 0, 0, 1), (1, -1, 0, 1)):
-            with pytest.raises(NotInGroup, match="outside F_3"):
+            with pytest.raises(NotInGroup, match="outside the field F_3"):
                 ctx.id_of(m)
+            with pytest.raises(NotInGroup,
+                               match=rf"^\({', '.join(map(str, m))}\) has"):
+                ctx.ids_of([(1, 0, 0, 1), m])
+
+
+def test_ids_of_reads_a_long_array_by_chunks():
+    # ids_of works by chunks of 2^17 rows: the ids are the same, and the
+    # first singular row is named even when it lies in a later chunk
+    ctx = make_group("gl2", make_field(3))
+    m = ctx.elems[np.arange(300_000) % ctx.n]
+    assert np.array_equal(ctx.ids_of(m.reshape(-1, 10, 4)).ravel(),
+                          np.arange(300_000) % ctx.n)
+    m[200_000], m[280_000] = (1, 1, 1, 1), (2, 2, 2, 2)
+    with pytest.raises(NotInGroup, match=r"^\(1, 1, 1, 1\) has a determinant"):
+        ctx.ids_of(m)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
 
+def _pack(q, m):
+    """The packed key ((a q + b) q + c) q + d of (..., 4) matrices."""
+    m = np.asarray(m, dtype=np.int64)
+    return ((m[..., 0] * q + m[..., 1]) * q + m[..., 2]) * q + m[..., 3]
+
+
 def _filtered_grid(ctx):
     """The reference enumeration: all q^4 matrices in increasing packed
-    order, kept by their determinant."""
+    order, split by their determinant into (members, non-members)."""
     q = ctx.q
     grid = np.indices((q,) * 4).reshape(4, -1).T
+    assert np.array_equal(_pack(q, grid), np.arange(q ** 4))
     det = ctx.mat_det(grid)
-    return grid[det != 0 if ctx.kind == "gl2" else det == 1]
+    member = det != 0 if ctx.kind == "gl2" else det == 1
+    return grid[member], grid[~member]
 
 
 @pytest.mark.parametrize("kind,p,k", [
     ("sl2", 3, 1), ("sl2", 5, 1), ("sl2", 7, 1), ("sl2", 3, 2), ("sl2", 5, 2),
     ("gl2", 3, 1), ("gl2", 5, 1), ("gl2", 7, 1), ("gl2", 3, 2)])
 def test_enumeration_equals_the_filtered_grid(kind, p, k):
+    # the closed-form id of every member is its rank in packed order, and
+    # every non-member is refused on its own (all q^4 <= 9^4 of them)
     ctx = make_group(kind, make_field(p, k))
+    members, others = _filtered_grid(ctx)
     assert ctx.elems.dtype == np.int64
-    assert np.array_equal(ctx.elems, _filtered_grid(ctx))
-    assert np.array_equal(ctx.lookup[gl2._pack(ctx.q, ctx.elems)],
-                          np.arange(ctx.n))
-    assert np.count_nonzero(ctx.lookup >= 0) == ctx.n
+    assert np.array_equal(ctx.elems, members)
+    assert np.array_equal(ctx.ids_of(members), np.arange(ctx.n))
+    if ctx.q > 9:
+        return
+    refused = 0
+    for m in others:
+        with pytest.raises(NotInGroup, match="has a determinant outside"):
+            ctx.ids_of(m)
+        refused += 1
+    assert refused == ctx.q ** 4 - ctx.n
 
 
 def _drop(m):
@@ -222,7 +256,7 @@ def _outside(m):
 @pytest.mark.parametrize("edit,match", [
     (_drop, "matrices enumerated"),
     (_wrong_det, "determinant outside"),
-    (_duplicate, "strictly increase"),
+    (_duplicate, "strictly increase"),  # the id-order gate
     (_swap, "strictly increase"),
     (_outside, "outside the field"),
 ])
@@ -235,18 +269,38 @@ def test_each_enumeration_gate_fires(monkeypatch, kind, edit, match):
         make_group(kind, make_field(5))
 
 
-def test_the_sl2_enumeration_builds_no_q4_grid():
-    # |SL2(F_25)| = 15,600 matrices and an 8 * 25^4-byte (3.1 MB) id
-    # lookup: the construction peaks at about 7 MB traced, where building
-    # and filtering all 25^4 matrices takes it to 27 MB
-    F = make_field(5, 2)
+def test_the_order_bound_admits_gl2_to_61_and_sl2_to_256():
+    # the bound is on |G| = (q^2-1)(q^2-q) or q^3-q, from q alone
+    gl2.check_order("gl2", 61)
+    gl2.check_order("sl2", 256)
+    for kind, q, n in (("gl2", 67, 19845936), ("sl2", 257, 16974336)):
+        with pytest.raises(SizeExceeded,
+                           match=rf"^\|{kind}\(F_{q}\)\| = {n} exceeds "):
+            gl2.check_order(kind, q)
+
+
+def _traced_peak(kind, F):
     tracemalloc.start()
     try:
-        make_group("sl2", F)
+        make_group(kind, F)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    return peak
+
+
+def test_the_sl2_enumeration_builds_no_q4_grid():
+    # |SL2(F_25)| = 15,600 matrices: the construction peaks at about
+    # 7 MB traced, where building and filtering all 25^4 matrices takes
+    # it to 27 MB
+    assert _traced_peak("sl2", make_field(5, 2)) < 12e6
+
+
+def test_the_sl2_ids_need_no_q4_lookup():
+    # |SL2(F_49)| = 117,600 matrices: the construction peaks at about
+    # 36 MB traced, where an int64 id lookup over all 49^4 packed keys
+    # (46 MB) took it to 82 MB
+    assert _traced_peak("sl2", make_field(7, 2)) < 50e6
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +318,7 @@ def test_bruhat_cells_partition_the_group():
 
 def test_bruhat_of_weyl_element_and_factor_membership():
     ctx = make_group("sl2", make_field(7))
-    w = ctx.mat_of(ctx.w_id())
+    w = (0, 1, int(ctx.field.neg(1)), 0)
     big, b1, b2 = bruhat(ctx, np.array(w))
     assert big
     borel = set(ctx.borel_ids())

@@ -12,9 +12,10 @@ compares nothing to the tolerance.
 Every imported name is used, and every function, class and method the
 package defines is read by name inside it or traced by perfbench.
 Groups are built by their callers: the command line, build_table, and
-gl2 itself.  No check is an `assert`, which `python -O` strips, and no
-library check samples: randomness is drawn only by the command line and
-by Dixon's method, whose table the orthonormality gate decides.
+gl2 itself, and no module imports another's underscore names.  No
+check is an `assert`, which `python -O` strips, and no library check
+samples: randomness is drawn only by the command line and by Dixon's
+method, whose table the orthonormality gate decides.
 """
 
 import ast
@@ -229,6 +230,26 @@ def test_every_definition_is_read_by_the_package():
 
 
 _GROUP_BUILDERS = ("GroupCtx", "make_group")
+
+
+def _private_imports(tree):
+    """(line, name) of each underscore name imported from a qrep module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "qrep"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.lineno, alias.name
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a module reads another's data through its public methods, as weil
+    # reads group ids through GroupCtx.ids_of, so a private helper can
+    # change without reaching past its module
+    found = [f"{path.name}:{line}: {name}"
+             for path in SOURCES
+             for line, name in _private_imports(ast.parse(path.read_text()))]
+    assert found == []
 
 
 def _group_builds(tree):

@@ -353,7 +353,7 @@ def test_delta_kernels_support_and_normalization():
     assert np.count_nonzero(d1) == q * (q - 1)
     assert np.count_nonzero(dw) == q * q * (q - 1)
     assert d1[ctx.id_of((1, 0, 0, 1))] == 1
-    assert dw[ctx.w_id()] == 1
+    assert dw[ctx.id_of((0, 1, int(ctx.field.neg(1)), 0))] == 1
     assert np.max(np.abs(d1) * np.abs(dw)) == 0  # disjoint supports
 
 

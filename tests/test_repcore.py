@@ -643,10 +643,11 @@ def test_a_set_that_does_not_generate_is_refused():
     # a torus alone does not generate, over a prime field or F_9
     for p, k in ((5, 1), (3, 2)):
         ctx = make_group("sl2", make_field(p, k))
+        g = int(ctx.field.gen)
         with pytest.raises(VerificationFailed,
                            match="^generator set does not generate$"):
             generating_set(ctx.n, ctx.view.mul, ctx.identity,
-                           [ctx.t_id(ctx.field.gen)])
+                           [ctx.id_of((g, 0, 0, int(ctx.field.inv(g))))])
 
 
 def test_an_injective_non_homomorphism_is_refused():
@@ -683,7 +684,7 @@ def test_a_subset_that_is_not_closed_is_refused():
     with pytest.raises(NotInGroup, match="under multiplication"):
         subgroup_view(v, [0, 1, 5])
     ctx = make_group("sl2", make_field(3))
-    w = ctx.w_id()
+    w = ctx.id_of((0, 1, 2, 0))  # (0 1; -1 0) over F_3
     members = np.append(ctx.borel_ids(), [w, ctx.view.inv[w]])
     with pytest.raises(NotInGroup, match="under multiplication"):
         subgroup_view(ctx.view, members)

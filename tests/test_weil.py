@@ -44,7 +44,6 @@ from qrep import (
 )
 from qrep import chartab, cli, weil
 from qrep.ff import FieldCtx
-from qrep.gl2 import _pack
 
 RNG = np.random.default_rng(20070714)
 
@@ -363,6 +362,21 @@ def test_ordinary_field_calls_do_not_grow_with_the_group(monkeypatch):
     assert 0 < len(calls) <= 64
 
 
+def _lower_id(ctx, c):
+    """The id of l(c) = (1 0; c 1)."""
+    return ctx.id_of((1, 0, c, 1))
+
+
+def _t_id(ctx, a):
+    """The id of t(a) = diag(a, 1/a)."""
+    return ctx.id_of((a, 0, 0, int(ctx.field.inv(a))))
+
+
+def _w_id(ctx):
+    """The id of w = (0 1; -1 0)."""
+    return ctx.id_of((0, 1, int(ctx.field.neg(1)), 0))
+
+
 def _word_for(ctx, mat):
     """Generator word for one element, letter by letter on scalars:
     t(a) l(ac) when b = 0, else l(d/b) w l(ab) t(1/b), with l lower
@@ -375,9 +389,9 @@ def _word_for(ctx, mat):
         sigma = ctx.mat_mul((1, 0, 0, int(F.inv(det))), (a, b, c, d))
         return [ctx.id_of((1, 0, 0, det))] + _word_for(ctx, sigma)
     if b == 0:
-        return [ctx.t_id(a), ctx.lower_id(int(F.mul(a, c)))]
-    return [ctx.lower_id(int(F.mul(d, F.inv(b)))), ctx.w_id(),
-            ctx.lower_id(int(F.mul(a, b))), ctx.t_id(int(F.inv(b)))]
+        return [_t_id(ctx, a), _lower_id(ctx, int(F.mul(a, c)))]
+    return [_lower_id(ctx, int(F.mul(d, F.inv(b)))), _w_id(ctx),
+            _lower_id(ctx, int(F.mul(a, b))), _t_id(ctx, int(F.inv(b)))]
 
 
 def _padded_word(ctx, mat):
@@ -400,20 +414,29 @@ def test_words_equal_the_scalar_reference(kind, q):
 
 
 @pytest.mark.parametrize("kind", ["gl2", "sl2"])
-def test_words_refuse_a_corrupted_letter(kind):
-    # l(1) looked up as l(2): every word that reads l(1) stops
-    # re-multiplying to its element, and the gate counts them; looked up
-    # as no element at all, the word is refused outright
+def test_words_refuse_a_corrupted_letter(monkeypatch, kind):
+    # l(1) read as l(2): every word that reads l(1) stops re-multiplying
+    # to its element, and the gate counts them; read as the singular
+    # (1 1; 1 1), no element at all, the word is refused outright
     ctx = make_group(kind, make_field(5))
-    uses = sum(ctx.lower_id(1) in _padded_word(ctx, ctx.mat_of(g))
+    uses = sum(_lower_id(ctx, 1) in _padded_word(ctx, ctx.mat_of(g))
                for g in range(ctx.n))
     assert uses > 0
-    l1 = _pack(5, (1, 0, 1, 1))
-    ctx.lookup[l1] = ctx.lower_id(2)
+    ids_of = ctx.ids_of
+
+    def corrupt(into):
+        def corrupted(m):
+            m = np.array(m)
+            m[np.all(m == (1, 0, 1, 1), axis=-1)] = into
+            return ids_of(m)
+        monkeypatch.setattr(ctx, "ids_of", corrupted)
+
+    corrupt((1, 0, 2, 1))
     with pytest.raises(VerificationFailed, match=f"^{uses} words do not"):
         weil._words(ctx, ctx.elems)
-    ctx.lookup[l1] = -1
-    with pytest.raises(NotInGroup, match="word letter"):
+    corrupt((1, 1, 1, 1))
+    with pytest.raises(NotInGroup, match=r"^\(1, 1, 1, 1\) has a determinant "
+                       f"outside {kind}$"):
         weil._words(ctx, ctx.elems)
 
 
@@ -1073,7 +1096,7 @@ def test_restriction_matches_the_dense_products(kind, q):
     E, g, mods = _all_modules(kind, q)
     chars, table, inverse, words = weil._restricted_class_images(mods, g)
     assert len(inverse) == len(mods)
-    assert {g.lower_id(x) for x in range(q)} | {g.w_id()} <= set(table)
+    assert {_lower_id(g, x) for x in range(q)} | {_w_id(g)} <= set(table)
     assert len(table) <= 3 * q
     assert len(words) == len(g.view.reps) + len(g.view.gens)
     for ci, (rows, atil) in enumerate(_dense_class_operators(E, g)):
@@ -1096,7 +1119,7 @@ def test_weyl_kernel_matches_the_dense_restriction(kind, q):
     E, g, mods = _all_modules(kind, q)
     values = np.unique(np.stack([m.values for m in mods]), axis=0)
     R = weil._restrict_weyl(E, values)
-    M = weil_matrix(E, g.mat_of(g.w_id()))
+    M = weil_matrix(E, g.mat_of(_w_id(g)))
     for Rm, v in zip(R, values):
         module = CuspidalModule(E, mods[0].omega)
         module.values = v
