@@ -370,11 +370,10 @@ class ExtCtx:
     norm and trace tables.
 
     norm and trace land in the base subfield, so their tables store base
-    indices (< q).  eps is the smallest-index non-square unit of the
-    base field (only defined for odd q).  The norm fibres and psi, the
-    field data behind the cuspidal modules and the Weil operators, are
-    computed on first use; norm_one lists the norm-one subgroup as the
-    powers of its generator norm_one[1].
+    indices (< q).  The norm fibres and psi, the field data behind the
+    cuspidal modules and the Weil operators, are computed on first use;
+    norm_one lists the norm-one subgroup as the powers of its generator
+    norm_one[1].
     """
 
     def __init__(self, base):
@@ -396,8 +395,6 @@ class ExtCtx:
             raise VerificationFailed("norm/trace left the base subfield")
         self.norm = norm
         self.trace = trace
-
-        self.eps = base.eps
 
         # norm-one subgroup, cyclic of order q+1: powers of gen^(q-1)
         t = np.arange(base.q + 1, dtype=np.int64)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (EvenQ, NotInGroup, SizeExceeded, Singular,
                      VerificationFailed)
-from .repcore import FiniteGroupView, perm_orbits, row_chunks, subgroup_view
+from .repcore import FiniteGroupView, row_chunks, subgroup_view
 
 TAG_RANK = {"central": 0, "nonsemisimple": 1, "split_regular": 2, "anisotropic": 3}
 # bounds GroupCtx's (|G|, 4) int64 elems (512 MiB at the bound) and the
@@ -97,9 +97,9 @@ class GroupCtx:
     """kind is "gl2" or "sl2"; field is the FieldCtx of entries.
 
     Structures derived from the group are owned here and computed once,
-    on first use: the Borel subgroup view (borel), the right cosets
-    B\\G (borel_cosets) and the GL2 context over the same field
-    (gl2_ctx)."""
+    on first use: the Borel subgroup view (borel), the representatives
+    of the right cosets B\\G (borel_coset_reps) and the GL2 context over
+    the same field (gl2_ctx)."""
 
     def __init__(self, kind, field):
         if kind not in ("gl2", "sl2"):
@@ -235,20 +235,24 @@ class GroupCtx:
         """(view, embedding) of the upper triangular Borel subgroup."""
         return subgroup_view(self.view, self.borel_ids())
 
+    def line_of(self, x, y):
+        """The point of P^1(F_q) through nonzero rows (x, y), vectorized:
+        y/x for x != 0, and q for the line of (0, 1)."""
+        F = self.field
+        return np.where(x == 0, self.q, F.mul(y, F.inv_table[x]))
+
     @cached_property
-    def borel_cosets(self):
-        """Right cosets B\\G: canonical (minimal id) representatives and
-        the coset index of every element.  The cosets Bg are the orbits
-        of left multiplication by the Borel view's certified generators,
-        one whole-group product each."""
-        bview, bemb = self.borel
-        x = np.arange(self.n)
-        left = [self.view.mul(b, x) for b in bemb.injection[bview.gens]]
-        cosets = perm_orbits(self.n, np.array(left).reshape(-1, self.n))
-        coset_of = np.empty(self.n, dtype=np.int64)
-        for i, (_, members) in enumerate(cosets):
-            coset_of[members] = i
-        return np.array([g for g, _ in cosets], dtype=np.int64), coset_of
+    def borel_coset_reps(self):
+        """The minimal id of each right coset Bg, in increasing order.
+
+        B\\G is the projective line: Bg is the set of elements whose
+        bottom row is a multiple of g's.  For b in B, b g has bottom row
+        b22 (c, d); and if g and h have bottom rows (c, d) = lam (c', d'),
+        then g h^-1 has lower-left entry (c d' - d c') / det h = 0, so it
+        lies in B.  The first id on each line_of its bottom row is that
+        coset's representative."""
+        _, _, c, d = self.elems.T
+        return np.sort(np.unique(self.line_of(c, d), return_index=True)[1])
 
     @cached_property
     def gl2_ctx(self):

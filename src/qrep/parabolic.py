@@ -118,29 +118,34 @@ def build_induced_rep(ctx, bchar):
     a MonomialImages store.  Verified multiplicative by
     MatrixRep.check_homomorphism, whose bound covers every pair.
 
-    B\\G is the projective line: b r has bottom row b22 times that of
-    r, so cosets are the lines of bottom rows.  A q^2-entry table takes
-    each line to the coset borel_cosets gives its elements, once every
-    element's bottom row is checked proportional to its representative's.
-    The coset of r_j g is then read off the bottom row (c_j, d_j) g, four
-    field products and two sums per entry.  If that row is
-    lam (c_i, d_i), then b = r_j g r_i^-1 has b22 = lam, so b11 = lam^-1
-    and the entry is chi(lam^-1).  Proportionality is checked exactly on
-    every entry, which proves b in B."""
+    B\\G is the projective line (GroupCtx.borel_coset_reps), so the
+    coset of r_j g is read off the bottom row (c_j, d_j) g, four field
+    products and two sums per entry, through a (q+1)-entry slot of its
+    GroupCtx.line_of.  If that row is lam (c_i, d_i), then
+    b = r_j g r_i^-1 has b22 = lam, so b11 = lam^-1 and the entry is
+    chi(lam^-1).  Proportionality is checked exactly on every entry,
+    which proves b in B whatever the slot says."""
     if ctx.kind != "sl2":
         raise GroupMismatch("matrix model is built for sl2")
     if ctx.q % 2 == 0:
         raise EvenQ("odd q required")
     F, q = ctx.field, ctx.q
-    reps, coset_of = ctx.borel_cosets
+    reps = ctx.borel_coset_reps
     k = len(reps)
     if k != q + 1:
         raise VerificationFailed(f"expected {q + 1} cosets, got {k}")
     a, b, c, d = ctx.elems.T
     rc, rd = c[reps], d[reps]
-
-    def scale(x, y, i):
-        """lam with (x, y) = lam (c_i, d_i), entry by entry."""
+    slot = np.zeros(q + 1, dtype=np.intp)
+    slot[ctx.line_of(rc, rd)] = np.arange(k)
+    chi = bchar.chars[0].values
+    cols = np.empty((ctx.n, k), dtype=np.intp)
+    vals = np.empty((ctx.n, k), dtype=complex)
+    for j in range(k):
+        x = F.add(F.mul(rc[j], a), F.mul(rd[j], c))   # bottom row of r_j g
+        y = F.add(F.mul(rc[j], b), F.mul(rd[j], d))
+        i = slot[ctx.line_of(x, y)]
+        # lam with (x, y) = lam (c_i, d_i), entry by entry
         on_c = rc[i] != 0
         lam = F.mul(np.where(on_c, x, y), F.inv(np.where(on_c, rc[i], rd[i])))
         bad = np.count_nonzero((F.mul(lam, rc[i]) != x)
@@ -148,20 +153,8 @@ def build_induced_rep(ctx, bchar):
         if bad:
             raise VerificationFailed(f"{bad} bottom rows are not proportional "
                                      "to their coset representative's")
-        return lam
-
-    scale(c, d, coset_of)
-    line = np.empty(q * q, dtype=np.intp)
-    line[c * q + d] = coset_of
-    chi = bchar.chars[0].values
-    cols = np.empty((ctx.n, k), dtype=np.intp)
-    vals = np.empty((ctx.n, k), dtype=complex)
-    for j in range(k):
-        x = F.add(F.mul(rc[j], a), F.mul(rd[j], c))   # bottom row of r_j g
-        y = F.add(F.mul(rc[j], b), F.mul(rd[j], d))
-        i = line[x * q + y]
         cols[:, j] = i
-        vals[:, j] = chi[F.inv(scale(x, y, i))]
+        vals[:, j] = chi[F.inv(lam)]
     rep = MatrixRep(ctx.view, MonomialImages(cols, vals))
     gate(rep.check_homomorphism(), "induced rep not multiplicative")
     return rep
@@ -221,7 +214,7 @@ def hecke_involution(ctx, bchar):
     T[i, j] = Delta_w(r_i r_j^-1) / sqrt(chi(-1) q), with Delta_w read off
     the Bruhat words of the (q+1)^2 products only.  T^2 = I because
     Delta_w * Delta_w = q^2 (q-1) chi(-1) Delta_1."""
-    reps, _ = ctx.borel_cosets
+    reps = ctx.borel_coset_reps
     view = ctx.view
     prods = view.mul(np.asarray(reps)[:, None], view.inv[reps][None, :])
     _, dw = _kernels_at(ctx, bchar, ctx.elems[prods])

@@ -3,7 +3,7 @@
 A FiniteGroupView addresses group elements by integer indices 0..n-1
 and exposes a vectorized multiplication callback; no n x n table is
 ever materialized, so the same machinery serves cyclic toy groups and
-GL2 over F_11 alike.  Every orbit enumeration (conjugacy classes, cosets,
+GL2 over F_11 alike.  Every orbit enumeration (conjugacy classes,
 matrix similarity orbits, Frobenius orbits of characters) goes through
 orbits, which checks that its blocks partition the set.
 Each view certifies a generating set once, by a search that reaches
@@ -276,13 +276,10 @@ class SubgroupEmbedding:
         self.injection = injection
         if injection[sub.identity] != big.identity:
             raise NotInGroup("injection does not fix the identity")
-        h = np.arange(sub.n)
         lhs = injection[sub.right.T]
         rhs = big.mul(injection[:, None], injection[sub.gens][None, :])
         if not np.array_equal(lhs, rhs):
             raise NotInGroup("injection is not a homomorphism")
-        self.g_to_h = np.full(big.n, -1, dtype=np.int64)
-        self.g_to_h[injection] = h
         self.fusion = big.class_of[injection[sub.reps]]
 
 
@@ -339,6 +336,14 @@ def row_chunks(n, row_bytes):
     row_bytes bytes that fit in _CHUNK_BYTES, and at least one row."""
     step = max(1, _CHUNK_BYTES // row_bytes)
     return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+def monomial_gap(c1, v1, c2, v2):
+    """The largest entry of |row 1 - row 2| for monomial rows, row k
+    with its one entry v_k in column c_k, elementwise: |v1 - v2| where
+    the columns agree and max(|v1|, |v2|) where they differ."""
+    return np.where(c1 == c2, np.abs(v1 - v2),
+                    np.maximum(np.abs(v1), np.abs(v2)))
 
 
 class MonomialImages:
@@ -425,12 +430,11 @@ class MatrixRep:
         made dense beyond pi(e) and the pi(s): row j of pi(g) pi(s) is
         its one entry vals[g, j] times row cols[g, j] of pi(s), so the
         product has columns cols[s][cols[g]] and values
-        vals[g] vals[s][cols[g]].  Row j of the difference with pi(gs)
-        is |pv - tv| where the columns agree and max(|pv|, |tv|) where
-        they differ, which is the largest entry of that row of the dense
-        difference.  Its chunks are sized by the loop body's whole
-        working set, _MONOMIAL_TEMPS complex (rows, d) temporaries, so
-        they too take about _CHUNK_BYTES."""
+        vals[g] vals[s][cols[g]], and monomial_gap against pi(gs) is
+        the largest entry of each row of the dense difference.  Its
+        chunks are sized by the loop body's whole working set,
+        _MONOMIAL_TEMPS complex (rows, d) temporaries, so they too take
+        about _CHUNK_BYTES."""
         v, d, images = self.view, self.dim, self.images
         gs = v.right.T
         delta = np.max(np.abs(images[v.identity] - np.eye(d)))
@@ -442,8 +446,7 @@ class MatrixRep:
                     pc, pv = C[s][c], val * V[s][c]
                     t = gs[rows, j]
                     tc, tv = C[t], V[t]
-                    err = np.where(pc == tc, np.abs(pv - tv),
-                                   np.maximum(np.abs(pv), np.abs(tv)))
+                    err = monomial_gap(pc, pv, tc, tv)
                     delta = np.maximum(delta, np.max(err))
             return float(delta)
         gen = images[v.gens]

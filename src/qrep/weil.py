@@ -41,7 +41,8 @@ from .ff import MultChar, NormOneChar, dual_pairing, is_primitive
 from .parabolic import split_in_two
 from .repcore import (ClassFunction, FiniteGroupView, MatrixRep, MixedRadix,
                       MonomialImages, character_table_bruteforce,
-                      inner_product, orbits, rep_character, row_chunks)
+                      inner_product, monomial_gap, orbits, rep_character,
+                      row_chunks)
 
 MAX_H = 1 << 18
 # verify_ordinary holds rho~ of every SL2 element at once: q <= 13 fits
@@ -191,15 +192,10 @@ def heisenberg_rep(hctx):
     as a MonomialImages store; |H| is capped at 4096 here."""
     if hctx.nH > 4096:
         raise SizeExceeded("Heisenberg images need |H| <= 4096")
-    nG, m = hctx.nG, hctx.m
-    xs = np.arange(nG)
-    cols = np.empty((hctx.nH, nG), dtype=np.intp)
-    vals = np.empty((hctx.nH, nG), dtype=complex)
-    for h in range(hctx.nH):
-        x1, c1, z1 = (int(t) for t in hctx.decode(h))
-        cols[h] = hctx.g_add(xs, hctx.g_neg(x1))       # x - x'
-        e = (z1 + hctx.pair_exp(c1, cols[h])) % m
-        vals[h] = np.exp(2j * np.pi * e / m)
+    x1, c1, z1 = (t[:, None] for t in hctx.decode(np.arange(hctx.nH)))
+    cols = hctx.g_add(np.arange(hctx.nG), hctx.g_neg(x1))     # x - x'
+    e = (z1 + hctx.pair_exp(c1, cols)) % hctx.m
+    vals = np.exp(2j * np.pi * e / hctx.m)
     return MatrixRep(hctx.view, MonomialImages(cols, vals))
 
 
@@ -581,9 +577,8 @@ def _restrict_all(fibres, values, M):
     # row F[r, j] of C: entry on[m, r, j] in column at[r, j]
     at, on = pos[fibres] // n_j, e[:, fibres]
     want = values * on[..., :1]
-    defect = np.maximum(np.max(np.where(
-        at == at[:, :1], np.abs(on - want),
-        np.maximum(np.abs(on), np.abs(want)))), np.max(np.abs(e[:, 0])))
+    defect = np.maximum(np.max(monomial_gap(at, on, at[:, :1], want)),
+                        np.max(np.abs(e[:, 0])))
     gate(defect, "W_omega is not preserved")
     return on[..., :1] * (at[:, :1] == np.arange(n_u))
 
@@ -674,7 +669,7 @@ def _restricted_class_images(modules, gctx):
     and the restriction of E rho~(sigma) is the product of the table's
     letters over the _words word of g.  The table holds every letter of
     the words of the class representatives and of the certified
-    generators, every l(x), t(-1) and w, each restricted once to the
+    generators, every l(x) and w, each restricted once to the
     distinct CuspidalModule.values (the q^2 - q primitive GL2
     characters give q distinct W_omega) with its invariance certified
     on every module: the monomial letters by _restrict_all's residual,
@@ -687,7 +682,9 @@ def _restricted_class_images(modules, gctx):
     Per module this also checks that the degree is q - 1, and the
     N-fixed gate: w l(c) w = (-1 c; 0 -1), so the upper unipotent u(x)
     is t(-1) w l(-x) w and sum_x R(u(x)) =
-    R(t(-1)) R(w) (sum_x R(l(x))) R(w).  R(w) is invertible, so the
+    R(t(-1)) R(w) (sum_x R(l(x))) R(w).  t(-1) = -I is central, so it
+    acts on W_omega as a scalar of modulus one, and the gate reads
+    R(w) (sum_x R(l(x))) R(w) alone.  R(w) is invertible, so the
     gate certifies sum_x R(l(x)) = 0, a property of the lower letters
     alone: sum_x rho~(l(x)) is q times the projection onto the point 0,
     which lies outside every W_omega, so only a wrong lower letter
@@ -710,11 +707,10 @@ def _restricted_class_images(modules, gctx):
                         for row in values])
     values = values[np.unique(inverse, return_index=True)[1]]
     words = _words(gctx, gctx.elems[np.concatenate([reps, gctx.view.gens])])
-    # every l(x) = (1 0; x 1), then t(-1) = -I and w = (0 1; -1 0)
-    m1 = int(F.neg(1))
-    *lower_ids, t_m1, w_id = gctx.ids_of([(1, 0, x, 1) for x in range(q)] + [
-        (m1, 0, 0, m1), (0, 1, m1, 0)]).tolist()
-    needed = set(words.flat) | set(lower_ids) | {t_m1}
+    # every l(x) = (1 0; x 1), then w = (0 1; -1 0)
+    *lower_ids, w_id = gctx.ids_of([(1, 0, x, 1) for x in range(q)] + [
+        (0, 1, int(F.neg(1)), 0)]).tolist()
+    needed = set(words.flat) | set(lower_ids)
     table = {lid: _restrict_all(fibres, values, _letter_op(ectx, gctx, lid))
              for lid in sorted(map(int, needed - {w_id}))}
     table[w_id] = _restrict_weyl(ectx, values)
@@ -729,7 +725,7 @@ def _restricted_class_images(modules, gctx):
     gate(np.max(np.abs(traces[:, ident] - (q - 1))), "cuspidal degree != q - 1")
     lowers = sum(table[lid] for lid in lower_ids)
     w = table[w_id]
-    n_fixed = table[t_m1] @ w @ lowers @ w
+    n_fixed = w @ lowers @ w
     # every distinct W_omega is some module's: inverse reaches each row
     gate(np.max(np.abs(n_fixed / q)), "nonzero N-fixed vectors in W_omega")
     return ([ClassFunction(gctx.view, tr) for tr in traces], table, inverse,

@@ -46,6 +46,21 @@ def _elementwise_product_defect(rep):
     return worst
 
 
+def _seen_loop_cosets(ctx):
+    """The right cosets B\\G by group products: (representatives, coset
+    of every element), each representative the smallest element not in
+    an earlier coset Bg."""
+    bids = ctx.borel_ids()
+    coset_of = np.full(ctx.n, -1, dtype=np.int64)
+    reps = []
+    for g in range(ctx.n):
+        if coset_of[g] >= 0:
+            continue
+        coset_of[ctx.view.mul(bids, g)] = len(reps)
+        reps.append(g)
+    return np.array(reps), coset_of
+
+
 @pytest.fixture
 def all_pairs_defect():
     return _all_pairs_defect
@@ -54,3 +69,8 @@ def all_pairs_defect():
 @pytest.fixture
 def elementwise_product_defect():
     return _elementwise_product_defect
+
+
+@pytest.fixture
+def seen_loop_cosets():
+    return _seen_loop_cosets

@@ -8,6 +8,7 @@ import pytest
 
 from qrep import NotInGroup, bruhat, gl2, make_field, make_group, sl2_split_test
 from qrep.errors import SizeExceeded, Singular, VerificationFailed
+from qrep.ff import prime_power
 
 RNG = np.random.default_rng(20070714)
 
@@ -129,20 +130,19 @@ def test_class_sizes_match_orbit_flood():
         assert ctx.view.class_of[c.rep_id] == ctx.view.class_of[orbit].min()
 
 
-def test_borel_cosets_match_the_seen_loop():
-    for kind, q in (("gl2", 3), ("sl2", 5)):
-        ctx = make_group(kind, make_field(q))
-        bids = ctx.borel_ids()
-        coset_of = np.full(ctx.n, -1, dtype=np.int64)
-        reps = []
-        for g in range(ctx.n):
-            if coset_of[g] >= 0:
-                continue
-            coset_of[ctx.view.mul(bids, g)] = len(reps)
-            reps.append(g)
-        got_reps, got_coset_of = ctx.borel_cosets
-        assert got_reps.tolist() == reps
-        assert np.array_equal(got_coset_of, coset_of)
+def test_borel_cosets_match_the_seen_loop(seen_loop_cosets):
+    # the representatives are the loop's, in its order, and each
+    # element's coset is the slot of the line of its bottom row
+    for kind, q in (("gl2", 3), ("gl2", 5), ("gl2", 9),
+                    ("sl2", 5), ("sl2", 9), ("sl2", 25)):
+        ctx = make_group(kind, make_field(*prime_power(q)))
+        reps, coset_of = seen_loop_cosets(ctx)
+        got = ctx.borel_coset_reps
+        assert got.tolist() == reps.tolist()
+        _, _, c, d = ctx.elems.T
+        slot = np.full(q + 1, -1)
+        slot[ctx.line_of(c[got], d[got])] = np.arange(q + 1)
+        assert np.array_equal(slot[ctx.line_of(c, d)], coset_of)
 
 
 def test_membership_errors():

@@ -9,8 +9,9 @@ mutable default argument.  Comparisons read `get_tol()`, a tolerance
 check goes through `config.gate`, which no NaN passes, and the pivot
 and rounding thresholds are named constants in `config.py`; `cli.py`
 compares nothing to the tolerance.
-Every imported name is used, and every function, class and method the
-package defines is read by name inside it or traced by perfbench.
+Every imported name is used, every function, class and method the
+package defines is read by name inside it or traced by perfbench, and
+every attribute it stores on self is read inside it.
 Groups are built by their callers: the command line, build_table, and
 gl2 itself, and no module imports another's underscore names.  No
 check is an `assert`, which `python -O` strips, and no library check
@@ -307,4 +308,37 @@ def test_randomness_only_in_the_cli_and_dixon():
              for path in SOURCES if path.name != "cli.py"
              for name, line in _random_draws(ast.parse(path.read_text()))
              if (path.name, name) not in allowed]
+    assert found == []
+
+
+def _stored_attributes(tree):
+    """(line, name) of each attribute stored on self."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Store) and \
+                isinstance(node.value, ast.Name) and node.value.id == "self":
+            yield node.lineno, node.attr
+
+
+def _attributes_loaded(tree):
+    """Names of the attributes a module reads, apart from the target of
+    a subscript store such as self.x[i] = v, which writes into it."""
+    written_into = {id(node.value) for node in ast.walk(tree)
+                    if isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, ast.Store)}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in written_into}
+
+
+def test_every_stored_attribute_is_read_by_the_package():
+    # state that only the tests read costs every caller its memory: an
+    # oracle such as the inverse of an embedding is built in the tests
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    loaded = set().union(*map(_attributes_loaded, trees.values()))
+    found = [f"{name}:{line}: self.{attr}"
+             for name, tree in trees.items()
+             for line, attr in _stored_attributes(tree)
+             if attr not in loaded]
     assert found == []

@@ -35,6 +35,7 @@ from qrep import (
 )
 from qrep import parabolic
 from qrep.config import SEED
+from qrep.gl2 import GroupCtx
 from qrep.parabolic import (convolve, hecke_involution, split_in_two,
                             two_dim_commutant_projectors)
 
@@ -252,10 +253,11 @@ def test_the_certificate_catches_an_image_the_old_sample_missed(
     assert sampled[0] < get_tol()
 
 
-def _dense_induced_images(ctx, bchar):
+def _dense_induced_images(ctx, bchar, cosets):
     """Reference: the (|G|, q+1, q+1) image stack of the induced model,
-    filled densely as build_induced_rep did before its monomial store."""
-    reps, coset_of = ctx.borel_cosets
+    filled densely by group products on the cosets (representatives,
+    coset of every element) of the group-product loop."""
+    reps, coset_of = cosets
     k = len(reps)
     view = ctx.view
     images = np.zeros((ctx.n, k, k), dtype=complex)
@@ -269,34 +271,62 @@ def _dense_induced_images(ctx, bchar):
 
 
 def test_monomial_induced_model_equals_the_dense_reference(
-        elementwise_product_defect):
+        elementwise_product_defect, seen_loop_cosets):
     # the bottom-row fill gives the group-product fill's images, and the
     # gathered certificate its delta bit for bit (GEMM may round the
     # products otherwise)
     for q in (3, 5, 7, 9):
         ctx = make_group("sl2", make_field(3, 2) if q == 9 else make_field(q))
+        cosets = seen_loop_cosets(ctx)
         for j in (1, (q - 1) // 2):
             bchar = BorelChar(ctx, (MultChar(ctx.field, j),))
             rep = build_induced_rep(ctx, bchar)
             dense = rep.images[np.arange(ctx.n)]
-            assert np.array_equal(dense, _dense_induced_images(ctx, bchar))
+            assert np.array_equal(dense,
+                                  _dense_induced_images(ctx, bchar, cosets))
             assert rep.product_defect() == elementwise_product_defect(rep)
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_a_wrong_coset_fails_the_proportionality_gate(where):
-    # one element sent to the next coset: its bottom row is no multiple
-    # of that coset representative's
+    # the bottom row of one element sent to the next line: it is no
+    # multiple of the representative of the coset that line's slot names
     ctx = make_group("sl2", make_field(5))
-    reps, coset_of = ctx.borel_cosets
     g = {"first": 0, "middle": ctx.n // 2, "last": ctx.n - 1}[where]
-    bad = coset_of.copy()
-    bad[g] = (bad[g] + 1) % len(reps)
-    ctx.borel_cosets = (reps, bad)
+    row = ctx.elems[g, 2:]
+    real = ctx.line_of
+
+    def wrong_at_row(x, y):
+        line = real(x, y)
+        hit = (x == row[0]) & (y == row[1])
+        return np.where(hit, (line + 1) % (ctx.q + 1), line)
+
+    ctx.line_of = wrong_at_row
     bchar = BorelChar(ctx, (MultChar(ctx.field, 1),))
-    with pytest.raises(VerificationFailed, match="1 bottom rows are not "
+    with pytest.raises(VerificationFailed, match=r"^\d+ bottom rows are not "
                                                  "proportional"):
         build_induced_rep(ctx, bchar)
+
+
+def test_split_rho_pm_forms_no_whole_group_product(monkeypatch):
+    # past the Borel subgroup, splitting I(chi) multiplies only the
+    # (q+1)^2 products r_i r_j^-1 of the coset representatives; cosets
+    # found as orbits would multiply all of G by each Borel generator
+    for q in (5, 7):
+        ctx = make_group("sl2", make_field(q))
+        ctx.borel
+        real, rows = GroupCtx.mat_mul, []
+
+        def counting(self, m1, m2):
+            out = real(self, m1, m2)
+            rows.append(out.size // 4)
+            return out
+
+        monkeypatch.setattr(GroupCtx, "mat_mul", counting)
+        split_rho_pm(ctx, BorelChar(ctx, (MultChar(ctx.field,
+                                                   (q - 1) // 2),)))
+        monkeypatch.undo()
+        assert rows and max(rows) <= (q + 1) ** 2
 
 
 def test_induced_model_stores_no_image_stack():
@@ -304,7 +334,7 @@ def test_induced_model_stores_no_image_stack():
     # store and the chunked certificate, and at 30 MB with a dense
     # (|G|, q+1, q+1) image stack
     ctx = make_group("sl2", make_field(17))
-    ctx.borel_cosets
+    ctx.borel_coset_reps
     bchar = BorelChar(ctx, (MultChar(ctx.field, 1),))
     tracemalloc.start()
     try:
@@ -504,7 +534,7 @@ def test_hecke_involution_is_the_normalized_delta_w():
         T = hecke_involution(ctx, quad)
         assert np.max(np.abs(T @ T - np.eye(q + 1))) < get_tol()
         _, dw = delta_kernels(ctx, quad)
-        reps, _ = ctx.borel_cosets
+        reps = ctx.borel_coset_reps
         view = ctx.view
         scale = np.sqrt(complex(q if q % 4 == 1 else -q))
         for i, ri in enumerate(reps):

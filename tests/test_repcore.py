@@ -144,14 +144,22 @@ def test_induction_degree_and_frobenius_reciprocity():
         assert abs(lhs - rhs) < 1e-9
 
 
+def _g_to_h(emb):
+    """The inverse of the embedding on G: the H-id of each element of
+    the image, -1 elsewhere."""
+    g_to_h = np.full(emb.big.n, -1, dtype=np.int64)
+    g_to_h[emb.injection] = np.arange(emb.sub.n)
+    return g_to_h
+
+
 def _induce_by_definition(f, emb):
     """ind f(g) = (1/|H|) sum over x in G with x g x^-1 in H of
     f(x g x^-1), summed over the elements x one by one."""
     G, H = emb.big, emb.sub
-    allg = np.arange(G.n)
+    allg, g_to_h = np.arange(G.n), _g_to_h(emb)
     vals = np.zeros(len(G.classes), dtype=complex)
     for ci, rep in enumerate(G.reps):
-        h = emb.g_to_h[G.mul(G.mul(allg, rep), G.inv[allg])]
+        h = g_to_h[G.mul(G.mul(allg, rep), G.inv[allg])]
         vals[ci] = f.values[H.class_of[h[h >= 0]]].sum() / H.n
     return vals
 
@@ -210,10 +218,10 @@ def _mackey_defect(f, emb):
     and restrict, which read only the embedding's fusion map."""
     G, H = emb.big, emb.sub
     lhs = restrict(induce(f, emb), emb)
-    total = np.zeros(len(H.classes), dtype=complex)
+    total, g_to_h = np.zeros(len(H.classes), dtype=complex), _g_to_h(emb)
     for x in _double_cosets(emb):
         xinv = int(G.inv[x])
-        conj_in = emb.g_to_h[G.mul(G.mul(xinv, emb.injection), x)]
+        conj_in = g_to_h[G.mul(G.mul(xinv, emb.injection), x)]
         K, kemb = subgroup_view(H, np.flatnonzero(conj_in >= 0))
         tw = f.values[H.class_of[conj_in[kemb.injection[K.reps]]]]
         total += induce(ClassFunction(K, tw), kemb).values

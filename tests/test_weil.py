@@ -258,6 +258,31 @@ def test_canonical_model_center_acts_by_tautological_character():
         assert np.max(np.abs(img - zeta * np.eye(4))) < 1e-12
 
 
+def _heisenberg_images_by_loop(hctx):
+    """Reference: the canonical model's (cols, vals), one element of H at
+    a time: row x has its entry zeta^z' chi_c'(x - x') at column x - x'."""
+    xs = np.arange(hctx.nG)
+    cols = np.empty((hctx.nH, hctx.nG), dtype=np.intp)
+    vals = np.empty((hctx.nH, hctx.nG), dtype=complex)
+    for h in range(hctx.nH):
+        x1, c1, z1 = (int(t) for t in hctx.decode(h))
+        cols[h] = hctx.g_add(xs, hctx.g_neg(x1))
+        e = (z1 + hctx.pair_exp(c1, cols[h])) % hctx.m
+        vals[h] = np.exp(2j * np.pi * e / hctx.m)
+    return cols, vals
+
+
+def test_heisenberg_images_equal_the_loop_reference():
+    # the whole-group gathers give the per-element loop's images bit for
+    # bit, on the groups svn_check certifies
+    for orders in ((2,), (3,), (4,), (2, 2)):
+        h = heisenberg_group(orders)
+        images = heisenberg_rep(h).images
+        cols, vals = _heisenberg_images_by_loop(h)
+        assert np.array_equal(images.cols, cols)
+        assert np.array_equal(images.vals, vals)
+
+
 # ---------------------------------------------------------------------------
 # the Weil representation
 
