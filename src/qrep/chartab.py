@@ -91,7 +91,7 @@ def _gl2_rows(gctx, ectx):
 def _sl2_rows(gctx, ectx):
     q = gctx.q
     F = gctx.field
-    k = len(gctx.view.classes)
+    k = len(gctx.view.reps)
     rows = [TableRow("Linear", (0,), np.ones(k, dtype=complex))]
     triv = BorelChar(gctx, (MultChar(F, 0),))
     ind1 = induced_character(gctx, triv)
@@ -180,7 +180,7 @@ def verify_table(table):
     column_orthogonality."""
     gctx = table.gctx
     _identity_first_check(gctx)
-    k = len(gctx.view.classes)
+    k = len(gctx.view.reps)
     n = gctx.n
     A = table.matrix
     out = {}

@@ -116,16 +116,9 @@ class GroupCtx:
 
         self.identity = self.id_of((1, 0, 0, 1))
         inv = self.ids_of(self.mat_inv(self.elems))
-        flooded = FiniteGroupView(self.n, self._mul, inv=inv,
-                                  identity=self.identity)
-        labels = self._canonical_classes(flooded.classes)
-        self.view = flooded.with_classes(
-            [(rep_id, orbit) for _, _, rep_id, orbit in labels])
-        self.conj_classes = [
-            ConjClass(tag=tag, params=params, rep=self.mat_of(rep_id),
-                      rep_id=rep_id, size=len(orbit),
-                      centralizer_order=self.n // len(orbit))
-            for tag, params, rep_id, orbit in labels]
+        self.view = FiniteGroupView(self.n, self._mul, inv=inv,
+                                    identity=self.identity)
+        self.conj_classes = self._canonical_classes()
 
     def _certify(self):
         """Prove elems is exactly the group, row i the matrix of id i: there
@@ -301,21 +294,21 @@ class GroupCtx:
             raise EvenQ("no non-square unit in even characteristic")
         return self.eps
 
-    def _canonical_classes(self, flooded):
-        """(tag, params, rep_id, members) of every flooded class, in
-        TAG_RANK then params order."""
-        shapes = [self.classify(self.elems[orbit[0]]) for _, orbit in flooded]
-        rep_ids = self.ids_of([rep for _, _, rep in shapes]).tolist()
-        labeled = []
-        for (_, orbit), (tag, params, rep), rep_id in zip(flooded, shapes,
-                                                          rep_ids):
-            if rep_id not in orbit:
-                raise VerificationFailed(
-                    f"canonical representative {rep} escaped its class")
-            labeled.append((TAG_RANK[tag], params, tag, rep_id, orbit))
-        labeled.sort(key=lambda t: (t[0], t[1]))
-        return [(tag, params, rep_id, orbit)
-                for _, params, tag, rep_id, orbit in labeled]
+    def _canonical_classes(self):
+        """Classify the flooded representative of each class of view,
+        renumber the classes in TAG_RANK then params order with their
+        canonical representatives (FiniteGroupView.relabel, which checks
+        each one lies in its class), and return their ConjClass records."""
+        v = self.view
+        shapes = [self.classify(m) for m in self.elems[v.reps]]
+        rep_ids = self.ids_of([rep for _, _, rep in shapes])
+        order = sorted(range(len(shapes)), key=lambda ci: (
+            TAG_RANK[shapes[ci][0]], shapes[ci][1]))
+        v.relabel(np.argsort(order)[v.class_of], rep_ids[order])
+        return [ConjClass(tag=shapes[ci][0], params=shapes[ci][1],
+                          rep=self.mat_of(rep_id), rep_id=int(rep_id),
+                          size=int(size), centralizer_order=self.n // int(size))
+                for ci, rep_id, size in zip(order, v.reps, v.sizes)]
 
     def class_index_of(self, m):
         return int(self.view.class_of[self.id_of(m)])
@@ -356,16 +349,15 @@ def sl2_split_test(slctx, g):
     """Whether the GL2 class of an SL2 element splits into two SL2
     classes, decided by the index of det(Z_GL2(g)) in F_q^*.
 
-    Returns (splits, partner_id) where partner_id is the id of the
-    conjugate by diag(eps, 1) when the class splits, else None."""
+    g is an element id.  Returns (splits, partner_id) where partner_id
+    is the id of the conjugate by diag(eps, 1) when the class splits,
+    else None."""
     if slctx.kind != "sl2":
         raise NotInGroup("split test needs an sl2 context")
     if slctx.q % 2 == 0:
         raise EvenQ("split test needs odd q")
     gl = slctx.gl2_ctx
-    if isinstance(g, (int, np.integer)):
-        g = slctx.mat_of(g)
-    m = np.asarray(g, dtype=np.int64)
+    m = slctx.elems[g]
     E = gl.elems
     cent = E[np.all(gl.mat_mul(E, m) == gl.mat_mul(m, E), axis=-1)]
     image_size = len(np.unique(gl.mat_det(cent)))

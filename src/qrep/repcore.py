@@ -3,19 +3,17 @@
 A FiniteGroupView addresses group elements by integer indices 0..n-1
 and exposes a vectorized multiplication callback; no n x n table is
 ever materialized, so the same machinery serves cyclic toy groups and
-GL2 over F_11 alike.  Every orbit enumeration (conjugacy classes,
-matrix similarity orbits, Frobenius orbits of characters) goes through
-orbits, which checks that its blocks partition the set.
+GL2 over F_11 alike.
 Each view certifies a generating set once, by a search that reaches
 every element, and keeps the generators' right multiplication table;
 conjugacy classes are the orbits of conjugation by those generators
-alone, read from the table by gathers, and a subgroup embedding is
-checked on (element, generator) pairs.
+alone, read from the table by gathers and stored as one class label
+per element, and a subgroup embedding is checked on (element,
+generator) pairs.  orbits is the checked orbit partition for orbits
+that are not read off a label array, such as matrix similarity orbits.
 Induction reads only an embedding's class fusion map, never group
 elements.
 """
-
-import copy
 
 import numpy as np
 
@@ -30,13 +28,13 @@ class FiniteGroupView:
     """n, mul(a, b) vectorized over int arrays, inv array, identity,
     a greedily chosen certified generating set gens with its word length
     bound word_length and its right multiplication table right
-    (generating_set), classes as a list of (representative, members)
-    pairs, class_of map.
+    (generating_set), and the conjugacy classes: class_of, the class of
+    each element, reps, one representative per class, and sizes.
 
     inv is checked against mul at every element.  Classes are flooded
-    through the generators, in increasing order of their smallest
-    member, which makes the ordering deterministic; with_classes
-    relabels them.
+    through the generators (flood_classes) and numbered in increasing
+    order of their smallest member, their representative, which makes
+    the ordering deterministic; relabel numbers them anew.
     """
 
     def __init__(self, n, mul, inv, identity=0):
@@ -51,48 +49,45 @@ class FiniteGroupView:
                                      "are not the identity")
         self.gens, self.word_length, self.right = generating_set(
             self.n, mul, self.identity)
-        self._set_classes(flood_classes(self.inv, self.right))
+        reps, class_of = np.unique(flood_classes(self.inv, self.right),
+                                   return_inverse=True)
+        self.relabel(class_of, reps)
 
-    def with_classes(self, classes):
-        """The same group, generators included, with its classes given
-        anew (relabelled or reordered); the partition is checked again."""
-        other = copy.copy(self)
-        other._set_classes(classes)
-        return other
-
-    def _set_classes(self, classes):
-        self.classes = [(int(r), np.asarray(m, dtype=np.int64)) for r, m in classes]
-        self.class_of = np.full(self.n, -1, dtype=np.int64)
-        for ci, (_, members) in enumerate(self.classes):
-            self.class_of[members] = ci
-        if (self.class_of < 0).any():
-            raise VerificationFailed("classes do not cover the group")
-        self.sizes = np.array([len(m) for _, m in self.classes], dtype=np.int64)
-        if int(self.sizes.sum()) != self.n:
-            raise VerificationFailed("class sizes do not sum to |G|")
-        self.reps = np.array([r for r, _ in self.classes], dtype=np.int64)
+    def relabel(self, class_of, reps):
+        """Store class_of, the class index of every element, and reps,
+        one representative per class, in class order, with the class
+        sizes.  VerificationFailed unless each representative lies in
+        its own class."""
+        self.class_of = np.asarray(class_of, dtype=np.int64)
+        self.reps = np.asarray(reps, dtype=np.int64)
+        k = len(self.reps)
+        escaped = np.flatnonzero(self.class_of[self.reps] != np.arange(k))
+        if len(escaped):
+            ci = int(escaped[0])
+            raise VerificationFailed(f"representative {int(self.reps[ci])} "
+                                     f"of class {ci} escaped its class")
+        self.sizes = np.bincount(self.class_of, minlength=k)
 
 
-def generating_set(n, mul, identity, gens=None):
-    """A generating set S of the group 0..n-1, certified: a breadth-first
-    search from the identity, multiplying on the right by S, reaches all
-    n elements, or VerificationFailed.  Without gens, S is chosen
-    greedily, the smallest unreached element each time the search
-    stalls.  Each generator s takes one whole-group call mul(0..n-1, s),
-    checked to be a permutation, and the search reads these rows by
-    gathers alone, so every element meets every generator exactly once
-    (n |S| products).  Positive words in S reach every element, and in
-    a finite group they are all of <S>, so the search also proves the
-    set closed when mul refuses products outside it.
+def generating_set(n, mul, identity):
+    """A generating set S of the group 0..n-1, chosen greedily and
+    certified: a breadth-first search from the identity, multiplying on
+    the right by S, reaches all n elements, and each time the search
+    stalls the smallest unreached element joins S.  Each generator s
+    takes one whole-group call mul(0..n-1, s), checked to be a
+    permutation, and the search reads these rows by gathers alone, so
+    every element meets every generator exactly once (n |S| products).
+    Positive words in S reach every element, and in a finite group they
+    are all of <S>, so the search also proves the set closed when mul
+    refuses products outside it.
 
     Returns (S, L, R): S as an int64 array, L a bound on the length of
     the shortest positive word in S for every element, and R the
     (|S|, n) right multiplication table, R[j, x] = x S[j].  L counts
     the search rounds that reach a new element, plus one for each
-    greedy generator: an element first reached by a round or by a new
+    generator: an element first reached by a round or by a new
     generator is one letter longer than the reached element it came
     from."""
-    greedy = gens is None
     x = np.arange(n)
 
     def right(s):
@@ -104,9 +99,7 @@ def generating_set(n, mul, identity, gens=None):
                                      "a permutation")
         return row
 
-    S = [] if greedy else [int(s) for s in gens]
-    R = [right(s) for s in S]
-    L = 0
+    S, R, L = [], [], 0
     reached = np.zeros(n, dtype=bool)
     reached[identity] = True
 
@@ -124,15 +117,13 @@ def generating_set(n, mul, identity, gens=None):
         while len(frontier) and S:
             frontier = step(R, frontier)
             L += bool(len(frontier))
-        if reached.all() or not greedy:
+        if reached.all():
             break
         s = int(np.argmin(reached))
         S.append(s)
         R.append(right(s))
         L += 1
         frontier = step(R[-1:], np.flatnonzero(reached))
-    if not reached.all():
-        raise VerificationFailed("generator set does not generate")
     return (np.array(S, dtype=np.int64), L,
             np.array(R, dtype=np.int64).reshape(len(S), n))
 
@@ -158,39 +149,26 @@ def orbits(n, orbit):
     return out
 
 
-def perm_orbits(n, perms):
-    """Orbits of 0..n-1 under the group generated by the rows of perms,
-    an (m, n) array of permutations, as orbits returns them.
-
-    Every element takes the smallest label of its images under the
-    permutations, with pointer jumping, until no label moves.  A
-    permutation's inverse is a power of it, so following images alone
-    reaches the whole orbit."""
-    label = np.arange(n)
-    while True:
-        new = np.minimum(label, label[perms].min(axis=0, initial=n))
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    order = np.argsort(label, kind="stable")
-    cuts = np.flatnonzero(np.diff(label[order])) + 1
-    blocks = {int(label[b[0]]): b for b in np.split(order, cuts)}
-    return orbits(n, lambda y: blocks[int(label[y])])
-
-
 def flood_classes(inv, right):
     """Conjugacy classes of a group given by its inverse array and the
     right multiplication table of a certified generating set
-    (generating_set), as (smallest member, members) pairs in increasing
-    order of the smallest member.
+    (generating_set), as the smallest member of each element's class.
 
     The classes are the orbits of the |S| permutations
     x -> s^-1 x s = inv[R_s[inv[R_s[x]]]], read by gathers alone, since
     <S> is the whole group; these are the inverses of x -> s x s^-1,
-    which have the same orbits."""
+    which have the same orbits.  Every element takes the smallest label
+    of its images under the permutations, with pointer jumping, until no
+    label moves.  A permutation's inverse is a power of it, so following
+    images alone reaches the whole orbit."""
     conj = inv[np.take_along_axis(right, inv[right], axis=1)]
-    return perm_orbits(len(inv), conj)
+    label = np.arange(len(inv))
+    while True:
+        new = np.minimum(label, label[conj].min(axis=0, initial=len(inv)))
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 class MixedRadix:
@@ -212,11 +190,11 @@ class MixedRadix:
 
 class ClassFunction:
     """A complex-valued function constant on conjugacy classes, stored
-    by class index in the order of view.classes."""
+    by class index in the order of view.reps."""
 
     def __init__(self, view, values):
         values = np.asarray(values, dtype=complex)
-        if values.shape != (len(view.classes),):
+        if values.shape != (len(view.reps),):
             raise GroupMismatch("value count != class count")
         self.view = view
         self.values = values
@@ -317,7 +295,7 @@ def induce(f, emb):
     if f.view is not emb.sub:
         raise GroupMismatch("function does not live on the subgroup")
     G, H = emb.big, emb.sub
-    vals = np.zeros(len(G.classes), dtype=complex)
+    vals = np.zeros(len(G.reps), dtype=complex)
     np.add.at(vals, emb.fusion, H.sizes * f.values)
     return ClassFunction(G, vals * G.n / (H.n * G.sizes))
 
@@ -460,7 +438,7 @@ class MatrixRep:
 
 
 def rep_character(rep):
-    tr = [np.trace(rep.images[r]) for r, _ in rep.view.classes]
+    tr = [np.trace(rep.images[r]) for r in rep.view.reps]
     return ClassFunction(rep.view, np.array(tr, dtype=complex))
 
 
@@ -471,16 +449,17 @@ def character_table_bruteforce(view):
     eigenvalue vectors as eigenvectors.
 
     Returns a (k, k) complex array, rows sorted by (degree, values), and
-    columns aligned with view.classes.  Raises VerificationFailed if no
+    columns aligned with view.reps.  Raises VerificationFailed if no
     random combination yields a table passing orthonormality."""
-    k = len(view.classes)
     n = view.n
     sizes = view.sizes
     reps = view.reps
+    k = len(reps)
     ident_class = int(view.class_of[view.identity])
+    by_class = np.argsort(view.class_of, kind="stable")
 
     a = np.zeros((k, k, k), dtype=np.int64)  # a[i, j, l]
-    for i, (_, members) in enumerate(view.classes):
+    for i, members in enumerate(np.split(by_class, np.cumsum(sizes)[:-1])):
         t = view.class_of[view.mul(view.inv[members][:, None], reps[None, :])]
         for l in range(k):
             a[i, :, l] = np.bincount(t[:, l], minlength=k)

@@ -41,8 +41,7 @@ from .ff import MultChar, NormOneChar, dual_pairing, is_primitive
 from .parabolic import split_in_two
 from .repcore import (ClassFunction, FiniteGroupView, MatrixRep, MixedRadix,
                       MonomialImages, character_table_bruteforce,
-                      inner_product, monomial_gap, orbits, rep_character,
-                      row_chunks)
+                      inner_product, monomial_gap, rep_character, row_chunks)
 
 MAX_H = 1 << 18
 # verify_ordinary holds rho~ of every SL2 element at once: q <= 13 fits
@@ -757,11 +756,9 @@ def gl2_cuspidal_family(ectx, glctx):
     ext = ectx.ext
     q = ectx.q
     Q1 = ext.q - 1
-    # omega_j is primitive iff j -> jq mod q^2 - 1 moves j, so iff its
-    # Frobenius orbit {j, jq} has two members
-    frob_orbits = [tuple(int(i) for i in block)
-                   for _, block in orbits(Q1, lambda j: [j, j * q % Q1])
-                   if len(block) == 2]
+    # omega_j is primitive iff j -> jq mod q^2 - 1 moves j; q^2 = 1 mod
+    # q^2 - 1, so its Frobenius orbit is {j, jq}, listed once from j < jq
+    frob_orbits = [(j, j * q % Q1) for j in range(Q1) if j < j * q % Q1]
     chars = pi_omega_characters(
         [CuspidalModule(ectx, MultChar(ext, i))
          for orbit in frob_orbits for i in orbit], glctx)

@@ -37,6 +37,7 @@ from qrep import repcore
 from qrep.chartab import SUPPORTED, build_table
 from qrep.errors import VerificationFailed
 from qrep.ff import prime_power
+from qrep.gl2 import TAG_RANK
 from qrep.repcore import (_CHUNK_BYTES, _MONOMIAL_TEMPS, MixedRadix,
                           flood_classes, generating_set, orbits)
 
@@ -157,7 +158,7 @@ def _induce_by_definition(f, emb):
     f(x g x^-1), summed over the elements x one by one."""
     G, H = emb.big, emb.sub
     allg, g_to_h = np.arange(G.n), _g_to_h(emb)
-    vals = np.zeros(len(G.classes), dtype=complex)
+    vals = np.zeros(len(G.reps), dtype=complex)
     for ci, rep in enumerate(G.reps):
         h = g_to_h[G.mul(G.mul(allg, rep), G.inv[allg])]
         vals[ci] = f.values[H.class_of[h[h >= 0]]].sum() / H.n
@@ -218,7 +219,7 @@ def _mackey_defect(f, emb):
     and restrict, which read only the embedding's fusion map."""
     G, H = emb.big, emb.sub
     lhs = restrict(induce(f, emb), emb)
-    total, g_to_h = np.zeros(len(H.classes), dtype=complex), _g_to_h(emb)
+    total, g_to_h = np.zeros(len(H.reps), dtype=complex), _g_to_h(emb)
     for x in _double_cosets(emb):
         xinv = int(G.inv[x])
         conj_in = g_to_h[G.mul(G.mul(xinv, emb.injection), x)]
@@ -296,7 +297,7 @@ def test_mackey_defect_sees_a_corrupt_fusion_map():
     assert _mackey_defect(f, emb) < 1e-9
     bad = copy.copy(emb)
     bad.fusion = emb.fusion.copy()
-    bad.fusion[1] = (bad.fusion[1] + 1) % len(emb.big.classes)
+    bad.fusion[1] = (bad.fusion[1] + 1) % len(emb.big.reps)
     assert _mackey_defect(f, bad) > 1e-9
 
 
@@ -454,7 +455,7 @@ def test_hom_dim_counts_common_constituents():
 def test_hom_dim_refuses_a_nan_inner_product():
     # gated before rounding: round(nan) would raise ValueError
     v = make_group("sl2", make_field(3)).view
-    f = ClassFunction(v, np.full(len(v.classes), np.nan, dtype=complex))
+    f = ClassFunction(v, np.full(len(v.reps), np.nan, dtype=complex))
     with pytest.raises(NonIntegral, match="not a nonnegative integer"):
         hom_dim(f, f)
 
@@ -477,9 +478,25 @@ def _all_pairs_homomorphism(emb):
     return np.array_equal(lhs, rhs)
 
 
-def _same_classes(got, want):
+def _same_classes(view, want):
+    """Whether the classes of view, in class order, are the
+    (representative, sorted members) pairs want."""
+    got = [(r, np.flatnonzero(view.class_of == ci))
+           for ci, r in enumerate(view.reps)]
     return len(got) == len(want) and all(
         r == s and np.array_equal(m, n) for (r, m), (s, n) in zip(got, want))
+
+
+def _canonical_by_all(ctx):
+    """Reference: the classes by conjugation with every group element,
+    each with its canonical representative, in TAG_RANK then params
+    order."""
+    blocks = []
+    for _, orbit in _flood_by_all(ctx.view):
+        tag, params, rep = ctx.classify(ctx.elems[orbit[0]])
+        blocks.append(((TAG_RANK[tag], params), ctx.id_of(rep), orbit))
+    blocks.sort(key=lambda b: b[0])
+    return [(rep_id, orbit) for _, rep_id, orbit in blocks]
 
 
 @pytest.mark.parametrize("kind, p, k", [
@@ -489,12 +506,11 @@ def _same_classes(got, want):
 def test_generator_classes_and_fusion_equal_the_all_elements_references(
         kind, p, k):
     ctx = make_group(kind, make_field(p, k))
-    G = ctx.view
-    canonical = ctx._canonical_classes(_flood_by_all(G))
-    assert _same_classes(G.classes, [(rep_id, orbit)
-                                     for _, _, rep_id, orbit in canonical])
+    G, canonical = ctx.view, _canonical_by_all(ctx)
+    assert _same_classes(G, canonical)
+    assert G.sizes.tolist() == [len(m) for _, m in canonical]
     B, emb = ctx.borel
-    assert _same_classes(B.classes, _flood_by_all(B))
+    assert _same_classes(B, _flood_by_all(B))
     assert _all_pairs_homomorphism(emb)
     want = [G.class_of[emb.injection[r]] for r, _ in _flood_by_all(B)]
     assert emb.fusion.tolist() == want
@@ -503,7 +519,7 @@ def test_generator_classes_and_fusion_equal_the_all_elements_references(
 @pytest.mark.parametrize("orders", [(2,), (3,), (4,), (2, 2)])
 def test_heisenberg_classes_equal_the_all_elements_reference(orders):
     v = heisenberg_group(orders).view
-    assert _same_classes(v.classes, _flood_by_all(v))
+    assert _same_classes(v, _flood_by_all(v))
 
 
 def test_generating_set_is_greedy_and_certified():
@@ -512,9 +528,6 @@ def test_generating_set_is_greedy_and_certified():
     v = _abelian_view((4, 6))
     assert v.gens.tolist() == [1, 4]
     assert v.word_length == 8
-    S, L, R = generating_set(v.n, v.mul, 0, [4, 1])
-    assert (S.tolist(), L) == ([4, 1], 8)
-    assert np.array_equal(R, v.right[::-1])
     S, L, R = generating_set(1, v.mul, 0)
     assert (S.tolist(), L, R.shape) == ([], 0, (0, 1))
 
@@ -550,15 +563,12 @@ def _certified_views():
 def test_word_length_bounds_the_depth_of_every_element():
     for name, v in _certified_views():
         assert v.word_length >= _word_depth(v, v.gens), name
-        # with the generators given, L is the exact depth
-        given = v.gens[::-1]
-        _, L, _ = generating_set(v.n, v.mul, v.identity, given)
-        assert L == _word_depth(v, given), name
 
 
 def _flood_by_mul(n, mul, inv, gens):
     """Reference: classes by the permutations x -> s x s^-1, each formed
-    with mul, with the same pointer jumping flood_classes uses."""
+    with mul, with the same pointer jumping flood_classes uses, as the
+    smallest member of each element's class."""
     x = np.arange(n)
     conj = mul(mul(gens[:, None], x[None, :]), inv[gens][:, None])
     label = x
@@ -568,7 +578,7 @@ def _flood_by_mul(n, mul, inv, gens):
         if np.array_equal(new, label):
             break
         label = new
-    return orbits(n, lambda y: np.flatnonzero(label == label[y]))
+    return label
 
 
 def _supported_views():
@@ -586,11 +596,12 @@ def test_right_table_is_the_whole_group_product():
 
 def test_permutation_flood_equals_the_mul_flood():
     # the GroupCtx views are relabelled, so both floods start from the
-    # raw inverse array and generators
+    # raw inverse array and generators, and compare the smallest member
+    # of each element's class
     for name, v in itertools.chain(_certified_views(), _supported_views()):
         got = flood_classes(v.inv, v.right)
         want = _flood_by_mul(v.n, v.mul, v.inv, v.gens)
-        assert _same_classes(got, want), name
+        assert np.array_equal(got, want), name
 
 
 def test_a_corrupted_inverse_is_refused():
@@ -609,9 +620,37 @@ def test_a_corrupted_inverse_is_refused():
             FiniteGroupView(r.n, mul, inv=bad)
 
 
+def test_a_representative_outside_its_class_is_refused():
+    # Z/6 has singleton classes: numbered backwards with their own
+    # representatives they pass, and a representative of class 0 taken
+    # from class 1 is refused
+    v = _abelian_view((6,))
+    v.relabel(5 - v.class_of, v.reps[::-1])
+    assert (v.reps.tolist(), v.sizes.tolist()) == ([5, 4, 3, 2, 1, 0], [1] * 6)
+    with pytest.raises(VerificationFailed,
+                       match="^representative 4 of class 0 escaped its class$"):
+        v.relabel(v.class_of, [4, 5, 3, 2, 1, 0])
+
+
+@pytest.mark.parametrize("kind", ["sl2", "gl2"])
+def test_a_canonical_representative_in_another_class_is_refused(
+        kind, monkeypatch):
+    # the identity's class given the canonical representative (1 1; 0 1),
+    # which lies in a unipotent class
+    real = GroupCtx.classify
+
+    def moved(self, m):
+        tag, params, rep = real(self, m)
+        return tag, params, (1, 1, 0, 1) if rep == (1, 0, 0, 1) else rep
+
+    monkeypatch.setattr(GroupCtx, "classify", moved)
+    with pytest.raises(VerificationFailed, match="escaped its class"):
+        GroupCtx(kind, make_field(5))
+
+
 def test_a_right_multiplication_that_is_not_a_permutation_is_refused():
-    # Z/6 with 5 * 1 sent to 1: the search from 0 still reaches every
-    # element, but nothing is sent to 0
+    # Z/6 with 5 * 1 sent to 1: the greedy search takes 1 first, which
+    # still reaches every element, but nothing is sent to 0
     v = _abelian_view((6,))
 
     def bent(a, b):
@@ -620,7 +659,7 @@ def test_a_right_multiplication_that_is_not_a_permutation_is_refused():
         return out
 
     with pytest.raises(VerificationFailed, match="not a permutation"):
-        generating_set(v.n, bent, 0, [1])
+        generating_set(v.n, bent, 0)
 
 
 def test_an_sl2_table_certifies_two_generating_sets(monkeypatch):
@@ -636,26 +675,6 @@ def test_an_sl2_table_certifies_two_generating_sets(monkeypatch):
     monkeypatch.setattr(repcore, "generating_set", counting)
     build_table("sl2", 5)
     assert calls == [120, 20]
-
-
-def test_a_set_that_does_not_generate_is_refused():
-    v = _abelian_view((6,))
-    with pytest.raises(VerificationFailed, match="does not generate"):
-        generating_set(v.n, v.mul, 0, [2])
-    with pytest.raises(VerificationFailed, match="does not generate"):
-        generating_set(v.n, v.mul, 0, [3, 0])
-    ctx = make_group("sl2", make_field(5))
-    upper = [ctx.id_of((1, x, 0, 1)) for x in range(1, 5)]
-    with pytest.raises(VerificationFailed, match="does not generate"):
-        generating_set(ctx.n, ctx.view.mul, ctx.identity, upper)
-    # a torus alone does not generate, over a prime field or F_9
-    for p, k in ((5, 1), (3, 2)):
-        ctx = make_group("sl2", make_field(p, k))
-        g = int(ctx.field.gen)
-        with pytest.raises(VerificationFailed,
-                           match="^generator set does not generate$"):
-            generating_set(ctx.n, ctx.view.mul, ctx.identity,
-                           [ctx.id_of((g, 0, 0, int(ctx.field.inv(g))))])
 
 
 def test_an_injective_non_homomorphism_is_refused():
