@@ -29,9 +29,7 @@ from .config import SNAP, gate, get_tol
 from .errors import EvenQ, IoError, NotInGroup, SizeExceeded, VerificationFailed
 from .ff import MultChar, make_ext, make_field, prime_power
 from .gl2 import GroupCtx
-from .parabolic import (BorelChar, decompose_gl2, induced_character,
-                        split_rho_pm)
-from .repcore import ClassFunction, hom_dim
+from .parabolic import BorelChar, decompose, induced_character, split_rho_pm
 from .weil import gl2_cuspidal_family, sl2_cuspidal_family
 
 SUPPORTED = {"gl2": (3, 5, 7), "sl2": (3, 5, 7, 9)}
@@ -69,15 +67,12 @@ def _identity_first_check(gctx):
 def _gl2_rows(gctx, ectx):
     q = gctx.q
     F = gctx.field
-    rows = []
-    dets = np.asarray(gctx.mat_det(gctx.elems[gctx.view.reps]))
-    for j in range(q - 1):
-        chi = MultChar(F, j)
-        rows.append(TableRow("Linear", (j,), chi.values[dets]))
-    for j in range(q - 1):
-        chi = MultChar(F, j)
-        _, st = decompose_gl2(gctx, BorelChar(gctx, (chi, chi)))
-        rows.append(TableRow("SteinbergTwist", (j,), st.values))
+    parts = [decompose(gctx, BorelChar(gctx, (chi, chi)))
+             for chi in (MultChar(F, j) for j in range(q - 1))]
+    rows = [TableRow("Linear", (j,), linear.values)
+            for j, (linear, _) in enumerate(parts)]
+    rows += [TableRow("SteinbergTwist", (j,), st.values)
+             for j, (_, st) in enumerate(parts)]
     for j1, j2 in itertools.combinations(range(q - 1), 2):
         b = BorelChar(gctx, (MultChar(F, j1), MultChar(F, j2)))
         rows.append(TableRow("PrincipalSeries", (j1, j2),
@@ -91,14 +86,9 @@ def _gl2_rows(gctx, ectx):
 def _sl2_rows(gctx, ectx):
     q = gctx.q
     F = gctx.field
-    k = len(gctx.view.reps)
-    rows = [TableRow("Linear", (0,), np.ones(k, dtype=complex))]
-    triv = BorelChar(gctx, (MultChar(F, 0),))
-    ind1 = induced_character(gctx, triv)
-    st = ind1 - ClassFunction(gctx.view, np.ones(k, dtype=complex))
-    if hom_dim(st, st) != 1:
-        raise VerificationFailed("Steinberg is not irreducible")
-    rows.append(TableRow("SteinbergTwist", (0,), st.values))
+    linear, st = decompose(gctx, BorelChar(gctx, (MultChar(F, 0),)))
+    rows = [TableRow("Linear", (0,), linear.values),
+            TableRow("SteinbergTwist", (0,), st.values)]
     for j in range(1, (q - 1) // 2):
         b = BorelChar(gctx, (MultChar(F, j),))
         rows.append(TableRow("PrincipalSeries", (j,),

@@ -189,11 +189,11 @@ def _suite_parabolic(rec, q, seed):
     rec.check(f"intertwiner dimension matches e1 + ew on all {(q-1)**2} "
               "sl2 pairs", bad)
     bq = parabolic.BorelChar(S, (chars[(q - 1) // 2],))
+    relation, _, _, kappa, idempotent = parabolic.hecke_relations(S, bq)
     rec.check("hecke kernel convolution relations at the quadratic "
-              "character", parabolic.delta_relation_defect(S, bq))
-    _, _, kappa, defect = parabolic.intertwiner_idempotents(S, bq)
+              "character", relation)
     rec.check(f"idempotents of the rank-two hecke algebra (kappa={kappa})",
-              defect)
+              idempotent)
     plus, minus = parabolic.split_rho_pm(S, bq)
     rec.check("split principal series halves have degree (q+1)/2",
               np.max([abs(f.values[0] - (q + 1) / 2) for f in (plus, minus)]))
@@ -263,12 +263,11 @@ def _suite_cuspidal(rec, q, seed):
     worst = 0.0
     for (j, _), f in fam:
         omega = ff.MultChar(E.ext, j)
-        for c in G.conj_classes:
+        for i, c in enumerate(G.conj_classes):
             if c.tag != "nonsemisimple":
                 continue
             a = c.params[0]
-            val = f.values[G.view.class_of[c.rep_id]]
-            worst = np.maximum(worst, abs(val + omega.values[a]))
+            worst = np.maximum(worst, abs(f.values[i] + omega.values[a]))
     rec.check("gl2 trace at (a,1;0,a) equals -omega(a)", worst)
     sl = weil.sl2_cuspidal_family(E, S)
     rec.check("sl2 primitive cuspidal count is (q-1)/2",
@@ -287,8 +286,7 @@ def _suite_cuspidal(rec, q, seed):
                       for h in ("plus", "minus")]))
     worst = 0.0
     for j, f in sl["cuspidal"]:
-        for c in S.conj_classes:
-            i = S.view.class_of[c.rep_id]
+        for i, c in enumerate(S.conj_classes):
             if c.tag == "split_regular":
                 worst = np.maximum(worst, abs(f.values[i]))
             elif c.tag == "nonsemisimple" and c.params[0] == 1:
@@ -666,10 +664,7 @@ def run(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (InputError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except IoError as e:

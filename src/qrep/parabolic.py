@@ -90,17 +90,21 @@ def intertwiner_mismatches(ctx, bchars):
                for b2, f2 in zip(bchars, induced))
 
 
-def decompose_gl2(ctx, bchar):
+def decompose(ctx, bchar):
     """Split I(chi, chi) on GL2 into its linear constituent chi(det) and
-    the twisted Steinberg complement; both are verified irreducible."""
-    if ctx.kind != "gl2":
-        raise GroupMismatch("decompose_gl2 needs a gl2 context")
-    chi1, chi2 = bchar.chars
-    if chi1.j != chi2.j:
+    the twisted Steinberg complement, and I(1) on SL2 into the trivial
+    character and the Steinberg character; both are verified
+    irreducible and disjoint.  On SL2 any other chi is refused: I(chi)
+    then has no linear constituent."""
+    chi = bchar.chars[0]
+    if ctx.kind == "gl2" and bchar.chars[1].j != chi.j:
         raise CharMismatch("the two inducing characters must coincide")
+    if ctx.kind == "sl2" and chi.j != 0:
+        raise CharMismatch("sl2 decomposes the trivial character's I(1) "
+                           "only")
     ind = induced_character(ctx, bchar)
     dets = ctx.mat_det(ctx.elems[ctx.view.reps])
-    linear = ClassFunction(ctx.view, chi1.values[np.asarray(dets)])
+    linear = ClassFunction(ctx.view, chi.values[np.asarray(dets)])
     steinberg = ind - linear
     for f in (linear, steinberg):
         if hom_dim(f, f) != 1:
@@ -165,22 +169,14 @@ def two_dim_commutant_projectors(T, gen_mats):
     commutant of a set of unitary matrices.  Once the character has
     <chi, chi> = 2 the commutant is two-dimensional, so span{I, T} is all
     of it.  Raises NotSplitting unless T^2 = I and T commutes with every
-    matrix, and unless the projectors are idempotent, commute with the
-    action and sum to the identity."""
+    matrix.  Those two gates certify the projectors: for P+- = (I +- T)/2,
+    P^2 - P = (T^2 - I)/4 and [P+-, g] = +-[T, g]/2, and P+ + P- = I by
+    construction."""
     eye = np.eye(T.shape[0])
     gate(np.max(np.abs(T @ T - eye)), "T is not an involution", NotSplitting)
     gate(np.max([np.max(np.abs(T @ g - g @ T)) for g in gen_mats]),
          "T does not commute with the action", NotSplitting)
-    P1, P2 = (eye + T) / 2, (eye - T) / 2
-    for P in (P1, P2):
-        gate(np.max(np.abs(P @ P - P)), "projector is not idempotent",
-             NotSplitting)
-        for g in gen_mats:
-            gate(np.max(np.abs(P @ g - g @ P)),
-                 "projector does not commute with the action", NotSplitting)
-    gate(np.max(np.abs(P1 + P2 - eye)),
-         "projectors do not sum to the identity", NotSplitting)
-    return P1, P2
+    return (eye + T) / 2, (eye - T) / 2
 
 
 def split_in_two(ctx, T, gen_mats, class_mats, whole):
@@ -208,6 +204,12 @@ def split_in_two(ctx, T, gen_mats, class_mats, whole):
     return (f1, f2) if key(f1) >= key(f2) else (f2, f1)
 
 
+def _sign_at_minus_one(ctx, chi):
+    """chi(-1) as the integer +-1, read off chi's exponent at -1 (0 or
+    (q-1)/2, since (-1)^2 = 1)."""
+    return 1 if chi.exponents[int(ctx.field.neg(1))] == 0 else -1
+
+
 def hecke_involution(ctx, bchar):
     """The normalized Weyl intertwiner T_w of I(chi), chi quadratic, on
     the B\\G coset basis of build_induced_rep:
@@ -218,8 +220,7 @@ def hecke_involution(ctx, bchar):
     view = ctx.view
     prods = view.mul(np.asarray(reps)[:, None], view.inv[reps][None, :])
     _, dw = _kernels_at(ctx, bchar, ctx.elems[prods])
-    sign = bchar.chars[0].values[int(ctx.field.neg(1))]
-    return dw / np.sqrt(sign.real * ctx.q + 0j)
+    return dw / np.sqrt(_sign_at_minus_one(ctx, bchar.chars[0]) * ctx.q + 0j)
 
 
 def split_rho_pm(ctx, bchar):
@@ -294,62 +295,60 @@ def convolve(ctx, pairs):
     return outs
 
 
-def delta_relation_defect(ctx, bchar):
-    """Numerical defect of the four convolution identities above.
+def hecke_relations(ctx, bchar):
+    """Both checks of the rank-two Hecke algebra of I(chi), chi the
+    nontrivial quadratic character of SL2, from one kernel build and one
+    convolve over the four kernel pairs.
+
+    Returns (relation_defect, (c1, cw), (c1, -cw), kappa,
+    idempotent_defect).  relation_defect is the numerical defect of the
+    four convolution identities above, not gated.  The idempotents are
+    e+- = c1 Delta_1 +- cw Delta_w with c1 = 1/(2q(q-1)) and
+    cw = i^kappa q^(-1/2) c1, where kappa = 0 when chi(-1) = 1 and
+    kappa = 1 when chi(-1) = -1; idempotent_defect, passed to
+    config.gate, is the worst of e+*e+ = e+, e-*e- = e-, e+*e- = 0,
+    e-*e+ = 0 and e+ + e- = Delta_1/(q(q-1)).
+
+    Convolution is bilinear, so for s, t = +-1
+        e_s * e_t = c1^2 D11 + c1 t cw D1w + s cw c1 Dw1 + s t cw^2 Dww
+    with Dab = Delta_a * Delta_b: the four products are read off the
+    four kernel convolutions the relations already form.
 
     The pure two-term relations hold only for the nontrivial quadratic
     inducing character; for the trivial character Delta_w * Delta_w
     acquires an extra Delta_w term (the classical quadratic Hecke
     relation), so that case is rejected."""
-    q = ctx.q
     if ctx.kind != "sl2":
-        raise GroupMismatch("kernel relations are stated on sl2")
+        raise GroupMismatch("hecke relations are stated on sl2")
     chi = bchar.chars[0]
     if not chi.is_quadratic:
         raise CharMismatch("inducing character must be the nontrivial "
                            "quadratic character")
-    sign = chi.values[int(ctx.field.neg(1))]
-    d1, dw = delta_kernels(ctx, bchar)
+    q = ctx.q
     c = q * (q - 1)
+    sign = _sign_at_minus_one(ctx, chi)
+    d1, dw = delta_kernels(ctx, bchar)
     d11, d1w, dw1, dww = convolve(ctx, [(d1, d1), (d1, dw), (dw, d1),
                                         (dw, dw)])
-    return float(np.max([
+    relation = float(np.max([
         np.max(np.abs(d11 - c * d1)),
         np.max(np.abs(d1w - c * dw)),
         np.max(np.abs(dw1 - c * dw)),
         np.max(np.abs(dww - q * q * (q - 1) * sign * d1))]))
-
-
-def intertwiner_idempotents(ctx, bchar):
-    """The two idempotents of the rank-two Hecke algebra attached to a
-    self-dual inducing character.
-
-    Returns ((c1, cw_plus), (c1, cw_minus), kappa, defect): each
-    idempotent is c1 Delta_1 + cw Delta_w with
-    c1 = 1/(2q(q-1)) and cw = +- i^kappa q^(-1/2) c1, where kappa = 0
-    when chi(-1) = 1 and kappa = 1 when chi(-1) = -1."""
-    if ctx.kind != "sl2":
-        raise GroupMismatch("idempotents are built on sl2")
-    chi = bchar.chars[0]
-    if not chi.is_quadratic:
-        raise CharMismatch("inducing character must be the nontrivial "
-                           "quadratic character")
-    q = ctx.q
-    # chi(-1) = 1 iff its exponent at -1 is 0
-    kappa = 0 if chi.exponents[int(ctx.field.neg(1))] == 0 else 1
-    d1, dw = delta_kernels(ctx, bchar)
-    c1 = 1.0 / (2 * q * (q - 1))
+    kappa = 0 if sign == 1 else 1
+    c1 = 1.0 / (2 * c)
     cw = (1j ** kappa) * c1 / np.sqrt(q)
-    e_plus = c1 * d1 + cw * dw
-    e_minus = c1 * d1 - cw * dw
-    ident = d1 / (q * (q - 1))
-    pp, mm, pm, mp = convolve(ctx, [(e_plus, e_plus), (e_minus, e_minus),
-                                    (e_plus, e_minus), (e_minus, e_plus)])
-    worst = gate(np.max([
-        np.max(np.abs(pp - e_plus)),
-        np.max(np.abs(mm - e_minus)),
-        np.max(np.abs(pm)),
-        np.max(np.abs(mp)),
-        np.max(np.abs(e_plus + e_minus - ident))]),
+    e_plus, e_minus = c1 * d1 + cw * dw, c1 * d1 - cw * dw
+
+    def star(s, t):
+        return (c1 * c1 * d11 + c1 * t * cw * d1w + s * cw * c1 * dw1
+                + s * t * cw * cw * dww)
+
+    idempotent = gate(np.max([
+        np.max(np.abs(star(1, 1) - e_plus)),
+        np.max(np.abs(star(-1, -1) - e_minus)),
+        np.max(np.abs(star(1, -1))),
+        np.max(np.abs(star(-1, 1))),
+        np.max(np.abs(e_plus + e_minus - d1 / c))]),
         "idempotent identities fail")
-    return (c1, cw), (c1, -cw), kappa, worst
+    return relation, (c1, cw), (c1, -cw), kappa, idempotent

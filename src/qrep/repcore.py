@@ -9,10 +9,8 @@ every element, and keeps the generators' right multiplication table;
 conjugacy classes are the orbits of conjugation by those generators
 alone, read from the table by gathers and stored as one class label
 per element, and a subgroup embedding is checked on (element,
-generator) pairs.  orbits is the checked orbit partition for orbits
-that are not read off a label array, such as matrix similarity orbits.
-Induction reads only an embedding's class fusion map, never group
-elements.
+generator) pairs.  Induction reads only an embedding's class fusion
+map, never group elements.
 """
 
 import numpy as np
@@ -126,27 +124,6 @@ def generating_set(n, mul, identity):
         frontier = step(R[-1:], np.flatnonzero(reached))
     return (np.array(S, dtype=np.int64), L,
             np.array(R, dtype=np.int64).reshape(len(S), n))
-
-
-def orbits(n, orbit):
-    """Partition 0..n-1 into the blocks orbit(x), as (smallest member,
-    sorted members) pairs in increasing order of the smallest member.
-
-    x runs upwards over the members not yet seen.  VerificationFailed
-    unless x is the smallest member of its block and the block meets no
-    earlier one, so the blocks returned partition the set."""
-    seen = np.zeros(n, dtype=bool)
-    out = []
-    for x in range(n):
-        if seen[x]:
-            continue
-        block = np.unique(orbit(x))
-        if not len(block) or block[0] != x or seen[block].any():
-            raise VerificationFailed(f"the orbit of {x} is not a block of "
-                                     "a partition")
-        seen[block] = True
-        out.append((x, block))
-    return out
 
 
 def flood_classes(inv, right):

@@ -23,7 +23,7 @@ import numpy as np
 from . import poly
 from .errors import (DerivativeVanishes, Singular, SizeExceeded, SizeMismatch,
                      VerificationFailed)
-from .repcore import orbits
+from .repcore import row_chunks
 
 MAX_ENUM = 1 << 20
 
@@ -250,17 +250,30 @@ def conjugation_orbits(ctx, n):
     every matrix, as the tuple of its entries in row-major order, to the
     index of its orbit.  Meant as a reference for tiny q and n.
 
-    Matrices are indexed by their row-major base-q digits, so orbits are
-    numbered in increasing order of their first matrix in that order."""
+    Matrices are coded by their row-major base-q digits, and each is
+    labelled by the smallest code among its conjugates X A X^-1, a
+    running minimum over chunks of the units X; the orbits are numbered
+    in increasing order of that label, their first matrix.
+    VerificationFailed unless X X^-1 = I for every unit."""
     places = ctx.q ** np.arange(n * n - 1, -1, -1)
     mats = (np.arange(ctx.q ** (n * n))[:, None] // places % ctx.q
             ).reshape(-1, n, n)
     units = mats[mat_det(ctx, mats) != 0]
     inverses = np.stack([mat_inv(ctx, X) for X in units])
-    blocks = orbits(len(mats), lambda a: mat_mul(
-        ctx, mat_mul(ctx, units, mats[a]), inverses).reshape(-1, n * n) @ places)
-    return {tuple(int(t) for t in mats[x].ravel()): k
-            for k, (_, members) in enumerate(blocks) for x in members}
+    bad = np.count_nonzero(np.any(mat_mul(ctx, units, inverses)
+                                  != mat_eye(ctx, n), axis=(1, 2)))
+    if bad:
+        raise VerificationFailed(f"{bad} units times their inverse are "
+                                 "not the identity")
+    label = np.arange(len(mats))
+    for rows in row_chunks(len(units), mats.size * n * 8):
+        conj = mat_mul(ctx, mat_mul(ctx, units[rows, None], mats),
+                       inverses[rows, None])
+        label = np.minimum(label, (conj.reshape(-1, len(mats), n * n)
+                                   @ places).min(axis=0))
+    _, orbit = np.unique(label, return_inverse=True)
+    return {tuple(int(t) for t in A.ravel()): int(k)
+            for A, k in zip(mats, orbit)}
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +452,9 @@ def cuspidal_count_identity(q, n):
         raise SizeExceeded(f"{order} exponents exceed enumeration bound")
     proper = [d for d in range(1, n) if n % d == 0]
     primitive = 0
-    # not repcore.orbits: there are about q^n / n orbits of n members
+    # a plain integer loop: there are about q^n / n orbits of n members
     # each, and one np.unique per orbit made cuspidal_count_identity(1009,
-    # 2) take 4.2 s against 0.9 s for this integer loop (2-core Xeon VM)
+    # 2) take 4.2 s against 0.9 s for this loop (2-core Xeon VM)
     seen = set()
     for j in range(order):
         if j in seen:

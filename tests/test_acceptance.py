@@ -21,7 +21,7 @@ from qrep import (
     count_irreducible_monics,
     count_similarity_classes,
     cuspidal_count_identity,
-    decompose_gl2,
+    decompose,
     epsilon_swap_defect,
     fourier_intertwines,
     gl2_cuspidal_family,
@@ -148,7 +148,7 @@ def test_criterion_05_intertwiner_dimensions_and_splittings():
         # equal pairs decompose as det-twist + q-dimensional complement
         for j in range(q - 1):
             chi = MultChar(F, j)
-            lin, st = decompose_gl2(gl, BorelChar(gl, (chi, chi)))
+            lin, st = decompose(gl, BorelChar(gl, (chi, chi)))
             assert abs(lin.values[0] - 1) < TAU
             assert abs(st.values[0] - q) < TAU
     for q in (3, 5, 7):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from qrep import chartab, cli, get_tol, gl2, simclass, weil
+from qrep import chartab, cli, get_tol, gl2, parabolic, simclass, weil
 from qrep.ff import FieldCtx
 
 
@@ -394,6 +394,20 @@ def test_verify_refuses_a_q_without_a_table_before_any_suite(capsys, suite):
 def test_verify_rejects_non_prime_power(capsys):
     assert cli.run(["verify", "--suite", "fields", "--q", "15"]) == 2
     assert "prime power" in capsys.readouterr().err
+
+
+def test_the_parabolic_suite_convolves_once(capsys, monkeypatch):
+    # both Hecke checks read the four kernel convolutions of one batch
+    real = parabolic.convolve
+    calls = []
+
+    def counted(ctx, pairs):
+        calls.append(len(pairs))
+        return real(ctx, pairs)
+
+    monkeypatch.setattr(parabolic, "convolve", counted)
+    assert cli.run(["verify", "--suite", "parabolic", "--q", "5"]) == 0
+    assert calls == [4]
 
 
 def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):

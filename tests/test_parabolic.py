@@ -16,14 +16,13 @@ from qrep import (
     NotSplitting,
     VerificationFailed,
     build_induced_rep,
-    decompose_gl2,
+    decompose,
     delta_kernels,
-    delta_relation_defect,
     epsilon_swap_defect,
     get_tol,
+    hecke_relations,
     induced_character,
     inner_product,
-    intertwiner_idempotents,
     intertwiner_mismatches,
     make_ext,
     make_field,
@@ -193,14 +192,27 @@ def test_equal_pair_decomposes_into_det_twist_and_steinberg():
     ctx = make_group("gl2", make_field(5))
     F = ctx.field
     chi = MultChar(F, 2)
-    linear, steinberg = decompose_gl2(ctx, BorelChar(ctx, (chi, chi)))
+    linear, steinberg = decompose(ctx, BorelChar(ctx, (chi, chi)))
     assert abs(linear.values[0] - 1) < 1e-9
     assert abs(steinberg.values[0] - 5) < 1e-9
     dets = ctx.mat_det(ctx.elems[ctx.view.reps])
     assert np.max(np.abs(linear.values - chi.values[np.asarray(dets)])) < 1e-9
     assert abs(inner_product(linear, steinberg)) < 1e-9
     with pytest.raises(CharMismatch):
-        decompose_gl2(ctx, BorelChar(ctx, (MultChar(F, 1), MultChar(F, 2))))
+        decompose(ctx, BorelChar(ctx, (MultChar(F, 1), MultChar(F, 2))))
+
+
+def test_sl2_decomposes_only_the_trivial_principal_series():
+    # I(1) = 1 + St; for chi != 1 I(chi) has no linear constituent
+    ctx = make_group("sl2", make_field(5))
+    F = ctx.field
+    linear, steinberg = decompose(ctx, BorelChar(ctx, (MultChar(F, 0),)))
+    assert np.array_equal(linear.values, np.ones(len(ctx.view.reps)))
+    assert abs(steinberg.values[0] - 5) < 1e-9
+    assert abs(inner_product(steinberg, steinberg) - 1) < 1e-9
+    for j in (1, 2):
+        with pytest.raises(CharMismatch):
+            decompose(ctx, BorelChar(ctx, (MultChar(F, j),)))
 
 
 def test_matrix_model_realizes_the_induced_character():
@@ -401,7 +413,7 @@ def test_hecke_relations_for_the_quadratic_character():
     for q in (3, 5, 7):
         ctx = make_group("sl2", make_field(q))
         chi = MultChar(ctx.field, (q - 1) // 2)
-        assert delta_relation_defect(ctx, BorelChar(ctx, (chi,))) < 1e-9
+        assert hecke_relations(ctx, BorelChar(ctx, (chi,)))[0] < 1e-9
 
 
 def test_hecke_relations_reject_other_characters():
@@ -410,13 +422,40 @@ def test_hecke_relations_reject_other_characters():
     # trivial character: Delta_w * Delta_w picks up an extra Delta_w
     # term, so the pure two-term identity is deliberately not offered
     with pytest.raises(CharMismatch):
-        delta_relation_defect(ctx, BorelChar(ctx, (MultChar(F, 0),)))
+        hecke_relations(ctx, BorelChar(ctx, (MultChar(F, 0),)))
     with pytest.raises(CharMismatch):
-        delta_relation_defect(ctx, BorelChar(ctx, (MultChar(F, 1),)))
+        hecke_relations(ctx, BorelChar(ctx, (MultChar(F, 1),)))
     g3 = make_group("gl2", make_field(3))
     with pytest.raises(GroupMismatch):
-        delta_relation_defect(g3, BorelChar(g3, (MultChar(g3.field, 1),
-                                                 MultChar(g3.field, 1))))
+        hecke_relations(g3, BorelChar(g3, (MultChar(g3.field, 1),
+                                           MultChar(g3.field, 1))))
+
+
+def test_the_relation_defect_sees_a_scaled_delta_w(monkeypatch):
+    # Delta_w off by a factor 1 + 10 tol breaks Delta_1 * Delta_w =
+    # q(q-1) Delta_w by q(q-1) 10 tol
+    tol = get_tol()
+    ctx = make_group("sl2", make_field(5))
+    quad = BorelChar(ctx, (MultChar(ctx.field, 2),))
+    real = parabolic.delta_kernels
+
+    def scaled(ctx, bchar):
+        d1, dw = real(ctx, bchar)
+        return d1, dw * (1 + 10 * tol)
+
+    monkeypatch.setattr(parabolic, "delta_kernels", scaled)
+    assert hecke_relations(ctx, quad)[0] > tol
+
+
+def test_the_idempotent_gate_fires_on_a_flipped_sign(monkeypatch):
+    # chi(-1) negated flips kappa, so cw picks up a factor i
+    ctx = make_group("sl2", make_field(5))
+    quad = BorelChar(ctx, (MultChar(ctx.field, 2),))
+    real = parabolic._sign_at_minus_one
+    monkeypatch.setattr(parabolic, "_sign_at_minus_one",
+                        lambda ctx, chi: -real(ctx, chi))
+    with pytest.raises(VerificationFailed, match="idempotent"):
+        hecke_relations(ctx, quad)
 
 
 def test_trivial_character_convolution_has_the_extra_term():
@@ -456,8 +495,8 @@ def test_idempotents_of_the_rank_two_hecke_algebra():
     for q, want_kappa in ((3, 1), (5, 0), (7, 1)):
         ctx = make_group("sl2", make_field(q))
         chi = MultChar(ctx.field, (q - 1) // 2)
-        (c1, cw), (c1m, cwm), kappa, defect = \
-            intertwiner_idempotents(ctx, BorelChar(ctx, (chi,)))
+        _, (c1, cw), (c1m, cwm), kappa, defect = \
+            hecke_relations(ctx, BorelChar(ctx, (chi,)))
         assert kappa == want_kappa
         assert defect < 1e-9
         assert abs(c1 - 1 / (2 * q * (q - 1))) < 1e-15

@@ -484,6 +484,13 @@ def test_conjugation_orbits_match_the_seen_loop():
         assert conjugation_orbits(ctx, n) == reference
 
 
+def test_conjugation_orbits_refuse_a_wrong_inverse(monkeypatch):
+    # X in place of X^-1 fails X X^-1 = I on every unit of order > 2
+    monkeypatch.setattr(simclass, "mat_inv", lambda ctx, X: X)
+    with pytest.raises(VerificationFailed, match="inverse"):
+        conjugation_orbits(F3, 2)
+
+
 def test_types_agree_with_brute_conjugation_orbits_f2():
     orbits = _brute_orbit_partition(F2, 2)
     assert sorted(len(o) for o in orbits) == [1, 1, 2, 3, 3, 6]
