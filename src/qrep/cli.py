@@ -8,6 +8,7 @@ supported bound (each with its own stderr message), 2 invalid input.
 """
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -213,7 +214,7 @@ def _suite_weil(rec, q, seed):
     weil.check_stack(q)
     E = ff.make_ext(F)
     # H(F_{q^2}) refuses q >= 13 by its size; built first, it refuses
-    # before verify_ordinary allocates its image stack
+    # before verify_ordinary fills its image codes
     h = weil.heisenberg_from_ext(E)
     S = gl2.make_group("sl2", F)
     res = weil.verify_ordinary(E, S)
@@ -603,7 +604,10 @@ def _cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: run calls it on
+    every invocation, and parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="qrep",
         description="Character tables of GL2 and SL2 over small finite "

@@ -328,13 +328,28 @@ class MonomialImages:
         return out
 
 
+class LazyImages:
+    """Images formed on demand: form(idx) returns what a dense (n, d, d)
+    stack would at idx, an index, a slice or an id array, so only the
+    images asked for are ever dense.  form reads whatever compact store
+    the model keeps, such as exact codes into a table of values."""
+
+    def __init__(self, n, d, form):
+        self.shape = (int(n), int(d), int(d))
+        self.form = form
+
+    def __getitem__(self, idx):
+        return self.form(idx)
+
+
 class MatrixRep:
     """A matrix representation, one d x d complex matrix per group
-    element: images is a dense (n, d, d) stack, or a MonomialImages
-    store for models whose images are monomial matrices."""
+    element: images is a dense (n, d, d) stack, a MonomialImages store
+    for models whose images are monomial matrices, or a LazyImages
+    source, read as a dense stack is, one chunk at a time."""
 
     def __init__(self, view, images):
-        if not isinstance(images, MonomialImages):
+        if not isinstance(images, (MonomialImages, LazyImages)):
             images = np.asarray(images, dtype=complex)
         if images.shape[0] != view.n or images.shape[1] != images.shape[2]:
             raise GroupMismatch("images must be (n, d, d)")
@@ -381,7 +396,9 @@ class MatrixRep:
         right multiplication table, so no group product is formed here.
 
         A dense stack takes one GEMM per chunk and generator, each chunk
-        of pi(g) at most _CHUNK_BYTES.  A MonomialImages store is never
+        of pi(g) at most _CHUNK_BYTES; a LazyImages source forms each
+        chunk and its products' images when they are read, so it is
+        never dense beyond one chunk.  A MonomialImages store is never
         made dense beyond pi(e) and the pi(s): row j of pi(g) pi(s) is
         its one entry vals[g, j] times row cols[g, j] of pi(s), so the
         product has columns cols[s][cols[g]] and values

@@ -39,20 +39,28 @@ from .errors import (EvenExponent, EvenQ, GroupMismatch, NotPrimitive,
                      NotSL2, SizeExceeded, VerificationFailed)
 from .ff import MultChar, NormOneChar, dual_pairing, is_primitive
 from .parabolic import split_in_two
-from .repcore import (ClassFunction, FiniteGroupView, MatrixRep, MixedRadix,
-                      MonomialImages, character_table_bruteforce,
+from .repcore import (ClassFunction, FiniteGroupView, LazyImages, MatrixRep,
+                      MixedRadix, MonomialImages, character_table_bruteforce,
                       inner_product, monomial_gap, rep_character, row_chunks)
 
 MAX_H = 1 << 18
-# verify_ordinary holds rho~ of every SL2 element at once: q <= 13 fits
+# verify_ordinary holds rho~ of every SL2 element at once, as one-byte
+# codes: q <= 19 fits
 MAX_STACK_BYTES = 1 << 30
 
 
+def _code_dtype(q):
+    """The integer type of rho~'s codes over F_q: the smallest that holds
+    every index 0..2q of _weil_values."""
+    return np.min_scalar_type(2 * q)
+
+
 def check_stack(q):
-    """SizeExceeded, from q alone, unless verify_ordinary's complex q^2 x
-    q^2 images of all q^3 - q elements of SL2(F_q) fit MAX_STACK_BYTES."""
+    """SizeExceeded, from q alone, unless the codes _weil_images keeps
+    for the q^2 x q^2 images of all q^3 - q elements of SL2(F_q), one
+    _code_dtype(q) entry each, fit MAX_STACK_BYTES."""
     n, Q = q ** 3 - q, q * q
-    if n * Q * Q * np.dtype(complex).itemsize > MAX_STACK_BYTES:
+    if n * Q * Q * _code_dtype(q).itemsize > MAX_STACK_BYTES:
         raise SizeExceeded(f"{n} images of {Q} x {Q} exceed "
                            f"{MAX_STACK_BYTES} bytes")
 
@@ -286,15 +294,46 @@ def weil_matrix(ectx, sigma):
 
 def _weil_stack(ectx, mats):
     """rho~ of every row (a, b, c, d) of the (n, 4) array mats, as an
-    (n, Q, Q) stack: weil_matrix with one field call per step for all
-    rows of each Bruhat cell."""
+    (n, Q, Q) stack: its codes read through the values table."""
+    return _weil_values(ectx)[_weil_codes(ectx, mats)]
+
+
+def _weil_values(ectx):
+    """Every value an entry of rho~ takes, indexed by _weil_codes:
+    -(1/q) psi(t) at t, psi(t) at q + t, and 0 at 2q, for t in F_q."""
+    psi = ectx.psi.values
+    return np.concatenate([(-1.0 / ectx.q) * psi, psi, [0]])
+
+
+def _weil_codes(ectx, mats):
+    """rho~ of every row (a, b, c, d) of the (n, 4) array mats, exactly,
+    as an (n, Q, Q) array of _code_dtype indices into _weil_values: the
+    closed form with one field call per step for all rows of each Bruhat
+    cell."""
     a, b, c, d = np.asarray(mats, dtype=np.int64).T
     _check_sl2(ectx, a, b, c, d)
-    lower = b == 0
-    out = np.empty((len(b), ectx.ext.q, ectx.ext.q), dtype=complex)
-    out[lower] = _lower_cell(ectx, c[lower], d[lower])[:]
-    out[~lower] = _big_cell(ectx, a[~lower], b[~lower], d[~lower])
-    return out
+    q, Q = ectx.q, ectx.ext.q
+    lower, big = np.flatnonzero(b == 0), np.flatnonzero(b != 0)
+    codes = np.full((len(b), Q, Q), 2 * q, dtype=_code_dtype(q))
+    cols, args = _lower_args(ectx, c[lower], d[lower])
+    codes[lower[:, None], np.arange(Q), cols] = q + args
+    codes[big] = _big_cell(ectx, a[big], b[big], d[big])
+    return codes
+
+
+def _weil_images(ectx, slctx):
+    """rho~ of every element of the SL2 context slctx, as a LazyImages
+    source: the whole group's _weil_codes, filled over chunks of
+    elements whose complex stacks would be at most repcore._CHUNK_BYTES,
+    and read through _weil_values.  SizeExceeded from check_stack before
+    the codes are allocated."""
+    check_stack(ectx.q)
+    n, Q = slctx.n, ectx.ext.q
+    codes = np.empty((n, Q, Q), dtype=_code_dtype(ectx.q))
+    for rows in row_chunks(n, Q * Q * np.dtype(complex).itemsize):
+        codes[rows] = _weil_codes(ectx, slctx.elems[rows])
+    values = _weil_values(ectx)
+    return LazyImages(n, Q, lambda idx: values[codes[idx]])
 
 
 def _check_sl2(ectx, a, b, c, d):
@@ -309,27 +348,33 @@ def _check_sl2(ectx, a, b, c, d):
 def _lower_cell(ectx, c, d):
     """rho~ of the elements (d^-1, 0; c, d), one per entry of the
     arrays c and d, as MonomialImages: f(x) -> psi(d c N(x)) f(d x)."""
+    cols, args = _lower_args(ectx, c, d)
+    return MonomialImages(cols, ectx.psi.values[args])
+
+
+def _lower_args(ectx, c, d):
+    """_lower_cell as (cols, args): row x of element g holds
+    psi(args[g, x]) in column cols[g, x]."""
     base, ext = ectx.base, ectx.ext
     cols = ext.mul(d[:, None], np.arange(ext.q))
-    vals = ectx.psi.values[base.mul(base.mul(d, c)[:, None], ectx.norm)]
-    return MonomialImages(cols, vals)
+    return cols, base.mul(base.mul(d, c)[:, None], ectx.norm)
 
 
 def _big_cell(ectx, a, b, d):
     """rho~ of the elements (a, b; c, d) with b != 0, one per entry of
     the arrays a, b and d: the kernel
-    -(1/q) psi((d N(x) - tr(conj(y) x) + a N(y)) / b)."""
+    -(1/q) psi((d N(x) - tr(conj(y) x) + a N(y)) / b), as the (n, Q, Q)
+    arguments of psi."""
     base = ectx.base
     Nx = ectx.norm
     idx = np.arange(ectx.ext.q)
     # [x, y] -> tr(conj(y) x)
     pairing = ectx.trace[ectx.ext.mul(idx[:, None], ectx.frob[idx])]
     binv = base.inv(b)[:, None, None]
-    arg = base.mul(binv, base.sub(
+    return base.mul(binv, base.sub(
         base.add(base.mul(d[:, None], Nx)[:, :, None],
                  base.mul(a[:, None], Nx)[:, None, :]),
         pairing))
-    return (-1.0 / base.q) * ectx.psi.values[arg]
 
 
 def _words(gctx, mats):
@@ -379,43 +424,81 @@ def verify_ordinary(ectx, slctx):
     (rho~(sigma) 1_0)(x) = -(1/q) psi(d b^{-1} N(x)) for b != 0, with
     d b^{-1} read off the word's letter l(d/b).
 
-    The images are filled from _weil_stack, and the words multiplied as
-    batched products, over chunks of elements whose stacks are at most
-    repcore._CHUNK_BYTES each.
+    rho~ is held as _weil_images' exact codes, and every check reads it
+    through that one LazyImages source, one chunk at a time.  A word is
+    t(a) l(ac) e e or l(d/b) w l(ab) t(1/b): only its second letter can
+    be w, and the other three are lower-cell letters, whose images are
+    read from the source and checked exactly to be monomial
+    (_monomial_letters).  So each word's product is its second letter's
+    image with rows gathered and scaled by the first letter, then
+    columns gathered and scaled by the third and the fourth, in the
+    order of the matrix product: O(Q^2) per element.  As in
+    check_homomorphism, each chunk's complex (rows, Q, Q) operands take
+    at most repcore._CHUNK_BYTES each, and the normalization reads
+    column 0 of each chunk's images.
 
     Returns {"pairs", "word_length", "bound", "word_defect",
     "norm_defect"}: the products checked, the view's word length bound L
     and the certificate's bound B.  SizeExceeded from check_stack, before
-    any image is built, when the images exceed MAX_STACK_BYTES.
+    any code is built, when the codes exceed MAX_STACK_BYTES.
     """
     if slctx.kind != "sl2" or slctx.field is not ectx.base:
         raise GroupMismatch("need an sl2 context over the extension's base")
     n, q, Q = slctx.n, ectx.q, ectx.ext.q
-    check_stack(q)
-    chunks = list(row_chunks(n, Q * Q * np.dtype(complex).itemsize))
-    images = np.empty((n, Q, Q), dtype=complex)
-    for rows in chunks:
-        images[rows] = _weil_stack(ectx, slctx.elems[rows])
+    images = _weil_images(ectx, slctx)
     bound = MatrixRep(slctx.view, images).check_homomorphism()
 
     # columns 1-4: det = 1 on SL2, so column 0 is the identity
     words = _words(slctx, slctx.elems)[:, 1:]
-    word_worst = 0.0
-    for rows in chunks:
-        acc = reduce(np.matmul, (images[words[rows, j]] for j in range(4)))
-        word_worst = np.maximum(word_worst, np.max(np.abs(acc - images[rows])))
+    letters, at = np.unique(words[:, [0, 2, 3]], return_inverse=True)
+    cols, vals = _monomial_letters(images, letters)
+    # the column gather of A M: (A M)[:, c[j]] = A[:, j] v[j]
+    back = np.argsort(cols, axis=1)
+    back_vals = np.take_along_axis(vals, back, axis=1)
+    at = at.reshape(n, 3)
 
-    # normalization: rho~(sigma) 1_0 is column 0 of rho~(sigma)
+    # normalization: rho~(sigma) 1_0 is column 0 of rho~(sigma), and
+    # pred[t] is -(1/q) psi(t N(x)) for every t in F_q
     big = slctx.elems[:, 1] != 0
-    col0 = images[big, :, 0]
-    dbinv = slctx.elems[words[big, 0], 2][:, None]
-    pred = (-1.0 / q) * ectx.psi.values[ectx.base.mul(dbinv, ectx.norm)]
-    norm_worst = np.maximum(np.max(np.abs(col0[:, 0] - (-1.0 / q))),
-                            np.max(np.abs(col0 - pred)))
+    dbinv = slctx.elems[words[:, 0], 2]
+    pred = (-1.0 / q) * ectx.psi.values[
+        ectx.base.mul(np.arange(q)[:, None], ectx.norm)]
+
+    word_worst = norm_worst = 0.0
+    for rows in row_chunks(n, Q * Q * np.dtype(complex).itemsize):
+        first, third, fourth = at[rows].T
+        acc = images[words[rows, 1]]
+        acc = acc[np.arange(len(first))[:, None], cols[first]]
+        acc *= vals[first][..., None]
+        for j in (third, fourth):
+            acc = np.take_along_axis(acc, back[j][:, None, :], axis=2)
+            acc *= back_vals[j][:, None, :]
+        image = images[rows]
+        acc -= image
+        word_worst = np.maximum(word_worst, np.max(np.abs(acc)))
+        col0, b = image[big[rows], :, 0], dbinv[rows][big[rows]]
+        norm_worst = np.maximum(norm_worst, np.maximum(
+            np.max(np.abs(col0[:, 0] - (-1.0 / q)), initial=0.0),
+            np.max(np.abs(col0 - pred[b]), initial=0.0)))
 
     return {"pairs": n * len(slctx.view.gens),
             "word_length": slctx.view.word_length, "bound": bound,
             "word_defect": float(word_worst), "norm_defect": float(norm_worst)}
+
+
+def _monomial_letters(images, ids):
+    """(cols, vals) of the images of ids, each (len(ids), Q): image m has
+    its one nonzero entry of row x at column cols[m, x], of value
+    vals[m, x].  Gated exactly: every row and every column of every
+    image holds exactly one nonzero entry, so each is monomial and its
+    columns are a permutation."""
+    M = images[ids]
+    nonzero = M != 0
+    gate(np.count_nonzero(nonzero.sum(axis=2) != 1)
+         + np.count_nonzero(nonzero.sum(axis=1) != 1),
+         "a word letter's image is not monomial")
+    cols = nonzero.argmax(axis=2)
+    return cols, np.take_along_axis(M, cols[..., None], axis=2)[..., 0]
 
 
 # --- the averaging intertwiner, built from the Heisenberg action ---
@@ -428,7 +511,19 @@ def _half_psi_exponent(ectx, z):
     return base.trace_to_prime[base.mul(inv2, ectx.trace[z])]
 
 
-def _nu_stack(ectx, mats):
+def _ext_tables(ectx):
+    """(neg, add, mul, half) of F_{q^2} as gather tables: neg[x],
+    add[x, y], mul[x, y] and half[z] = _half_psi_exponent(ectx, z), one
+    field call each, so the stacks built from them make none.  A
+    base-field element is its own index, so mul[a] multiplies by a in
+    F_q."""
+    ext = ectx.ext
+    idx = np.arange(ext.q)
+    return (ext.neg(idx), ext.add(idx[:, None], idx),
+            ext.mul(idx[:, None], idx), _half_psi_exponent(ectx, idx))
+
+
+def _nu_stack(ectx, mats, tables):
     """The averaging intertwiner specialized to the induced model, for
     every row sigma = (a, b, c, d) of mats, as an (n, Q, Q) stack:
     (nu(sigma) f~)(x) = (1/q^2) sum_y f(^sigma((-x, y, psi(tr(-conj(y) x)))))
@@ -436,51 +531,55 @@ def _nu_stack(ectx, mats):
 
     sigma acts on H(F_{q^2}) by (x, y) -> (X, Y) = (a x + b y, c x + d y),
     twisting z by psi((1/2) tr(-conj(y) x + conj(Y) X)).  Each step is
-    one field call over the (g, x, y) grid, and the scatter into column
-    -X adds each row's terms in increasing y."""
-    ext = ectx.ext
-    Q, p = ext.q, ectx.p
-    psi_exp = ext.trace_to_prime  # absolute trace exponent of psi on the ext
+    one gather from _ext_tables over the (g, x, y) grid, and the scatter
+    into column -X adds each row's terms in increasing y."""
+    neg, add, mul, half = tables
+    Q, p = ectx.ext.q, ectx.p
+    psi_exp = ectx.ext.trace_to_prime  # absolute trace exponent of psi
     frob = ectx.frob
     a, b, c, d = (col[:, None, None] for col in np.asarray(mats).T)
-    xg = ext.neg(np.arange(Q))[:, None]
+    xg = neg[:, None]
     ys = np.arange(Q)[None, :]
     # h = (0, y, 1)(xg, 0, 1) = (xg, y, psi(tr(conj(y) xg)))
-    yx = ext.mul(frob[ys], xg)
+    yx = mul[frob[ys], xg]
     z0 = np.exp(2j * np.pi * psi_exp[yx] / p)
-    X = ext.add(ext.mul(a, xg), ext.mul(b, ys))
-    Y = ext.add(ext.mul(c, xg), ext.mul(d, ys))
-    YX = ext.mul(frob[Y], X)
-    e = _half_psi_exponent(ectx, ext.add(ext.neg(yx), YX))
+    X = add[mul[a, xg], mul[b, ys]]
+    Y = add[mul[c, xg], mul[d, ys]]
+    YX = mul[frob[Y], X]
+    e = half[add[neg[yx], YX]]
     Z = z0 * np.exp(2j * np.pi * e / p)
     # f(X, Y, Z) = Z conj(psi(tr(conj(Y) X))) f~(-X)
     coeff = Z * np.exp(-2j * np.pi * psi_exp[YX] / p)
     M = np.zeros((len(X), Q, Q), dtype=complex)
     np.add.at(M, (np.arange(len(X))[:, None, None], np.arange(Q)[:, None],
-                  ext.neg(X)), coeff)
+                  neg[X]), coeff)
     return M / Q
 
 
-def _rho_stack(ectx, mats):
+def _rho_stack(ectx, mats, tables):
     """The un-normalized intertwiner in closed form, for every row
     sigma = (a, b, c, d) of mats, as an (n, Q, Q) stack:
     (rho(sigma) f~)(x) = (1/q^2) sum_y psi((1/2) tr(-conj(y) x
         - conj(c x + a y)(-d x - b y))) f~(d x + b y).
-    Each step is one field call over the (g, y, x) grid, and the
-    scatter adds each entry's terms in increasing y."""
-    ext = ectx.ext
-    Q = ext.q
+    Each step is one gather from _ext_tables over the (g, y, x) grid,
+    and the scatter adds each entry's terms in increasing y."""
+    neg, add, mul, half = tables
+    Q = ectx.ext.q
     a, b, c, d = (col[:, None, None] for col in np.asarray(mats).T)
     ys = np.arange(Q)[:, None]
     xs = np.arange(Q)[None, :]
-    u = ext.add(ext.mul(c, xs), ext.mul(a, ys))
-    tgt = ext.add(ext.mul(d, xs), ext.mul(b, ys))
-    z = ext.neg(ext.add(ext.mul(ectx.frob[ys], xs),
-                        ext.mul(ectx.frob[u], ext.neg(tgt))))
-    coeff = np.exp(2j * np.pi * _half_psi_exponent(ectx, z) / ectx.p)
+    u = add[mul[c, xs], mul[a, ys]]
+    tgt = add[mul[d, xs], mul[b, ys]]
+    z = neg[add[mul[ectx.frob[ys], xs], mul[ectx.frob[u], neg[tgt]]]]
+    coeff = np.exp(2j * np.pi * half[z] / ectx.p)
     M = np.zeros((len(tgt), Q, Q), dtype=complex)
     np.add.at(M, (np.arange(len(tgt))[:, None, None], xs, tgt), coeff)
     return M / Q
+
+
+# complex (rows, Q, Q) arrays' worth of memory averaging_check's loop
+# body holds at once: tracemalloc reads 6 to 7 at q = 5 and 7
+_AVERAGING_TEMPS = 8
 
 
 def averaging_check(ectx, slctx):
@@ -489,25 +588,31 @@ def averaging_check(ectx, slctx):
     rho agrees with the normalized rho~ up to the per-element scalar (1
     for b = 0, -q otherwise).  The weil verify suite runs it at q <= 5.
 
-    nu(g), rho(g^-1), rho(g) and rho~(g) are built as (n, Q, Q) stacks
-    over chunks of g, each stack no larger than repcore._CHUNK_BYTES.
-    Each step is one array-valued field call over the chunk's (g, y, x)
-    grid, with one np.add.at scatter per stack, so the number of field
-    calls grows with the chunk count, not with |SL2|.  Returns the max
-    defects."""
+    nu(g), rho(g^-1) and rho(g) are built as (n, Q, Q) stacks over
+    chunks of g, and rho~(g) read from _weil_images, the source
+    verify_ordinary certifies.  A chunk's whole working set, about
+    _AVERAGING_TEMPS complex (rows, Q, Q) arrays, takes about
+    repcore._CHUNK_BYTES.  The stacks gather their field arithmetic
+    from _ext_tables, built once, with one np.add.at scatter per stack,
+    so the number of field calls does not grow with |SL2| or with the
+    chunk count.  Returns the max defects."""
     if slctx.kind != "sl2" or slctx.field is not ectx.base:
         raise GroupMismatch("need an sl2 context over the extension's base")
     Q = ectx.ext.q
+    tables = _ext_tables(ectx)
+    tilde = _weil_images(ectx, slctx)
     worst_nu = 0.0
     worst_scale = 0.0
-    for rows in row_chunks(slctx.n, Q * Q * np.dtype(complex).itemsize):
+    for rows in row_chunks(slctx.n, _AVERAGING_TEMPS * Q * Q
+                           * np.dtype(complex).itemsize):
         mats = slctx.elems[rows]
         inv_mats = slctx.elems[slctx.view.inv[rows]]
         worst_nu = np.maximum(worst_nu, np.max(np.abs(
-            _nu_stack(ectx, mats) - _rho_stack(ectx, inv_mats))))
+            _nu_stack(ectx, mats, tables) - _rho_stack(ectx, inv_mats,
+                                                       tables))))
         scal = np.where(mats[:, 1] == 0, 1.0, -float(ectx.q))[:, None, None]
         worst_scale = np.maximum(worst_scale, np.max(np.abs(
-            scal * _rho_stack(ectx, mats) - _weil_stack(ectx, mats))))
+            scal * _rho_stack(ectx, mats, tables) - tilde[rows])))
     return {"nu_vs_rho": float(worst_nu),
             "rho_vs_normalized": float(worst_scale)}
 

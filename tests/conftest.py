@@ -1,5 +1,7 @@
 """References shared by the test modules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,17 @@ def _elementwise_product_defect(rep):
     return worst
 
 
+def _traced_peak(fn):
+    """(fn(), the tracemalloc peak in bytes of that call)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 def _seen_loop_cosets(ctx):
     """The right cosets B\\G by group products: (representatives, coset
     of every element), each representative the smallest element not in
@@ -69,6 +82,11 @@ def all_pairs_defect():
 @pytest.fixture
 def elementwise_product_defect():
     return _elementwise_product_defect
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak
 
 
 @pytest.fixture

@@ -493,3 +493,21 @@ def test_tolerance_env_is_validated(capsys, monkeypatch):
 
 def test_main_entry_point_exists():
     assert callable(cli.main)
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    # every run reuses one parser: a verify pass makes 30 runs
+    built = []
+    real = cli.argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    cli.build_parser()
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting)
+    for _ in range(3):
+        assert cli.run(["verify", "--suite", "counting", "--q", "3"]) == 0
+    assert cli.run(["field", "--p", "6"]) == 2
+    capsys.readouterr()
+    assert built == []

@@ -1,8 +1,6 @@
 """Enumeration, conjugacy-class structure and Bruhat decomposition of
 GL2/SL2."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -279,28 +277,22 @@ def test_the_order_bound_admits_gl2_to_61_and_sl2_to_256():
             gl2.check_order(kind, q)
 
 
-def _traced_peak(kind, F):
-    tracemalloc.start()
-    try:
-        make_group(kind, F)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
-def test_the_sl2_enumeration_builds_no_q4_grid():
+def test_the_sl2_enumeration_builds_no_q4_grid(traced_peak):
     # |SL2(F_25)| = 15,600 matrices: the construction peaks at about
     # 7 MB traced, where building and filtering all 25^4 matrices takes
     # it to 27 MB
-    assert _traced_peak("sl2", make_field(5, 2)) < 12e6
+    F = make_field(5, 2)
+    _, peak = traced_peak(lambda: make_group("sl2", F))
+    assert peak < 12e6
 
 
-def test_the_sl2_ids_need_no_q4_lookup():
+def test_the_sl2_ids_need_no_q4_lookup(traced_peak):
     # |SL2(F_49)| = 117,600 matrices: the construction peaks at about
     # 36 MB traced, where an int64 id lookup over all 49^4 packed keys
     # (46 MB) took it to 82 MB
-    assert _traced_peak("sl2", make_field(7, 2)) < 50e6
+    F = make_field(7, 2)
+    _, peak = traced_peak(lambda: make_group("sl2", F))
+    assert peak < 50e6
 
 
 # ---------------------------------------------------------------------------

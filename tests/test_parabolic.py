@@ -2,7 +2,6 @@
 the rho+/- splitting, and the Hecke kernel calculus."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,19 +340,14 @@ def test_split_rho_pm_forms_no_whole_group_product(monkeypatch):
         assert rows and max(rows) <= (q + 1) ** 2
 
 
-def test_induced_model_stores_no_image_stack():
+def test_induced_model_stores_no_image_stack(traced_peak):
     # at sl2 q=17 the model peaks at about 3 MB traced with its monomial
     # store and the chunked certificate, and at 30 MB with a dense
     # (|G|, q+1, q+1) image stack
     ctx = make_group("sl2", make_field(17))
     ctx.borel_coset_reps
     bchar = BorelChar(ctx, (MultChar(ctx.field, 1),))
-    tracemalloc.start()
-    try:
-        build_induced_rep(ctx, bchar)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: build_induced_rep(ctx, bchar))
     assert peak < 12e6
 
 

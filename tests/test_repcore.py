@@ -4,7 +4,6 @@ certified generators and matrix models."""
 
 import copy
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -389,19 +388,14 @@ def test_homomorphism_check_sees_the_identity_and_unitarity():
             > 10 * MatrixRep(v, images).check_homomorphism() > 0)
 
 
-def test_the_monomial_certificate_stays_near_one_chunk():
+def test_the_monomial_certificate_stays_near_one_chunk(traced_peak):
     # sl2 q=17's induced model, 4,896 images of degree 18: chunks sized
     # by the loop's whole working set peak at about 0.8 MB traced, where
     # chunks sized by one complex operand reached 5.6 MB
     ctx = make_group("sl2", make_field(17))
     rep = build_induced_rep(ctx, BorelChar(ctx, (MultChar(ctx.field, 1),)))
     assert isinstance(rep.images, MonomialImages)
-    tracemalloc.start()
-    try:
-        bound = rep.check_homomorphism()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    bound, peak = traced_peak(rep.check_homomorphism)
     assert bound < 1e-10
     assert peak <= 2 * _CHUNK_BYTES
 

@@ -44,6 +44,7 @@ from qrep import (
 )
 from qrep import chartab, cli, weil
 from qrep.ff import FieldCtx
+from qrep.repcore import LazyImages
 
 RNG = np.random.default_rng(20070714)
 
@@ -349,23 +350,88 @@ def test_ordinary_relations_certified_q7():
     assert out["bound"] < 1e-10
 
 
+def _perturb_images(monkeypatch, mat, entry, by):
+    """Patch weil._weil_images so that every image it forms of the
+    element mat has by added at entry."""
+    real = weil._weil_images
+
+    def perturbed(ectx, slctx):
+        images, hit = real(ectx, slctx), slctx.id_of(mat)
+
+        def form(idx):
+            out = images[idx]
+            flat = out.reshape((-1,) + out.shape[-2:])
+            flat[(np.arange(slctx.n)[idx] == hit).reshape(-1),
+                 entry[0], entry[1]] += by
+            return out
+        return LazyImages(*images.shape[:2], form)
+
+    monkeypatch.setattr(weil, "_weil_images", perturbed)
+
+
 def test_a_perturbed_weil_image_fails_verification(monkeypatch, capsys):
-    # one element's image off in one entry: the product check must see
-    # it, and the weil verify suite must exit 1
-    real = weil._weil_stack
-
-    def perturbed(ectx, mats):
-        out = real(ectx, mats)
-        hit = np.flatnonzero(np.all(np.asarray(mats) == (1, 1, 0, 1), axis=1))
-        out[hit, 0, 0] += 100 * get_tol()
-        return out
-
-    monkeypatch.setattr(weil, "_weil_stack", perturbed)
+    # one element's image off in one entry, in every image the
+    # certificates read: the product check must see it, and the weil
+    # verify suite must exit 1
+    _perturb_images(monkeypatch, (1, 1, 0, 1), (0, 0), 100 * get_tol())
     E = make_ext(make_field(3))
     out = verify_ordinary(E, make_group("sl2", E.base))
     assert out["bound"] > get_tol()
     assert cli.run(["verify", "--suite", "weil", "--q", "3"]) == 1
     assert "FAIL weil: multiplicativity" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+def test_a_letter_image_that_is_not_monomial_fires_the_gate(
+        monkeypatch, capsys, entry):
+    # l(1) is diagonal: a second nonzero entry in row 0, or in column 0,
+    # breaks its monomial shape, which the word products rely on
+    _perturb_images(monkeypatch, (1, 0, 1, 1), entry, 0.5)
+    E = make_ext(make_field(3))
+    with pytest.raises(VerificationFailed,
+                       match="a word letter's image is not monomial"):
+        verify_ordinary(E, make_group("sl2", E.base))
+    assert cli.run(["verify", "--suite", "weil", "--q", "3"]) == 1
+    assert "FAIL weil: VerificationFailed: a word letter's" in (
+        capsys.readouterr().out)
+
+
+def test_the_ordinary_certificate_keeps_no_complex_stack(traced_peak):
+    # sl2 q=7, 336 images of 49 x 49: their one-byte codes take 0.8 MB,
+    # and the certificate peaks at about 4.3 MB traced; a complex stack
+    # of every image took it to 18.1 MB
+    E = make_ext(make_field(7))
+    ctx = make_group("sl2", E.base)
+    out, peak = traced_peak(lambda: verify_ordinary(E, ctx))
+    assert out["bound"] < 1e-10
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_the_coded_images_equal_the_closed_form(p):
+    # bit for bit: the codes read through the value table are the
+    # closed form's complex entries
+    E = make_ext(make_field(p))
+    ctx = make_group("sl2", E.base)
+    stack = weil._weil_stack(E, ctx.elems)
+    for g in range(ctx.n):
+        assert np.array_equal(stack[g], _weil_by_element(E, ctx.mat_of(g)))
+
+
+def _weil_by_element(ectx, sigma):
+    """rho~(sigma) from its closed form on scalars a, b, c, d: the
+    reference for weil._weil_codes."""
+    base, ext = ectx.base, ectx.ext
+    a, b, c, d = (int(t) for t in sigma)
+    idx, N, psi = np.arange(ext.q), ectx.norm, ectx.psi.values
+    if b == 0:
+        M = np.zeros((ext.q, ext.q), dtype=complex)
+        M[idx, ext.mul(d, idx)] = psi[base.mul(int(base.mul(d, c)), N)]
+        return M
+    pairing = ectx.trace[ext.mul(idx[:, None], ectx.frob[idx])]
+    arg = base.sub(base.add(base.mul(d, N)[:, None], base.mul(a, N)[None, :]),
+                   pairing)
+    return (-1.0 / ectx.q) * psi[base.mul(int(base.inv(b)), arg)]
 
 
 def test_ordinary_field_calls_do_not_grow_with_the_group(monkeypatch):
@@ -518,8 +584,9 @@ def _rho_by_element(ectx, sigma):
 def test_averaging_stacks_equal_the_per_element_operators(p):
     E = make_ext(make_field(p))
     ctx = make_group("sl2", E.base)
-    nu = weil._nu_stack(E, ctx.elems)
-    rho = weil._rho_stack(E, ctx.elems)
+    tables = weil._ext_tables(E)
+    nu = weil._nu_stack(E, ctx.elems, tables)
+    rho = weil._rho_stack(E, ctx.elems, tables)
     tilde = weil._weil_stack(E, ctx.elems)
     worst_nu = worst_scale = 0.0
     for g in range(ctx.n):
@@ -561,15 +628,7 @@ def test_a_perturbed_normalized_stack_fails_the_averaging_check(
         monkeypatch, capsys):
     # one element's rho~ off in one entry: the closed-form comparison
     # must see it, and the weil verify suite must exit 1
-    real = weil._weil_stack
-
-    def perturbed(ectx, mats):
-        out = real(ectx, mats)
-        hit = np.flatnonzero(np.all(np.asarray(mats) == (1, 1, 0, 1), axis=1))
-        out[hit, 0, 0] += 100 * get_tol()
-        return out
-
-    monkeypatch.setattr(weil, "_weil_stack", perturbed)
+    _perturb_images(monkeypatch, (1, 1, 0, 1), (0, 0), 100 * get_tol())
     E = make_ext(make_field(3))
     out = averaging_check(E, make_group("sl2", E.base))
     assert out["rho_vs_normalized"] > get_tol()
@@ -590,12 +649,13 @@ def test_the_weil_certificates_refuse_a_foreign_group(certificate, kind, q):
 
 def test_the_image_stack_is_bounded_before_it_is_allocated(monkeypatch,
                                                            capsys):
-    # 120 images of 25 x 25 at q = 5 take 1,200,000 bytes: one byte less
-    # of room refuses them, before _weil_stack builds any image
+    # the codes of 120 images of 25 x 25 at q = 5 take 75,000 bytes, one
+    # byte each: one byte less of room refuses them, before _weil_codes
+    # fills any
     E = make_ext(make_field(5))
     ctx = make_group("sl2", E.base)
-    monkeypatch.setattr(weil, "MAX_STACK_BYTES", 120 * 25 * 25 * 16 - 1)
-    monkeypatch.setattr(weil, "_weil_stack", None)
+    monkeypatch.setattr(weil, "MAX_STACK_BYTES", 120 * 25 * 25 - 1)
+    monkeypatch.setattr(weil, "_weil_codes", None)
     with pytest.raises(SizeExceeded, match="120 images of 25 x 25"):
         verify_ordinary(E, ctx)
     assert cli.run(["weil", "--q", "5"]) == 1
@@ -603,19 +663,22 @@ def test_the_image_stack_is_bounded_before_it_is_allocated(monkeypatch,
     assert got.out == "" and got.err.startswith("size limit: SizeExceeded")
 
 
-def test_weil_refuses_q17_by_its_stack_size(capsys):
-    # rho~ of all 4,896 elements of SL2(F_17) would take 6.5 GB
+def test_weil_refuses_q23_by_its_code_size(capsys):
+    # the one-byte codes of rho~ of all 12,144 elements of SL2(F_23)
+    # would take 3.4 GB; q = 19's take 891 MB and are admitted
     t0 = time.perf_counter()
-    assert cli.run(["weil", "--q", "17"]) == 1
+    assert cli.run(["weil", "--q", "23"]) == 1
     assert time.perf_counter() - t0 < 1.0
     got = capsys.readouterr()
-    assert got.err.startswith("size limit: SizeExceeded: 4896 images")
+    assert got.err.startswith("size limit: SizeExceeded: 12144 images")
+    weil.check_stack(19)
 
 
 def test_the_weil_suite_refuses_q13_before_the_image_stack(monkeypatch,
                                                            capsys):
     # |H(F_169)| = 13^4 * 13 exceeds MAX_H, and the suite builds H before
-    # verify_ordinary, whose 2184 images of 169 x 169 would take 998 MB
+    # verify_ordinary, whose codes of 2184 images of 169 x 169 would
+    # take 62 MB
     def refuse(*args):
         raise AssertionError("verify_ordinary called at q = 13")
 
